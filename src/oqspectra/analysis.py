@@ -107,9 +107,7 @@ def _analyze(kind, subject, cluster_tol, peripheral_tol, markovian, with_commuta
 
     t1 = time.perf_counter()
     try:
-        attractor_dim = asymptotics.attractor(
-            subject, cluster_tol=summary.cluster_tol,
-            peripheral_tol=summary.peripheral_tol).dimension
+        attractor_dim = asymptotics.attractor(subject, summary=summary).dimension
     except asymptotics.ConsistencyError as exc:
         attractor_dim = -1
         discrepancy = discrepancy or str(exc)

@@ -95,18 +95,43 @@ def kernel(gen: GklsGenerator, tol: float = DEFAULT_NULL_TOL,
 
 def attractor(subject, tol: float = DEFAULT_NULL_TOL,
               cluster_tol: float | None = None,
-              peripheral_tol: float = spectra.DEFAULT_PERIPHERAL_TOL) -> SubspaceBasis:
+              peripheral_tol: float = spectra.DEFAULT_PERIPHERAL_TOL,
+              summary: spectra.SpectralSummary | None = None) -> SubspaceBasis:
     """Orthonormal basis of the span of all peripheral eigenvectors.
 
     Peripheral eigenvalues are semisimple, so plain eigenvectors span the
-    whole attractor; an eigenvector-count deficit against the algebraic
-    multiplicity would contradict semisimplicity and raises
-    ConsistencyError.
+    whole attractor.  A peripheral eigenvalue of multiplicity 1 takes its
+    right eigenvector from the subject's cached eigendecomposition, where
+    semisimplicity shows as a left/right overlap |vl^dag vr| above ``tol``
+    (unit vectors).  A multiple one takes the nullspace of M - mu I, whose
+    dimension must equal the algebraic multiplicity.  Either failure
+    contradicts semisimplicity and raises ConsistencyError.  A given
+    ``summary`` must be this subject's own.
     """
-    m, summary = _subject_matrix_and_summary(subject, cluster_tol, peripheral_tol)
+    if isinstance(subject, QuantumChannel):
+        summarize = spectra.summarize_channel
+    elif isinstance(subject, GklsGenerator):
+        summarize = spectra.summarize_generator
+    else:
+        raise TypeError(f"expected a channel or generator, got {type(subject)!r}")
+    if summary is None:
+        summary = summarize(subject, cluster_tol, peripheral_tol)
+    m = subject.superop
+    w, vl, vr = subject.eigensystem
     blocks = []
     for item in summary.distinct:
         if not item.peripheral:
+            continue
+        if item.multiplicity == 1:
+            # A singleton's center is its one eigenvalue, bit for bit.
+            (k,) = np.flatnonzero(w == item.value)
+            overlap = abs(np.vdot(vl[:, k], vr[:, k]))
+            if overlap <= tol:
+                raise ConsistencyError(
+                    f"peripheral eigenvalue {item.value:.6g}: left/right "
+                    f"eigenvector overlap {overlap:.3e} <= {tol:.1e}, not semisimple"
+                )
+            blocks.append(vr[:, k:k + 1])
             continue
         eigvecs = _eigenspace(m, item.value, tol)
         if eigvecs.shape[1] != item.multiplicity:
@@ -123,16 +148,6 @@ def attractor(subject, tol: float = DEFAULT_NULL_TOL,
             f"{summary.lP_or_mP}"
         )
     return SubspaceBasis(ambient_dim=m.shape[0], basis=basis, label="attractor")
-
-
-def _subject_matrix_and_summary(subject, cluster_tol, peripheral_tol):
-    if isinstance(subject, QuantumChannel):
-        summary = spectra.summarize_channel(subject, cluster_tol, peripheral_tol)
-    elif isinstance(subject, GklsGenerator):
-        summary = spectra.summarize_generator(subject, cluster_tol, peripheral_tol)
-    else:
-        raise TypeError(f"expected a channel or generator, got {type(subject)!r}")
-    return subject.superop, summary
 
 
 def eigen_projector(m: np.ndarray, center: complex, tol: float = DEFAULT_NULL_TOL) -> np.ndarray:

@@ -57,8 +57,7 @@ def commutant(ops, tol: float = 0.0, with_basis: bool = True) -> CommutantResult
     if any(a.shape[0] != d for a in mats):
         raise ValueError("operators must share one dimension")
     stacked = np.vstack([linalg.commutation_superop(a) for a in mats])
-    scale = max(float(np.linalg.norm(stacked, 2)),
-                max(float(np.linalg.norm(a, 2)) for a in mats))
+    scale = max(float(np.linalg.norm(a, 2)) for a in mats)
     ns = linalg.nullspace(stacked, tol=tol, scale=scale)
     dim = int(ns.shape[1])
     if dim < 1:

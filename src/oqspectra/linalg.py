@@ -45,17 +45,18 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.conj(np.asarray(a).T)
 
 
-def eig(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and right eigenvectors of a square matrix.
+def eig(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues with left and right eigenvectors of a square matrix.
 
-    Returns ``(w, v)`` with ``v[:, k]`` the unit-norm eigenvector for
-    ``w[k]``.  Exactly ``n`` pairs are returned (with repetition).  Raises
+    Returns ``(w, vl, vr)``: ``vr[:, k]`` and ``vl[:, k]`` are the
+    unit-norm right and left eigenvectors for ``w[k]``, so
+    ``A vr[:, k] = w[k] vr[:, k]`` and ``vl[:, k]^dag A = w[k] vl[:, k]^dag``.
+    Exactly ``n`` eigenvalues are returned (with repetition).  Raises
     ``np.linalg.LinAlgError`` if the QR iteration fails to converge; a
     failure is never silently truncated.
     """
     m = require_square(a)
-    w, v = scipy.linalg.eig(m)
-    return w, v
+    return scipy.linalg.eig(m, left=True, right=True)
 
 
 def eigvals(a) -> np.ndarray:
@@ -103,17 +104,19 @@ def nullspace(a, tol: float = 0.0, scale: float | None = None) -> np.ndarray:
     """Orthonormal basis of the (numerical) nullspace, as matrix columns.
 
     ``tol`` is relative to the largest singular value; ``tol = 0`` uses the
-    default rank cutoff.  ``scale`` overrides the reference the cutoff is
-    measured against (useful when the matrix itself may be rounding noise
-    left over from a cancellation).  The returned array has shape
+    default rank cutoff.  ``scale`` is a floor for the reference the cutoff
+    is measured against (useful when the matrix itself may be rounding
+    noise left over from a cancellation).  The returned array has shape
     ``(cols, k)`` with ``k = cols - rank``.
     """
     m = as_complex_matrix(a)
     if m.size == 0:
         return np.eye(m.shape[1], dtype=np.complex128)
-    u, s, vh = scipy.linalg.svd(m)
+    # A tall input's thin SVD already has the square V; the full U factor
+    # of a tall commutation stack would take (rows x rows) memory unread.
+    _, s, vh = scipy.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     smax = s[0] if s.size else 0.0
-    ref = scale if scale is not None else smax
+    ref = max(smax, scale) if scale is not None else smax
     if ref == 0.0:
         return np.eye(m.shape[1], dtype=np.complex128)
     cutoff = tol * ref if tol > 0 else default_rank_tolerance(m, ref)

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-
 DEFAULT_PERIPHERAL_TOL = 1e-7
 DEFAULT_CLUSTER_REL_TOL = 1e-7
 
@@ -168,15 +166,16 @@ def _summarize(kind: str, dim: int, eigenvalues: np.ndarray,
 
 def summarize_channel(channel, cluster_tol: float | None = None,
                       peripheral_tol: float = DEFAULT_PERIPHERAL_TOL) -> SpectralSummary:
-    """Spectral summary of a channel: distinct eigenvalues, l0 and lP."""
-    w = linalg.eigvals(channel.superop)
+    """Spectral summary of a channel's cached eigenvalues: distinct ones, l0, lP."""
+    w = channel.eigensystem[0]
     return _summarize("channel", channel.dim, w, cluster_tol, peripheral_tol)
 
 
 def summarize_generator(gen, cluster_tol: float | None = None,
                         peripheral_tol: float = DEFAULT_PERIPHERAL_TOL) -> SpectralSummary:
-    """Spectral summary of a generator: distinct eigenvalues, m0, mP and rates."""
-    w = linalg.eigvals(gen.superop)
+    """Spectral summary of a generator's cached eigenvalues: distinct ones,
+    m0, mP and rates."""
+    w = gen.eigensystem[0]
     return _summarize("generator", gen.dim, w, cluster_tol, peripheral_tol)
 
 

@@ -39,19 +39,28 @@ class QuantumChannel:
 
     At least one representation is present.  Missing representations are
     derived lazily and cached write-once; all cached forms agree to
-    round-off because each is computed from the stored one.
+    round-off because each is computed from the stored one.  The
+    eigendecomposition of the superoperator is cached the same way.
     """
 
     dim: int
     kraus: tuple[np.ndarray, ...] | None = None
     _superop: np.ndarray | None = field(default=None, repr=False)
     _choi: np.ndarray | None = field(default=None, repr=False)
+    _eigensystem: tuple[np.ndarray, ...] | None = field(default=None, init=False, repr=False)
 
     @property
     def superop(self) -> np.ndarray:
         if self._superop is None:
             self._superop = kraus_to_superop(self.kraus)
         return self._superop
+
+    @property
+    def eigensystem(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``linalg.eig(superop)``, shared by every caller: read, never modify."""
+        if self._eigensystem is None:
+            self._eigensystem = linalg.eig(self.superop)
+        return self._eigensystem
 
     @property
     def choi(self) -> np.ndarray:
@@ -227,7 +236,7 @@ def identity_channel(d: int) -> QuantumChannel:
 
 def is_unitary_channel(channel: QuantumChannel, tol: float = 1e-7) -> bool:
     """True iff every superoperator eigenvalue has modulus >= 1 - tol."""
-    w = linalg.eigvals(channel.superop)
+    w = channel.eigensystem[0]
     return bool(np.min(np.abs(w)) >= 1.0 - tol)
 
 

@@ -7,6 +7,7 @@ never assert the implementation against itself.
 
 import numpy as np
 
+from oqspectra import constructions
 from oqspectra.commutants import JordanProfile
 
 
@@ -158,3 +159,35 @@ def plant_jordan(profile, rng, cond_max=1e3):
     s = np.sort(s)[::-1]
     sim = haar(d, rng) @ np.diag(s) @ dag(haar(d, rng))
     return sim @ j @ np.linalg.inv(sim)
+
+
+def oracle_subjects(d, seeds=3):
+    """The 4 saturating constructors and ``seeds`` draws of each of the 5
+    ensembles at dimension d, as (name, subject) pairs."""
+    subjects = [
+        ("unitary", constructions.saturating_unitary_channel(d)),
+        ("phase-damping", constructions.phase_damping_channel(d)),
+        ("hamiltonian", constructions.saturating_hamiltonian_generator(d)),
+        ("dissipative", constructions.saturating_dissipative_generator(d)),
+    ]
+    for ensemble in constructions.ENSEMBLES:
+        for seed in range(seeds):
+            config = constructions.SamplerConfig(seed=seed, dim=d, ensemble=ensemble)
+            subjects.append((f"{ensemble}-s{seed}", constructions.sample_one(config, 0)))
+    return subjects
+
+
+def reference_attractor(m, summary, tol=1e-8):
+    """Per-cluster SVD attractor: the nullspace of M - c I (singular values
+    at most tol * sigma_max) for each peripheral cluster center c, stacked
+    and orthonormalized.  One SVD per peripheral cluster, no eigenvectors."""
+    n = m.shape[0]
+    blocks = []
+    for item in summary.distinct:
+        if not item.peripheral:
+            continue
+        _, s, vh = np.linalg.svd(m - item.value * np.eye(n))
+        rank = int(np.sum(s > tol * s[0])) if s[0] > 0 else 0
+        blocks.append(dag(vh[rank:]))
+    u, s, _ = np.linalg.svd(np.hstack(blocks), full_matrices=False)
+    return u[:, :int(np.sum(s > 1e-10 * s[0]))]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import helpers
 from oqspectra import asymptotics, commutants, linalg, spectra, superop
@@ -132,6 +133,30 @@ class TestAttractor:
         fake = superop.QuantumChannel(dim=2, _superop=m)
         with pytest.raises(asymptotics.ConsistencyError, match="multiplicity"):
             attractor(fake)
+
+    def test_singleton_without_overlap_reported(self):
+        # a forged map whose peripheral pair -1 +- 1e-6i splits into two
+        # singleton clusters with left/right eigenvector overlap ~2e-12:
+        # numerically a Jordan block, so it cannot count as semisimple
+        m = scipy.linalg.block_diag(1.0, [[-1.0, 1e6], [-1e-18, -1.0]], 0.5)
+        fake = superop.QuantumChannel(dim=2, _superop=m.astype(complex))
+        summary = spectra.summarize_channel(fake)
+        assert [i.multiplicity for i in summary.distinct if i.peripheral] == [1, 1, 1]
+        with pytest.raises(asymptotics.ConsistencyError, match="overlap"):
+            attractor(fake)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_matches_per_cluster_svd_reference(self, d):
+        for name, subject in helpers.oracle_subjects(d):
+            if isinstance(subject, superop.QuantumChannel):
+                summary = spectra.summarize_channel(subject)
+            else:
+                summary = spectra.summarize_generator(subject)
+            att = attractor(subject, summary=summary)
+            ref = helpers.reference_attractor(subject.superop, summary)
+            assert att.dimension == ref.shape[1] == summary.lP_or_mP, name
+            gap = np.linalg.norm(att.basis @ helpers.dag(att.basis) - ref @ helpers.dag(ref))
+            assert gap <= 1e-9, f"{name}: projectors differ by {gap:.3e}"
 
 
 class TestProjections:

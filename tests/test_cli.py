@@ -1,7 +1,10 @@
+import collections
 import json
 
 import numpy as np
+import scipy.linalg
 
+import helpers
 from oqspectra import analysis, campaign, superop
 from oqspectra.cli import main
 from oqspectra.constructions import (
@@ -48,6 +51,25 @@ class TestAnalysisPipeline:
         assert rep.rechecked
         assert rep.bounds_satisfied
         assert rep.summary.l0_or_m0 == 2
+
+    def test_one_eigendecomposition_per_subject(self, monkeypatch, rng):
+        # Haar unitary at d = 4: 13 peripheral clusters, 12 of them
+        # singletons read off the one eig; SVDs only for the fixed-space
+        # cross-check, the multiple cluster at 1 and the final basis
+        ch = unitary_channel(helpers.haar(4, rng))
+        calls = collections.Counter()
+        for name in ("eig", "eigvals", "svd", "svdvals"):
+            original = getattr(scipy.linalg, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(scipy.linalg, name, counted)
+        rep = analysis.analyze_channel(ch, with_commutant=False)
+        assert rep.attractor_dim == 16 and rep.fixed_dim == 4
+        assert calls["eig"] + calls["eigvals"] == 1
+        assert calls["svd"] + calls["svdvals"] <= 3
 
 
 class TestCliAnalyze:

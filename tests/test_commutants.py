@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import helpers
+from oqspectra import analysis
+from oqspectra.constructions import stinespring_channel
 from oqspectra.commutants import (
     JordanProfile,
     commutant,
@@ -51,6 +55,21 @@ class TestBruteForce:
         for d in (3, 4, 5):
             a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             assert commutant([a]).dimension <= d * d - 2 * d + 2
+
+
+    def test_default_stinespring_d12_fits_in_memory(self):
+        # K = d^2 Kraus operators and their adjoints stack into a
+        # 2 K d^2 x d^2 = 41472 x 144 commutation matrix at d = 12; the
+        # unread U factor of its full SVD alone would take 25.6 GiB
+        ch = stinespring_channel(12, np.random.default_rng(12))
+        tracemalloc.start()
+        try:
+            rep = analysis.analyze_channel(ch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.bounds_satisfied and rep.commutant_dim == rep.fixed_dim
+        assert peak <= 2 ** 30, f"peak {peak / 2 ** 20:.0f} MiB"
 
 
 class TestJordanFormula:

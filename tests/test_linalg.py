@@ -14,32 +14,34 @@ def random_complex(rng, rows, cols):
 
 class TestEig:
     def test_identity(self):
-        w, _ = linalg.eig(np.eye(3))
+        w, _, _ = linalg.eig(np.eye(3))
         helpers.assert_multisets_close(w, [1, 1, 1])
 
     def test_diagonal(self):
-        w, _ = linalg.eig(np.diag([2.0, 5.0]))
+        w, _, _ = linalg.eig(np.diag([2.0, 5.0]))
         helpers.assert_multisets_close(w, [2, 5])
 
     def test_phase_damping_superop_spectrum(self):
         # {1 x5, e^-1 x4} at d = 3
-        w, _ = linalg.eig(phase_damping_channel(3).superop)
+        w, _, _ = linalg.eig(phase_damping_channel(3).superop)
         expected = [1.0] * 5 + [np.exp(-1.0)] * 4
         helpers.assert_multisets_close(w, expected, atol=1e-12)
 
     def test_residual_contract(self, rng):
         for n in (2, 5, 9, 16):
             a = random_complex(rng, n, n)
-            w, v = linalg.eig(a)
+            w, vl, vr = linalg.eig(a)
             bound = linalg.eig_residual_kappa(n) * linalg.EPS * np.linalg.norm(a, 2)
             for k in range(n):
-                res = np.linalg.norm(a @ v[:, k] - w[k] * v[:, k])
+                res = np.linalg.norm(a @ vr[:, k] - w[k] * vr[:, k])
                 assert res <= bound
+                left = np.linalg.norm(helpers.dag(vl[:, k]) @ a - w[k] * helpers.dag(vl[:, k]))
+                assert left <= bound
 
     def test_returns_all_eigenvalues(self, rng):
         a = random_complex(rng, 7, 7)
-        w, v = linalg.eig(a)
-        assert w.shape == (7,) and v.shape == (7, 7)
+        w, vl, vr = linalg.eig(a)
+        assert w.shape == (7,) and vl.shape == (7, 7) and vr.shape == (7, 7)
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):

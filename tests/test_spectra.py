@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import helpers
-from oqspectra import spectra
+from oqspectra import bounds, linalg, spectra
 from oqspectra.constructions import (
     dephasing_generator,
     generic_gkls,
@@ -13,7 +13,7 @@ from oqspectra.constructions import (
     unitary_channel,
 )
 from oqspectra.gkls import build_generator, exponentiate
-from oqspectra.superop import identity_channel
+from oqspectra.superop import QuantumChannel, identity_channel
 
 
 class TestCluster:
@@ -83,12 +83,9 @@ class TestChannelSummary:
         assert s.l0_or_m0 == 10 and s.lP_or_mP == 10
 
     def test_invalid_subject_without_unit_eigenvalue(self):
-        class Fake:
-            dim = 2
-            superop = 0.5 * np.eye(4)
-
+        fake = QuantumChannel(dim=2, _superop=0.5 * np.eye(4))
         with pytest.raises(ValueError, match="no eigenvalue cluster"):
-            spectra.summarize_channel(Fake())
+            spectra.summarize_channel(fake)
 
     def test_multiplicities_always_sum(self, rng):
         from oqspectra.constructions import stinespring_channel
@@ -97,6 +94,23 @@ class TestChannelSummary:
             assert sum(i.multiplicity for i in s.distinct) == d * d
             assert s.l0_or_m0 <= s.lP_or_mP <= d * d
             assert s.bulk_multiplicity + s.lP_or_mP == d * d
+
+
+class TestCachedSpectrum:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_same_counts_as_fresh_eigvals(self, d):
+        # summaries read the cached eig(M); a fresh eigvals(M) must give
+        # the same integers and the same classification
+        for name, subject in helpers.oracle_subjects(d):
+            is_channel = isinstance(subject, QuantumChannel)
+            kind = "channel" if is_channel else "generator"
+            classify = bounds.classify_channel if is_channel else bounds.classify_generator
+            cached = (spectra.summarize_channel(subject) if is_channel
+                      else spectra.summarize_generator(subject))
+            fresh = spectra._summarize(kind, d, linalg.eigvals(subject.superop),
+                                       None, spectra.DEFAULT_PERIPHERAL_TOL)
+            assert (cached.l0_or_m0, cached.lP_or_mP) == (fresh.l0_or_m0, fresh.lP_or_mP), name
+            assert classify(subject) == classify(subject, summary=fresh), name
 
 
 class TestGeneratorSummary:
