@@ -46,17 +46,21 @@ def analyze_channel(channel: QuantumChannel,
                     cluster_tol: float | None = None,
                     peripheral_tol: float = spectra.DEFAULT_PERIPHERAL_TOL,
                     markovian: bool = False,
-                    with_commutant: bool = True) -> AnalysisReport:
+                    with_commutant: bool = True,
+                    summary: SpectralSummary | None = None) -> AnalysisReport:
+    """A given ``summary`` must be the channel's own at these tolerances."""
     return _analyze("channel", channel, cluster_tol, peripheral_tol,
-                    markovian, with_commutant)
+                    markovian, with_commutant, summary)
 
 
 def analyze_generator(gen: GklsGenerator,
                       cluster_tol: float | None = None,
                       peripheral_tol: float = spectra.DEFAULT_PERIPHERAL_TOL,
-                      with_commutant: bool = True) -> AnalysisReport:
+                      with_commutant: bool = True,
+                      summary: SpectralSummary | None = None) -> AnalysisReport:
+    """A given ``summary`` must be the generator's own at these tolerances."""
     return _analyze("generator", gen, cluster_tol, peripheral_tol,
-                    False, with_commutant)
+                    False, with_commutant, summary)
 
 
 def _summarize(kind: str, subject, cluster_tol, peripheral_tol) -> SpectralSummary:
@@ -84,10 +88,12 @@ def _nullspace_dim(kind: str, subject, summary) -> tuple[int, str | None]:
         return -1, str(exc)
 
 
-def _analyze(kind, subject, cluster_tol, peripheral_tol, markovian, with_commutant):
+def _analyze(kind, subject, cluster_tol, peripheral_tol, markovian, with_commutant,
+             summary=None):
     timings: dict = {}
     t0 = time.perf_counter()
-    summary = _summarize(kind, subject, cluster_tol, peripheral_tol)
+    if summary is None:
+        summary = _summarize(kind, subject, cluster_tol, peripheral_tol)
     timings["spectra"] = time.perf_counter() - t0
 
     classification = _classify(kind, subject, summary)

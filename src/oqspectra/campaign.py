@@ -3,24 +3,22 @@
 One CSV row per analyzed subject.  Identical seeds give byte-identical CSV
 files: every subject draws from its own ``default_rng((seed, dim-block,
 index))`` stream and floats are written with a fixed 12-significant-digit
-format.  ``OQS_THREADS`` fans the per-subject analysis out to a thread
-pool; results are merged in submission order, so parallel runs produce the
-same bytes as sequential ones.
+format.  A sampled subject is decomposed and summarized once: the
+default-tolerance summary that accepts it is the one the analysis reads.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import analysis, bounds, constructions
+from . import analysis, bounds, constructions, spectra
 from .constructions import ENSEMBLES
 from .gkls import GklsGenerator
+from .spectra import SpectralSummary
 from .superop import QuantumChannel, ValidationError
 
 CONSTRUCTORS = "constructors"
@@ -79,14 +77,7 @@ class CampaignResult:
 
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:
-    tasks = list(_subject_tasks(config))
-    workers = int(os.environ.get("OQS_THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_task, tasks))
-    else:
-        rows = [_run_task(t) for t in tasks]
-
+    rows = [_run_task(t) for t in _subject_tasks(config)]
     result = CampaignResult(rows=rows)
     for row in rows:
         if row.violation:
@@ -174,7 +165,8 @@ def _run_sampled(task: _Task) -> CampaignRow:
         except ValidationError:
             rejects += 1
             continue
-        if _acceptable(task.source, subject):
+        summary = _acceptable(task.source, subject)
+        if summary is not None:
             break
         rejects += 1
         subject = None
@@ -183,7 +175,7 @@ def _run_sampled(task: _Task) -> CampaignRow:
                            seed="-".join(map(str, rng_key)), report=None, rejects=rejects,
                            violation=True, note="oracle: resampling exhausted")
 
-    report = _analyze(subject, markovian=task.source.startswith("gkls"))
+    report = _analyze(subject, markovian=task.source.startswith("gkls"), summary=summary)
     violation = not report.bounds_satisfied
     if violation:
         note = "bound violation" if report.discrepancy is None else report.discrepancy
@@ -208,27 +200,31 @@ def _draw(source: str, d: int, env_dim: int | None, rng: np.random.Generator):
     return constructions.hamiltonian_gkls(d, rng)
 
 
-def _acceptable(source: str, subject) -> bool:
-    """Generic ensembles must land in the classification they advertise."""
-    if source == "cptp-stinespring":
-        return bounds.classify_channel(subject) == "non-unitary"
-    if source == "haar-unitary":
-        return bounds.classify_channel(subject) != "trivial"
-    if source == "gkls-generic":
-        return bounds.classify_generator(subject) == "non-hamiltonian"
-    if source == "gkls-unital":
-        return bounds.classify_generator(subject) == "non-hamiltonian"
-    if source == "gkls-hamiltonian":
-        return bounds.classify_generator(subject) == "hamiltonian"
-    return True
+_ADVERTISED = {"haar-unitary": ("unitary", "non-unitary"),
+               "cptp-stinespring": ("non-unitary",),
+               "gkls-generic": ("non-hamiltonian",), "gkls-unital": ("non-hamiltonian",),
+               "gkls-hamiltonian": ("hamiltonian",)}
 
 
-def _analyze(subject, markovian: bool) -> analysis.AnalysisReport:
+def _acceptable(source: str, subject) -> SpectralSummary | None:
+    """The default-tolerance summary if the subject lands in a classification
+    its generic ensemble advertises, else None."""
+    if isinstance(subject, QuantumChannel):
+        summary = spectra.summarize_channel(subject)
+        classification = bounds.classify_channel(subject, summary)
+    else:
+        summary = spectra.summarize_generator(subject)
+        classification = bounds.classify_generator(subject, summary)
+    return summary if classification in _ADVERTISED[source] else None
+
+
+def _analyze(subject, markovian: bool, summary=None) -> analysis.AnalysisReport:
     if isinstance(subject, QuantumChannel):
         return analysis.analyze_channel(subject, markovian=markovian,
-                                        with_commutant=False)
+                                        with_commutant=False, summary=summary)
     if isinstance(subject, GklsGenerator):
-        return analysis.analyze_generator(subject, with_commutant=False)
+        return analysis.analyze_generator(subject, with_commutant=False,
+                                          summary=summary)
     raise TypeError(f"unexpected subject {type(subject)!r}")
 
 

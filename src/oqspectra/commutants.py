@@ -47,7 +47,8 @@ class CommutantResult:
 def commutant(ops, tol: float = 0.0, with_basis: bool = True) -> CommutantResult:
     """Dimension (and orthonormal basis) of {B : A B = B A for all A in ops}.
 
-    The nullspace cutoff is anchored at the operator norms, so a set of
+    The nullspace cutoff is anchored at the operators' Frobenius norms
+    (within sqrt(d) of the operator norms, with no SVD), so a set of
     (numerically) scalar operators correctly commutes with everything.
     """
     mats = [require_square(a) for a in ops]
@@ -57,7 +58,7 @@ def commutant(ops, tol: float = 0.0, with_basis: bool = True) -> CommutantResult
     if any(a.shape[0] != d for a in mats):
         raise ValueError("operators must share one dimension")
     stacked = np.vstack([linalg.commutation_superop(a) for a in mats])
-    scale = max(float(np.linalg.norm(a, 2)) for a in mats)
+    scale = max(float(np.linalg.norm(a)) for a in mats)
     ns = linalg.nullspace(stacked, tol=tol, scale=scale)
     dim = int(ns.shape[1])
     if dim < 1:

@@ -197,12 +197,18 @@ def subspace_supported_channel(d: int, support_dim: int,
 
 def _normalized_generator(h: np.ndarray, ops: list[np.ndarray]) -> GklsGenerator:
     # Rescale so the superoperator has spectral radius ~1, keeping tolerances
-    # scale-appropriate; H scales linearly, noise operators by sqrt.
+    # scale-appropriate; H scales linearly, noise operators by sqrt, so L and
+    # its eigenvalues scale by 1 / r and the eigenvectors stay.
     gen = build_generator(h, ops)
-    radius = float(np.max(np.abs(linalg.eigvals(gen.superop))))
+    w, vl, vr = gen.eigensystem
+    radius = float(np.max(np.abs(w)))
     if radius < 1e-12:
         return gen
-    return build_generator(h / radius, [a / np.sqrt(radius) for a in ops])
+    scaled = GklsGenerator(dim=gen.dim, hamiltonian=gen.hamiltonian / radius,
+                           noise_ops=tuple(a / np.sqrt(radius) for a in gen.noise_ops),
+                           _superop=gen.superop / radius)
+    scaled._eigensystem = (w / radius, vl, vr)
+    return scaled
 
 
 def generic_gkls(d: int, rng: np.random.Generator, n_ops: int | None = None) -> GklsGenerator:

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from . import linalg, superop
-from .linalg import dagger, kron, require_square
+from .linalg import dagger, require_square
 from .superop import QuantumChannel, ValidationError
 
 HERMITIAN_WARN_TOL = 1e-12
@@ -81,14 +81,15 @@ def build_generator(hamiltonian, noise_ops=(), herm_tol: float = HERMITIAN_FAIL_
 
 
 def gkls_superop(hamiltonian, noise_ops) -> np.ndarray:
-    h = require_square(hamiltonian)
+    """L = I (x) (-iH - G/2) + (iH^T - G^T/2) (x) I + sum_k conj(A_k) (x) A_k
+    with G = sum_k A_k^dag A_k; :func:`build_generator` validates the inputs."""
+    h = np.asarray(hamiltonian, dtype=np.complex128)
     d = h.shape[0]
     ident = np.eye(d, dtype=np.complex128)
-    m = -1j * (kron(ident, h) - kron(h.T, ident))
-    for a in noise_ops:
-        a = require_square(a)
-        aa = dagger(a) @ a
-        m += kron(np.conj(a), a) - 0.5 * (kron(ident, aa) + kron(aa.T, ident))
+    a = np.asarray(noise_ops, dtype=np.complex128).reshape(-1, d, d)
+    g = np.einsum("kji,kjl->il", a.conj(), a)
+    m = np.kron(ident, -1j * h - 0.5 * g) + np.kron(1j * h.T - 0.5 * g.T, ident)
+    m += superop.kraus_to_superop(a)
     return m
 
 

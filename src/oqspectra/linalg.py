@@ -3,7 +3,8 @@
 Plain ``numpy`` arrays (``complex128``) are the working representation of
 matrices.  This module pins down the conventions the rest of the package
 relies on: column-stacking vectorization, SVD-based rank and nullspace
-decisions, and the row-major JSON wire format for matrices.
+decisions, and the row-major JSON wire format for matrices.  Inputs are
+validated where they enter, not again by internal kernels like nullspace.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def nullspace(a, tol: float = 0.0, scale: float | None = None) -> np.ndarray:
     noise left over from a cancellation).  The returned array has shape
     ``(cols, k)`` with ``k = cols - rank``.
     """
-    m = as_complex_matrix(a)
+    m = np.asarray(a)
     if m.size == 0:
         return np.eye(m.shape[1], dtype=np.complex128)
     # A tall input's thin SVD already has the square V; the full U factor
@@ -153,7 +154,7 @@ def commutation_superop(a) -> np.ndarray:
 
 def orthonormal_columns(cols: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Orthonormal basis of the column span, dropping numerically dependent columns."""
-    m = as_complex_matrix(cols)
+    m = np.asarray(cols)
     if m.size == 0:
         return m.reshape(m.shape[0], 0)
     u, s, _ = scipy.linalg.svd(m, full_matrices=False)

@@ -70,40 +70,28 @@ def cluster(values, cluster_tol: float) -> list[tuple[complex, int]]:
     if n == 0:
         return []
     # Sorting first makes the arithmetic permutation-invariant.
-    order = np.lexsort((vs.imag, vs.real))
-    vs = vs[order]
-
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            # Input is sorted by real part: once the real gap alone exceeds
-            # the tolerance no later j can link to i.
-            if vs[j].real - vs[i].real > cluster_tol:
-                break
-            if abs(vs[i] - vs[j]) <= cluster_tol:
-                union(i, j)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    out = []
-    for members in groups.values():
-        vals = vs[members]
-        out.append((complex(np.mean(vals)), len(members)))
-    out.sort(key=lambda cm: (-abs(cm[0]), np.angle(cm[0])))
-    return out
+    vs = vs[np.lexsort((vs.imag, vs.real))]
+    close = np.abs(vs[:, None] - vs[None, :]) <= cluster_tol
+    # Label propagation with pointer jumping: labels only decrease, and the
+    # fixed point gives each value the smallest index it chains to.
+    labels = np.arange(n)
+    while True:
+        nxt = np.where(close, labels, n).min(axis=1)
+        nxt = nxt[nxt]
+        if np.array_equal(nxt, labels):
+            break
+        labels = nxt
+    counts = np.bincount(labels, minlength=n)
+    # Mean as first member plus mean offset: about an ulp off, at any size.
+    offsets = np.zeros(n, dtype=np.complex128)
+    np.add.at(offsets, labels, vs - vs[labels])
+    roots = np.flatnonzero(counts)
+    mults = counts[roots]
+    # A singleton's center is its value bit for bit (attractor matches by ==).
+    centers = np.where(mults == 1, vs[roots], vs[roots] + offsets[roots] / mults)
+    # np.hypot rounds |c| as Python's abs does; np.abs may differ by an ulp.
+    order = np.lexsort((np.angle(centers), -np.hypot(centers.real, centers.imag)))
+    return [(complex(c), int(m)) for c, m in zip(centers[order], mults[order])]
 
 
 def _summarize(kind: str, dim: int, eigenvalues: np.ndarray,

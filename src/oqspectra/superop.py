@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .linalg import dagger, kron, require_square, unvec, vec
+from .linalg import dagger, require_square, unvec, vec
 
 DEFAULT_TP_TOL = 1e-8
 DEFAULT_CP_TOL = 1e-8
@@ -130,12 +130,12 @@ def tp_residual(channel: QuantumChannel) -> float:
 
 
 def kraus_to_superop(kraus) -> np.ndarray:
-    ops = [require_square(b) for b in kraus]
-    d = ops[0].shape[0]
-    m = np.zeros((d * d, d * d), dtype=np.complex128)
-    for b in ops:
-        m += kron(np.conj(b), b)
-    return m
+    """M[i*d+a, j*d+b] = sum_k conj(B_k[i, j]) B_k[a, b]: F^dag F for the rows
+    F_k = flattened B_k, middle indices swapped.  Inputs validated upstream."""
+    b = np.asarray(kraus, dtype=np.complex128)
+    d = b.shape[-1]
+    f = b.reshape(-1, d * d)
+    return (f.conj().T @ f).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
 def kraus_to_choi(kraus) -> np.ndarray:

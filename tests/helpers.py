@@ -191,3 +191,54 @@ def reference_attractor(m, summary, tol=1e-8):
         blocks.append(dag(vh[rank:]))
     u, s, _ = np.linalg.svd(np.hstack(blocks), full_matrices=False)
     return u[:, :int(np.sum(s > 1e-10 * s[0]))]
+
+
+def reference_kraus_to_superop(kraus, d):
+    """Kron-loop superoperator sum_k conj(B_k) (x) B_k, one term at a time."""
+    m = np.zeros((d * d, d * d), dtype=complex)
+    for b in kraus:
+        m += np.kron(np.conj(b), b)
+    return m
+
+
+def reference_gkls_superop(h, noise_ops):
+    """Kron-loop GKLS matrix, term by term as in the module docstring:
+    -i(I (x) H - H^T (x) I) + sum_k [conj(A) (x) A - (I (x) A^dag A
+    + (A^dag A)^T (x) I) / 2]."""
+    d = h.shape[0]
+    ident = np.eye(d)
+    m = -1j * (np.kron(ident, h) - np.kron(h.T, ident))
+    for a in noise_ops:
+        aa = dag(a) @ a
+        m = m + np.kron(np.conj(a), a) - 0.5 * (np.kron(ident, aa) + np.kron(aa.T, ident))
+    return m
+
+
+def reference_cluster(values, cluster_tol):
+    """Single-linkage clustering by pairwise union-find over the sorted
+    values: (mean, multiplicity) per cluster, by descending |center| then
+    phase angle, clusters of equal key in order of their smallest member."""
+    vs = np.asarray(values, dtype=complex).ravel()
+    vs = vs[np.lexsort((vs.imag, vs.real))]
+    n = vs.size
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if vs[j].real - vs[i].real > cluster_tol:
+                break
+            if abs(vs[i] - vs[j]) <= cluster_tol:
+                ri, rj = find(i), find(j)
+                parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    out = [(complex(np.mean(vs[members])), len(members)) for members in groups.values()]
+    out.sort(key=lambda cm: (-abs(cm[0]), np.angle(cm[0])))
+    return out

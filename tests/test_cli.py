@@ -5,13 +5,27 @@ import numpy as np
 import scipy.linalg
 
 import helpers
-from oqspectra import analysis, campaign, superop
+from oqspectra import analysis, campaign, spectra, superop
 from oqspectra.cli import main
 from oqspectra.constructions import (
     phase_damping_channel,
     saturating_hamiltonian_generator,
     unitary_channel,
 )
+
+
+def count_calls(monkeypatch, module, names):
+    """Wrap ``module.<name>`` for each name; the counter tallies the calls."""
+    calls = collections.Counter()
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class TestAnalysisPipeline:
@@ -57,15 +71,7 @@ class TestAnalysisPipeline:
         # singletons read off the one eig; SVDs only for the fixed-space
         # cross-check, the multiple cluster at 1 and the final basis
         ch = unitary_channel(helpers.haar(4, rng))
-        calls = collections.Counter()
-        for name in ("eig", "eigvals", "svd", "svdvals"):
-            original = getattr(scipy.linalg, name)
-
-            def counted(*args, _original=original, _name=name, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(scipy.linalg, name, counted)
+        calls = count_calls(monkeypatch, scipy.linalg, ("eig", "eigvals", "svd", "svdvals"))
         rep = analysis.analyze_channel(ch, with_commutant=False)
         assert rep.attractor_dim == 16 and rep.fixed_dim == 4
         assert calls["eig"] + calls["eigvals"] == 1
@@ -217,10 +223,22 @@ class TestCliConstructAndSample:
         assert obj["summary"]["l0_or_m0"] == 1  # generic kernel is simple
 
 
-class TestThreadedCampaign:
-    def test_threads_do_not_change_bytes(self, tmp_path, monkeypatch):
-        cfg = campaign.CampaignConfig(dims=(2,), per_dim=6, seed=5)
-        seq = campaign.rows_to_csv(campaign.run_campaign(cfg).rows)
-        monkeypatch.setenv("OQS_THREADS", "4")
-        par = campaign.rows_to_csv(campaign.run_campaign(cfg).rows)
-        assert seq == par
+class TestCampaignWork:
+    """One decomposition and one summary per sampled subject."""
+
+    CONFIG = campaign.CampaignConfig(dims=(3,), per_dim=5, sources=("gkls-generic",))
+
+    def test_one_eig_per_sampled_generator(self, monkeypatch):
+        calls = count_calls(monkeypatch, scipy.linalg, ("eig", "eigvals"))
+        result = campaign.run_campaign(self.CONFIG)
+        assert [row.rejects for row in result.rows] == [0] * 5
+        assert calls["eig"] + calls["eigvals"] == 5
+
+    def test_one_summary_per_sampled_subject(self, monkeypatch):
+        calls = count_calls(monkeypatch, spectra, ("summarize_channel", "summarize_generator"))
+        cfg = campaign.CampaignConfig(dims=(2, 3), per_dim=3, seed=4,
+                                      sources=campaign.ENSEMBLES)
+        result = campaign.run_campaign(cfg)
+        draws = sum(1 + row.rejects for row in result.rows)
+        assert not any(row.report.rechecked for row in result.rows)
+        assert calls["summarize_channel"] + calls["summarize_generator"] == draws

@@ -21,7 +21,7 @@ from oqspectra.constructions import (
     unital_gkls,
     unitary_channel,
 )
-from oqspectra.gkls import GklsGenerator, apply_generator
+from oqspectra.gkls import GklsGenerator, apply_generator, gkls_superop
 from oqspectra.superop import QuantumChannel
 
 
@@ -124,6 +124,20 @@ class TestSamplers:
             gen = maker(3, rng)
             radius = np.max(np.abs(np.linalg.eigvals(gen.superop)))
             assert radius == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_normalized_generator_cache_is_consistent(self, d, rng):
+        # the rescaled generator carries L / r and (w / r, vl, vr) from the
+        # first decomposition; both must agree with a fresh assembly
+        for maker in (generic_gkls, unital_gkls, hamiltonian_gkls):
+            gen = maker(d, rng)
+            fresh = gkls_superop(gen.hamiltonian, gen.noise_ops)
+            assert np.linalg.norm(gen.superop - fresh) <= 1e-13 * np.linalg.norm(fresh)
+            w, vl, vr = gen.eigensystem
+            assert np.max(np.abs(w)) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(fresh @ vr - vr * w) <= 1e-12 * d * d
+            assert np.linalg.norm(helpers.dag(vl) @ fresh - w[:, None] * helpers.dag(vl)) \
+                <= 1e-12 * d * d
 
     def test_haar_samples_classify_unitary(self, rng):
         for _ in range(10):

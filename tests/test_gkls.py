@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 import helpers
-from oqspectra import gkls, linalg
+from oqspectra import bounds, gkls, linalg, spectra
 from oqspectra.constructions import (
+    SamplerConfig,
     dephasing_generator,
     generic_gkls,
     phase_damping_channel,
+    sample_one,
     saturating_hamiltonian_generator,
     unital_gkls,
 )
@@ -78,6 +80,19 @@ class TestBuild:
             gen = generic_gkls(d, rng)
             res = helpers.dag(gen.superop) @ linalg.vec(np.eye(d))
             assert np.linalg.norm(res) <= 1e-8
+
+
+class TestAssembly:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_matches_kron_loop_reference(self, d, rng):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        h = g + helpers.dag(g)
+        for k in (0, 1, d * d):
+            ops = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                   for _ in range(k)]
+            ref = helpers.reference_gkls_superop(h, ops)
+            got = gkls.gkls_superop(h, ops)
+            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 class TestClassification:
@@ -190,6 +205,17 @@ class TestJson:
         obj = gkls.generator_to_json(gen)
         gen2 = gkls.generator_from_json(obj)
         assert np.linalg.norm(gen2.superop - gen.superop) <= 1e-12
+
+    @pytest.mark.parametrize("ensemble", ["gkls-generic", "gkls-unital", "gkls-hamiltonian"])
+    def test_roundtrip_keeps_counts(self, ensemble):
+        # the sampled generator carries the rescaled L / r and its rescaled
+        # eigendecomposition; the rebuilt one assembles and decomposes afresh
+        for d in (2, 3, 4):
+            gen = sample_one(SamplerConfig(seed=d, dim=d, ensemble=ensemble), 0)
+            gen2 = gkls.generator_from_json(gkls.generator_to_json(gen))
+            a, b = spectra.summarize_generator(gen), spectra.summarize_generator(gen2)
+            assert (a.l0_or_m0, a.lP_or_mP) == (b.l0_or_m0, b.lP_or_mP)
+            assert bounds.classify_generator(gen) == bounds.classify_generator(gen2)
 
     def test_missing_field(self):
         with pytest.raises(ValueError, match="hamiltonian"):

@@ -60,6 +60,44 @@ class TestCluster:
         assert spectra.cluster(shuffled, tol) == base
 
 
+    @given(st.lists(st.tuples(st.complex_numbers(max_magnitude=2, allow_nan=False,
+                                                 allow_infinity=False),
+                              st.integers(min_value=1, max_value=10),
+                              st.floats(min_value=0.0, max_value=0.45)),
+                    min_size=1, max_size=12),
+           st.sampled_from([1e-7, 1e-4, 1e-2, 0.5]),
+           st.randoms())
+    def test_matches_union_find_reference(self, planted, tol, pyrandom):
+        # clusters of up to 10 values on a circle of radius <= 0.45 tol
+        # around each planted center; nearby centers chain together
+        values = [c + r * tol * np.exp(2j * np.pi * pyrandom.random())
+                  for c, count, r in planted for _ in range(count)]
+        pyrandom.shuffle(values)
+        got = spectra.cluster(values, tol)
+        ref = helpers.reference_cluster(values, tol)
+        assert len(got) == len(ref)
+        for i, (c, m) in enumerate(got):
+            # distinct centers are over tol apart: the nearest is the match
+            c_ref, m_ref = min(ref, key=lambda cm: abs(c - cm[0]))
+            slack = 1e-15 * max(1.0, abs(c_ref))
+            assert m == m_ref and abs(c - c_ref) <= slack
+            # same order, except that clusters whose moduli tie within the
+            # rounding of the reference's np.mean may swap places
+            assert abs(abs(c) - abs(ref[i][0])) <= slack
+            if m == 1:
+                (v,) = [v for v in values if v == c]
+                assert np.complex128(c).tobytes() == np.complex128(v).tobytes()
+
+    def test_shuffled_long_chain_is_one_cluster(self, rng):
+        # neighbours 0.9 tol apart, ends 9.9 tol apart: one propagation
+        # round only links neighbours, so the chain needs several
+        tol = 1e-6
+        values = 0.3 + 0.9 * tol * np.arange(12) * np.exp(0.7j)
+        got = spectra.cluster(rng.permutation(values), tol)
+        assert len(got) == 1 and got[0][1] == 12
+        assert abs(got[0][0] - values.mean()) <= 1e-15
+
+
 class TestChannelSummary:
     def test_identity(self):
         s = spectra.summarize_channel(identity_channel(3))

@@ -71,6 +71,19 @@ class TestConstruction:
             from_superop(np.eye(5))
 
 
+class TestAssembly:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_matches_kron_loop_reference(self, d, rng):
+        for k in (1, d * d):
+            kraus = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                     for _ in range(k)]
+            ref = helpers.reference_kraus_to_superop(kraus, d)
+            got = superop.kraus_to_superop(kraus)
+            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+        empty = superop.kraus_to_superop(np.zeros((0, d, d)))
+        assert empty.shape == (d * d, d * d) and not empty.any()
+
+
 class TestConversions:
     def test_phase_flip_superop(self):
         p = 0.5
