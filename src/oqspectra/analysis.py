@@ -163,7 +163,7 @@ def _commutant_dim(kind: str, subject) -> int:
         for a in subject.noise_ops:
             ops.append(a)
             ops.append(linalg.dagger(a))
-    return commutants.commutant(ops, with_basis=False).dimension
+    return commutants.commutant_dimension(ops)
 
 
 def report_to_json(report: AnalysisReport) -> dict:

@@ -91,11 +91,14 @@ def _load_subject(path: str, kind: str | None):
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    if kind is None:
-        kind = "generator" if "hamiltonian" in obj else "channel"
-    if kind == "generator":
-        return kind, gkls.generator_from_json(obj)
-    return kind, superop.channel_from_json(obj)
+    try:
+        if kind is None:
+            kind = "generator" if "hamiltonian" in obj else "channel"
+        if kind == "generator":
+            return kind, gkls.generator_from_json(obj)
+        return kind, superop.channel_from_json(obj)
+    except TypeError as exc:  # e.g. a number where a list of matrices belongs
+        raise ValueError(f"{path}: malformed subject JSON: {exc}") from exc
 
 
 def _cmd_analyze(args) -> int:

@@ -1,7 +1,12 @@
 """Commutants of operator sets and commutant dimension from Jordan data.
 
 The brute-force route stacks the commutation superoperators
-I (x) A_k - A_k^T (x) I and takes their joint nullspace.  The structural
+C_A = I (x) A - A^T (x) I and takes their joint nullspace; it provides the
+commutant basis and is the oracle for the cheaper routes.  The Gram route
+(:func:`commutant_dimension`) reads the dimension off the d^2 x d^2
+Hermitian matrix G = sum_A C_A^dag C_A, whose nullspace is the commutant,
+without building the 2K d^2-row stack; it answers only when it can certify
+the brute-force count and falls back to it otherwise.  The structural
 route reads the dimension off the Jordan block profile via the Weyr
 characteristic: for one eigenvalue with block sizes d_1, d_2, ... the
 contribution is sum_i s_i^2 with s_i = #{j : d_j >= i}.
@@ -18,13 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from . import linalg, spectra
+from . import linalg, spectra, superop
 from .asymptotics import SubspaceBasis
 from .linalg import require_square
 
 SEPARATION_FACTOR = 100.0  # required cluster separation, in units of cluster_tol
 DEFAULT_RANK_TOL = 1e-10
 RANK_GAP_FACTOR = 10.0  # singular values must drop by this across the rank cut
+GRAM_NULL_FACTOR = 10.0  # Gram eigenvalues <= this * d^2 * eps * ref^2 count as null
+GRAM_GAP_FACTOR = 1e3  # the first non-null Gram eigenvalue must clear the cut by this
 
 
 @dataclass(frozen=True)
@@ -65,6 +72,44 @@ def commutant(ops, tol: float = 0.0, with_basis: bool = True) -> CommutantResult
         raise AssertionError("commutant lost the identity; tolerance too tight")
     basis = SubspaceBasis(ambient_dim=d * d, basis=ns, label="commutant") if with_basis else None
     return CommutantResult(dimension=dim, basis=basis)
+
+
+def commutant_dimension(ops) -> int:
+    """``commutant(ops, with_basis=False).dimension`` from the Gram matrix.
+
+    G = sum_A C_A^dag C_A = I (x) P + conj(Q) (x) I - S - S^dag with
+    P = sum A^dag A, Q = sum A A^dag and S = sum conj(A) (x) A.  Squaring
+    the singular values of the stack costs half the digits, so the count of
+    small eigenvalues of G is accepted only when it is certified: a gap of
+    ``GRAM_GAP_FACTOR`` above the cut, and null vectors whose commutators,
+    computed directly, pass the stack SVD's own cutoff.  An uncertified
+    count falls back to the brute-force :func:`commutant`.
+    """
+    a = np.asarray(ops, dtype=np.complex128)
+    if a.ndim != 3 or a.shape[0] == 0 or a.shape[1] != a.shape[2]:
+        raise ValueError("expected a nonempty set of square operators of one dimension")
+    n_ops, d = a.shape[0], a.shape[1]
+    rows = a.reshape(n_ops * d, d)  # A_k stacked vertically: P = rows^dag rows
+    cols = a.transpose(1, 0, 2).reshape(d, n_ops * d)  # side by side: Q = cols cols^dag
+    ident = np.eye(d)
+    s = superop.kraus_to_superop(a)
+    gram = (np.kron(ident, rows.conj().T @ rows) + np.kron((cols @ cols.conj().T).conj(), ident)
+            - s - s.conj().T)
+    w = scipy.linalg.eigvalsh(gram)
+    ref = np.sqrt(max(w[-1], float(np.max(np.sum(np.abs(a) ** 2, axis=(1, 2))))))
+    cut = GRAM_NULL_FACTOR * d * d * linalg.EPS * ref * ref
+    k = int(np.sum(w <= cut))
+    certified = k == d * d or (k > 0 and w[k] >= GRAM_GAP_FACTOR * cut)
+    if certified and k > 1:
+        # The identity alone needs no check; other null vectors must pass
+        # the stack SVD's cutoff with their commutators computed directly
+        _, v = scipy.linalg.eigh(gram, subset_by_index=[0, k - 1])
+        x = v.T.reshape(k, d, d).transpose(0, 2, 1)  # unvec: column-stacked
+        residual = np.sqrt(sum(np.linalg.norm(b @ x - x @ b) ** 2 for b in a))
+        certified = residual <= n_ops * d * d * linalg.EPS * ref
+    if certified:
+        return k
+    return commutant(list(a), with_basis=False).dimension
 
 
 def commutant_dim_from_jordan(profile: JordanProfile) -> int:

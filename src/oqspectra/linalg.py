@@ -149,7 +149,7 @@ def commutation_superop(a) -> np.ndarray:
     """Matrix of X -> A X - X A under column-stacking vectorization."""
     m = require_square(a)
     ident = np.eye(m.shape[0], dtype=np.complex128)
-    return kron(ident, m) - kron(m.T, ident)
+    return np.kron(ident, m) - np.kron(m.T, ident)
 
 
 def orthonormal_columns(cols: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -176,9 +176,11 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
     if rows <= 0 or cols <= 0:
         raise ValueError("matrix dimensions must be positive")
-    if len(entries) != rows * cols:
+    pairs = np.asarray(entries)  # ValueError on ragged nesting
+    if pairs.dtype.kind not in "biuf" or pairs.shape != (rows * cols, 2):
         raise ValueError(
-            f"entry count {len(entries)} does not match {rows}x{cols} matrix"
+            f"{rows}x{cols} matrix needs {rows * cols} numeric [re, im] entries, "
+            f"got an array of {pairs.dtype} with shape {pairs.shape}"
         )
-    flat = np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
+    flat = np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128)
     return as_complex_matrix(flat.reshape((rows, cols), order="C"))

@@ -5,10 +5,26 @@ operator actions, elementwise definitions, explicit plantings) so the tests
 never assert the implementation against itself.
 """
 
+import collections
+
 import numpy as np
 
 from oqspectra import constructions
 from oqspectra.commutants import JordanProfile
+
+
+def count_calls(monkeypatch, module, names):
+    """Wrap ``module.<name>`` for each name; the counter tallies the calls."""
+    calls = collections.Counter()
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def dag(a):
@@ -175,6 +191,32 @@ def oracle_subjects(d, seeds=3):
             config = constructions.SamplerConfig(seed=seed, dim=d, ensemble=ensemble)
             subjects.append((f"{ensemble}-s{seed}", constructions.sample_one(config, 0)))
     return subjects
+
+
+def star_closed_ops(subject):
+    """The operator set whose commutant ``analyze`` reports: the Kraus
+    operators with their adjoints, or {H, A_k, A_k^dag} for a generator."""
+    if hasattr(subject, "hamiltonian"):
+        return [subject.hamiltonian] + [x for a in subject.noise_ops for x in (a, dag(a))]
+    kraus = list(subject.kraus_operators())
+    return kraus + [dag(b) for b in kraus]
+
+
+def block_algebra_ops(a, b, c, rng, count=2):
+    """Random elements of U (M_a (x) I_b + M_c) U^dag with their adjoints.
+
+    They generate the whole algebra, whose commutant U (I_a (x) M_b + C I_c)
+    U^dag has dimension b^2 + (1 if c else 0)."""
+    n = a * b
+    u = haar(n + c, rng)
+    ops = []
+    for _ in range(count):
+        m = np.zeros((n + c, n + c), dtype=complex)
+        m[:n, :n] = np.kron(constructions.ginibre(a, a, rng), np.eye(b))
+        m[n:, n:] = constructions.ginibre(c, c, rng)
+        e = u @ m @ dag(u)
+        ops += [e, dag(e)]
+    return ops
 
 
 def reference_attractor(m, summary, tol=1e-8):

@@ -1,7 +1,7 @@
-import collections
 import json
 
 import numpy as np
+import pytest
 import scipy.linalg
 
 import helpers
@@ -12,20 +12,6 @@ from oqspectra.constructions import (
     saturating_hamiltonian_generator,
     unitary_channel,
 )
-
-
-def count_calls(monkeypatch, module, names):
-    """Wrap ``module.<name>`` for each name; the counter tallies the calls."""
-    calls = collections.Counter()
-    for name in names:
-        original = getattr(module, name)
-
-        def counted(*args, _original=original, _name=name, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted)
-    return calls
 
 
 class TestAnalysisPipeline:
@@ -71,7 +57,7 @@ class TestAnalysisPipeline:
         # singletons read off the one eig; SVDs only for the fixed-space
         # cross-check, the multiple cluster at 1 and the final basis
         ch = unitary_channel(helpers.haar(4, rng))
-        calls = count_calls(monkeypatch, scipy.linalg, ("eig", "eigvals", "svd", "svdvals"))
+        calls = helpers.count_calls(monkeypatch, scipy.linalg, ("eig", "eigvals", "svd", "svdvals"))
         rep = analysis.analyze_channel(ch, with_commutant=False)
         assert rep.attractor_dim == 16 and rep.fixed_dim == 4
         assert calls["eig"] + calls["eigvals"] == 1
@@ -126,6 +112,25 @@ class TestCliAnalyze:
         path = tmp_path / "adv.json"
         path.write_text(json.dumps(superop.channel_to_json(ch)))
         assert main(["analyze", str(path)]) == 3
+
+    @pytest.mark.parametrize("subject", [
+        {"kraus": [{"rows": 2, "cols": 2, "entries": [["a", 0], [0, 0], [0, 0], [1, 0]]}]},
+        {"kraus": [{"rows": 2, "cols": 2, "entries": [None, [0, 0], [0, 0], [1, 0]]}]},
+        {"kraus": [{"rows": 2, "cols": 2, "entries": [[1, None], [0, 0], [0, 0], [1, 0]]}]},
+        {"kraus": [{"rows": 2, "cols": 2, "entries": [[1, 0, 0], [0, 0], [0, 0], [1, 0]]}]},
+        {"kraus": [{"rows": 2, "cols": 2, "entries": [[1, 0], [0], [0, 0], [1, 0]]}]},
+        {"kraus": [{"rows": 2, "cols": 2, "entries": 5}]},
+        {"kraus": [{"rows": 1, "cols": 1, "entries": [[10 ** 400, 0]]}]},
+        {"kraus": 5},
+        {"hamiltonian": {"rows": 1, "cols": 1, "entries": [[0, 0]]}, "noise_ops": 3},
+        [1, 2],
+    ], ids=["string", "null-entry", "null-part", "triple", "ragged", "scalar",
+            "overflow", "kraus-number", "noise-number", "top-level-list"])
+    def test_malformed_json_exit_2(self, tmp_path, capsys, subject):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(subject))
+        assert main(["analyze", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_missing_file_exit_2(self):
         assert main(["analyze", "/nonexistent/file.json"]) == 2
@@ -229,13 +234,13 @@ class TestCampaignWork:
     CONFIG = campaign.CampaignConfig(dims=(3,), per_dim=5, sources=("gkls-generic",))
 
     def test_one_eig_per_sampled_generator(self, monkeypatch):
-        calls = count_calls(monkeypatch, scipy.linalg, ("eig", "eigvals"))
+        calls = helpers.count_calls(monkeypatch, scipy.linalg, ("eig", "eigvals"))
         result = campaign.run_campaign(self.CONFIG)
         assert [row.rejects for row in result.rows] == [0] * 5
         assert calls["eig"] + calls["eigvals"] == 5
 
     def test_one_summary_per_sampled_subject(self, monkeypatch):
-        calls = count_calls(monkeypatch, spectra, ("summarize_channel", "summarize_generator"))
+        calls = helpers.count_calls(monkeypatch, spectra, ("summarize_channel", "summarize_generator"))
         cfg = campaign.CampaignConfig(dims=(2, 3), per_dim=3, seed=4,
                                       sources=campaign.ENSEMBLES)
         result = campaign.run_campaign(cfg)

@@ -2,16 +2,32 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 import helpers
-from oqspectra import analysis
+from oqspectra import analysis, commutants, constructions, linalg
 from oqspectra.constructions import stinespring_channel
 from oqspectra.commutants import (
     JordanProfile,
     commutant,
     commutant_dim_from_jordan,
+    commutant_dimension,
     weyr_profile,
 )
+
+CONSTRUCTORS = (
+    constructions.saturating_unitary_channel,
+    constructions.phase_damping_channel,
+    constructions.saturating_hamiltonian_generator,
+    constructions.saturating_dissipative_generator,
+    constructions.dephasing_generator,
+)
+
+
+def brute_force_dim(ops):
+    return commutant(ops, with_basis=False).dimension
 
 
 class TestBruteForce:
@@ -58,9 +74,10 @@ class TestBruteForce:
 
 
     def test_default_stinespring_d12_fits_in_memory(self):
-        # K = d^2 Kraus operators and their adjoints stack into a
-        # 2 K d^2 x d^2 = 41472 x 144 commutation matrix at d = 12; the
-        # unread U factor of its full SVD alone would take 25.6 GiB
+        # K = d^2 Kraus operators and their adjoints would stack into a
+        # 2 K d^2 x d^2 = 41472 x 144 commutation matrix at d = 12 (95 MiB,
+        # and the unread U factor of its full SVD 25.6 GiB); the Gram route
+        # works on 144 x 144 matrices
         ch = stinespring_channel(12, np.random.default_rng(12))
         tracemalloc.start()
         try:
@@ -69,7 +86,76 @@ class TestBruteForce:
         finally:
             tracemalloc.stop()
         assert rep.bounds_satisfied and rep.commutant_dim == rep.fixed_dim
-        assert peak <= 2 ** 30, f"peak {peak / 2 ** 20:.0f} MiB"
+        assert peak <= 64 * 2 ** 20, f"peak {peak / 2 ** 20:.0f} MiB"
+
+
+class TestGramRoute:
+    """``commutant_dimension`` gives the brute-force count on every set."""
+
+    @given(st.sampled_from(constructions.ENSEMBLES), st.integers(2, 8),
+           st.integers(0, 2 ** 16))
+    def test_ensembles_match_brute_force(self, ensemble, d, seed):
+        config = constructions.SamplerConfig(seed=seed, dim=d, ensemble=ensemble)
+        ops = helpers.star_closed_ops(constructions.sample_one(config, 0))
+        assert commutant_dimension(ops) == brute_force_dim(ops)
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_constructors_match_brute_force(self, d):
+        for build in CONSTRUCTORS:
+            ops = helpers.star_closed_ops(build(d))
+            assert commutant_dimension(ops) == brute_force_dim(ops), build.__name__
+
+    @given(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(0, 3))
+           .filter(lambda abc: 2 <= abc[0] * abc[1] + abc[2] <= 8),
+           st.integers(0, 2 ** 16))
+    def test_block_algebras_known_dimension(self, abc, seed):
+        a, b, c = abc
+        ops = helpers.block_algebra_ops(a, b, c, np.random.default_rng(seed))
+        known = b * b + (1 if c else 0)
+        assert commutant_dimension(ops) == brute_force_dim(ops) == known
+
+    @pytest.mark.parametrize("eps", [1e-5, 1e-7, 1e-9, 1e-12])
+    def test_near_degenerate_sets_match_brute_force(self, eps, rng):
+        # {H, eps A, eps A^dag}: the small commutators straddle the cut, so
+        # whichever branch answers must agree with the stack SVD
+        for d in (3, 5, 8):
+            h = constructions.random_hermitian(d, rng)
+            a = eps * constructions.ginibre(d, d, rng)
+            ops = [h, a, helpers.dag(a)]
+            assert commutant_dimension(ops) == brute_force_dim(ops)
+
+    def test_scalar_and_zero_sets(self):
+        assert commutant_dimension([2.5 * np.eye(4)]) == 16
+        assert commutant_dimension([np.zeros((3, 3))]) == 9
+
+    def test_empty_or_mixed_sets_rejected(self):
+        with pytest.raises(ValueError):
+            commutant_dimension([])
+        with pytest.raises(ValueError):
+            commutant_dimension([np.eye(2), np.eye(3)])
+
+    def test_analyze_builds_no_commutation_stack(self, monkeypatch):
+        config = constructions.SamplerConfig(seed=0, dim=8, ensemble="gkls-generic")
+        svd = ("svd", "svdvals")
+        without = helpers.count_calls(monkeypatch, scipy.linalg, svd)
+        analysis.analyze_generator(constructions.sample_one(config, 0), with_commutant=False)
+        monkeypatch.undo()
+        with_commutant = helpers.count_calls(monkeypatch, scipy.linalg, svd)
+        stack = helpers.count_calls(monkeypatch, linalg, ("commutation_superop",))
+        brute = helpers.count_calls(monkeypatch, commutants, ("commutant",))
+        rep = analysis.analyze_generator(constructions.sample_one(config, 0))
+        assert rep.commutant_dim == 1
+        assert stack["commutation_superop"] == brute["commutant"] == 0
+        assert with_commutant == without
+        assert without["svd"] > 0  # the counter sees the cross-check SVDs
+
+    def test_cut_inside_rounding_noise_falls_back(self, monkeypatch):
+        # A cut a few decades under the rounding level of G's null
+        # eigenvalues splits them; the gap test must then refuse the count
+        monkeypatch.setattr(commutants, "GRAM_NULL_FACTOR", 1e-3)
+        for d in (4, 6, 8):
+            ops = helpers.star_closed_ops(constructions.phase_damping_channel(d))
+            assert commutant_dimension(ops) == brute_force_dim(ops)
 
 
 class TestJordanFormula:
