@@ -47,20 +47,24 @@ def analyze_channel(channel: QuantumChannel,
                     peripheral_tol: float = spectra.DEFAULT_PERIPHERAL_TOL,
                     markovian: bool = False,
                     with_commutant: bool = True,
-                    summary: SpectralSummary | None = None) -> AnalysisReport:
-    """A given ``summary`` must be the channel's own at these tolerances."""
+                    summary: SpectralSummary | None = None,
+                    classification: str | None = None) -> AnalysisReport:
+    """A given ``summary`` must be the channel's own at these tolerances,
+    and a given ``classification`` the one of that summary."""
     return _analyze("channel", channel, cluster_tol, peripheral_tol,
-                    markovian, with_commutant, summary)
+                    markovian, with_commutant, summary, classification)
 
 
 def analyze_generator(gen: GklsGenerator,
                       cluster_tol: float | None = None,
                       peripheral_tol: float = spectra.DEFAULT_PERIPHERAL_TOL,
                       with_commutant: bool = True,
-                      summary: SpectralSummary | None = None) -> AnalysisReport:
-    """A given ``summary`` must be the generator's own at these tolerances."""
+                      summary: SpectralSummary | None = None,
+                      classification: str | None = None) -> AnalysisReport:
+    """A given ``summary`` must be the generator's own at these tolerances,
+    and a given ``classification`` the one of that summary."""
     return _analyze("generator", gen, cluster_tol, peripheral_tol,
-                    False, with_commutant, summary)
+                    False, with_commutant, summary, classification)
 
 
 def _summarize(kind: str, subject, cluster_tol, peripheral_tol) -> SpectralSummary:
@@ -89,14 +93,15 @@ def _nullspace_dim(kind: str, subject, summary) -> tuple[int, str | None]:
 
 
 def _analyze(kind, subject, cluster_tol, peripheral_tol, markovian, with_commutant,
-             summary=None):
+             summary=None, classification=None):
     timings: dict = {}
     t0 = time.perf_counter()
     if summary is None:
         summary = _summarize(kind, subject, cluster_tol, peripheral_tol)
     timings["spectra"] = time.perf_counter() - t0
 
-    classification = _classify(kind, subject, summary)
+    if classification is None:
+        classification = _classify(kind, subject, summary)
     fixed_dim, discrepancy = _nullspace_dim(kind, subject, summary)
     report = _bound_report(kind, summary, classification, markovian)
     rechecked = False

@@ -3,8 +3,12 @@
 One CSV row per analyzed subject.  Identical seeds give byte-identical CSV
 files: every subject draws from its own ``default_rng((seed, dim-block,
 index))`` stream and floats are written with a fixed 12-significant-digit
-format.  A sampled subject is decomposed and summarized once: the
-default-tolerance summary that accepts it is the one the analysis reads.
+format.  A sampled subject is decomposed, summarized and classified once:
+the default-tolerance summary and classification that accept it are the
+ones the analysis reads.  A subject whose analysis raises (``ValueError``,
+``LinAlgError``, ``ConsistencyError``) becomes a row with an empty report
+and ``note=error:<type>``, counted as an oracle mismatch; it never aborts
+the campaign.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import analysis, bounds, constructions, spectra
+from . import analysis, asymptotics, bounds, constructions, spectra
 from .constructions import ENSEMBLES
 from .gkls import GklsGenerator
 from .spectra import SpectralSummary
@@ -83,7 +87,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
         if row.violation:
             if row.source == "gkls-unital" and "ckks" in row.note:
                 result.ckks_unital_failures += 1
-            elif row.note.startswith("oracle"):
+            elif row.note.startswith(("oracle", "error:")):
                 result.oracle_mismatches += 1
             else:
                 result.structural_violations += 1
@@ -114,9 +118,14 @@ def _subject_tasks(config: CampaignConfig):
 
 
 def _run_task(task: _Task) -> CampaignRow:
-    if task.source == CONSTRUCTORS:
-        return _run_constructor(task)
-    return _run_sampled(task)
+    try:
+        if task.source == CONSTRUCTORS:
+            return _run_constructor(task)
+        return _run_sampled(task)
+    except (ValueError, np.linalg.LinAlgError, asymptotics.ConsistencyError) as exc:
+        seed = "" if task.seed_key is None else "-".join(map(str, task.seed_key))
+        return CampaignRow(source=task.source, dim=task.dim, index=task.index, seed=seed,
+                           report=None, violation=True, note=f"error:{type(exc).__name__}")
 
 
 _CONSTRUCTOR_NAMES = ("unitary", "phase-damping", "hamiltonian", "dissipative")
@@ -165,8 +174,8 @@ def _run_sampled(task: _Task) -> CampaignRow:
         except ValidationError:
             rejects += 1
             continue
-        summary = _acceptable(task.source, subject)
-        if summary is not None:
+        accepted = _acceptable(task.source, subject)
+        if accepted is not None:
             break
         rejects += 1
         subject = None
@@ -175,7 +184,9 @@ def _run_sampled(task: _Task) -> CampaignRow:
                            seed="-".join(map(str, rng_key)), report=None, rejects=rejects,
                            violation=True, note="oracle: resampling exhausted")
 
-    report = _analyze(subject, markovian=task.source.startswith("gkls"), summary=summary)
+    summary, classification = accepted
+    report = _analyze(subject, markovian=task.source.startswith("gkls"),
+                      summary=summary, classification=classification)
     violation = not report.bounds_satisfied
     if violation:
         note = "bound violation" if report.discrepancy is None else report.discrepancy
@@ -206,25 +217,28 @@ _ADVERTISED = {"haar-unitary": ("unitary", "non-unitary"),
                "gkls-hamiltonian": ("hamiltonian",)}
 
 
-def _acceptable(source: str, subject) -> SpectralSummary | None:
-    """The default-tolerance summary if the subject lands in a classification
-    its generic ensemble advertises, else None."""
+def _acceptable(source: str, subject) -> tuple[SpectralSummary, str] | None:
+    """The default-tolerance summary and classification if the subject lands
+    in a classification its generic ensemble advertises, else None."""
     if isinstance(subject, QuantumChannel):
         summary = spectra.summarize_channel(subject)
         classification = bounds.classify_channel(subject, summary)
     else:
         summary = spectra.summarize_generator(subject)
         classification = bounds.classify_generator(subject, summary)
-    return summary if classification in _ADVERTISED[source] else None
+    if classification not in _ADVERTISED[source]:
+        return None
+    return summary, classification
 
 
-def _analyze(subject, markovian: bool, summary=None) -> analysis.AnalysisReport:
+def _analyze(subject, markovian: bool, summary=None,
+             classification=None) -> analysis.AnalysisReport:
     if isinstance(subject, QuantumChannel):
-        return analysis.analyze_channel(subject, markovian=markovian,
-                                        with_commutant=False, summary=summary)
+        return analysis.analyze_channel(subject, markovian=markovian, with_commutant=False,
+                                        summary=summary, classification=classification)
     if isinstance(subject, GklsGenerator):
-        return analysis.analyze_generator(subject, with_commutant=False,
-                                          summary=summary)
+        return analysis.analyze_generator(subject, with_commutant=False, summary=summary,
+                                          classification=classification)
     raise TypeError(f"unexpected subject {type(subject)!r}")
 
 

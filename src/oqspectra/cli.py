@@ -4,11 +4,19 @@ construct the saturating examples, emit sampled subjects.
 Exit codes: 0 success, 2 validation/parse failure, 3 bound violation (for
 CI use); `verify` additionally exits 1 on oracle mismatches that are not
 bound violations.
+
+Each command runs with every loaded OpenBLAS limited to one thread and puts
+the previous counts back on exit.  The matrices are at most 144 x 144
+(d <= 12); at that size BLAS threads only add wake-up stalls.  Library
+calls keep the process's own settings.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
+import functools
 import json
 import sys
 
@@ -71,16 +79,65 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "construct":
-            return _cmd_construct(args)
-        return _cmd_sample(args)
+        with _one_blas_thread():
+            if args.command == "analyze":
+                return _cmd_analyze(args)
+            if args.command == "verify":
+                return _cmd_verify(args)
+            if args.command == "construct":
+                return _cmd_construct(args)
+            return _cmd_sample(args)
     except (ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """``(get, set)`` thread-count functions of every OpenBLAS this process
+    has loaded (numpy and scipy each bundle their own copy), looked up once.
+    Empty where none is found, e.g. with MKL or off Linux."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+        paths = [p for p in paths if p.startswith("/")]
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        get = _openblas_function(lib, "get_num_threads")
+        set_ = _openblas_function(lib, "set_num_threads")
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            controls.append((get, set_))
+    return tuple(controls)
+
+
+def _openblas_function(lib, stem: str):
+    for prefix in ("scipy_openblas_", "openblas_"):
+        for suffix in ("64_", ""):
+            fn = getattr(lib, prefix + stem + suffix, None)
+            if fn is not None:
+                return fn
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    controls = _openblas_thread_controls()
+    before = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(controls, before):
+            set_(count)
 
 
 def _load_subject(path: str, kind: str | None):

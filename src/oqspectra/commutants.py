@@ -91,9 +91,8 @@ def commutant_dimension(ops) -> int:
     n_ops, d = a.shape[0], a.shape[1]
     rows = a.reshape(n_ops * d, d)  # A_k stacked vertically: P = rows^dag rows
     cols = a.transpose(1, 0, 2).reshape(d, n_ops * d)  # side by side: Q = cols cols^dag
-    ident = np.eye(d)
     s = superop.kraus_to_superop(a)
-    gram = (np.kron(ident, rows.conj().T @ rows) + np.kron((cols @ cols.conj().T).conj(), ident)
+    gram = (linalg.kronecker_sum(rows.conj().T @ rows, (cols @ cols.conj().T).conj())
             - s - s.conj().T)
     w = scipy.linalg.eigvalsh(gram)
     ref = np.sqrt(max(w[-1], float(np.max(np.sum(np.abs(a) ** 2, axis=(1, 2))))))

@@ -85,10 +85,9 @@ def gkls_superop(hamiltonian, noise_ops) -> np.ndarray:
     with G = sum_k A_k^dag A_k; :func:`build_generator` validates the inputs."""
     h = np.asarray(hamiltonian, dtype=np.complex128)
     d = h.shape[0]
-    ident = np.eye(d, dtype=np.complex128)
     a = np.asarray(noise_ops, dtype=np.complex128).reshape(-1, d, d)
     g = np.einsum("kji,kjl->il", a.conj(), a)
-    m = np.kron(ident, -1j * h - 0.5 * g) + np.kron(1j * h.T - 0.5 * g.T, ident)
+    m = linalg.kronecker_sum(-1j * h - 0.5 * g, 1j * h.T - 0.5 * g.T)
     m += superop.kraus_to_superop(a)
     return m
 

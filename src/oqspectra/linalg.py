@@ -2,27 +2,30 @@
 
 Plain ``numpy`` arrays (``complex128``) are the working representation of
 matrices.  This module pins down the conventions the rest of the package
-relies on: column-stacking vectorization, SVD-based rank and nullspace
-decisions, and the row-major JSON wire format for matrices.  Inputs are
-validated where they enter, not again by internal kernels like nullspace.
+relies on: column-stacking vectorization, SVD-based nullspace decisions,
+the row-major JSON wire format for matrices, and the Hermitian coordinates
+in which :func:`eig` decomposes a superoperator.  Inputs are validated
+where they enter, not again by internal kernels like nullspace.
+
+Every channel and generator maps Hermitian operators to Hermitian
+operators, so in a basis of Hermitian operators its d^2 x d^2 matrix is
+real (Wolf, *Quantum Channels & Operations: Guided Tour*, 2012, ch. 6).
+:func:`eig` works there: real LAPACK arithmetic costs about half of
+complex at d >= 6, and the spectrum comes out closed under conjugation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import math
 
 import numpy as np
 import scipy.linalg
 
-# Residual contract for eig(): every returned pair satisfies
-# ||A v - w v||_2 <= EIG_RESIDUAL_KAPPA(n) * eps * ||A||_2 for unit v.
-# LAPACK's QR iteration is backward stable with a low-degree polynomial
-# constant; 16*n leaves headroom up to n = d^2 = 144.
 EPS = float(np.finfo(np.float64).eps)
-
-
-def eig_residual_kappa(n: int) -> float:
-    return 16.0 * max(1, n)
+# eig() rejects a matrix whose Hermitian coordinates have an imaginary part
+# above HERMITICITY_CUT * n * eps * (largest real part): rounding only.
+HERMITICITY_CUT = 16.0
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -30,7 +33,7 @@ def as_complex_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
-    if m.size and not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+    if not np.isfinite(m).all():
         raise ValueError("matrix contains NaN or Inf entries")
     return m
 
@@ -46,18 +49,68 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.conj(np.asarray(a).T)
 
 
+@functools.cache
+def hermitian_basis(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(B, B^-1, h)`` for the Hermitian basis of d x d operators.
+
+    The columns of B are vec(E_ii), then vec(E_ij + E_ji) and then
+    vec(i(E_ji - E_ij)) for i < j.  They are orthogonal, so
+    B^-1 = h B^dag with the column ``h`` of 1 (diagonal) and 1/2 entries,
+    and B^-dag = B h^T.  Every entry is 0, +-1, +-i, +-1/2 or +-i/2, so
+    each entry of B^-1 M B is a sum of at most four entries of M with exact
+    coefficients: the identity stays exactly the identity.  The arrays are
+    shared and read-only.
+    """
+    n = d * d
+    b = np.zeros((n, n), dtype=np.complex128)
+    rows, cols = np.triu_indices(d, 1)
+    upper, lower = rows + cols * d, cols + rows * d  # vec(E_ij), vec(E_ji)
+    sym = d + np.arange(rows.size)
+    anti = sym + rows.size
+    b[np.arange(d) * (d + 1), np.arange(d)] = 1.0
+    b[upper, sym] = b[lower, sym] = 1.0
+    b[upper, anti], b[lower, anti] = -1j, 1j
+    h = np.where(np.arange(n) < d, 1.0, 0.5)[:, None]
+    b_inv = h * b.conj().T
+    for x in (b, b_inv, h):
+        x.flags.writeable = False
+    return b, b_inv, h
+
+
 def eig(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues with left and right eigenvectors of a square matrix.
+    """Eigenvalues with left and right eigenvectors of a Hermiticity
+    preserving d^2 x d^2 superoperator matrix.
 
     Returns ``(w, vl, vr)``: ``vr[:, k]`` and ``vl[:, k]`` are the
     unit-norm right and left eigenvectors for ``w[k]``, so
     ``A vr[:, k] = w[k] vr[:, k]`` and ``vl[:, k]^dag A = w[k] vl[:, k]^dag``.
-    Exactly ``n`` eigenvalues are returned (with repetition).  Raises
-    ``np.linalg.LinAlgError`` if the QR iteration fails to converge; a
-    failure is never silently truncated.
+    Exactly ``n`` eigenvalues are returned (with repetition), and non-real
+    ones come in exactly conjugate pairs.  The decomposition is the real
+    one of R = B^-1 A B in :func:`hermitian_basis` coordinates, mapped back
+    by B (right) and B^-dag (left).  Raises ``ValueError`` if ``A`` is not
+    square with side d^2, has a non-finite entry or is not Hermiticity
+    preserving (R not real up to rounding), and ``np.linalg.LinAlgError``
+    if the QR iteration fails to converge; a failure is never silently
+    truncated.
     """
     m = require_square(a)
-    return scipy.linalg.eig(m, left=True, right=True)
+    n = m.shape[0]
+    d = math.isqrt(n)
+    if d * d != n:
+        raise ValueError(f"superoperator side {n} is not a perfect square")
+    b, b_inv, h = hermitian_basis(d)
+    r = b_inv @ m @ b
+    im_max = np.abs(r.imag).max()
+    if im_max > HERMITICITY_CUT * n * EPS * np.abs(r.real).max():
+        raise ValueError(
+            f"matrix is not Hermiticity preserving: imaginary part {im_max:.3e} "
+            f"in its Hermitian coordinates"
+        )
+    w, vl, vr = scipy.linalg.eig(r.real, left=True, right=True, check_finite=False)
+    # One product maps both back: B^-dag vl = B (h vl); then unit columns.
+    v = b @ np.concatenate((h * vl, vr), axis=1)
+    v /= np.sqrt(np.einsum("ij,ij->j", v.conj(), v).real)
+    return w, v[:, :n], v[:, n:]
 
 
 def eigvals(a) -> np.ndarray:
@@ -65,40 +118,9 @@ def eigvals(a) -> np.ndarray:
     return scipy.linalg.eigvals(m)
 
 
-def singular_values(a) -> np.ndarray:
-    m = as_complex_matrix(a)
-    if m.size == 0:
-        return np.zeros(0)
-    return scipy.linalg.svdvals(m)
-
-
-@dataclass(frozen=True)
-class RankDecision:
-    """Numerical rank together with the absolute cutoff that produced it."""
-
-    tolerance: float
-    rank: int
-
-
 def default_rank_tolerance(a: np.ndarray, sigma_max: float) -> float:
     # max(rows, cols) * eps * sigma_max: standard, scale-invariant.
     return max(a.shape) * EPS * sigma_max
-
-
-def numerical_rank(a, tol: float = 0.0) -> RankDecision:
-    """Count singular values above the cutoff.
-
-    ``tol`` is an absolute singular-value cutoff; ``tol = 0`` selects the
-    default ``max(rows, cols) * eps * sigma_max``.
-    """
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    m = as_complex_matrix(a)
-    s = singular_values(m)
-    if s.size == 0 or s[0] == 0.0:
-        return RankDecision(tolerance=tol, rank=0)
-    cutoff = tol if tol > 0 else default_rank_tolerance(m, s[0])
-    return RankDecision(tolerance=cutoff, rank=int(np.sum(s > cutoff)))
 
 
 def nullspace(a, tol: float = 0.0, scale: float | None = None) -> np.ndarray:
@@ -125,10 +147,6 @@ def nullspace(a, tol: float = 0.0, scale: float | None = None) -> np.ndarray:
     return vh[rank:].conj().T
 
 
-def kron(a, b) -> np.ndarray:
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
-
-
 def vec(x) -> np.ndarray:
     """Column-stacking vectorization: vec(A X B) = (B^T (x) A) vec(X)."""
     return as_complex_matrix(x).flatten(order="F")
@@ -145,11 +163,26 @@ def unvec(v, rows: int | None = None) -> np.ndarray:
     return v.reshape((rows, cols), order="F")
 
 
+def kronecker_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """I (x) x + y (x) I for square d x d ``x`` and ``y``: the matrix of
+    X -> x X + X y^T under column-stacking vectorization.
+
+    Equal to the two-``np.kron`` sum entry by entry, written into the
+    (d, d, d, d) view directly; at d <= 4 each ``np.kron`` call costs more
+    than the whole sum.
+    """
+    d = x.shape[0]
+    out = np.zeros((d, d, d, d), dtype=np.result_type(x, y))
+    idx = np.arange(d)
+    out[idx, :, idx, :] = x  # block (p, p) of I (x) x
+    out[:, idx, :, idx] += y  # entry (i, i) of block (p, q) of y (x) I
+    return out.reshape(d * d, d * d)
+
+
 def commutation_superop(a) -> np.ndarray:
     """Matrix of X -> A X - X A under column-stacking vectorization."""
     m = require_square(a)
-    ident = np.eye(m.shape[0], dtype=np.complex128)
-    return np.kron(ident, m) - np.kron(m.T, ident)
+    return kronecker_sum(m, -m.T)
 
 
 def orthonormal_columns(cols: np.ndarray, tol: float = 1e-10) -> np.ndarray:

@@ -103,7 +103,12 @@ def from_superop(
     cp_tol: float = DEFAULT_CP_TOL,
     validate: bool = True,
 ) -> QuantumChannel:
-    """Build a channel from its d^2 x d^2 superoperator matrix."""
+    """Build a channel from its d^2 x d^2 superoperator matrix.
+
+    A validated matrix is replaced by its Hermiticity-preserving part, the
+    superoperator of the Hermitian part of its Choi matrix, so that the
+    deviation accepted within ``cp_tol`` never reaches :func:`linalg.eig`.
+    """
     m = require_square(m)
     d = int(round(np.sqrt(m.shape[0])))
     if d * d != m.shape[0]:
@@ -117,8 +122,10 @@ def from_superop(
         herm = float(np.linalg.norm(choi - dagger(choi)))
         if herm > cp_tol:
             raise ValidationError("Choi matrix is not Hermitian", herm)
+        choi = (choi + dagger(choi)) / 2
+        channel = QuantumChannel(dim=d, _superop=choi_to_superop(choi), _choi=choi)
         if not choi_is_cp(choi, cp_tol):
-            wmin = float(np.linalg.eigvalsh((choi + dagger(choi)) / 2).min())
+            wmin = float(np.linalg.eigvalsh(choi).min())
             raise ValidationError("Choi matrix is not positive semidefinite", -wmin)
     return channel
 
@@ -224,9 +231,14 @@ def compose(a: QuantumChannel, b: QuantumChannel) -> QuantumChannel:
 
 
 def power(channel: QuantumChannel, n: int) -> QuantumChannel:
+    """Phi^n, taken as R^n of the real matrix R of Phi in Hermitian
+    coordinates, so that it stays exactly Hermiticity preserving: rounding
+    in the complex M^n grows with n and would fail :func:`linalg.eig`."""
     if n < 0:
         raise ValueError("channel powers require n >= 0")
-    m = np.linalg.matrix_power(channel.superop, n)
+    b, b_inv, _ = linalg.hermitian_basis(channel.dim)
+    r = (b_inv @ channel.superop @ b).real
+    m = b @ np.linalg.matrix_power(r, n) @ b_inv
     return QuantumChannel(dim=channel.dim, _superop=m)
 
 

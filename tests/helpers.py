@@ -9,7 +9,7 @@ import collections
 
 import numpy as np
 
-from oqspectra import constructions
+from oqspectra import constructions, superop
 from oqspectra.commutants import JordanProfile
 
 
@@ -29,6 +29,25 @@ def count_calls(monkeypatch, module, names):
 
 def dag(a):
     return np.conj(a.T)
+
+
+def hermitian_basis(d):
+    """Columns vec(E_ii), then vec(E_ij + E_ji), then vec(i(E_ji - E_ij)),
+    i < j in row-major order, under column stacking."""
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    ops = [matrix_unit(d, i, i) for i in range(d)]
+    ops += [matrix_unit(d, i, j) + matrix_unit(d, j, i) for i, j in pairs]
+    ops += [1j * (matrix_unit(d, j, i) - matrix_unit(d, i, j)) for i, j in pairs]
+    return np.stack([x.flatten(order="F") for x in ops], axis=1)
+
+
+def forged_channel(r):
+    """A (generally non-CPTP) channel object whose superoperator has the
+    real matrix ``r`` in Hermitian coordinates: M = B r B^-1."""
+    d = int(round(np.sqrt(np.shape(r)[0])))
+    b = hermitian_basis(d)
+    m = b @ np.asarray(r, dtype=float) @ np.linalg.inv(b)
+    return superop.QuantumChannel(dim=d, _superop=m)
 
 
 def matrix_unit(d, i, j):

@@ -37,6 +37,18 @@ class TestFixedSpace:
     def test_identity_channel_full(self):
         assert fixed_space(identity_channel(3)).dimension == 9
 
+    @pytest.mark.xfail(strict=True, raises=asymptotics.ConsistencyError,
+                       reason="ROADMAP item 3: _eigenspace cuts the singular values of "
+                              "M - I relative to their maximum, so the 1e6 entry of an "
+                              "unrelated block buries the simple eigenvalue 1")
+    def test_cut_ignores_unrelated_large_block(self):
+        # sigma 5.7e-6 of the 2x2 block falls under the cut 1e-8 * 7.1e5
+        r = scipy.linalg.block_diag(1.0, [[-1.0, 1e6], [-1e-18, -1.0]], 0.5)
+        fake = helpers.forged_channel(r)  # r in Hermitian coordinates
+        summary = spectra.summarize_channel(fake)
+        assert summary.l0_or_m0 == 1
+        assert fixed_space(fake, summary=summary).dimension == 1
+
     def test_phase_damping_span(self):
         basis = fixed_space(phase_damping_channel(3))
         assert basis.dimension == 5
@@ -127,10 +139,10 @@ class TestAttractor:
         # a forged non-CPTP map with a Jordan block at the peripheral
         # eigenvalue 1: the geometric deficit must be reported, never
         # glossed over (a valid channel cannot reach this state)
-        m = np.eye(4, dtype=complex)
-        m[0, 1] = 1.0
-        m[2, 2] = m[3, 3] = 0.5
-        fake = superop.QuantumChannel(dim=2, _superop=m)
+        r = np.eye(4)
+        r[0, 1] = 1.0
+        r[2, 2] = r[3, 3] = 0.5
+        fake = helpers.forged_channel(r)  # r in Hermitian coordinates
         with pytest.raises(asymptotics.ConsistencyError, match="multiplicity"):
             attractor(fake)
 
@@ -138,8 +150,8 @@ class TestAttractor:
         # a forged map whose peripheral pair -1 +- 1e-6i splits into two
         # singleton clusters with left/right eigenvector overlap ~2e-12:
         # numerically a Jordan block, so it cannot count as semisimple
-        m = scipy.linalg.block_diag(1.0, [[-1.0, 1e6], [-1e-18, -1.0]], 0.5)
-        fake = superop.QuantumChannel(dim=2, _superop=m.astype(complex))
+        r = scipy.linalg.block_diag(1.0, [[-1.0, 1e6], [-1e-18, -1.0]], 0.5)
+        fake = helpers.forged_channel(r)  # r in Hermitian coordinates
         summary = spectra.summarize_channel(fake)
         assert [i.multiplicity for i in summary.distinct if i.peripheral] == [1, 1, 1]
         with pytest.raises(asymptotics.ConsistencyError, match="overlap"):

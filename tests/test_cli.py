@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 import helpers
-from oqspectra import analysis, campaign, spectra, superop
+from oqspectra import analysis, asymptotics, bounds, campaign, cli, spectra, superop
 from oqspectra.cli import main
 from oqspectra.constructions import (
     phase_damping_channel,
@@ -55,12 +55,22 @@ class TestAnalysisPipeline:
     def test_one_eigendecomposition_per_subject(self, monkeypatch, rng):
         # Haar unitary at d = 4: 13 peripheral clusters, 12 of them
         # singletons read off the one eig; SVDs only for the fixed-space
-        # cross-check, the multiple cluster at 1 and the final basis
+        # cross-check, the multiple cluster at 1 and the final basis.  The
+        # eig runs in real Hermitian coordinates.
         ch = unitary_channel(helpers.haar(4, rng))
+        dtypes = []
+        eig = scipy.linalg.eig
+
+        def recording(a, *args, **kwargs):
+            dtypes.append(np.asarray(a).dtype)
+            return eig(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eig", recording)
         calls = helpers.count_calls(monkeypatch, scipy.linalg, ("eig", "eigvals", "svd", "svdvals"))
         rep = analysis.analyze_channel(ch, with_commutant=False)
         assert rep.attractor_dim == 16 and rep.fixed_dim == 4
         assert calls["eig"] + calls["eigvals"] == 1
+        assert dtypes == [np.float64]
         assert calls["svd"] + calls["svdvals"] <= 3
 
 
@@ -247,3 +257,112 @@ class TestCampaignWork:
         draws = sum(1 + row.rejects for row in result.rows)
         assert not any(row.report.rechecked for row in result.rows)
         assert calls["summarize_channel"] + calls["summarize_generator"] == draws
+
+    def test_one_classification_per_sampled_subject(self, monkeypatch):
+        calls = helpers.count_calls(monkeypatch, bounds, ("classify_channel", "classify_generator"))
+        cfg = campaign.CampaignConfig(dims=(2, 3), per_dim=3, seed=4,
+                                      sources=campaign.ENSEMBLES)
+        result = campaign.run_campaign(cfg)
+        draws = sum(1 + row.rejects for row in result.rows)
+        assert not any(row.report.rechecked for row in result.rows)
+        assert calls["classify_channel"] + calls["classify_generator"] == draws
+
+
+class TestCampaignErrors:
+    """A subject whose analysis raises is one error row, never an abort."""
+
+    CONFIG = campaign.CampaignConfig(dims=(2, 3), per_dim=2, seed=3,
+                                     sources=("constructors", "gkls-generic", "haar-unitary"))
+
+    @pytest.mark.parametrize("error", [ValueError, np.linalg.LinAlgError,
+                                       asymptotics.ConsistencyError])
+    @pytest.mark.parametrize("victim", [1, 9])  # a constructor, a sampled subject
+    def test_error_row_leaves_other_rows_unchanged(self, monkeypatch, error, victim):
+        clean = campaign.rows_to_csv(campaign.run_campaign(self.CONFIG).rows).splitlines()
+        analyze = campaign._analyze
+        count = [0]
+
+        def failing(*args, **kwargs):
+            count[0] += 1
+            if count[0] == victim + 1:
+                raise error("planted failure")
+            return analyze(*args, **kwargs)
+
+        monkeypatch.setattr(campaign, "_analyze", failing)
+        result = campaign.run_campaign(self.CONFIG)
+        lines = campaign.rows_to_csv(result.rows).splitlines()
+        assert len(lines) == len(clean)
+        bad = result.rows[victim]
+        assert bad.report is None and bad.violation
+        assert bad.note == f"error:{error.__name__}"
+        assert [k for k, (a, b) in enumerate(zip(lines, clean)) if a != b] == [victim + 1]
+        assert result.oracle_mismatches == 1
+        assert result.structural_violations == 0 and result.ckks_unital_failures == 0
+
+    def test_error_row_exits_1(self, monkeypatch, tmp_path, capsys):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("planted failure")
+
+        monkeypatch.setattr(campaign, "_analyze", failing)
+        out = tmp_path / "c.csv"
+        assert main(["verify", "--dims", "2", "--per-dim", "1", "--ensembles",
+                     "gkls-generic", "--out", str(out)]) == 1
+        assert out.read_text().splitlines()[1].endswith(",1,error:LinAlgError")
+        assert "oracle mismatches:     1" in capsys.readouterr().err
+
+
+class TestOneBlasThread:
+    """Every CLI command runs on one BLAS thread and restores the counts."""
+
+    @pytest.fixture
+    def controls(self):
+        controls = cli._openblas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS loaded")
+        before = [get() for get, _ in controls]
+        for _, set_ in controls:
+            set_(2)
+        yield controls
+        for (_, set_), count in zip(controls, before):
+            set_(count)
+
+    @pytest.mark.parametrize("outcome", [0, 2, 3])
+    def test_one_thread_inside_and_restored_after(self, monkeypatch, capsys, controls, outcome):
+        seen = []
+
+        def command(args):
+            seen.append([get() for get, _ in controls])
+            if outcome == 2:
+                raise ValueError("planted")
+            return outcome
+
+        monkeypatch.setattr(cli, "_cmd_construct", command)
+        assert main(["construct", "unitary", "--dim", "2"]) == outcome
+        assert seen == [[1] * len(controls)]
+        assert [get() for get, _ in controls] == [2] * len(controls)
+
+    def test_restored_after_unexpected_exception(self, monkeypatch, controls):
+        def command(args):
+            raise RuntimeError("planted")
+
+        monkeypatch.setattr(cli, "_cmd_construct", command)
+        with pytest.raises(RuntimeError):
+            main(["construct", "unitary", "--dim", "2"])
+        assert [get() for get, _ in controls] == [2] * len(controls)
+
+    def test_argparse_exit_leaves_counts(self, capsys, controls):
+        with pytest.raises(SystemExit):
+            main(["construct", "no-such-kind", "--dim", "2"])
+        assert [get() for get, _ in controls] == [2] * len(controls)
+
+    def test_without_openblas_nothing_happens(self, monkeypatch, tmp_path):
+        def unreadable(*args, **kwargs):
+            raise OSError("no maps")
+
+        monkeypatch.setattr(cli, "open", unreadable, raising=False)
+        assert cli._openblas_thread_controls.__wrapped__() == ()
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "_openblas_thread_controls", lambda: ())
+        out = tmp_path / "u.json"
+        assert main(["construct", "unitary", "--dim", "2", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["dim"] == 2

@@ -1,25 +1,40 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.optimize
 from hypothesis import given
 from hypothesis import strategies as st
 
 import helpers
-from oqspectra import linalg
+from oqspectra import linalg, superop
 from oqspectra.constructions import phase_damping_channel
+from oqspectra.gkls import GklsGenerator, exponentiate
+from oqspectra.superop import identity_channel
 
 
 def random_complex(rng, rows, cols):
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
+def random_hermiticity_preserving(rng, d):
+    """sum_k eps_k conj(A_k) (x) A_k with real eps_k: Hermiticity preserving,
+    neither CP nor TP."""
+    m = np.zeros((d * d, d * d), dtype=complex)
+    for eps in rng.standard_normal(3):
+        a = random_complex(rng, d, d)
+        m += eps * np.kron(a.conj(), a)
+    return m
+
+
 class TestEig:
     def test_identity(self):
-        w, _, _ = linalg.eig(np.eye(3))
-        helpers.assert_multisets_close(w, [1, 1, 1])
+        w, _, _ = linalg.eig(np.eye(9))
+        helpers.assert_multisets_close(w, [1] * 9)
 
     def test_diagonal(self):
-        w, _, _ = linalg.eig(np.diag([2.0, 5.0]))
-        helpers.assert_multisets_close(w, [2, 5])
+        # X -> diag action on matrix units; the E_10/E_01 pair is conjugate
+        w, _, _ = linalg.eig(np.diag([2.0, 5.0 + 1j, 5.0 - 1j, 3.0]))
+        helpers.assert_multisets_close(w, [2, 5 + 1j, 5 - 1j, 3])
 
     def test_phase_damping_superop_spectrum(self):
         # {1 x5, e^-1 x4} at d = 3
@@ -28,10 +43,13 @@ class TestEig:
         helpers.assert_multisets_close(w, expected, atol=1e-12)
 
     def test_residual_contract(self, rng):
-        for n in (2, 5, 9, 16):
-            a = random_complex(rng, n, n)
+        # ||A v - w v||_2 <= 16 n eps ||A||_2 for every unit pair: LAPACK's
+        # QR iteration is backward stable with a low-degree polynomial constant
+        for d in (2, 3, 4):
+            n = d * d
+            a = random_hermiticity_preserving(rng, d)
             w, vl, vr = linalg.eig(a)
-            bound = linalg.eig_residual_kappa(n) * linalg.EPS * np.linalg.norm(a, 2)
+            bound = 16.0 * n * linalg.EPS * np.linalg.norm(a, 2)
             for k in range(n):
                 res = np.linalg.norm(a @ vr[:, k] - w[k] * vr[:, k])
                 assert res <= bound
@@ -39,41 +57,111 @@ class TestEig:
                 assert left <= bound
 
     def test_returns_all_eigenvalues(self, rng):
-        a = random_complex(rng, 7, 7)
+        a = random_hermiticity_preserving(rng, 3)
         w, vl, vr = linalg.eig(a)
-        assert w.shape == (7,) and vl.shape == (7, 7) and vr.shape == (7, 7)
+        assert w.shape == (9,) and vl.shape == (9, 9) and vr.shape == (9, 9)
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             linalg.eig(np.ones((2, 3)))
 
+    def test_side_not_a_square_rejected(self):
+        with pytest.raises(ValueError, match="perfect square"):
+            linalg.eig(np.eye(3))
+
     def test_non_finite_rejected(self):
-        a = np.eye(2, dtype=complex)
+        a = np.eye(4, dtype=complex)
         a[0, 1] = np.nan
         with pytest.raises(ValueError, match="NaN"):
             linalg.eig(a)
 
+    def test_not_hermiticity_preserving_rejected(self, rng):
+        # E_10 -> E_00 without E_01 -> E_00: X^dag is not mapped to Phi(X)^dag
+        a = np.eye(4, dtype=complex)
+        a[0, 1] = 1.0
+        with pytest.raises(ValueError, match="Hermiticity"):
+            linalg.eig(a)
+        with pytest.raises(ValueError, match="Hermiticity"):
+            linalg.eig(1j * random_hermiticity_preserving(rng, 3))
+
+
+class TestHermitianBasis:
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_inverse_is_exact(self, d):
+        b, b_inv, h = linalg.hermitian_basis(d)
+        assert np.array_equal(b, helpers.hermitian_basis(d))
+        assert np.array_equal(b_inv @ b, np.eye(d * d))
+        assert np.array_equal(b_inv, h * helpers.dag(b))
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_columns_are_hermitian_operators(self, d):
+        b, _, _ = linalg.hermitian_basis(d)
+        for k in range(d * d):
+            x = linalg.unvec(b[:, k])
+            assert np.array_equal(x, helpers.dag(x))
+
+    def test_read_only(self):
+        b, b_inv, h = linalg.hermitian_basis(2)
+        assert not (b.flags.writeable or b_inv.flags.writeable or h.flags.writeable)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_identity_channel_eigenvalues_exact(self, d):
+        w, _, _ = identity_channel(d).eigensystem
+        assert np.array_equal(w, np.ones(d * d))
+
+
+def subjects_and_derived(d):
+    """The oracle subjects at d (one draw per ensemble) plus a dual, a
+    composition and an exponentiated generator."""
+    subjects = helpers.oracle_subjects(d, seeds=1)
+    channels = [s for _, s in subjects if isinstance(s, superop.QuantumChannel)]
+    generators = [s for _, s in subjects if isinstance(s, GklsGenerator)]
+    subjects.append(("dual", superop.dual(channels[-1])))
+    subjects.append(("compose", superop.compose(channels[-1], channels[-2])))
+    subjects.append(("exponentiate", exponentiate(generators[-1])))
+    return subjects
+
+
+class TestRealCoordinates:
+    """eig in Hermitian coordinates against complex LAPACK on M itself."""
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_matches_complex_eigvals(self, d):
+        for name, subject in subjects_and_derived(d):
+            m = subject.superop
+            w, vl, vr = linalg.eig(m)
+            ref = scipy.linalg.eigvals(m)
+            rows, cols = scipy.optimize.linear_sum_assignment(np.abs(w[:, None] - ref[None, :]))
+            gap = np.abs(w[rows] - ref[cols]) / np.maximum(1.0, np.abs(w[rows]))
+            assert gap.max() <= 1e-12, f"{name}: eigenvalues differ by {gap.max():.2e}"
+            # non-real eigenvalues come in exactly conjugate pairs
+            assert np.array_equal(np.sort_complex(w), np.sort_complex(w.conj())), name
+            bound = 16.0 * d * d * linalg.EPS * np.linalg.norm(m, 2)
+            assert np.linalg.norm(m @ vr - vr * w, axis=0).max() <= bound, name
+            left = helpers.dag(vl) @ m - w[:, None] * helpers.dag(vl)
+            assert np.linalg.norm(left, axis=1).max() <= bound, name
+            assert np.allclose(np.linalg.norm(vr, axis=0), 1.0, atol=1e-14), name
+            assert np.allclose(np.linalg.norm(vl, axis=0), 1.0, atol=1e-14), name
+
 
 class TestRankAndNullspace:
     def test_zero_matrix(self):
-        assert linalg.numerical_rank(np.zeros((4, 4))).rank == 0
+        assert linalg.nullspace(np.zeros((4, 4))).shape == (4, 4)
 
     def test_identity(self):
-        assert linalg.numerical_rank(np.eye(4)).rank == 4
+        assert linalg.nullspace(np.eye(4)).shape == (4, 0)
+        # the scale floor turns a rounding-noise matrix into a null one
+        assert linalg.nullspace(1e-20 * np.eye(4), scale=1.0).shape == (4, 4)
 
     def test_rank_one_outer_product(self, rng):
         u = random_complex(rng, 5, 1)
         v = random_complex(rng, 5, 1)
-        assert linalg.numerical_rank(u @ helpers.dag(v)).rank == 1
+        assert linalg.nullspace(u @ helpers.dag(v)).shape == (5, 4)
 
     def test_explicit_tolerance(self):
         a = np.diag([1.0, 1e-4])
-        assert linalg.numerical_rank(a, tol=1e-3).rank == 1
-        assert linalg.numerical_rank(a, tol=1e-5).rank == 2
-
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            linalg.numerical_rank(np.eye(2), tol=-1.0)
+        assert linalg.nullspace(a, tol=1e-3).shape == (2, 1)
+        assert linalg.nullspace(a, tol=1e-5).shape == (2, 0)
 
     def test_nullspace_identity_empty(self):
         assert linalg.nullspace(np.eye(3)).shape == (3, 0)
@@ -108,44 +196,32 @@ class TestRankAndNullspace:
             a = np.zeros((rows, cols), dtype=complex)
         else:
             a = random_complex(rng, rows, inner) @ random_complex(rng, inner, cols)
-        decision = linalg.numerical_rank(a)
         ns = linalg.nullspace(a)
-        assert decision.rank == inner
-        assert decision.rank + ns.shape[1] == cols
+        assert ns.shape[1] == cols - inner
 
 
 class TestKronAndVec:
-    def test_kron_identity(self):
-        assert np.array_equal(linalg.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_kron_diag(self):
-        a, b = 2.0 + 1j, -3.0
-        out = linalg.kron(np.diag([a, b]), np.eye(2))
-        assert np.allclose(out, np.diag([a, a, b, b]))
-
-    def test_kron_elementwise_oracle(self, rng):
-        a = random_complex(rng, 3, 3)
-        b = random_complex(rng, 3, 3)
-        got = linalg.kron(a, b)
-        for i in range(9):
-            for j in range(9):
-                assert got[i, j] == pytest.approx(a[i // 3, j // 3] * b[i % 3, j % 3])
-
-    def test_kron_mixed_product(self, rng):
-        for _ in range(5):
-            a, c = random_complex(rng, 3, 4), random_complex(rng, 4, 2)
-            b, d = random_complex(rng, 2, 5), random_complex(rng, 5, 3)
-            lhs = linalg.kron(a, b) @ linalg.kron(c, d)
-            rhs = linalg.kron(a @ c, b @ d)
-            assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs)
-
     def test_vec_convention(self, rng):
         a = random_complex(rng, 3, 3)
         b = random_complex(rng, 3, 3)
         x = random_complex(rng, 3, 3)
         lhs = linalg.vec(a @ x @ b)
-        rhs = linalg.kron(b.T, a) @ linalg.vec(x)
+        rhs = np.kron(b.T, a) @ linalg.vec(x)
         assert np.allclose(lhs, rhs, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_kronecker_sum_matches_np_kron(self, d, rng):
+        x, y = random_complex(rng, d, d), random_complex(rng, d, d)
+        ident = np.eye(d)
+        expected = np.kron(ident, x) + np.kron(y, ident)
+        assert np.array_equal(linalg.kronecker_sum(x, y), expected)
+        real = rng.standard_normal((d, d))
+        got = linalg.kronecker_sum(real, real.T)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, np.kron(ident, real) + np.kron(real.T, ident))
+        # the matrix of X -> x X + X y^T
+        z = random_complex(rng, d, d)
+        assert np.allclose(linalg.kronecker_sum(x, y) @ linalg.vec(z), linalg.vec(x @ z + z @ y.T))
 
     def test_unvec_roundtrip(self, rng):
         x = random_complex(rng, 4, 4)

@@ -66,6 +66,17 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             from_superop(transpose)
 
+    def test_from_superop_keeps_hermiticity_preserving_part(self, rng):
+        # a non-Hermiticity-preserving deviation inside cp_tol is accepted
+        # and removed, so the decomposition sees a real matrix
+        ch = stinespring_channel(3, rng)
+        noise = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        fed = from_superop(ch.superop + 1e-10 * noise / np.linalg.norm(noise))
+        choi = fed.choi
+        assert np.array_equal(choi, helpers.dag(choi))
+        assert np.linalg.norm(fed.superop - ch.superop) <= 1e-9
+        helpers.assert_multisets_close(fed.eigensystem[0], ch.eigensystem[0], atol=1e-7)
+
     def test_superop_side_must_be_square_number(self):
         with pytest.raises(ValueError, match="square"):
             from_superop(np.eye(5))
@@ -171,6 +182,18 @@ class TestDualComposePower:
         ch = stinespring_channel(2, rng)
         assert np.allclose(power(ch, 1).superop, ch.superop)
         assert np.allclose(power(ch, 0).superop, np.eye(4))
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_high_power_stays_decomposable(self, d, rng):
+        # M^n by repeated complex squaring drifts off Hermiticity preservation
+        # in proportion to n; the power must still decompose with the
+        # spectrum mu^n
+        ch = unitary_channel(helpers.haar(d, rng))
+        n = 10 ** 6
+        chn = power(ch, n)
+        expected = ch.eigensystem[0] ** n
+        helpers.assert_multisets_close(chn.eigensystem[0], expected, atol=1e-6)
+        assert np.allclose(chn.superop, np.linalg.matrix_power(ch.superop, n), atol=1e-6)
 
     def test_pinching_idempotent(self):
         ch = from_kraus(pinching_kraus())
