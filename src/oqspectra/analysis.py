@@ -82,12 +82,9 @@ def _classify(kind: str, subject, summary) -> str:
 def _nullspace_dim(kind: str, subject, summary) -> tuple[int, str | None]:
     """Dimension of Null(M - I) or Null(L); mismatch message if it disagrees
     with the clustered multiplicity."""
+    space = asymptotics.fixed_space if kind == "channel" else asymptotics.kernel
     try:
-        if kind == "channel":
-            basis = asymptotics.fixed_space(subject, summary=summary)
-        else:
-            basis = asymptotics.kernel(subject, summary=summary)
-        return basis.dimension, None
+        return space(subject, summary=summary).dimension, None
     except asymptotics.ConsistencyError as exc:
         return -1, str(exc)
 

@@ -1,6 +1,11 @@
 """Fixed-point spaces, attractor subspaces, spectral projections and
 steady-state extraction.
 
+:func:`fixed_space`, :func:`kernel` and :func:`attractor` count dimensions
+in the real coordinates of the subject's :class:`linalg.Spectrum`, sharing
+one SVD at the anchor (1 for channels, 0 for generators); bases in matrix
+coordinates are built on first read.
+
 Spectral projections are built from biorthogonal left/right eigenvector
 blocks, P = V (W^dag V)^{-1} W^dag, which is exact up to eig accuracy for
 semisimple eigenvalues (all peripheral eigenvalues of valid channels and
@@ -10,9 +15,12 @@ independent, slowly converging cross-check oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
+import scipy.linalg
 
 from . import linalg, spectra, superop
 from .gkls import GklsGenerator
@@ -22,23 +30,26 @@ from .superop import QuantumChannel
 DEFAULT_NULL_TOL = 1e-8
 SUPPORT_REL_TOL = 1e-9  # eigenvalues of rho0 below this times the largest are noise
 CESARO_DEFAULT_N = 2048
+ATTRACTOR_RANK_TOL = 1e-10  # independent columns: singular values above this times the largest
 
 
 class ConsistencyError(RuntimeError):
     """Cross-module disagreement (clustering vs nullspace dimensions)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubspaceBasis:
-    """Orthonormal basis of a subspace of vectorized operators."""
+    """A subspace of vectorized operators; its orthonormal ``basis``
+    (ambient_dim x dimension) comes from ``build`` on first read."""
 
     ambient_dim: int
-    basis: np.ndarray  # (ambient_dim, k), orthonormal columns
+    dimension: int
     label: str  # fix | ker | attractor | commutant
+    build: Callable[[], np.ndarray] = field(repr=False)
 
-    @property
-    def dimension(self) -> int:
-        return int(self.basis.shape[1])
+    @functools.cached_property
+    def basis(self) -> np.ndarray:
+        return self.build()
 
     def matrices(self) -> list[np.ndarray]:
         """The basis vectors reshaped to d x d operators."""
@@ -55,99 +66,123 @@ class FaithfulReduction:
     reduced_channel: QuantumChannel
 
 
-def _eigenspace(m: np.ndarray, center: complex, tol: float) -> np.ndarray:
-    d2 = m.shape[0]
-    shifted = m - center * np.eye(d2)
-    return nullspace(shifted, tol=tol)
+def _kind(subject) -> tuple:
+    """``(anchor, summarize, label, name)`` of a channel or a generator."""
+    if isinstance(subject, QuantumChannel):
+        return 1.0, spectra.summarize_channel, "fix", "fixed-space"
+    if isinstance(subject, GklsGenerator):
+        return 0.0, spectra.summarize_generator, "ker", "kernel"
+    raise TypeError(f"expected a channel or generator, got {type(subject)!r}")
+
+
+def _anchor_space(subject, tol: float, summary) -> SubspaceBasis:
+    anchor, summarize, label, name = _kind(subject)
+    if summary is None:
+        summary = summarize(subject)
+    spectrum = subject.spectrum
+    # A multiple anchor cluster's vectors go into the attractor.
+    dim, _ = spectrum.null_space(anchor, tol, vectors=summary.l0_or_m0 > 1)
+    if dim != summary.l0_or_m0:
+        raise ConsistencyError(
+            f"{name} dimension {dim} != clustered multiplicity "
+            f"{summary.l0_or_m0}; tighten tolerances"
+        )
+    return SubspaceBasis(spectrum.values.size, dim, label, lambda: spectrum.to_matrix(
+        spectrum.null_space(anchor, tol, vectors=True)[1]))
 
 
 def fixed_space(channel: QuantumChannel, tol: float = DEFAULT_NULL_TOL,
                 summary: spectra.SpectralSummary | None = None) -> SubspaceBasis:
-    """Orthonormal basis of Fix(Phi) = Null(M - I).
+    """Fix(Phi) = Null(M - I), counted from the singular values of R' - I.
 
     The dimension is cross-checked against l0 from the spectral summary;
     a mismatch flags a clustering failure and raises ConsistencyError.
     """
-    if summary is None:
-        summary = spectra.summarize_channel(channel)
-    basis = _eigenspace(channel.superop, 1.0, tol)
-    if basis.shape[1] != summary.l0_or_m0:
-        raise ConsistencyError(
-            f"fixed-space dimension {basis.shape[1]} != clustered multiplicity "
-            f"{summary.l0_or_m0}; tighten tolerances"
-        )
-    return SubspaceBasis(ambient_dim=channel.dim ** 2, basis=basis, label="fix")
+    return _anchor_space(channel, tol, summary)
 
 
 def kernel(gen: GklsGenerator, tol: float = DEFAULT_NULL_TOL,
            summary: spectra.SpectralSummary | None = None) -> SubspaceBasis:
-    """Orthonormal basis of Ker(L) = Null(L), cross-checked against m0."""
-    if summary is None:
-        summary = spectra.summarize_generator(gen)
-    basis = _eigenspace(gen.superop, 0.0, tol)
-    if basis.shape[1] != summary.l0_or_m0:
-        raise ConsistencyError(
-            f"kernel dimension {basis.shape[1]} != clustered multiplicity "
-            f"{summary.l0_or_m0}; tighten tolerances"
-        )
-    return SubspaceBasis(ambient_dim=gen.dim ** 2, basis=basis, label="ker")
+    """Ker(L) = Null(L), counted from the singular values of R', and
+    cross-checked against m0."""
+    return _anchor_space(gen, tol, summary)
 
 
 def attractor(subject, tol: float = DEFAULT_NULL_TOL,
               cluster_tol: float | None = None,
               peripheral_tol: float = spectra.DEFAULT_PERIPHERAL_TOL,
               summary: spectra.SpectralSummary | None = None) -> SubspaceBasis:
-    """Orthonormal basis of the span of all peripheral eigenvectors.
+    """The span of all peripheral eigenvectors, which are semisimple.
 
-    Peripheral eigenvalues are semisimple, so plain eigenvectors span the
-    whole attractor.  A peripheral eigenvalue of multiplicity 1 takes its
-    right eigenvector from the subject's cached eigendecomposition, where
-    semisimplicity shows as a left/right overlap |vl^dag vr| above ``tol``
-    (unit vectors).  A multiple one takes the nullspace of M - mu I, whose
-    dimension must equal the algebraic multiplicity.  Either failure
-    contradicts semisimplicity and raises ConsistencyError.  A given
-    ``summary`` must be this subject's own.
+    A simple peripheral eigenvalue takes its eigenvectors from the cached
+    decomposition, and their left/right overlap must exceed ``tol``.  A
+    multiple one takes Null(R' - mu I), at the anchor the cross-check's SVD,
+    of dimension equal to the multiplicity (R' is real: a cluster below the
+    axis is checked as its conjugate).  The rank of all these columns
+    (singular values above ``ATTRACTOR_RANK_TOL`` times the largest) must
+    equal lP/mP.  Any failure raises ConsistencyError.  A given ``summary``
+    must be this subject's own.
     """
-    if isinstance(subject, QuantumChannel):
-        summarize = spectra.summarize_channel
-    elif isinstance(subject, GklsGenerator):
-        summarize = spectra.summarize_generator
-    else:
-        raise TypeError(f"expected a channel or generator, got {type(subject)!r}")
+    anchor, summarize, _, _ = _kind(subject)
     if summary is None:
         summary = summarize(subject, cluster_tol, peripheral_tol)
-    m = subject.superop
-    w, vl, vr = subject.eigensystem
-    blocks = []
-    for item in summary.distinct:
-        if not item.peripheral:
-            continue
-        if item.multiplicity == 1:
-            # A singleton's center is its one eigenvalue, bit for bit.
-            (k,) = np.flatnonzero(w == item.value)
-            overlap = abs(np.vdot(vl[:, k], vr[:, k]))
-            if overlap <= tol:
-                raise ConsistencyError(
-                    f"peripheral eigenvalue {item.value:.6g}: left/right "
-                    f"eigenvector overlap {overlap:.3e} <= {tol:.1e}, not semisimple"
-                )
-            blocks.append(vr[:, k:k + 1])
-            continue
-        eigvecs = _eigenspace(m, item.value, tol)
-        if eigvecs.shape[1] != item.multiplicity:
-            raise ConsistencyError(
-                f"peripheral eigenvalue {item.value:.6g}: geometric multiplicity "
-                f"{eigvecs.shape[1]} != algebraic {item.multiplicity}"
-            )
-        blocks.append(eigvecs)
-    stacked = np.hstack(blocks)
-    basis = linalg.orthonormal_columns(stacked)
-    if basis.shape[1] != summary.lP_or_mP:
+    spectrum = subject.spectrum
+    stack, orthonormal = _peripheral_columns(spectrum, summary, anchor, tol)
+    rank = stack.shape[1] if orthonormal else linalg.numerical_rank(
+        scipy.linalg.svdvals(stack), stack.shape, ATTRACTOR_RANK_TOL)
+    if rank != summary.lP_or_mP or rank != stack.shape[1]:
         raise ConsistencyError(
-            f"attractor dimension {basis.shape[1]} != peripheral multiplicity "
+            f"attractor dimension {rank} != peripheral multiplicity "
             f"{summary.lP_or_mP}"
         )
-    return SubspaceBasis(ambient_dim=m.shape[0], basis=basis, label="attractor")
+    return SubspaceBasis(spectrum.values.size, rank, "attractor", lambda: spectrum.to_matrix(
+        scipy.linalg.svd(stack, full_matrices=False)[0][:, :rank]))
+
+
+def _peripheral_columns(spectrum: linalg.Spectrum, summary: spectra.SpectralSummary,
+                        anchor: float, tol: float) -> tuple[np.ndarray, bool]:
+    """Real columns spanning the attractor in the coordinates of R', and
+    whether they are orthonormal by construction.  Real vectors stay; v
+    above the real axis gives sqrt 2 Re v, sqrt 2 Im v, which is [v, conj v]
+    times a unitary, so the stack has the singular values of the complex
+    stack of all peripheral eigenvectors (left/right unit vectors of R' are
+    ``vl sqrt_h`` and ``vr / sqrt_h``: their overlap is the one of M's)."""
+    w, sqrt_h = spectrum.values, spectrum.sqrt_h[:, None]
+    anchor_item = min(summary.distinct, key=lambda item: abs(item.value - anchor))
+    blocks, singles = [], []  # blocks: (columns, real)
+    for item in (item for item in summary.distinct if item.peripheral):
+        mu = item.value
+        # A cluster within cluster_tol of its conjugate is its own conjugate;
+        # any other lies more than cluster_tol / 2 off the real axis.
+        real = 2 * abs(mu.imag) <= summary.cluster_tol
+        if item.multiplicity == 1:  # its center is its eigenvalue, bit for bit
+            singles.append((np.flatnonzero(w == mu)[0], mu, real))
+        elif real or mu.imag > 0:  # one below the axis is its partner's conjugate
+            center = anchor if item is anchor_item else (mu.real if real else mu)
+            dim, null = spectrum.null_space(center, tol, vectors=True)
+            if dim != item.multiplicity:
+                raise ConsistencyError(
+                    f"peripheral eigenvalue {mu:.6g}: geometric multiplicity "
+                    f"{dim} != algebraic {item.multiplicity}"
+                )
+            blocks.append((null, real))
+    if singles:
+        k, mu, real = map(np.array, zip(*singles))
+        right, left = spectrum.vr[:, k] / sqrt_h, spectrum.vl[:, k] * sqrt_h
+        right /= np.linalg.norm(right, axis=0)
+        overlap = np.abs(np.einsum("ij,ij->j", left.conj(), right)) / np.linalg.norm(left, axis=0)
+        bad = np.flatnonzero(overlap <= tol)
+        if bad.size:
+            raise ConsistencyError(
+                f"peripheral eigenvalue {mu[bad[0]]:.6g}: left/right eigenvector "
+                f"overlap {overlap[bad[0]]:.3e} <= {tol:.1e}, not semisimple"
+            )
+        blocks += [(right[:, real], True), (right[:, ~real & (mu.imag > 0)], False)]
+    stack = np.hstack([b.real if real else np.sqrt(2) * np.hstack((b.real, b.imag))
+                       for b, real in blocks if b.shape[1]])
+    # One eigenspace from an SVD, or one unit vector, is orthonormal.
+    return stack, sum(b.shape[1] > 0 for b, _ in blocks) == 1 and (
+        not singles or stack.shape[1] == 1)
 
 
 def eigen_projector(m: np.ndarray, center: complex, tol: float = DEFAULT_NULL_TOL) -> np.ndarray:
@@ -157,8 +192,9 @@ def eigen_projector(m: np.ndarray, center: complex, tol: float = DEFAULT_NULL_TO
     V (W^dag V)^{-1} W^dag.  Raises on biorthogonalization breakdown
     (near-defective cluster).
     """
-    v = _eigenspace(m, center, tol)
-    w = _eigenspace(dagger(m), np.conj(center), tol)
+    ident = np.eye(m.shape[0])
+    v = nullspace(m - center * ident, tol=tol)
+    w = nullspace(dagger(m) - np.conj(center) * ident, tol=tol)
     if v.shape[1] == 0 or v.shape[1] != w.shape[1]:
         raise ConsistencyError(
             f"left/right eigenspace dimensions differ at {center:.6g}: "
@@ -195,11 +231,6 @@ def peripheral_projection(channel: QuantumChannel, tol: float = DEFAULT_NULL_TOL
     return proj
 
 
-def kernel_projection(gen: GklsGenerator, tol: float = DEFAULT_NULL_TOL) -> np.ndarray:
-    """Spectral projection onto Ker(L) (eigenvalue 0), as a superoperator."""
-    return eigen_projector(gen.superop, 0.0, tol)
-
-
 def cesaro_projection(channel: QuantumChannel, n: int = CESARO_DEFAULT_N) -> np.ndarray:
     """Cesaro mean (1/n) sum_{k<n} M^k; slow independent oracle for
     :func:`fixed_projection` (error of order 1/(n * peripheral gap))."""
@@ -212,10 +243,11 @@ def cesaro_projection(channel: QuantumChannel, n: int = CESARO_DEFAULT_N) -> np.
     return acc / n
 
 
-def maximal_steady_state(channel: QuantumChannel, tol: float = DEFAULT_NULL_TOL) -> np.ndarray:
-    """The steady state P(I)/d of maximal support (P the fixed projection)."""
-    rho = unvec(fixed_projection(channel, tol) @ vec(np.eye(channel.dim)),
-                rows=channel.dim) / channel.dim
+def maximal_steady_state(subject, tol: float = DEFAULT_NULL_TOL) -> np.ndarray:
+    """The steady state P(I)/d of maximal support (P the spectral projection
+    onto Fix(Phi) or Ker(L))."""
+    d, proj = subject.dim, eigen_projector(subject.superop, _kind(subject)[0], tol)
+    rho = unvec(proj @ vec(np.eye(d)), rows=d) / d
     rho = (rho + dagger(rho)) / 2
     return rho / np.trace(rho).real
 
@@ -266,27 +298,13 @@ def steady_states(subject, tol: float = DEFAULT_NULL_TOL) -> list[np.ndarray]:
     best effort beyond the guaranteed one.  Every returned rho satisfies
     the fixed-point residual, rho >= -1e-8 and Tr rho = 1.
     """
-    if isinstance(subject, QuantumChannel):
-        d = subject.dim
-        basis = fixed_space(subject, tol)
-        proj = fixed_projection(subject, tol)
-
-        def residual(r):
-            return float(np.linalg.norm(superop.apply_channel(subject, r) - r))
-    elif isinstance(subject, GklsGenerator):
-        d = subject.dim
-        basis = kernel(subject, tol)
-        proj = kernel_projection(subject, tol)
-
-        def residual(r):
-            return float(np.linalg.norm(unvec(subject.superop @ vec(r), rows=d)))
-    else:
-        raise TypeError(f"expected a channel or generator, got {type(subject)!r}")
-
-    rho0 = unvec(proj @ vec(np.eye(d)), rows=d) / d
-    rho0 = (rho0 + dagger(rho0)) / 2
-    rho0 = rho0 / np.trace(rho0).real
+    anchor, d, m = _kind(subject)[0], subject.dim, subject.superop
+    basis = _anchor_space(subject, tol, None)
+    rho0 = maximal_steady_state(subject, tol)
     states = [rho0]
+
+    def residual(r):
+        return float(np.linalg.norm(unvec(m @ vec(r), rows=d) - anchor * r))
 
     support_floor = _support_floor(rho0)
     for x in basis.matrices():

@@ -70,7 +70,8 @@ def commutant(ops, tol: float = 0.0, with_basis: bool = True) -> CommutantResult
     dim = int(ns.shape[1])
     if dim < 1:
         raise AssertionError("commutant lost the identity; tolerance too tight")
-    basis = SubspaceBasis(ambient_dim=d * d, basis=ns, label="commutant") if with_basis else None
+    basis = (SubspaceBasis(ambient_dim=d * d, dimension=dim, label="commutant",
+                           build=lambda: ns) if with_basis else None)
     return CommutantResult(dimension=dim, basis=basis)
 
 

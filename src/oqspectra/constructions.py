@@ -21,7 +21,7 @@ trivially parallelizable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Union
 
 import numpy as np
@@ -200,14 +200,15 @@ def _normalized_generator(h: np.ndarray, ops: list[np.ndarray]) -> GklsGenerator
     # scale-appropriate; H scales linearly, noise operators by sqrt, so L and
     # its eigenvalues scale by 1 / r and the eigenvectors stay.
     gen = build_generator(h, ops)
-    w, vl, vr = gen.eigensystem
-    radius = float(np.max(np.abs(w)))
+    spectrum = gen.spectrum
+    radius = float(np.max(np.abs(spectrum.values)))
     if radius < 1e-12:
         return gen
     scaled = GklsGenerator(dim=gen.dim, hamiltonian=gen.hamiltonian / radius,
                            noise_ops=tuple(a / np.sqrt(radius) for a in gen.noise_ops),
                            _superop=gen.superop / radius)
-    scaled._eigensystem = (w / radius, vl, vr)
+    scaled.spectrum = replace(spectrum, values=spectrum.values / radius,
+                              real=spectrum.real / radius)
     return scaled
 
 

@@ -31,7 +31,7 @@ EXP_VALIDATION_TOL = 1e-7
 
 
 @dataclass(eq=False)
-class GklsGenerator:
+class GklsGenerator(linalg.Decomposed):
     """Immutable GKLS generator; the superoperator matrix and its
     eigendecomposition are cached lazily, write-once."""
 
@@ -39,20 +39,12 @@ class GklsGenerator:
     hamiltonian: np.ndarray
     noise_ops: tuple[np.ndarray, ...]
     _superop: np.ndarray | None = field(default=None, repr=False)
-    _eigensystem: tuple[np.ndarray, ...] | None = field(default=None, init=False, repr=False)
 
     @property
     def superop(self) -> np.ndarray:
         if self._superop is None:
             self._superop = gkls_superop(self.hamiltonian, self.noise_ops)
         return self._superop
-
-    @property
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``linalg.eig(superop)``, shared by every caller: read, never modify."""
-        if self._eigensystem is None:
-            self._eigensystem = linalg.eig(self.superop)
-        return self._eigensystem
 
 
 def build_generator(hamiltonian, noise_ops=(), herm_tol: float = HERMITIAN_FAIL_TOL) -> GklsGenerator:
@@ -110,7 +102,7 @@ def is_hamiltonian(gen: GklsGenerator, tol: float = 1e-7) -> bool:
     into Hamiltonian and dissipative parts is not unique, but the relaxation
     rates are.
     """
-    w = gen.eigensystem[0]
+    w = gen.spectrum.values
     return bool(np.max(np.abs(w.real)) <= tol)
 
 

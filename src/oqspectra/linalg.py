@@ -10,14 +10,15 @@ where they enter, not again by internal kernels like nullspace.
 Every channel and generator maps Hermitian operators to Hermitian
 operators, so in a basis of Hermitian operators its d^2 x d^2 matrix is
 real (Wolf, *Quantum Channels & Operations: Guided Tour*, 2012, ch. 6).
-:func:`eig` works there: real LAPACK arithmetic costs about half of
-complex at d >= 6, and the spectrum comes out closed under conjugation.
+:func:`eig` works there, and its :class:`Spectrum` stays there: vectors in
+matrix coordinates are built only when a caller reads them.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -77,18 +78,59 @@ def hermitian_basis(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return b, b_inv, h
 
 
-def eig(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues with left and right eigenvectors of a Hermiticity
-    preserving d^2 x d^2 superoperator matrix.
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """:func:`eig` of a d^2 x d^2 matrix M; read, never modify.
 
-    Returns ``(w, vl, vr)``: ``vr[:, k]`` and ``vl[:, k]`` are the
-    unit-norm right and left eigenvectors for ``w[k]``, so
-    ``A vr[:, k] = w[k] vr[:, k]`` and ``vl[:, k]^dag A = w[k] vl[:, k]^dag``.
+    ``values``, ``vl`` and ``vr`` are ``scipy.linalg.eig`` of the real
+    R = B^-1 M B (:func:`hermitian_basis`).  ``real`` is the real R' = U^dag M U
+    in the orthonormal basis U = B diag(sqrt_h), ``sqrt_h`` = sqrt h, so R' - cI
+    has the singular values of M - cI and eigenvectors vr / sqrt_h, vl sqrt_h.
+    """
+
+    values: np.ndarray
+    real: np.ndarray
+    vl: np.ndarray
+    vr: np.ndarray
+    sqrt_h: np.ndarray
+    _svds: dict = field(default_factory=dict, init=False, repr=False)
+
+    def to_matrix(self, cols: np.ndarray) -> np.ndarray:
+        """U cols: columns in the coordinates of R' as vectorized operators."""
+        return (hermitian_basis(math.isqrt(self.values.size))[0] * self.sqrt_h) @ cols
+
+    def null_space(self, center: complex, tol: float,
+                   vectors: bool) -> tuple[int, np.ndarray | None]:
+        """Dimension of Null(R' - center I), by :func:`numerical_rank` at
+        ``tol``, and with ``vectors`` its orthonormal basis in the
+        coordinates of R'.  One SVD per center, kept for later calls."""
+        n = self.values.size
+        s, vh = self._svds.get(center, (None, None))
+        if s is None or (vectors and vh is None):
+            shifted = self.real - center * np.eye(n)
+            s, vh = (scipy.linalg.svd(shifted)[1:] if vectors
+                     else (scipy.linalg.svdvals(shifted), None))
+            self._svds[center] = (s, vh)
+        rank = numerical_rank(s, (n, n), tol)
+        return n - rank, vh[rank:].conj().T if vectors else None
+
+    @functools.cached_property
+    def eigensystem(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(w, vl, vr)``: ``vr[:, k]`` and ``vl[:, k]`` are unit right and
+        left eigenvectors of M for ``w[k]``, mapped back by B and B^-dag."""
+        n = self.values.size
+        b, _, h = hermitian_basis(math.isqrt(n))
+        v = b @ np.concatenate((h * self.vl, self.vr), axis=1)  # B^-dag = B h
+        v /= np.sqrt(np.einsum("ij,ij->j", v.conj(), v).real)
+        return self.values, v[:, :n], v[:, n:]
+
+
+def eig(a) -> Spectrum:
+    """The :class:`Spectrum` of a Hermiticity-preserving d^2 x d^2 matrix.
+
     Exactly ``n`` eigenvalues are returned (with repetition), and non-real
-    ones come in exactly conjugate pairs.  The decomposition is the real
-    one of R = B^-1 A B in :func:`hermitian_basis` coordinates, mapped back
-    by B (right) and B^-dag (left).  Raises ``ValueError`` if ``A`` is not
-    square with side d^2, has a non-finite entry or is not Hermiticity
+    ones come in exactly conjugate pairs.  Raises ``ValueError`` if ``a`` is
+    not square with side d^2, has a non-finite entry or is not Hermiticity
     preserving (R not real up to rounding), and ``np.linalg.LinAlgError``
     if the QR iteration fails to converge; a failure is never silently
     truncated.
@@ -106,11 +148,24 @@ def eig(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             f"matrix is not Hermiticity preserving: imaginary part {im_max:.3e} "
             f"in its Hermitian coordinates"
         )
-    w, vl, vr = scipy.linalg.eig(r.real, left=True, right=True, check_finite=False)
-    # One product maps both back: B^-dag vl = B (h vl); then unit columns.
-    v = b @ np.concatenate((h * vl, vr), axis=1)
-    v /= np.sqrt(np.einsum("ij,ij->j", v.conj(), v).real)
-    return w, v[:, :n], v[:, n:]
+    r = r.real
+    w, vl, vr = scipy.linalg.eig(r, left=True, right=True, check_finite=False)
+    sqrt_h = np.sqrt(h)
+    return Spectrum(w, r * (sqrt_h.T / sqrt_h), vl, vr, sqrt_h[:, 0])
+
+
+class Decomposed:
+    """Base of channels and generators: ``superop`` decomposed once by
+    :func:`eig`, on first read, and shared by every caller."""
+
+    @functools.cached_property
+    def spectrum(self) -> Spectrum:
+        return eig(self.superop)
+
+    @property
+    def eigensystem(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(w, vl, vr)`` with unit eigenvectors of ``superop``."""
+        return self.spectrum.eigensystem
 
 
 def eigvals(a) -> np.ndarray:
@@ -118,9 +173,13 @@ def eigvals(a) -> np.ndarray:
     return scipy.linalg.eigvals(m)
 
 
-def default_rank_tolerance(a: np.ndarray, sigma_max: float) -> float:
-    # max(rows, cols) * eps * sigma_max: standard, scale-invariant.
-    return max(a.shape) * EPS * sigma_max
+def numerical_rank(s: np.ndarray, shape: tuple[int, ...], tol: float = 0.0,
+                   scale: float | None = None) -> int:
+    """Count of the descending singular values ``s`` of a ``shape`` matrix
+    above ``tol`` (``tol = 0``: the standard, scale-invariant
+    max(shape) * eps) times the largest, or ``scale`` if that is larger."""
+    ref = max(s[0] if len(s) else 0.0, scale or 0.0)
+    return int(np.sum(s > (tol if tol > 0 else max(shape) * EPS) * ref))
 
 
 def nullspace(a, tol: float = 0.0, scale: float | None = None) -> np.ndarray:
@@ -138,13 +197,7 @@ def nullspace(a, tol: float = 0.0, scale: float | None = None) -> np.ndarray:
     # A tall input's thin SVD already has the square V; the full U factor
     # of a tall commutation stack would take (rows x rows) memory unread.
     _, s, vh = scipy.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
-    smax = s[0] if s.size else 0.0
-    ref = max(smax, scale) if scale is not None else smax
-    if ref == 0.0:
-        return np.eye(m.shape[1], dtype=np.complex128)
-    cutoff = tol * ref if tol > 0 else default_rank_tolerance(m, ref)
-    rank = int(np.sum(s > cutoff))
-    return vh[rank:].conj().T
+    return vh[numerical_rank(s, m.shape, tol, scale):].conj().T
 
 
 def vec(x) -> np.ndarray:
@@ -183,16 +236,6 @@ def commutation_superop(a) -> np.ndarray:
     """Matrix of X -> A X - X A under column-stacking vectorization."""
     m = require_square(a)
     return kronecker_sum(m, -m.T)
-
-
-def orthonormal_columns(cols: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis of the column span, dropping numerically dependent columns."""
-    m = np.asarray(cols)
-    if m.size == 0:
-        return m.reshape(m.shape[0], 0)
-    u, s, _ = scipy.linalg.svd(m, full_matrices=False)
-    rank = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
-    return u[:, :rank]
 
 
 def matrix_to_json(a) -> dict:

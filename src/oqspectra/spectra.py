@@ -155,7 +155,7 @@ def _summarize(kind: str, dim: int, eigenvalues: np.ndarray,
 def summarize_channel(channel, cluster_tol: float | None = None,
                       peripheral_tol: float = DEFAULT_PERIPHERAL_TOL) -> SpectralSummary:
     """Spectral summary of a channel's cached eigenvalues: distinct ones, l0, lP."""
-    w = channel.eigensystem[0]
+    w = channel.spectrum.values
     return _summarize("channel", channel.dim, w, cluster_tol, peripheral_tol)
 
 
@@ -163,7 +163,7 @@ def summarize_generator(gen, cluster_tol: float | None = None,
                         peripheral_tol: float = DEFAULT_PERIPHERAL_TOL) -> SpectralSummary:
     """Spectral summary of a generator's cached eigenvalues: distinct ones,
     m0, mP and rates."""
-    w = gen.eigensystem[0]
+    w = gen.spectrum.values
     return _summarize("generator", gen.dim, w, cluster_tol, peripheral_tol)
 
 

@@ -34,7 +34,7 @@ class ValidationError(ValueError):
 
 
 @dataclass(eq=False)
-class QuantumChannel:
+class QuantumChannel(linalg.Decomposed):
     """A CPTP map on d x d operators, immutable after construction.
 
     At least one representation is present.  Missing representations are
@@ -47,20 +47,12 @@ class QuantumChannel:
     kraus: tuple[np.ndarray, ...] | None = None
     _superop: np.ndarray | None = field(default=None, repr=False)
     _choi: np.ndarray | None = field(default=None, repr=False)
-    _eigensystem: tuple[np.ndarray, ...] | None = field(default=None, init=False, repr=False)
 
     @property
     def superop(self) -> np.ndarray:
         if self._superop is None:
             self._superop = kraus_to_superop(self.kraus)
         return self._superop
-
-    @property
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``linalg.eig(superop)``, shared by every caller: read, never modify."""
-        if self._eigensystem is None:
-            self._eigensystem = linalg.eig(self.superop)
-        return self._eigensystem
 
     @property
     def choi(self) -> np.ndarray:
@@ -248,7 +240,7 @@ def identity_channel(d: int) -> QuantumChannel:
 
 def is_unitary_channel(channel: QuantumChannel, tol: float = 1e-7) -> bool:
     """True iff every superoperator eigenvalue has modulus >= 1 - tol."""
-    w = channel.eigensystem[0]
+    w = channel.spectrum.values
     return bool(np.min(np.abs(w)) >= 1.0 - tol)
 
 

@@ -8,8 +8,9 @@ never assert the implementation against itself.
 import collections
 
 import numpy as np
+import scipy.linalg
 
-from oqspectra import constructions, superop
+from oqspectra import constructions, gkls, superop
 from oqspectra.commutants import JordanProfile
 
 
@@ -238,18 +239,47 @@ def block_algebra_ops(a, b, c, rng, count=2):
     return ops
 
 
+def subjects_and_derived(d):
+    """The oracle subjects at d (one draw per ensemble) plus a dual, a
+    composition and an exponentiated generator."""
+    subjects = oracle_subjects(d, seeds=1)
+    channels = [s for _, s in subjects if isinstance(s, superop.QuantumChannel)]
+    generators = [s for _, s in subjects if isinstance(s, gkls.GklsGenerator)]
+    subjects.append(("dual", superop.dual(channels[-1])))
+    subjects.append(("compose", superop.compose(channels[-1], channels[-2])))
+    subjects.append(("exponentiate", gkls.exponentiate(generators[-1])))
+    return subjects
+
+
+def reference_eig(m):
+    """(w, vl, vr) of a superoperator M with unit eigenvectors of M itself:
+    real ``scipy.linalg.eig`` of R = B^-1 M B, right vectors mapped back by
+    B and left ones by B^-dag = B h, one product for both."""
+    n = m.shape[0]
+    d = int(round(np.sqrt(n)))
+    b = hermitian_basis(d)
+    h = np.where(np.arange(n) < d, 1.0, 0.5)[:, None]
+    r = (h * dag(b)) @ m @ b
+    w, vl, vr = scipy.linalg.eig(r.real, left=True, right=True, check_finite=False)
+    v = b @ np.concatenate((h * vl, vr), axis=1)
+    v /= np.sqrt(np.einsum("ij,ij->j", v.conj(), v).real)
+    return w, v[:, :n], v[:, n:]
+
+
+def reference_nullspace(m, center, tol=1e-8):
+    """Null(M - c I) by a complex SVD of M itself: right singular vectors of
+    the singular values at most tol * sigma_max."""
+    _, s, vh = np.linalg.svd(m - center * np.eye(m.shape[0]))
+    rank = int(np.sum(s > tol * s[0])) if s[0] > 0 else 0
+    return dag(vh[rank:])
+
+
 def reference_attractor(m, summary, tol=1e-8):
     """Per-cluster SVD attractor: the nullspace of M - c I (singular values
     at most tol * sigma_max) for each peripheral cluster center c, stacked
     and orthonormalized.  One SVD per peripheral cluster, no eigenvectors."""
-    n = m.shape[0]
-    blocks = []
-    for item in summary.distinct:
-        if not item.peripheral:
-            continue
-        _, s, vh = np.linalg.svd(m - item.value * np.eye(n))
-        rank = int(np.sum(s > tol * s[0])) if s[0] > 0 else 0
-        blocks.append(dag(vh[rank:]))
+    blocks = [reference_nullspace(m, item.value, tol) for item in summary.distinct
+              if item.peripheral]
     u, s, _ = np.linalg.svd(np.hstack(blocks), full_matrices=False)
     return u[:, :int(np.sum(s > 1e-10 * s[0]))]
 

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 import helpers
-from oqspectra import asymptotics, commutants, linalg, spectra, superop
+from oqspectra import analysis, asymptotics, commutants, linalg, spectra, superop
 from oqspectra.asymptotics import (
     attractor,
     cesaro_projection,
@@ -38,9 +38,9 @@ class TestFixedSpace:
         assert fixed_space(identity_channel(3)).dimension == 9
 
     @pytest.mark.xfail(strict=True, raises=asymptotics.ConsistencyError,
-                       reason="ROADMAP item 3: _eigenspace cuts the singular values of "
-                              "M - I relative to their maximum, so the 1e6 entry of an "
-                              "unrelated block buries the simple eigenvalue 1")
+                       reason="ROADMAP item 1: Spectrum.null_space cuts the singular "
+                              "values of M - I relative to their maximum, so the 1e6 "
+                              "entry of an unrelated block buries the simple eigenvalue 1")
     def test_cut_ignores_unrelated_large_block(self):
         # sigma 5.7e-6 of the 2x2 block falls under the cut 1e-8 * 7.1e5
         r = scipy.linalg.block_diag(1.0, [[-1.0, 1e6], [-1e-18, -1.0]], 0.5)
@@ -157,6 +157,71 @@ class TestAttractor:
         with pytest.raises(asymptotics.ConsistencyError, match="overlap"):
             attractor(fake)
 
+    def test_overlap_is_the_one_of_matrix_coordinates(self):
+        # A forged map coupling a diagonal coordinate (h = 1) to an
+        # off-diagonal one (h = 1/2): the simple peripheral eigenvalues 1 and
+        # -1 have overlap 2/sqrt(8.5) in matrix coordinates (2/sqrt(13) in
+        # the raw coordinates of R), and the semisimplicity test switches
+        # exactly there
+        r = np.diag([1.0, 0.5, -1.0, 0.5])
+        r[0, 2] = 3.0
+        fake = helpers.forged_channel(r)
+        w, vl, vr = helpers.reference_eig(fake.superop)
+        peripheral = np.flatnonzero(np.abs(w) > 0.9)
+        overlap = min(abs(np.vdot(vl[:, k], vr[:, k])) for k in peripheral)
+        assert overlap == pytest.approx(2 / np.sqrt(8.5), rel=1e-12)
+        assert attractor(fake, tol=overlap * (1 - 1e-9)).dimension == 2
+        with pytest.raises(asymptotics.ConsistencyError, match="overlap"):
+            attractor(fake, tol=overlap * (1 + 1e-9))
+
+    @pytest.mark.parametrize("dependent", ["singleton-copy", "parallel-pair"])
+    def test_dependent_column_fails_certificate(self, monkeypatch, rng, dependent):
+        # The oscillating-coherence channel: the eigenspace of 1 and the
+        # singletons e^{+-i}, 5 certified real columns in 9 dimensions.  One
+        # more column that depends on them (a copy of a singleton's column,
+        # or a pair whose real and imaginary parts are parallel) leaves the
+        # rank one below the width, and the certificate refuses it.
+        gen = build_generator(np.diag([0.0, 1.0, 2.0]), dephasing_generator(3).noise_ops)
+        ch = exponentiate(gen, 1.0)
+        summary = spectra.summarize_channel(ch)
+        stack, orthonormal = asymptotics._peripheral_columns(
+            ch.spectrum, summary, 1.0, asymptotics.DEFAULT_NULL_TOL)
+        assert stack.shape == (9, 5) and not orthonormal
+        x = rng.standard_normal((9, 1))
+        extra = stack[:, -1:] if dependent == "singleton-copy" else np.hstack((x, 2 * x))
+        forged = np.hstack((stack, extra))
+
+        def rank(cols):
+            return linalg.numerical_rank(scipy.linalg.svdvals(cols), cols.shape,
+                                         asymptotics.ATTRACTOR_RANK_TOL)
+
+        assert rank(stack) == 5
+        assert rank(forged) == forged.shape[1] - 1
+        # the real stack has the singular values of the complex one, the
+        # eigenspace of 1 and both eigenvectors of the pair e^{+-i} of M
+        w, _, vr = ch.eigensystem
+        pair = np.flatnonzero(np.abs(np.abs(w.imag) - np.sin(1.0)) < 1e-9)
+        complex_stack = np.hstack((helpers.reference_nullspace(ch.superop, 1.0), vr[:, pair]))
+        assert np.allclose(scipy.linalg.svdvals(stack), scipy.linalg.svdvals(complex_stack),
+                           rtol=0, atol=1e-12)
+        monkeypatch.setattr(asymptotics, "_peripheral_columns",
+                            lambda *args: (forged, False))
+        with pytest.raises(asymptotics.ConsistencyError, match="attractor dimension"):
+            attractor(ch, summary=summary)
+
+    @pytest.mark.parametrize("make, width, orthonormal", [
+        (lambda rng: phase_damping_channel(3), 5, True),  # the eigenspace of 1 alone
+        (lambda rng: stinespring_channel(3, rng), 1, True),  # one unit vector
+        (lambda rng: unitary_channel(helpers.haar(3, rng)), 9, False),
+    ])
+    def test_stack_orthonormal_by_construction(self, rng, make, width, orthonormal):
+        ch = make(rng)
+        stack, flag = asymptotics._peripheral_columns(
+            ch.spectrum, spectra.summarize_channel(ch), 1.0, asymptotics.DEFAULT_NULL_TOL)
+        assert stack.shape == (9, width) and flag == orthonormal
+        if orthonormal:
+            assert np.linalg.norm(stack.T @ stack - np.eye(width)) <= 1e-12
+
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_matches_per_cluster_svd_reference(self, d):
         for name, subject in helpers.oracle_subjects(d):
@@ -169,6 +234,44 @@ class TestAttractor:
             assert att.dimension == ref.shape[1] == summary.lP_or_mP, name
             gap = np.linalg.norm(att.basis @ helpers.dag(att.basis) - ref @ helpers.dag(ref))
             assert gap <= 1e-9, f"{name}: projectors differ by {gap:.3e}"
+
+
+class TestComplexReference:
+    """The real-coordinate path against complex SVDs of M itself."""
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_real_path_matches_complex_reference(self, d):
+        for name, subject in helpers.subjects_and_derived(d):
+            channel = isinstance(subject, superop.QuantumChannel)
+            anchor = 1.0 if channel else 0.0
+            m, ident = subject.superop, np.eye(d * d)
+            s_real = scipy.linalg.svdvals(subject.spectrum.real - anchor * ident)
+            s_ref = np.linalg.svd(m - anchor * ident, compute_uv=False)
+            assert np.abs(s_real - s_ref).max() <= 1e-13 * s_ref[0], name
+
+            analyze = analysis.analyze_channel if channel else analysis.analyze_generator
+            report = analyze(subject, with_commutant=False)
+            summary = report.summary
+            ref_fixed = helpers.reference_nullspace(m, anchor)
+            ref_attractor = helpers.reference_attractor(m, summary)
+            assert report.fixed_dim == ref_fixed.shape[1], name
+            assert report.attractor_dim == ref_attractor.shape[1], name
+            space = fixed_space if channel else kernel
+            for basis, ref in ((space(subject, summary=summary).basis, ref_fixed),
+                               (attractor(subject, summary=summary).basis, ref_attractor)):
+                k = basis.shape[1]
+                assert np.linalg.norm(helpers.dag(basis) @ basis - np.eye(k)) <= 1e-12, name
+                assert scipy.linalg.subspace_angles(basis, ref).max() <= 1e-9, name
+
+            # A fresh decomposition maps back exactly as the reference; the
+            # cached one of a sampled generator was rescaled with its matrix
+            for got, want in zip(linalg.eig(m).eigensystem, helpers.reference_eig(m)):
+                assert np.array_equal(got, want), name
+            w, vl, vr = subject.eigensystem
+            bound = 16.0 * d * d * linalg.EPS * np.linalg.norm(m, 2)
+            assert np.linalg.norm(m @ vr - vr * w, axis=0).max() <= bound, name
+            assert np.linalg.norm(helpers.dag(vl) @ m - w[:, None] * helpers.dag(vl),
+                                  axis=1).max() <= bound, name
 
 
 class TestProjections:

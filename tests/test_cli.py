@@ -5,7 +5,8 @@ import pytest
 import scipy.linalg
 
 import helpers
-from oqspectra import analysis, asymptotics, bounds, campaign, cli, spectra, superop
+from oqspectra import (analysis, asymptotics, bounds, campaign, cli, constructions, gkls,
+                       spectra, superop)
 from oqspectra.cli import main
 from oqspectra.constructions import (
     phase_damping_channel,
@@ -55,8 +56,9 @@ class TestAnalysisPipeline:
     def test_one_eigendecomposition_per_subject(self, monkeypatch, rng):
         # Haar unitary at d = 4: 13 peripheral clusters, 12 of them
         # singletons read off the one eig; SVDs only for the fixed-space
-        # cross-check, the multiple cluster at 1 and the final basis.  The
-        # eig runs in real Hermitian coordinates.
+        # cross-check, which also gives the multiple cluster at 1, and the
+        # attractor's rank certificate.  The eig runs in real Hermitian
+        # coordinates.
         ch = unitary_channel(helpers.haar(4, rng))
         dtypes = []
         eig = scipy.linalg.eig
@@ -71,7 +73,53 @@ class TestAnalysisPipeline:
         assert rep.attractor_dim == 16 and rep.fixed_dim == 4
         assert calls["eig"] + calls["eigvals"] == 1
         assert dtypes == [np.float64]
-        assert calls["svd"] + calls["svdvals"] <= 3
+        assert calls["svd"] + calls["svdvals"] <= 2
+
+    def test_one_svd_per_generic_generator(self, monkeypatch):
+        # A simple kernel and lP = 1: the values-only cross-check is the one
+        # SVD, of the real matrix in Hermitian coordinates
+        config = constructions.SamplerConfig(seed=5, dim=5, ensemble="gkls-generic")
+        gen = constructions.sample_one(config, 0)
+        dtypes = []
+        svd_like = {name: getattr(scipy.linalg, name) for name in ("svd", "svdvals")}
+
+        def recording(name):
+            def call(a, *args, **kwargs):
+                dtypes.append(np.asarray(a).dtype)
+                return svd_like[name](a, *args, **kwargs)
+            return call
+
+        for name in svd_like:
+            monkeypatch.setattr(scipy.linalg, name, recording(name))
+        rep = analysis.analyze_generator(gen, with_commutant=False)
+        assert rep.fixed_dim == rep.attractor_dim == 1
+        assert dtypes == [np.float64]
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 1: the absolute cluster tolerance merges "
+                              "the small rates into the kernel cluster, which the "
+                              "relative nullspace cut keeps apart")
+    @pytest.mark.parametrize("rate", [1e-8, 1e-10])
+    def test_small_rate_generator_counts(self, rate):
+        # H = 0 with the saturating dissipator scaled by rate: m0 = mP = 5 at
+        # every rate; reported as 9/9 "hamiltonian" with a kernel discrepancy
+        ops = constructions.saturating_dissipative_generator(3).noise_ops
+        gen = gkls.build_generator(np.zeros((3, 3)), [np.sqrt(rate) * a for a in ops])
+        rep = analysis.analyze_generator(gen)
+        assert (rep.summary.l0_or_m0, rep.summary.lP_or_mP) == (5, 5)
+        assert rep.discrepancy is None and rep.bounds_satisfied
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 1: the absolute cluster tolerance merges "
+                              "eigenvalues 1 - O(1e-9) into the cluster at 1, which the "
+                              "relative nullspace cut keeps apart")
+    def test_near_identity_channel_counts(self):
+        # e^{tL} of the saturating dissipator at t = 1e-9: l0 = lP = 5;
+        # reported as "trivial" with a fixed-space discrepancy
+        ch = gkls.exponentiate(constructions.saturating_dissipative_generator(3), 1e-9)
+        rep = analysis.analyze_channel(ch)
+        assert (rep.summary.l0_or_m0, rep.summary.lP_or_mP) == (5, 5)
+        assert rep.discrepancy is None and rep.bounds_satisfied
 
 
 class TestCliAnalyze:
@@ -258,6 +306,18 @@ class TestCampaignWork:
         assert not any(row.report.rechecked for row in result.rows)
         assert calls["summarize_channel"] + calls["summarize_generator"] == draws
 
+    def test_decompositions_per_subject(self, monkeypatch):
+        # Every source at d = 6: one eig per drawn subject, and on average
+        # at most 1.6 SVDs (the cross-check, plus the rank certificate and
+        # multiple peripheral clusters where they occur)
+        calls = helpers.count_calls(monkeypatch, scipy.linalg, ("eig", "eigvals", "svd", "svdvals"))
+        cfg = campaign.CampaignConfig(dims=(6,), per_dim=2, sources=campaign.ALL_SOURCES)
+        result = campaign.run_campaign(cfg)
+        draws = sum(1 + row.rejects for row in result.rows)
+        assert not any(row.report.rechecked for row in result.rows)
+        assert calls["eig"] == draws and calls["eigvals"] == 0
+        assert calls["svd"] + calls["svdvals"] <= 1.6 * len(result.rows)
+
     def test_one_classification_per_sampled_subject(self, monkeypatch):
         calls = helpers.count_calls(monkeypatch, bounds, ("classify_channel", "classify_generator"))
         cfg = campaign.CampaignConfig(dims=(2, 3), per_dim=3, seed=4,
@@ -266,6 +326,27 @@ class TestCampaignWork:
         draws = sum(1 + row.rejects for row in result.rows)
         assert not any(row.report.rechecked for row in result.rows)
         assert calls["classify_channel"] + calls["classify_generator"] == draws
+
+
+class TestParserReuse:
+    """``main`` builds its parser once; each call still parses on its own."""
+
+    def test_calls_parse_independently(self, monkeypatch, tmp_path, capsys):
+        cli._parser.cache_clear()
+        builds = helpers.count_calls(monkeypatch, cli, ("build_parser",))
+        path = tmp_path / "pd.json"
+        assert main(["construct", "phase-damping", "--dim", "3", "--out", str(path)]) == 0
+        assert main(["analyze", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["summary"]["l0_or_m0"] == 5
+        assert main(["analyze", str(path)]) == 0  # --json does not carry over
+        assert capsys.readouterr().out.startswith("kind            channel")
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(path), "--json", "--table"])
+        assert exc.value.code == 2
+        assert main(["analyze", str(path), "--kind", "channel", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["kind"] == "channel"
+        assert builds["build_parser"] == 1
+        cli._parser.cache_clear()
 
 
 class TestCampaignErrors:

@@ -147,7 +147,8 @@ class TestGramRoute:
         assert rep.commutant_dim == 1
         assert stack["commutation_superop"] == brute["commutant"] == 0
         assert with_commutant == without
-        assert without["svd"] > 0  # the counter sees the cross-check SVDs
+        # the counter sees the cross-check, which may be values-only
+        assert without["svd"] + without["svdvals"] > 0
 
     def test_cut_inside_rounding_noise_falls_back(self, monkeypatch):
         # A cut a few decades under the rounding level of G's null
