@@ -6,7 +6,7 @@ d^2 - 2d + 2 on both, the constructions that saturate it, and the CKKS
 relaxation-rate inequalities on sampled ensembles.
 """
 
-from .analysis import AnalysisReport, analyze_channel, analyze_generator
+from .analysis import AnalysisReport, analyze
 from .asymptotics import (
     FaithfulReduction,
     SubspaceBasis,
@@ -19,13 +19,11 @@ from .asymptotics import (
 )
 from .bounds import (
     BoundReport,
-    check_channel_bounds,
-    check_generator_bounds,
+    check_bounds,
     ckks_channel,
     ckks_derived_bounds,
     ckks_generator,
-    classify_channel,
-    classify_generator,
+    classify,
     structural_ceiling,
 )
 from .commutants import (
@@ -37,6 +35,7 @@ from .commutants import (
 )
 from .constructions import (
     SamplerConfig,
+    draw,
     phase_damping_channel,
     sample,
     saturating_dissipative_generator,
@@ -50,7 +49,7 @@ from .gkls import (
     is_hamiltonian,
     relaxation_rates,
 )
-from .spectra import SpectralSummary, cluster, summarize_channel, summarize_generator
+from .spectra import CHANNEL, GENERATOR, Kind, SpectralSummary, cluster, summarize
 from .superop import (
     QuantumChannel,
     ValidationError,

@@ -15,16 +15,14 @@ from dataclasses import dataclass
 
 from . import asymptotics, bounds, commutants, linalg, spectra
 from .bounds import BoundReport
-from .gkls import GklsGenerator
 from .spectra import SpectralSummary
-from .superop import QuantumChannel
 
 SCHEMA = "oqs/1"
 
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    kind: str  # "channel" | "generator"
+    kind: spectra.Kind
     dim: int
     classification: str
     summary: SpectralSummary
@@ -42,76 +40,37 @@ class AnalysisReport:
         return self.bound_report.all_satisfied and self.discrepancy is None
 
 
-def analyze_channel(channel: QuantumChannel,
-                    cluster_tol: float | None = None,
-                    peripheral_tol: float = spectra.DEFAULT_PERIPHERAL_TOL,
-                    markovian: bool = False,
-                    with_commutant: bool = True,
-                    summary: SpectralSummary | None = None,
-                    classification: str | None = None) -> AnalysisReport:
-    """A given ``summary`` must be the channel's own at these tolerances,
-    and a given ``classification`` the one of that summary."""
-    return _analyze("channel", channel, cluster_tol, peripheral_tol,
-                    markovian, with_commutant, summary, classification)
-
-
-def analyze_generator(gen: GklsGenerator,
-                      cluster_tol: float | None = None,
-                      peripheral_tol: float = spectra.DEFAULT_PERIPHERAL_TOL,
-                      with_commutant: bool = True,
-                      summary: SpectralSummary | None = None,
-                      classification: str | None = None) -> AnalysisReport:
-    """A given ``summary`` must be the generator's own at these tolerances,
-    and a given ``classification`` the one of that summary."""
-    return _analyze("generator", gen, cluster_tol, peripheral_tol,
-                    False, with_commutant, summary, classification)
-
-
-def _summarize(kind: str, subject, cluster_tol, peripheral_tol) -> SpectralSummary:
-    if kind == "channel":
-        return spectra.summarize_channel(subject, cluster_tol, peripheral_tol)
-    return spectra.summarize_generator(subject, cluster_tol, peripheral_tol)
-
-
-def _classify(kind: str, subject, summary) -> str:
-    if kind == "channel":
-        return bounds.classify_channel(subject, summary)
-    return bounds.classify_generator(subject, summary)
-
-
-def _nullspace_dim(kind: str, subject, summary) -> tuple[int, str | None]:
-    """Dimension of Null(M - I) or Null(L); mismatch message if it disagrees
-    with the clustered multiplicity."""
-    space = asymptotics.fixed_space if kind == "channel" else asymptotics.kernel
-    try:
-        return space(subject, summary=summary).dimension, None
-    except asymptotics.ConsistencyError as exc:
-        return -1, str(exc)
-
-
-def _analyze(kind, subject, cluster_tol, peripheral_tol, markovian, with_commutant,
-             summary=None, classification=None):
+def analyze(subject,
+            cluster_tol: float | None = None,
+            peripheral_tol: float = spectra.DEFAULT_PERIPHERAL_TOL,
+            markovian: bool = False,
+            with_commutant: bool = True,
+            summary: SpectralSummary | None = None,
+            classification: str | None = None) -> AnalysisReport:
+    """Analyze a channel or a generator.  ``markovian`` adds the
+    Markovian-only CKKS-derived channel bound.  A given ``summary`` must be
+    the subject's own at these tolerances, and a given ``classification``
+    the one of that summary."""
     timings: dict = {}
     t0 = time.perf_counter()
     if summary is None:
-        summary = _summarize(kind, subject, cluster_tol, peripheral_tol)
+        summary = spectra.summarize(subject, cluster_tol, peripheral_tol)
     timings["spectra"] = time.perf_counter() - t0
 
     if classification is None:
-        classification = _classify(kind, subject, summary)
-    fixed_dim, discrepancy = _nullspace_dim(kind, subject, summary)
-    report = _bound_report(kind, summary, classification, markovian)
+        classification = bounds.classify(subject, summary)
+    fixed_dim, discrepancy = _nullspace_dim(subject, summary)
+    report = _bound_report(summary, classification, markovian)
     rechecked = False
 
     if discrepancy is not None or not report.all_satisfied:
         # Re-analysis protocol: 10x tighter tolerances before recording.
         rechecked = True
-        tight_cluster = summary.cluster_tol / 10.0
-        tight_peripheral = peripheral_tol / 10.0
-        summary = _summarize(kind, subject, tight_cluster, tight_peripheral)
-        classification = _classify(kind, subject, summary)
-        fixed_dim, discrepancy = _nullspace_dim(kind, subject, summary)
-        report = _bound_report(kind, summary, classification, markovian)
+        summary = spectra.summarize(subject, summary.cluster_tol / 10.0,
+                                    peripheral_tol / 10.0)
+        classification = bounds.classify(subject, summary)
+        fixed_dim, discrepancy = _nullspace_dim(subject, summary)
+        report = _bound_report(summary, classification, markovian)
 
     t1 = time.perf_counter()
     try:
@@ -124,11 +83,11 @@ def _analyze(kind, subject, cluster_tol, peripheral_tol, markovian, with_commuta
     commutant_dim = None
     if with_commutant:
         t2 = time.perf_counter()
-        commutant_dim = _commutant_dim(kind, subject)
+        commutant_dim = _commutant_dim(subject)
         timings["commutant"] = time.perf_counter() - t2
 
     return AnalysisReport(
-        kind=kind,
+        kind=subject.kind,
         dim=subject.dim,
         classification=classification,
         summary=summary,
@@ -146,18 +105,24 @@ def _analyze(kind, subject, cluster_tol, peripheral_tol, markovian, with_commuta
     )
 
 
-def _bound_report(kind, summary, classification, markovian) -> BoundReport:
-    if kind == "channel":
-        report = bounds.check_channel_bounds(summary, classification)
-    else:
-        report = bounds.check_generator_bounds(summary, classification)
+def _nullspace_dim(subject, summary) -> tuple[int, str | None]:
+    """Dimension of Null(M - I) or Null(L); mismatch message if it disagrees
+    with the clustered multiplicity."""
+    try:
+        return asymptotics.fixed_space(subject, summary=summary).dimension, None
+    except asymptotics.ConsistencyError as exc:
+        return -1, str(exc)
+
+
+def _bound_report(summary, classification, markovian) -> BoundReport:
+    report = bounds.check_bounds(summary, classification)
     derived = bounds.ckks_derived_bounds(summary, classification, markovian)
     return dataclasses.replace(report, checks=report.checks + tuple(derived))
 
 
-def _commutant_dim(kind: str, subject) -> int:
+def _commutant_dim(subject) -> int:
     """Commutant of the Kraus set (with adjoints) or of {H, A_k, A_k^dag}."""
-    if kind == "channel":
+    if subject.kind == spectra.CHANNEL:
         ops = list(subject.kraus_operators())
         ops += [linalg.dagger(b) for b in ops]
     else:
@@ -171,7 +136,7 @@ def _commutant_dim(kind: str, subject) -> int:
 def report_to_json(report: AnalysisReport) -> dict:
     return {
         "schema": SCHEMA,
-        "kind": report.kind,
+        "kind": report.kind.name,
         "dim": report.dim,
         "classification": report.classification,
         "summary": spectra.summary_to_json(report.summary),
@@ -191,7 +156,7 @@ def report_to_json(report: AnalysisReport) -> dict:
 def report_to_table(report: AnalysisReport) -> str:
     """Human-readable rendering with the same numeric content as the JSON."""
     lines = [
-        f"kind            {report.kind}",
+        f"kind            {report.kind.name}",
         f"dim             {report.dim}",
         f"classification  {report.classification}",
         f"l0/m0           {report.summary.l0_or_m0}",

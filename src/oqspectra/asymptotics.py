@@ -1,10 +1,11 @@
 """Fixed-point spaces, attractor subspaces, spectral projections and
 steady-state extraction.
 
-:func:`fixed_space`, :func:`kernel` and :func:`attractor` count dimensions
-in the real coordinates of the subject's :class:`linalg.Spectrum`, sharing
-one SVD at the anchor (1 for channels, 0 for generators); bases in matrix
-coordinates are built on first read.
+:func:`fixed_space` (for a generator also :func:`kernel`) and
+:func:`attractor` count dimensions in the real coordinates of the
+subject's :class:`linalg.Spectrum`, sharing one SVD at the anchor of its
+kind (1 for channels, 0 for generators); bases in matrix coordinates are
+built on first read.
 
 Spectral projections are built from biorthogonal left/right eigenvector
 blocks, P = V (W^dag V)^{-1} W^dag, which is exact up to eig accuracy for
@@ -66,46 +67,34 @@ class FaithfulReduction:
     reduced_channel: QuantumChannel
 
 
-def _kind(subject) -> tuple:
-    """``(anchor, summarize, label, name)`` of a channel or a generator."""
-    if isinstance(subject, QuantumChannel):
-        return 1.0, spectra.summarize_channel, "fix", "fixed-space"
-    if isinstance(subject, GklsGenerator):
-        return 0.0, spectra.summarize_generator, "ker", "kernel"
-    raise TypeError(f"expected a channel or generator, got {type(subject)!r}")
-
-
-def _anchor_space(subject, tol: float, summary) -> SubspaceBasis:
-    anchor, summarize, label, name = _kind(subject)
-    if summary is None:
-        summary = summarize(subject)
-    spectrum = subject.spectrum
-    # A multiple anchor cluster's vectors go into the attractor.
-    dim, _ = spectrum.null_space(anchor, tol, vectors=summary.l0_or_m0 > 1)
-    if dim != summary.l0_or_m0:
-        raise ConsistencyError(
-            f"{name} dimension {dim} != clustered multiplicity "
-            f"{summary.l0_or_m0}; tighten tolerances"
-        )
-    return SubspaceBasis(spectrum.values.size, dim, label, lambda: spectrum.to_matrix(
-        spectrum.null_space(anchor, tol, vectors=True)[1]))
-
-
-def fixed_space(channel: QuantumChannel, tol: float = DEFAULT_NULL_TOL,
+def fixed_space(subject, tol: float = DEFAULT_NULL_TOL,
                 summary: spectra.SpectralSummary | None = None) -> SubspaceBasis:
-    """Fix(Phi) = Null(M - I), counted from the singular values of R' - I.
+    """Fix(Phi) = Null(M - I) of a channel, or Ker(L) = Null(L) of a
+    generator (the fixed space of its semigroup e^{tL}), counted from the
+    singular values of R' minus the anchor.
 
-    The dimension is cross-checked against l0 from the spectral summary;
+    The dimension is cross-checked against l0/m0 from the spectral summary;
     a mismatch flags a clustering failure and raises ConsistencyError.
     """
-    return _anchor_space(channel, tol, summary)
+    kind = subject.kind
+    if summary is None:
+        summary = spectra.summarize(subject)
+    spectrum = subject.spectrum
+    # A multiple anchor cluster's vectors go into the attractor.
+    dim, _ = spectrum.null_space(kind.anchor, tol, vectors=summary.l0_or_m0 > 1)
+    if dim != summary.l0_or_m0:
+        raise ConsistencyError(
+            f"{kind.space} dimension {dim} != clustered multiplicity "
+            f"{summary.l0_or_m0}; tighten tolerances"
+        )
+    return SubspaceBasis(spectrum.values.size, dim, kind.label, lambda: spectrum.to_matrix(
+        spectrum.null_space(kind.anchor, tol, vectors=True)[1]))
 
 
 def kernel(gen: GklsGenerator, tol: float = DEFAULT_NULL_TOL,
            summary: spectra.SpectralSummary | None = None) -> SubspaceBasis:
-    """Ker(L) = Null(L), counted from the singular values of R', and
-    cross-checked against m0."""
-    return _anchor_space(gen, tol, summary)
+    """Ker(L) = Null(L): the :func:`fixed_space` of a generator."""
+    return fixed_space(gen, tol, summary)
 
 
 def attractor(subject, tol: float = DEFAULT_NULL_TOL,
@@ -123,11 +112,10 @@ def attractor(subject, tol: float = DEFAULT_NULL_TOL,
     equal lP/mP.  Any failure raises ConsistencyError.  A given ``summary``
     must be this subject's own.
     """
-    anchor, summarize, _, _ = _kind(subject)
     if summary is None:
-        summary = summarize(subject, cluster_tol, peripheral_tol)
+        summary = spectra.summarize(subject, cluster_tol, peripheral_tol)
     spectrum = subject.spectrum
-    stack, orthonormal = _peripheral_columns(spectrum, summary, anchor, tol)
+    stack, orthonormal = _peripheral_columns(spectrum, summary, subject.kind.anchor, tol)
     rank = stack.shape[1] if orthonormal else linalg.numerical_rank(
         scipy.linalg.svdvals(stack), stack.shape, ATTRACTOR_RANK_TOL)
     if rank != summary.lP_or_mP or rank != stack.shape[1]:
@@ -222,7 +210,7 @@ def peripheral_projection(channel: QuantumChannel, tol: float = DEFAULT_NULL_TOL
     The result is idempotent, commutes with the channel matrix and is
     itself a quantum channel (all checked in the test suite at 1e-7/1e-6).
     """
-    summary = spectra.summarize_channel(channel, cluster_tol, peripheral_tol)
+    summary = spectra.summarize(channel, cluster_tol, peripheral_tol)
     m = channel.superop
     proj = np.zeros_like(m)
     for item in summary.distinct:
@@ -246,7 +234,7 @@ def cesaro_projection(channel: QuantumChannel, n: int = CESARO_DEFAULT_N) -> np.
 def maximal_steady_state(subject, tol: float = DEFAULT_NULL_TOL) -> np.ndarray:
     """The steady state P(I)/d of maximal support (P the spectral projection
     onto Fix(Phi) or Ker(L))."""
-    d, proj = subject.dim, eigen_projector(subject.superop, _kind(subject)[0], tol)
+    d, proj = subject.dim, eigen_projector(subject.superop, subject.kind.anchor, tol)
     rho = unvec(proj @ vec(np.eye(d)), rows=d) / d
     rho = (rho + dagger(rho)) / 2
     return rho / np.trace(rho).real
@@ -298,8 +286,8 @@ def steady_states(subject, tol: float = DEFAULT_NULL_TOL) -> list[np.ndarray]:
     best effort beyond the guaranteed one.  Every returned rho satisfies
     the fixed-point residual, rho >= -1e-8 and Tr rho = 1.
     """
-    anchor, d, m = _kind(subject)[0], subject.dim, subject.superop
-    basis = _anchor_space(subject, tol, None)
+    anchor, d, m = subject.kind.anchor, subject.dim, subject.superop
+    basis = fixed_space(subject, tol)
     rho0 = maximal_steady_state(subject, tol)
     states = [rho0]
 

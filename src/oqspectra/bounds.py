@@ -29,9 +29,6 @@ from .spectra import SpectralSummary
 
 CKKS_NUM_TOL = 1e-8
 
-CHANNEL_CLASSES = ("trivial", "unitary", "non-unitary")
-GENERATOR_CLASSES = ("zero", "hamiltonian", "non-hamiltonian")
-
 
 @dataclass(frozen=True)
 class BoundCheck:
@@ -53,7 +50,7 @@ class CkksMargin:
 
 @dataclass(frozen=True)
 class BoundReport:
-    kind: str
+    kind: spectra.Kind
     dim: int
     classification: str
     checks: tuple[BoundCheck, ...]
@@ -82,85 +79,53 @@ def _eq(name: str, observed: int, bound: int) -> BoundCheck:
                       margin=margin, satisfied=margin >= 0)
 
 
-def classify_channel(channel, summary: SpectralSummary | None = None,
-                     trivial_tol: float = 1e-8,
-                     peripheral_tol: float = spectra.DEFAULT_PERIPHERAL_TOL) -> str:
-    """trivial (identity map), unitary (peripheral spectrum) or non-unitary."""
-    m = channel.superop
-    if float(np.linalg.norm(m - np.eye(m.shape[0]))) <= trivial_tol:
-        return "trivial"
-    if summary is None:
-        summary = spectra.summarize_channel(channel, peripheral_tol=peripheral_tol)
-    return "unitary" if summary.lP_or_mP == summary.dim ** 2 else "non-unitary"
+def classify(subject, summary: SpectralSummary | None = None) -> str:
+    """The trivial map (identity channel, zero generator), all peripheral
+    (unitary, hamiltonian) or neither (non-unitary, non-hamiltonian).
 
-
-def classify_generator(gen, summary: SpectralSummary | None = None,
-                       zero_tol: float = 1e-12,
-                       peripheral_tol: float = spectra.DEFAULT_PERIPHERAL_TOL) -> str:
-    """zero, hamiltonian (all rates vanish) or non-hamiltonian.
-
-    Classification is spectral: all eigenvalues peripheral means Hamiltonian,
-    regardless of which GKLS representation produced the generator.
+    Classification is spectral: all eigenvalues peripheral means unitary or
+    Hamiltonian, regardless of the representation that produced the subject.
     """
-    if float(np.linalg.norm(gen.superop)) <= zero_tol:
-        return "zero"
+    kind, m = subject.kind, subject.superop
+    trivial, all_peripheral, other = kind.classes
+    if float(np.linalg.norm(m - kind.anchor * np.eye(m.shape[0]))) <= kind.trivial_tol:
+        return trivial
     if summary is None:
-        summary = spectra.summarize_generator(gen, peripheral_tol=peripheral_tol)
-    return "hamiltonian" if summary.lP_or_mP == summary.dim ** 2 else "non-hamiltonian"
+        summary = spectra.summarize(subject)
+    return all_peripheral if summary.lP_or_mP == summary.dim ** 2 else other
 
 
-def check_channel_bounds(summary: SpectralSummary, classification: str) -> BoundReport:
-    """Integer-margin report for the proved channel bounds.
+def check_bounds(summary: SpectralSummary, classification: str) -> BoundReport:
+    """Integer-margin report for the proved bounds, with the CKKS margins.
 
-    Trivial channels are excluded from the inequalities (l0 = lP = d^2 there)
-    and get an empty check list.
+    The trivial map (identity channel, zero generator) is excluded from the
+    inequalities (l0 = lP = d^2 there) and gets an empty check list.
     """
-    if classification not in CHANNEL_CLASSES:
-        raise ValueError(f"unknown channel classification {classification!r}")
+    kind = summary.kind
+    if classification not in kind.classes:
+        raise ValueError(f"unknown {kind.name} classification {classification!r}")
     d = summary.dim
     ceiling = structural_ceiling(d)
     l0, lp = summary.l0_or_m0, summary.lP_or_mP
+    name0, name_p = kind.counts  # l0, lP or m0, mP
+    trivial, all_peripheral, _ = kind.classes
     checks: tuple[BoundCheck, ...]
-    if classification == "trivial":
+    if classification == trivial:
         checks = ()
-    elif classification == "unitary":
+    elif classification == all_peripheral:
         checks = (
-            _le("l0 <= d^2-2d+2", l0, ceiling),
-            _eq("lP == d^2", lp, d * d),
+            _le(f"{name0} <= d^2-2d+2", l0, ceiling),
+            _eq(f"{name_p} == d^2", lp, d * d),
         )
     else:
         checks = (
-            _le("l0 <= lP", l0, lp),
-            _le("lP <= d^2-2d+2", lp, ceiling),
+            _le(f"{name0} <= {name_p}", l0, lp),
+            _le(f"{name_p} <= d^2-2d+2", lp, ceiling),
         )
-    return BoundReport(kind="channel", dim=d, classification=classification,
+    ckks = ckks_channel if kind == spectra.CHANNEL else ckks_generator
+    return BoundReport(kind=kind, dim=d, classification=classification,
                        checks=checks, gap=2 * (d - 1), forbidden=2 * (d - 1) - 1,
-                       ckks=tuple(ckks_channel(summary)))
-
-
-def check_generator_bounds(summary: SpectralSummary, classification: str) -> BoundReport:
-    """Integer-margin report for the proved generator bounds (zero map excluded)."""
-    if classification not in GENERATOR_CLASSES:
-        raise ValueError(f"unknown generator classification {classification!r}")
-    d = summary.dim
-    ceiling = structural_ceiling(d)
-    m0, mp = summary.l0_or_m0, summary.lP_or_mP
-    checks: tuple[BoundCheck, ...]
-    if classification == "zero":
-        checks = ()
-    elif classification == "hamiltonian":
-        checks = (
-            _le("m0 <= d^2-2d+2", m0, ceiling),
-            _eq("mP == d^2", mp, d * d),
-        )
-    else:
-        checks = (
-            _le("m0 <= mP", m0, mp),
-            _le("mP <= d^2-2d+2", mp, ceiling),
-        )
-    return BoundReport(kind="generator", dim=d, classification=classification,
-                       checks=checks, gap=2 * (d - 1), forbidden=2 * (d - 1) - 1,
-                       ckks=tuple(ckks_generator(summary)))
+                       ckks=tuple(ckks(summary)))
 
 
 def _zero_cluster_index(summary: SpectralSummary) -> int:
@@ -174,7 +139,7 @@ def ckks_generator(summary: SpectralSummary) -> list[CkksMargin]:
     The sum runs over the distinct nonzero eigenvalues; the zero cluster is
     excluded on both sides (its rate vanishes anyway).
     """
-    if summary.kind != "generator":
+    if summary.kind != spectra.GENERATOR:
         raise ValueError("ckks_generator needs a generator summary")
     d = summary.dim
     zero_idx = _zero_cluster_index(summary)
@@ -199,7 +164,7 @@ def ckks_channel(summary: SpectralSummary) -> list[CkksMargin]:
     margin at the unit cluster (trivially nonnegative) is emitted too so the
     report covers every distinct eigenvalue.
     """
-    if summary.kind != "channel":
+    if summary.kind != spectra.CHANNEL:
         raise ValueError("ckks_channel needs a channel summary")
     d = summary.dim
     total = sum(item.multiplicity * item.real_part for item in summary.distinct)
@@ -220,7 +185,7 @@ def ckks_derived_bounds(summary: SpectralSummary, classification: str,
     d = summary.dim
     loose = d * d - d
     checks = []
-    if summary.kind == "channel":
+    if summary.kind == spectra.CHANNEL:
         if classification != "trivial":
             checks.append(_le("ckks: l0 <= d^2-d", summary.l0_or_m0, loose))
         if markovian and classification == "non-unitary":
@@ -241,7 +206,7 @@ def ckks_derived_bounds(summary: SpectralSummary, classification: str,
 
 def report_to_json(report: BoundReport) -> dict:
     return {
-        "kind": report.kind,
+        "kind": report.kind.name,
         "dim": report.dim,
         "classification": report.classification,
         "checks": [

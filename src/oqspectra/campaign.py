@@ -21,9 +21,8 @@ import numpy as np
 
 from . import analysis, asymptotics, bounds, constructions, spectra
 from .constructions import ENSEMBLES
-from .gkls import GklsGenerator
 from .spectra import SpectralSummary
-from .superop import QuantumChannel, ValidationError
+from .superop import ValidationError
 
 CONSTRUCTORS = "constructors"
 ALL_SOURCES = (CONSTRUCTORS,) + ENSEMBLES
@@ -46,6 +45,10 @@ class CampaignConfig:
     env_dim: int | None = None
 
     def __post_init__(self):
+        if not self.dims:
+            raise ValueError("no dimensions to verify")
+        if not self.sources:
+            raise ValueError("no sources to verify")
         unknown = set(self.sources) - set(ALL_SOURCES)
         if unknown:
             raise ValueError(f"unknown sources {sorted(unknown)}; pick from {ALL_SOURCES}")
@@ -148,7 +151,8 @@ def _run_constructor(task: _Task) -> CampaignRow:
         subject = constructions.saturating_dissipative_generator(d)
         expected = (ceiling, ceiling)
 
-    report = _analyze(subject, markovian=name == "phase-damping")
+    report = analysis.analyze(subject, markovian=name == "phase-damping",
+                              with_commutant=False)
     observed = (report.summary.l0_or_m0, report.summary.lP_or_mP)
     note = f"constructor:{name}"
     violation = False
@@ -170,7 +174,7 @@ def _run_sampled(task: _Task) -> CampaignRow:
     for attempt in range(MAX_RESAMPLES):
         rng = np.random.default_rng(rng_key + (attempt,))
         try:
-            subject = _draw(task.source, task.dim, task.env_dim, rng)
+            subject = constructions.draw(task.source, task.dim, rng, task.env_dim)
         except ValidationError:
             rejects += 1
             continue
@@ -185,8 +189,9 @@ def _run_sampled(task: _Task) -> CampaignRow:
                            violation=True, note="oracle: resampling exhausted")
 
     summary, classification = accepted
-    report = _analyze(subject, markovian=task.source.startswith("gkls"),
-                      summary=summary, classification=classification)
+    report = analysis.analyze(subject, markovian=task.source.startswith("gkls"),
+                              with_commutant=False, summary=summary,
+                              classification=classification)
     violation = not report.bounds_satisfied
     if violation:
         note = "bound violation" if report.discrepancy is None else report.discrepancy
@@ -199,18 +204,6 @@ def _run_sampled(task: _Task) -> CampaignRow:
                        violation=violation, note=note)
 
 
-def _draw(source: str, d: int, env_dim: int | None, rng: np.random.Generator):
-    if source == "haar-unitary":
-        return constructions.unitary_channel(constructions.haar_unitary(d, rng))
-    if source == "cptp-stinespring":
-        return constructions.stinespring_channel(d, rng, env_dim)
-    if source == "gkls-generic":
-        return constructions.generic_gkls(d, rng)
-    if source == "gkls-unital":
-        return constructions.unital_gkls(d, rng)
-    return constructions.hamiltonian_gkls(d, rng)
-
-
 _ADVERTISED = {"haar-unitary": ("unitary", "non-unitary"),
                "cptp-stinespring": ("non-unitary",),
                "gkls-generic": ("non-hamiltonian",), "gkls-unital": ("non-hamiltonian",),
@@ -220,26 +213,11 @@ _ADVERTISED = {"haar-unitary": ("unitary", "non-unitary"),
 def _acceptable(source: str, subject) -> tuple[SpectralSummary, str] | None:
     """The default-tolerance summary and classification if the subject lands
     in a classification its generic ensemble advertises, else None."""
-    if isinstance(subject, QuantumChannel):
-        summary = spectra.summarize_channel(subject)
-        classification = bounds.classify_channel(subject, summary)
-    else:
-        summary = spectra.summarize_generator(subject)
-        classification = bounds.classify_generator(subject, summary)
+    summary = spectra.summarize(subject)
+    classification = bounds.classify(subject, summary)
     if classification not in _ADVERTISED[source]:
         return None
     return summary, classification
-
-
-def _analyze(subject, markovian: bool, summary=None,
-             classification=None) -> analysis.AnalysisReport:
-    if isinstance(subject, QuantumChannel):
-        return analysis.analyze_channel(subject, markovian=markovian, with_commutant=False,
-                                        summary=summary, classification=classification)
-    if isinstance(subject, GklsGenerator):
-        return analysis.analyze_generator(subject, with_commutant=False, summary=summary,
-                                          classification=classification)
-    raise TypeError(f"unexpected subject {type(subject)!r}")
 
 
 def _fmt(x: float) -> str:
@@ -267,7 +245,7 @@ def rows_to_csv(rows: list[CampaignRow]) -> str:
             ckks_min = _fmt(min(m.margin for m in rep.bound_report.ckks))
             ckks_ok = int(all(m.satisfied for m in rep.bound_report.ckks))
         writer.writerow([
-            row.source, row.dim, row.index, row.seed, rep.kind,
+            row.source, row.dim, row.index, row.seed, rep.kind.name,
             rep.classification, rep.summary.l0_or_m0, rep.summary.lP_or_mP,
             steady, periph, ckks_min, ckks_ok, row.rejects,
             int(rep.rechecked), int(row.violation), row.note,

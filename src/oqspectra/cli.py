@@ -158,22 +158,16 @@ def _load_subject(path: str, kind: str | None):
         if kind is None:
             kind = "generator" if "hamiltonian" in obj else "channel"
         if kind == "generator":
-            return kind, gkls.generator_from_json(obj)
-        return kind, superop.channel_from_json(obj)
+            return gkls.generator_from_json(obj)
+        return superop.channel_from_json(obj)
     except TypeError as exc:  # e.g. a number where a list of matrices belongs
         raise ValueError(f"{path}: malformed subject JSON: {exc}") from exc
 
 
 def _cmd_analyze(args) -> int:
-    kind, subject = _load_subject(args.path, args.kind)
-    if kind == "channel":
-        report = analysis.analyze_channel(
-            subject, cluster_tol=args.tol_cluster,
-            peripheral_tol=args.tol_peripheral, markovian=args.markovian)
-    else:
-        report = analysis.analyze_generator(
-            subject, cluster_tol=args.tol_cluster,
-            peripheral_tol=args.tol_peripheral)
+    report = analysis.analyze(_load_subject(args.path, args.kind),
+                              cluster_tol=args.tol_cluster,
+                              peripheral_tol=args.tol_peripheral, markovian=args.markovian)
     if args.as_json:
         print(json.dumps(analysis.report_to_json(report), indent=2))
     else:
@@ -245,12 +239,9 @@ def _cmd_sample(args) -> int:
     config = constructions.SamplerConfig(
         seed=args.seed, dim=args.dim, ensemble=args.ensemble,
         count=args.count, env_dim=args.env_dim)
-    lines = []
-    for subject in constructions.sample(config):
-        if isinstance(subject, superop.QuantumChannel):
-            lines.append(json.dumps(superop.channel_to_json(subject)))
-        else:
-            lines.append(json.dumps(gkls.generator_to_json(subject)))
+    lines = [json.dumps(superop.channel_to_json(subject) if subject.kind == spectra.CHANNEL
+                        else gkls.generator_to_json(subject))
+             for subject in constructions.sample(config)]
     _emit("\n".join(lines), args.out)
     return 0
 

@@ -245,16 +245,21 @@ def sample(config: SamplerConfig) -> Iterator[Subject]:
 
 
 def sample_one(config: SamplerConfig, index: int) -> Subject:
-    rng = np.random.default_rng((config.seed, index))
-    d = config.dim
-    if config.ensemble == "haar-unitary":
+    return draw(config.ensemble, config.dim, np.random.default_rng((config.seed, index)),
+                config.env_dim)
+
+
+def draw(ensemble: str, d: int, rng: np.random.Generator,
+         env_dim: int | None = None) -> Subject:
+    """One subject of ``ensemble`` at dimension d, drawn from ``rng``."""
+    if ensemble == "haar-unitary":
         return unitary_channel(haar_unitary(d, rng))
-    if config.ensemble == "cptp-stinespring":
-        return stinespring_channel(d, rng, config.env_dim)
-    if config.ensemble == "gkls-generic":
+    if ensemble == "cptp-stinespring":
+        return stinespring_channel(d, rng, env_dim)
+    if ensemble == "gkls-generic":
         return generic_gkls(d, rng)
-    if config.ensemble == "gkls-unital":
+    if ensemble == "gkls-unital":
         return unital_gkls(d, rng)
-    if config.ensemble == "gkls-hamiltonian":
+    if ensemble == "gkls-hamiltonian":
         return hamiltonian_gkls(d, rng)
-    raise ValueError(f"unknown ensemble {config.ensemble!r}")
+    raise ValueError(f"unknown ensemble {ensemble!r}")

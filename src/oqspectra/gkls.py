@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 import scipy.linalg
 
-from . import linalg, superop
+from . import linalg, spectra, superop
 from .linalg import dagger, require_square
 from .superop import QuantumChannel, ValidationError
 
@@ -35,6 +36,7 @@ class GklsGenerator(linalg.Decomposed):
     """Immutable GKLS generator; the superoperator matrix and its
     eigendecomposition are cached lazily, write-once."""
 
+    kind: ClassVar[spectra.Kind] = spectra.GENERATOR
     dim: int
     hamiltonian: np.ndarray
     noise_ops: tuple[np.ndarray, ...]
@@ -126,9 +128,7 @@ def relaxation_rates(gen: GklsGenerator, cluster_tol: float | None = None) -> li
     negative values (within 1e-8) are clipped to zero, anything worse
     signals an invalid generator.
     """
-    from . import spectra
-
-    summary = spectra.summarize_generator(gen, cluster_tol=cluster_tol)
+    summary = spectra.summarize(gen, cluster_tol=cluster_tol)
     out = []
     for item in summary.distinct:
         rate = -item.value.real

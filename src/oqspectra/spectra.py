@@ -4,22 +4,54 @@ Distinct eigenvalues are recovered from the raw d^2 eigenvalue list by
 single-linkage clustering (chaining within ``cluster_tol``), which keeps
 numerically smeared multiple eigenvalues together at the cost of possibly
 merging adversarially close distinct ones.  Tolerances are caller
-overridable and are embedded in every summary.
+overridable, validated here and embedded in every summary.
 
-For a channel, peripheral means |mu| >= 1 - peripheral_tol and l0 is the
-multiplicity of the cluster containing 1; for a generator, peripheral means
+Channels and generators differ only in their :class:`Kind`: for a channel,
+peripheral means |mu| >= 1 - peripheral_tol and l0 is the multiplicity of
+the cluster containing 1; for a generator, peripheral means
 |Re(lambda)| <= peripheral_tol and m0 is the multiplicity of the cluster
 containing 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_PERIPHERAL_TOL = 1e-7
 DEFAULT_CLUSTER_REL_TOL = 1e-7
+
+
+@dataclass(frozen=True)
+class Kind:
+    """Everything that tells a channel from a generator.
+
+    Every stage reads the kind of its subject (``subject.kind``) or summary
+    instead of branching on the type.
+    """
+
+    name: str  # channel | generator
+    anchor: float  # the eigenvalue of the steady states: 1 or 0
+    counts: tuple[str, str]  # names of the steady and peripheral counts
+    classes: tuple[str, str, str]  # the trivial map, all peripheral, the rest
+    trivial_tol: float  # ||M - anchor I|| at most this: the trivial map
+    label: str  # fix | ker
+    space: str  # fixed-space | kernel
+    peripheral_tol_max: float  # peripheral_tol must lie in [0, this)
+
+    def peripheral(self, c: complex, tol: float) -> bool:
+        """|c| >= 1 - tol for a channel, |Re c| <= tol for a generator."""
+        return abs(c) >= 1.0 - tol if self.anchor else abs(c.real) <= tol
+
+
+CHANNEL = Kind(name="channel", anchor=1.0, counts=("l0", "lP"),
+               classes=("trivial", "unitary", "non-unitary"), trivial_tol=1e-8,
+               label="fix", space="fixed-space", peripheral_tol_max=1.0)
+GENERATOR = Kind(name="generator", anchor=0.0, counts=("m0", "mP"),
+                 classes=("zero", "hamiltonian", "non-hamiltonian"), trivial_tol=1e-12,
+                 label="ker", space="kernel", peripheral_tol_max=math.inf)
 
 
 def default_cluster_tol(spectral_radius: float) -> float:
@@ -45,7 +77,7 @@ class SpectralSummary:
     ``bulk_multiplicity`` is the complement.
     """
 
-    kind: str  # "channel" | "generator"
+    kind: Kind
     dim: int
     distinct: tuple[DistinctEigenvalue, ...]
     l0_or_m0: int
@@ -63,8 +95,8 @@ def cluster(values, cluster_tol: float) -> list[tuple[complex, int]]:
     the mean of the cluster members, sorted by descending |center| then by
     phase angle; the result is invariant under permutations of the input.
     """
-    if cluster_tol <= 0:
-        raise ValueError("cluster_tol must be positive")
+    if not 0.0 < cluster_tol < math.inf:
+        raise ValueError(f"cluster_tol must be finite and positive, got {cluster_tol!r}")
     vs = np.asarray(values, dtype=np.complex128).ravel()
     n = vs.size
     if n == 0:
@@ -94,82 +126,49 @@ def cluster(values, cluster_tol: float) -> list[tuple[complex, int]]:
     return [(complex(c), int(m)) for c, m in zip(centers[order], mults[order])]
 
 
-def _summarize(kind: str, dim: int, eigenvalues: np.ndarray,
+def summarize(subject, cluster_tol: float | None = None,
+              peripheral_tol: float = DEFAULT_PERIPHERAL_TOL) -> SpectralSummary:
+    """Spectral summary of a channel's or generator's cached eigenvalues:
+    distinct ones, l0/m0, lP/mP and, for a generator, the rates."""
+    return _summarize(subject.kind, subject.dim, subject.spectrum.values,
+                      cluster_tol, peripheral_tol)
+
+
+def _summarize(kind: Kind, dim: int, eigenvalues: np.ndarray,
                cluster_tol: float | None, peripheral_tol: float) -> SpectralSummary:
+    if not 0.0 <= peripheral_tol < kind.peripheral_tol_max:
+        raise ValueError(f"{kind.name} peripheral_tol must lie in "
+                         f"[0, {kind.peripheral_tol_max:g}), got {peripheral_tol!r}")
     radius = float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 0.0
     ctol = cluster_tol if cluster_tol is not None else default_cluster_tol(radius)
     clusters = cluster(eigenvalues, ctol)
 
-    if kind == "channel":
-        anchor = 1.0 + 0.0j
-
-        def is_peripheral(c: complex) -> bool:
-            return abs(c) >= 1.0 - peripheral_tol
-    else:
-        anchor = 0.0 + 0.0j
-
-        def is_peripheral(c: complex) -> bool:
-            return abs(c.real) <= peripheral_tol
-
+    anchor = kind.anchor
     anchor_idx = min(range(len(clusters)), key=lambda k: abs(clusters[k][0] - anchor))
     anchor_dist = abs(clusters[anchor_idx][0] - anchor)
     if anchor_dist > max(peripheral_tol, 2 * ctol):
         raise ValueError(
-            f"no eigenvalue cluster within tolerance of {anchor}: "
-            f"nearest at distance {anchor_dist:.3e}; invalid {kind}"
+            f"no eigenvalue cluster within tolerance of {complex(anchor)}: "
+            f"nearest at distance {anchor_dist:.3e}; invalid {kind.name}"
         )
 
-    distinct = []
-    lp = 0
-    l0 = clusters[anchor_idx][1]
-    for center, mult in clusters:
-        peripheral = is_peripheral(center)
-        rate = max(0.0, -center.real) if kind == "generator" else None
-        distinct.append(
-            DistinctEigenvalue(
-                value=center,
-                multiplicity=mult,
-                peripheral=peripheral,
-                real_part=float(center.real),
-                rate=rate,
-            )
-        )
-        if peripheral:
-            lp += mult
-
-    total = sum(item.multiplicity for item in distinct)
-    if total != dim * dim:
-        raise AssertionError(f"multiplicities sum to {total}, expected {dim * dim}")
-    return SpectralSummary(
-        kind=kind,
-        dim=dim,
-        distinct=tuple(distinct),
-        l0_or_m0=l0,
-        lP_or_mP=lp,
-        bulk_multiplicity=dim * dim - lp,
-        cluster_tol=ctol,
-        peripheral_tol=peripheral_tol,
-    )
-
-
-def summarize_channel(channel, cluster_tol: float | None = None,
-                      peripheral_tol: float = DEFAULT_PERIPHERAL_TOL) -> SpectralSummary:
-    """Spectral summary of a channel's cached eigenvalues: distinct ones, l0, lP."""
-    w = channel.spectrum.values
-    return _summarize("channel", channel.dim, w, cluster_tol, peripheral_tol)
-
-
-def summarize_generator(gen, cluster_tol: float | None = None,
-                        peripheral_tol: float = DEFAULT_PERIPHERAL_TOL) -> SpectralSummary:
-    """Spectral summary of a generator's cached eigenvalues: distinct ones,
-    m0, mP and rates."""
-    w = gen.spectrum.values
-    return _summarize("generator", gen.dim, w, cluster_tol, peripheral_tol)
+    rates = kind == GENERATOR
+    distinct = tuple(
+        DistinctEigenvalue(value=center, multiplicity=mult,
+                           peripheral=kind.peripheral(center, peripheral_tol),
+                           real_part=float(center.real),
+                           rate=max(0.0, -center.real) if rates else None)
+        for center, mult in clusters)
+    lp = sum(item.multiplicity for item in distinct if item.peripheral)
+    return SpectralSummary(kind=kind, dim=dim, distinct=distinct,
+                           l0_or_m0=clusters[anchor_idx][1], lP_or_mP=lp,
+                           bulk_multiplicity=dim * dim - lp,
+                           cluster_tol=ctol, peripheral_tol=peripheral_tol)
 
 
 def summary_to_json(summary: SpectralSummary) -> dict:
     return {
-        "kind": summary.kind,
+        "kind": summary.kind.name,
         "dim": summary.dim,
         "distinct": [
             {

@@ -14,10 +14,11 @@ conventions, fixed once here and shared by every module:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
-from . import linalg
+from . import linalg, spectra
 from .linalg import dagger, require_square, unvec, vec
 
 DEFAULT_TP_TOL = 1e-8
@@ -43,6 +44,7 @@ class QuantumChannel(linalg.Decomposed):
     eigendecomposition of the superoperator is cached the same way.
     """
 
+    kind: ClassVar[spectra.Kind] = spectra.CHANNEL
     dim: int
     kraus: tuple[np.ndarray, ...] | None = None
     _superop: np.ndarray | None = field(default=None, repr=False)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from oqspectra import cli
+
 settings.register_profile(
     "numeric",
     deadline=None,
@@ -31,3 +33,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_sep("-", "acceptance criteria")
         for name in sorted(lines):
             terminalreporter.write_line(f"criterion {name}: {lines[name]}")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def one_blas_thread():
+    """The whole suite runs on one BLAS thread, as every CLI command does:
+    on matrices of at most 144 x 144, more threads only add wake-up stalls."""
+    with cli._one_blas_thread():
+        yield

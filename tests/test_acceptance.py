@@ -49,7 +49,7 @@ def test_criterion_01_unitary_sharpness():
     t0 = time.perf_counter()
     expected_l0 = {2: 2, 3: 5, 4: 10, 5: 17, 6: 26}
     for d in (2, 3, 4, 5, 6):
-        s = spectra.summarize_channel(saturating_unitary_channel(d))
+        s = spectra.summarize(saturating_unitary_channel(d))
         assert s.l0_or_m0 == expected_l0[d] == CEILING[d]
         assert s.lP_or_mP == d * d
     assert time.perf_counter() - t0 < 5.0
@@ -57,7 +57,7 @@ def test_criterion_01_unitary_sharpness():
 
 def test_criterion_02_phase_damping_sharpness():
     for d in (2, 3, 4, 5, 6):
-        s = spectra.summarize_channel(phase_damping_channel(d))
+        s = spectra.summarize(phase_damping_channel(d))
         assert s.l0_or_m0 == s.lP_or_mP == CEILING[d]
         got = sorted(((item.value, item.multiplicity) for item in s.distinct),
                      key=lambda vm: vm[0].real)
@@ -69,9 +69,9 @@ def test_criterion_02_phase_damping_sharpness():
 
 def test_criterion_03_generator_sharpness():
     for d in (2, 3, 4, 5, 6):
-        sh = spectra.summarize_generator(saturating_hamiltonian_generator(d))
+        sh = spectra.summarize(saturating_hamiltonian_generator(d))
         assert (sh.l0_or_m0, sh.lP_or_mP) == (CEILING[d], d * d)
-        sd = spectra.summarize_generator(saturating_dissipative_generator(d))
+        sd = spectra.summarize(saturating_dissipative_generator(d))
         assert (sd.l0_or_m0, sd.lP_or_mP) == (CEILING[d], CEILING[d])
 
 
@@ -80,14 +80,14 @@ def test_criterion_04_universal_bound_campaign(ensembles):
     violations = 0
     for d in (2, 3, 4):
         for ch in ensembles["channel"][d]:
-            rep = analysis.analyze_channel(ch, with_commutant=False)
+            rep = analysis.analyze(ch, with_commutant=False)
             s = rep.summary
             if not (s.l0_or_m0 <= s.lP_or_mP <= CEILING[d]):
                 violations += 1
             if not rep.bounds_satisfied:
                 violations += 1
         for gen in ensembles["generator"][d]:
-            rep = analysis.analyze_generator(gen, with_commutant=False)
+            rep = analysis.analyze(gen, with_commutant=False)
             s = rep.summary
             if not (s.l0_or_m0 <= s.lP_or_mP <= CEILING[d]):
                 violations += 1
@@ -121,7 +121,7 @@ def test_criterion_06_fixed_point_commutant_duality():
             done += 1
             ops = list(ch.kraus) + [helpers.dag(b) for b in ch.kraus]
             res = commutant(ops)
-            dual_fix = fixed_space(dual(ch), summary=spectra.summarize_channel(ch))
+            dual_fix = fixed_space(dual(ch), summary=spectra.summarize(ch))
             assert dual_fix.dimension == res.dimension
             # commutant sits inside Fix(Phi*): containment residual
             proj = dual_fix.basis @ helpers.dag(dual_fix.basis)
@@ -139,7 +139,7 @@ def test_criterion_07_ckks_proved_regime(ensembles):
     from oqspectra.bounds import ckks_generator
     for d in (2, 3, 4):
         for gen in ensembles["unital"][d]:
-            s = spectra.summarize_generator(gen)
+            s = spectra.summarize(gen)
             for margin in ckks_generator(s):
                 assert margin.margin >= -1e-8 * max(1.0, margin.rhs)
             assert s.lP_or_mP <= d * d - d
@@ -179,8 +179,8 @@ def test_criterion_09_exponential_consistency():
             ch = exponentiate(gen, 1.0)
             we = np.linalg.eigvals(ch.superop)
             helpers.assert_multisets_close(we, np.exp(w), atol=1e-7)
-            sg = spectra.summarize_generator(gen)
-            sc = spectra.summarize_channel(ch)
+            sg = spectra.summarize(gen)
+            sc = spectra.summarize(ch)
             assert sc.lP_or_mP == sg.lP_or_mP
 
 

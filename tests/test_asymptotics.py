@@ -45,7 +45,7 @@ class TestFixedSpace:
         # sigma 5.7e-6 of the 2x2 block falls under the cut 1e-8 * 7.1e5
         r = scipy.linalg.block_diag(1.0, [[-1.0, 1e6], [-1e-18, -1.0]], 0.5)
         fake = helpers.forged_channel(r)  # r in Hermitian coordinates
-        summary = spectra.summarize_channel(fake)
+        summary = spectra.summarize(fake)
         assert summary.l0_or_m0 == 1
         assert fixed_space(fake, summary=summary).dimension == 1
 
@@ -64,7 +64,7 @@ class TestFixedSpace:
         ops = list(ch.kraus) + [helpers.dag(b) for b in ch.kraus]
         cdim = commutants.commutant(ops).dimension
         dual_fix = fixed_space(superop.dual(ch),
-                               summary=spectra.summarize_channel(ch))
+                               summary=spectra.summarize(ch))
         assert dual_fix.dimension == cdim
 
     def test_kernel_dimensions(self):
@@ -94,7 +94,7 @@ class TestFixedSpace:
         # near-degenerate unitary whose clustered l0 = 4 cannot be matched
         # by the true 2-dimensional fixed space
         ch = unitary_channel(np.diag([1.0, np.exp(9.9e-9j)]))
-        summary = spectra.summarize_channel(ch)
+        summary = spectra.summarize(ch)
         assert summary.l0_or_m0 == 4
         with pytest.raises(asymptotics.ConsistencyError, match="tighten"):
             fixed_space(ch, summary=summary)
@@ -152,7 +152,7 @@ class TestAttractor:
         # numerically a Jordan block, so it cannot count as semisimple
         r = scipy.linalg.block_diag(1.0, [[-1.0, 1e6], [-1e-18, -1.0]], 0.5)
         fake = helpers.forged_channel(r)  # r in Hermitian coordinates
-        summary = spectra.summarize_channel(fake)
+        summary = spectra.summarize(fake)
         assert [i.multiplicity for i in summary.distinct if i.peripheral] == [1, 1, 1]
         with pytest.raises(asymptotics.ConsistencyError, match="overlap"):
             attractor(fake)
@@ -183,7 +183,7 @@ class TestAttractor:
         # rank one below the width, and the certificate refuses it.
         gen = build_generator(np.diag([0.0, 1.0, 2.0]), dephasing_generator(3).noise_ops)
         ch = exponentiate(gen, 1.0)
-        summary = spectra.summarize_channel(ch)
+        summary = spectra.summarize(ch)
         stack, orthonormal = asymptotics._peripheral_columns(
             ch.spectrum, summary, 1.0, asymptotics.DEFAULT_NULL_TOL)
         assert stack.shape == (9, 5) and not orthonormal
@@ -217,7 +217,7 @@ class TestAttractor:
     def test_stack_orthonormal_by_construction(self, rng, make, width, orthonormal):
         ch = make(rng)
         stack, flag = asymptotics._peripheral_columns(
-            ch.spectrum, spectra.summarize_channel(ch), 1.0, asymptotics.DEFAULT_NULL_TOL)
+            ch.spectrum, spectra.summarize(ch), 1.0, asymptotics.DEFAULT_NULL_TOL)
         assert stack.shape == (9, width) and flag == orthonormal
         if orthonormal:
             assert np.linalg.norm(stack.T @ stack - np.eye(width)) <= 1e-12
@@ -225,10 +225,7 @@ class TestAttractor:
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_matches_per_cluster_svd_reference(self, d):
         for name, subject in helpers.oracle_subjects(d):
-            if isinstance(subject, superop.QuantumChannel):
-                summary = spectra.summarize_channel(subject)
-            else:
-                summary = spectra.summarize_generator(subject)
+            summary = spectra.summarize(subject)
             att = attractor(subject, summary=summary)
             ref = helpers.reference_attractor(subject.superop, summary)
             assert att.dimension == ref.shape[1] == summary.lP_or_mP, name
@@ -249,8 +246,7 @@ class TestComplexReference:
             s_ref = np.linalg.svd(m - anchor * ident, compute_uv=False)
             assert np.abs(s_real - s_ref).max() <= 1e-13 * s_ref[0], name
 
-            analyze = analysis.analyze_channel if channel else analysis.analyze_generator
-            report = analyze(subject, with_commutant=False)
+            report = analysis.analyze(subject, with_commutant=False)
             summary = report.summary
             ref_fixed = helpers.reference_nullspace(m, anchor)
             ref_attractor = helpers.reference_attractor(m, summary)

@@ -3,13 +3,11 @@ import pytest
 
 from oqspectra import bounds, spectra
 from oqspectra.bounds import (
-    check_channel_bounds,
-    check_generator_bounds,
+    check_bounds,
     ckks_channel,
     ckks_derived_bounds,
     ckks_generator,
-    classify_channel,
-    classify_generator,
+    classify,
     structural_ceiling,
 )
 from oqspectra.constructions import (
@@ -34,85 +32,85 @@ def amplitude_damping(gamma=0.5):
 
 class TestClassification:
     def test_identity_is_trivial(self):
-        assert classify_channel(identity_channel(3)) == "trivial"
+        assert classify(identity_channel(3)) == "trivial"
 
     def test_unitary(self):
-        assert classify_channel(unitary_channel(np.diag([1.0, np.exp(1j)]))) == "unitary"
+        assert classify(unitary_channel(np.diag([1.0, np.exp(1j)]))) == "unitary"
 
     def test_amplitude_damping_non_unitary(self):
         ch = amplitude_damping(0.5)
         # sqrt(1-gamma) inside the disk
         w = np.abs(np.linalg.eigvals(ch.superop))
         assert np.min(w) < 1 - 1e-3
-        assert classify_channel(ch) == "non-unitary"
+        assert classify(ch) == "non-unitary"
 
     def test_generator_classes(self):
-        assert classify_generator(build_generator(np.zeros((2, 2)), ())) == "zero"
-        assert classify_generator(saturating_hamiltonian_generator(3)) == "hamiltonian"
-        assert classify_generator(dephasing_generator(3)) == "non-hamiltonian"
+        assert classify(build_generator(np.zeros((2, 2)), ())) == "zero"
+        assert classify(saturating_hamiltonian_generator(3)) == "hamiltonian"
+        assert classify(dephasing_generator(3)) == "non-hamiltonian"
 
 
 class TestStructuralBounds:
     def test_unitary_saturation_margin_zero(self):
         ch = saturating_unitary_channel(4)
-        s = spectra.summarize_channel(ch)
-        rep = check_channel_bounds(s, "unitary")
+        s = spectra.summarize(ch)
+        rep = check_bounds(s, "unitary")
         assert [c.margin for c in rep.checks] == [0, 0]
         assert rep.all_satisfied
 
     def test_phase_damping_margins_zero(self):
-        s = spectra.summarize_channel(phase_damping_channel(3))
-        rep = check_channel_bounds(s, "non-unitary")
+        s = spectra.summarize(phase_damping_channel(3))
+        rep = check_bounds(s, "non-unitary")
         by_name = {c.name: c for c in rep.checks}
         assert by_name["lP <= d^2-2d+2"].margin == 0
         assert by_name["l0 <= lP"].margin == 0
 
     def test_generic_channel_margin(self, rng):
         # generic CPTP: unique peripheral eigenvalue, lP = 1, margin 4 at d=3
-        s = spectra.summarize_channel(stinespring_channel(3, rng))
+        s = spectra.summarize(stinespring_channel(3, rng))
         assert s.lP_or_mP == 1
-        rep = check_channel_bounds(s, "non-unitary")
+        rep = check_bounds(s, "non-unitary")
         by_name = {c.name: c for c in rep.checks}
         assert by_name["lP <= d^2-2d+2"].margin == 4
 
     def test_hamiltonian_generator_margins(self):
-        s = spectra.summarize_generator(saturating_hamiltonian_generator(3))
-        rep = check_generator_bounds(s, "hamiltonian")
+        s = spectra.summarize(saturating_hamiltonian_generator(3))
+        rep = check_bounds(s, "hamiltonian")
         assert [c.margin for c in rep.checks] == [0, 0]
 
     def test_dephasing_saturates(self):
-        s = spectra.summarize_generator(dephasing_generator(3))
-        rep = check_generator_bounds(s, "non-hamiltonian")
+        s = spectra.summarize(dephasing_generator(3))
+        rep = check_bounds(s, "non-hamiltonian")
         by_name = {c.name: c for c in rep.checks}
         assert by_name["mP <= d^2-2d+2"].margin == 0
 
     def test_gap_and_forbidden_count(self):
-        s = spectra.summarize_generator(dephasing_generator(5))
-        rep = check_generator_bounds(s, "non-hamiltonian")
+        s = spectra.summarize(dephasing_generator(5))
+        rep = check_bounds(s, "non-hamiltonian")
         assert rep.gap == 8 and rep.forbidden == 7
 
     def test_trivial_and_zero_excluded(self):
-        s = spectra.summarize_channel(identity_channel(2))
-        assert check_channel_bounds(s, "trivial").checks == ()
-        sz = spectra.summarize_generator(build_generator(np.zeros((2, 2)), ()))
-        assert check_generator_bounds(sz, "zero").checks == ()
+        s = spectra.summarize(identity_channel(2))
+        assert check_bounds(s, "trivial").checks == ()
+        sz = spectra.summarize(build_generator(np.zeros((2, 2)), ()))
+        assert check_bounds(sz, "zero").checks == ()
 
     def test_unknown_classification_rejected(self):
-        s = spectra.summarize_channel(identity_channel(2))
+        s = spectra.summarize(identity_channel(2))
         with pytest.raises(ValueError):
-            check_channel_bounds(s, "bogus")
+            check_bounds(s, "bogus")
 
 
 class TestCkks:
     def test_hamiltonian_all_margins_zero(self):
-        s = spectra.summarize_generator(saturating_hamiltonian_generator(3))
+        s = spectra.summarize(saturating_hamiltonian_generator(3))
         margins = ckks_generator(s)
         assert all(m.lhs == 0.0 and m.margin == m.rhs for m in margins)
         assert all(m.satisfied for m in margins)
 
     def test_dephasing_margin_frozen(self):
         # Gamma = 1, rhs = (1/3)(4 * 1) = 4/3, margin 1/3
-        s = spectra.summarize_generator(dephasing_generator(3))
+        s = spectra.summarize(dephasing_generator(3))
         margins = ckks_generator(s)
         assert len(margins) == 1
         assert margins[0].rhs == pytest.approx(4.0 / 3.0, abs=1e-12)
@@ -121,11 +119,11 @@ class TestCkks:
     def test_unital_batch_satisfied(self, rng):
         for d in (2, 3):
             for _ in range(15):
-                s = spectra.summarize_generator(unital_gkls(d, rng))
+                s = spectra.summarize(unital_gkls(d, rng))
                 assert all(m.satisfied for m in ckks_generator(s))
 
     def test_channel_identity_margin_zero(self):
-        s = spectra.summarize_channel(identity_channel(3))
+        s = spectra.summarize(identity_channel(3))
         margins = ckks_channel(s)
         assert len(margins) == 1
         assert margins[0].lhs == pytest.approx(9.0)
@@ -133,7 +131,7 @@ class TestCkks:
 
     def test_channel_phase_damping_frozen(self):
         # sum l x = 5 + 4/e; margin at the e^-1 cluster: 1 - 1/e
-        s = spectra.summarize_channel(phase_damping_channel(3))
+        s = spectra.summarize(phase_damping_channel(3))
         margins = {round(m.alpha.real, 6): m for m in ckks_channel(s)}
         e = np.exp(-1.0)
         assert margins[round(e, 6)].lhs == pytest.approx(5 + 4 * e, abs=1e-12)
@@ -142,11 +140,11 @@ class TestCkks:
     def test_markovian_channels_satisfied(self, rng):
         for _ in range(10):
             ch = exponentiate(unital_gkls(3, rng), 1.0)
-            s = spectra.summarize_channel(ch)
+            s = spectra.summarize(ch)
             assert all(m.satisfied for m in ckks_channel(s))
 
     def test_kind_mismatch_rejected(self):
-        s = spectra.summarize_channel(identity_channel(2))
+        s = spectra.summarize(identity_channel(2))
         with pytest.raises(ValueError):
             ckks_generator(s)
 
@@ -154,27 +152,27 @@ class TestCkks:
 class TestDerivedBounds:
     def test_d2_ceilings_coincide(self):
         assert structural_ceiling(2) == 2 * 2 - 2
-        s = spectra.summarize_generator(dephasing_generator(2))
+        s = spectra.summarize(dephasing_generator(2))
         checks = ckks_derived_bounds(s, "non-hamiltonian")
         comparison = [c for c in checks if "ceiling" in c.name][0]
         assert comparison.margin == 0 and comparison.satisfied
 
     def test_d3_strictly_tighter(self):
         assert structural_ceiling(3) == 5 < 6 == 3 * 3 - 3
-        s = spectra.summarize_generator(dephasing_generator(3))
+        s = spectra.summarize(dephasing_generator(3))
         comparison = [c for c in ckks_derived_bounds(s, "non-hamiltonian")
                       if "ceiling" in c.name][0]
         assert comparison.margin == 1
 
     def test_dephasing_d4_derived(self):
-        s = spectra.summarize_generator(dephasing_generator(4))
+        s = spectra.summarize(dephasing_generator(4))
         checks = {c.name: c for c in ckks_derived_bounds(s, "non-hamiltonian")}
         assert checks["ckks: mP <= d^2-d"].observed == 10
         assert checks["ckks: mP <= d^2-d"].bound == 12
         assert checks["ckks: mP <= d^2-d"].satisfied
 
     def test_markovian_channel_bound_included(self):
-        s = spectra.summarize_channel(phase_damping_channel(3))
+        s = spectra.summarize(phase_damping_channel(3))
         names = [c.name for c in ckks_derived_bounds(s, "non-unitary", markovian=True)]
         assert "ckks: lP <= d^2-d (markovian)" in names
         names = [c.name for c in ckks_derived_bounds(s, "non-unitary", markovian=False)]
@@ -183,8 +181,8 @@ class TestDerivedBounds:
     def test_implication_chain_on_samples(self, rng):
         # whenever the structural bound holds the d^2-d bound holds
         for d in (2, 3, 4):
-            s = spectra.summarize_generator(generic_gkls(d, rng))
-            rep = check_generator_bounds(s, "non-hamiltonian")
+            s = spectra.summarize(generic_gkls(d, rng))
+            rep = check_bounds(s, "non-hamiltonian")
             if rep.all_satisfied:
                 derived = ckks_derived_bounds(s, "non-hamiltonian")
                 assert all(c.satisfied for c in derived)
@@ -192,8 +190,8 @@ class TestDerivedBounds:
 
 class TestReportJson:
     def test_fields(self):
-        s = spectra.summarize_channel(phase_damping_channel(2))
-        rep = check_channel_bounds(s, "non-unitary")
+        s = spectra.summarize(phase_damping_channel(2))
+        rep = check_bounds(s, "non-unitary")
         obj = bounds.report_to_json(rep)
         assert obj["gap"] == 2 and obj["forbidden"] == 1
         assert obj["checks"][0]["satisfied"] is True

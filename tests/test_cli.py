@@ -1,4 +1,6 @@
+import csv
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -10,34 +12,39 @@ from oqspectra import (analysis, asymptotics, bounds, campaign, cli, constructio
 from oqspectra.cli import main
 from oqspectra.constructions import (
     phase_damping_channel,
+    saturating_dissipative_generator,
     saturating_hamiltonian_generator,
     unitary_channel,
 )
 
+# verify --dims 2,3,4,6 --per-dim 3 --seed 1, as the code wrote it when
+# channels and generators still had twin summarize/classify/analyze paths
+GOLDEN_CSV = pathlib.Path(__file__).parent / "data" / "verify-golden.csv"
+
 
 class TestAnalysisPipeline:
     def test_phase_damping_report(self):
-        rep = analysis.analyze_channel(phase_damping_channel(3))
+        rep = analysis.analyze(phase_damping_channel(3))
         assert rep.classification == "non-unitary"
         assert rep.summary.l0_or_m0 == rep.fixed_dim == 5
         assert rep.attractor_dim == 5
         assert rep.bounds_satisfied and not rep.rechecked
 
     def test_generator_report_includes_commutant(self):
-        rep = analysis.analyze_generator(saturating_hamiltonian_generator(3))
+        rep = analysis.analyze(saturating_hamiltonian_generator(3))
         # {H}' for the two-level Hamiltonian is the saturating commutant
         assert rep.commutant_dim == 5
         assert rep.classification == "hamiltonian"
 
     def test_json_schema(self):
-        rep = analysis.analyze_channel(phase_damping_channel(2))
+        rep = analysis.analyze(phase_damping_channel(2))
         obj = analysis.report_to_json(rep)
         assert obj["schema"] == "oqs/1"
         assert obj["subspaces"]["fixed_dim"] == 2
         json.dumps(obj)  # serializable
 
     def test_table_and_json_agree(self):
-        rep = analysis.analyze_channel(phase_damping_channel(3))
+        rep = analysis.analyze(phase_damping_channel(3))
         obj = analysis.report_to_json(rep)
         table = analysis.report_to_table(rep)
         assert f"l0/m0           {obj['summary']['l0_or_m0']}" in table
@@ -48,7 +55,7 @@ class TestAnalysisPipeline:
         # an almost-degenerate unitary first merges at the default tolerance,
         # then separates at the 10x tighter recheck
         u = np.diag([1.0, np.exp(2e-8j)])
-        rep = analysis.analyze_channel(unitary_channel(u))
+        rep = analysis.analyze(unitary_channel(u))
         assert rep.rechecked
         assert rep.bounds_satisfied
         assert rep.summary.l0_or_m0 == 2
@@ -69,7 +76,7 @@ class TestAnalysisPipeline:
 
         monkeypatch.setattr(scipy.linalg, "eig", recording)
         calls = helpers.count_calls(monkeypatch, scipy.linalg, ("eig", "eigvals", "svd", "svdvals"))
-        rep = analysis.analyze_channel(ch, with_commutant=False)
+        rep = analysis.analyze(ch, with_commutant=False)
         assert rep.attractor_dim == 16 and rep.fixed_dim == 4
         assert calls["eig"] + calls["eigvals"] == 1
         assert dtypes == [np.float64]
@@ -91,7 +98,7 @@ class TestAnalysisPipeline:
 
         for name in svd_like:
             monkeypatch.setattr(scipy.linalg, name, recording(name))
-        rep = analysis.analyze_generator(gen, with_commutant=False)
+        rep = analysis.analyze(gen, with_commutant=False)
         assert rep.fixed_dim == rep.attractor_dim == 1
         assert dtypes == [np.float64]
 
@@ -105,7 +112,7 @@ class TestAnalysisPipeline:
         # every rate; reported as 9/9 "hamiltonian" with a kernel discrepancy
         ops = constructions.saturating_dissipative_generator(3).noise_ops
         gen = gkls.build_generator(np.zeros((3, 3)), [np.sqrt(rate) * a for a in ops])
-        rep = analysis.analyze_generator(gen)
+        rep = analysis.analyze(gen)
         assert (rep.summary.l0_or_m0, rep.summary.lP_or_mP) == (5, 5)
         assert rep.discrepancy is None and rep.bounds_satisfied
 
@@ -117,7 +124,7 @@ class TestAnalysisPipeline:
         # e^{tL} of the saturating dissipator at t = 1e-9: l0 = lP = 5;
         # reported as "trivial" with a fixed-space discrepancy
         ch = gkls.exponentiate(constructions.saturating_dissipative_generator(3), 1e-9)
-        rep = analysis.analyze_channel(ch)
+        rep = analysis.analyze(ch)
         assert (rep.summary.l0_or_m0, rep.summary.lP_or_mP) == (5, 5)
         assert rep.discrepancy is None and rep.bounds_satisfied
 
@@ -193,6 +200,32 @@ class TestCliAnalyze:
     def test_missing_file_exit_2(self):
         assert main(["analyze", "/nonexistent/file.json"]) == 2
 
+    @pytest.mark.parametrize("subject", ["channel", "generator"])
+    @pytest.mark.parametrize("option, value, name", [
+        ("--tol-cluster", "nan", "cluster_tol"),
+        ("--tol-cluster", "inf", "cluster_tol"),
+        ("--tol-cluster", "0", "cluster_tol"),
+        ("--tol-peripheral", "-1", "peripheral_tol"),
+        ("--tol-peripheral", "nan", "peripheral_tol"),
+        ("--tol-peripheral", "inf", "peripheral_tol"),
+    ])
+    def test_invalid_tolerance_exit_2(self, tmp_path, capsys, subject, option, value, name):
+        obj = (superop.channel_to_json(phase_damping_channel(3)) if subject == "channel"
+               else gkls.generator_to_json(saturating_dissipative_generator(3)))
+        path = tmp_path / "subject.json"
+        path.write_text(json.dumps(obj))
+        assert main(["analyze", str(path), option, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["1", "2"])
+    def test_channel_peripheral_tol_below_one(self, tmp_path, capsys, value):
+        # from 1 on every eigenvalue is peripheral: phase damping would be unitary
+        path = tmp_path / "pd.json"
+        path.write_text(json.dumps(superop.channel_to_json(phase_damping_channel(3))))
+        assert main(["analyze", str(path), "--tol-peripheral", value]) == 2
+        assert "channel peripheral_tol must lie in [0, 1)" in capsys.readouterr().err
+
 
 class TestCliVerify:
     def test_small_campaign(self, tmp_path, capsys):
@@ -232,6 +265,30 @@ class TestCliVerify:
 
     def test_unknown_ensemble_exit_2(self, capsys):
         assert main(["verify", "--ensembles", "bogus"]) == 2
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--dims", "5..2", "no dimensions to verify"),
+        ("--ensembles", ",", "no sources to verify"),
+    ], ids=["empty-dims", "empty-sources"])
+    def test_empty_campaign_exit_2(self, capsys, option, value, message):
+        # a campaign that checks nothing must not report success
+        assert main(["verify", option, value]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_matches_golden_csv(self, tmp_path):
+        # every column exact; the float CKKS margin may drift at rounding level
+        out = tmp_path / "golden.csv"
+        assert main(["verify", "--dims", "2,3,4,6", "--per-dim", "3", "--seed", "1",
+                     "--out", str(out)]) == 0
+        got_text, want_text = out.read_text(), GOLDEN_CSV.read_text()
+        assert got_text.splitlines()[0] == want_text.splitlines()[0]
+        got = list(csv.DictReader(got_text.splitlines()))
+        want = list(csv.DictReader(want_text.splitlines()))
+        assert len(got) == len(want) == 76
+        for g, w in zip(got, want):
+            x, y = g.pop("ckks_min_margin"), w.pop("ckks_min_margin")
+            assert g == w
+            assert x == y or abs(float(x) - float(y)) <= 1e-11 * max(1.0, abs(float(y))), g
 
 
 class TestCliConstructAndSample:
@@ -298,13 +355,13 @@ class TestCampaignWork:
         assert calls["eig"] + calls["eigvals"] == 5
 
     def test_one_summary_per_sampled_subject(self, monkeypatch):
-        calls = helpers.count_calls(monkeypatch, spectra, ("summarize_channel", "summarize_generator"))
+        calls = helpers.count_calls(monkeypatch, spectra, ("summarize",))
         cfg = campaign.CampaignConfig(dims=(2, 3), per_dim=3, seed=4,
                                       sources=campaign.ENSEMBLES)
         result = campaign.run_campaign(cfg)
         draws = sum(1 + row.rejects for row in result.rows)
         assert not any(row.report.rechecked for row in result.rows)
-        assert calls["summarize_channel"] + calls["summarize_generator"] == draws
+        assert calls["summarize"] == draws
 
     def test_decompositions_per_subject(self, monkeypatch):
         # Every source at d = 6: one eig per drawn subject, and on average
@@ -319,13 +376,13 @@ class TestCampaignWork:
         assert calls["svd"] + calls["svdvals"] <= 1.6 * len(result.rows)
 
     def test_one_classification_per_sampled_subject(self, monkeypatch):
-        calls = helpers.count_calls(monkeypatch, bounds, ("classify_channel", "classify_generator"))
+        calls = helpers.count_calls(monkeypatch, bounds, ("classify",))
         cfg = campaign.CampaignConfig(dims=(2, 3), per_dim=3, seed=4,
                                       sources=campaign.ENSEMBLES)
         result = campaign.run_campaign(cfg)
         draws = sum(1 + row.rejects for row in result.rows)
         assert not any(row.report.rechecked for row in result.rows)
-        assert calls["classify_channel"] + calls["classify_generator"] == draws
+        assert calls["classify"] == draws
 
 
 class TestParserReuse:
@@ -360,7 +417,7 @@ class TestCampaignErrors:
     @pytest.mark.parametrize("victim", [1, 9])  # a constructor, a sampled subject
     def test_error_row_leaves_other_rows_unchanged(self, monkeypatch, error, victim):
         clean = campaign.rows_to_csv(campaign.run_campaign(self.CONFIG).rows).splitlines()
-        analyze = campaign._analyze
+        analyze = analysis.analyze
         count = [0]
 
         def failing(*args, **kwargs):
@@ -369,7 +426,7 @@ class TestCampaignErrors:
                 raise error("planted failure")
             return analyze(*args, **kwargs)
 
-        monkeypatch.setattr(campaign, "_analyze", failing)
+        monkeypatch.setattr(analysis, "analyze", failing)
         result = campaign.run_campaign(self.CONFIG)
         lines = campaign.rows_to_csv(result.rows).splitlines()
         assert len(lines) == len(clean)
@@ -384,7 +441,7 @@ class TestCampaignErrors:
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("planted failure")
 
-        monkeypatch.setattr(campaign, "_analyze", failing)
+        monkeypatch.setattr(analysis, "analyze", failing)
         out = tmp_path / "c.csv"
         assert main(["verify", "--dims", "2", "--per-dim", "1", "--ensembles",
                      "gkls-generic", "--out", str(out)]) == 1

@@ -81,7 +81,7 @@ class TestBruteForce:
         ch = stinespring_channel(12, np.random.default_rng(12))
         tracemalloc.start()
         try:
-            rep = analysis.analyze_channel(ch)
+            rep = analysis.analyze(ch)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -138,12 +138,12 @@ class TestGramRoute:
         config = constructions.SamplerConfig(seed=0, dim=8, ensemble="gkls-generic")
         svd = ("svd", "svdvals")
         without = helpers.count_calls(monkeypatch, scipy.linalg, svd)
-        analysis.analyze_generator(constructions.sample_one(config, 0), with_commutant=False)
+        analysis.analyze(constructions.sample_one(config, 0), with_commutant=False)
         monkeypatch.undo()
         with_commutant = helpers.count_calls(monkeypatch, scipy.linalg, svd)
         stack = helpers.count_calls(monkeypatch, linalg, ("commutation_superop",))
         brute = helpers.count_calls(monkeypatch, commutants, ("commutant",))
-        rep = analysis.analyze_generator(constructions.sample_one(config, 0))
+        rep = analysis.analyze(constructions.sample_one(config, 0))
         assert rep.commutant_dim == 1
         assert stack["commutation_superop"] == brute["commutant"] == 0
         assert with_commutant == without

@@ -31,22 +31,22 @@ CEILING = {d: d * d - 2 * d + 2 for d in range(2, 9)}
 class TestSaturators:
     @pytest.mark.parametrize("d", range(2, 9))
     def test_hamiltonian_counts(self, d):
-        s = spectra.summarize_generator(saturating_hamiltonian_generator(d))
+        s = spectra.summarize(saturating_hamiltonian_generator(d))
         assert (s.l0_or_m0, s.lP_or_mP) == (CEILING[d], d * d)
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_unitary_counts(self, d):
-        s = spectra.summarize_channel(saturating_unitary_channel(d))
+        s = spectra.summarize(saturating_unitary_channel(d))
         assert (s.l0_or_m0, s.lP_or_mP) == (CEILING[d], d * d)
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_dissipative_counts(self, d):
-        s = spectra.summarize_generator(saturating_dissipative_generator(d))
+        s = spectra.summarize(saturating_dissipative_generator(d))
         assert (s.l0_or_m0, s.lP_or_mP) == (CEILING[d], CEILING[d])
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_phase_damping_counts(self, d):
-        s = spectra.summarize_channel(phase_damping_channel(d))
+        s = spectra.summarize(phase_damping_channel(d))
         assert (s.l0_or_m0, s.lP_or_mP) == (CEILING[d], CEILING[d])
 
     def test_degenerate_parameters_rejected(self):
@@ -62,7 +62,7 @@ class TestSaturators:
         from oqspectra.gkls import exponentiate
         gen = saturating_hamiltonian_generator(3, 0.0, 2 * np.pi)
         ch = exponentiate(gen, 1.0)
-        assert bounds.classify_channel(ch) == "trivial"
+        assert bounds.classify(ch) == "trivial"
 
     def test_unitary_eigenvalues_are_phase_products(self):
         # mu_{kl} = lambda_k conj(lambda_l) for U = e^{-iH}
@@ -78,11 +78,11 @@ class TestSaturators:
         ch = saturating_unitary_channel(2, 0.0, np.pi)
         helpers.assert_multisets_close(np.linalg.eigvals(ch.superop),
                                        [1, 1, -1, -1], atol=1e-12)
-        assert spectra.summarize_channel(ch).l0_or_m0 == 2
+        assert spectra.summarize(ch).l0_or_m0 == 2
 
     def test_dissipative_two_ops(self):
         gen = saturating_dissipative_generator(5, [(1.0, 0.0), (1j, -1j)])
-        assert spectra.summarize_generator(gen).l0_or_m0 == 17
+        assert spectra.summarize(gen).l0_or_m0 == 17
 
     def test_dissipative_unital(self):
         for d in (2, 3, 5):
@@ -142,17 +142,17 @@ class TestSamplers:
     def test_haar_samples_classify_unitary(self, rng):
         for _ in range(10):
             ch = unitary_channel(haar_unitary(3, rng))
-            assert bounds.classify_channel(ch) == "unitary"
+            assert bounds.classify(ch) == "unitary"
 
     def test_generic_samples_classify_non_unitary(self, rng):
         for _ in range(20):
             ch = stinespring_channel(2, rng)
-            assert bounds.classify_channel(ch) == "non-unitary"
+            assert bounds.classify(ch) == "non-unitary"
 
     def test_generic_peripheral_is_simple(self, rng):
         # distributional sanity: generic spectra have lP = 1
         hits = sum(
-            spectra.summarize_channel(stinespring_channel(3, rng)).lP_or_mP == 1
+            spectra.summarize(stinespring_channel(3, rng)).lP_or_mP == 1
             for _ in range(100))
         assert hits >= 95
 

@@ -213,9 +213,9 @@ class TestJson:
         for d in (2, 3, 4):
             gen = sample_one(SamplerConfig(seed=d, dim=d, ensemble=ensemble), 0)
             gen2 = gkls.generator_from_json(gkls.generator_to_json(gen))
-            a, b = spectra.summarize_generator(gen), spectra.summarize_generator(gen2)
+            a, b = spectra.summarize(gen), spectra.summarize(gen2)
             assert (a.l0_or_m0, a.lP_or_mP) == (b.l0_or_m0, b.lP_or_mP)
-            assert bounds.classify_generator(gen) == bounds.classify_generator(gen2)
+            assert bounds.classify(gen) == bounds.classify(gen2)
 
     def test_missing_field(self):
         with pytest.raises(ValueError, match="hamiltonian"):

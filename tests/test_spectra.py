@@ -100,35 +100,35 @@ class TestCluster:
 
 class TestChannelSummary:
     def test_identity(self):
-        s = spectra.summarize_channel(identity_channel(3))
+        s = spectra.summarize(identity_channel(3))
         assert s.l0_or_m0 == 9 and s.lP_or_mP == 9 and s.bulk_multiplicity == 0
 
     def test_nontrivial_unitary(self):
         # U = diag(e^{i theta}, 1, 1): l0 = (d-1)^2 + 1 = 5, lP = d^2 = 9
         u = np.diag([np.exp(1j), 1.0, 1.0])
-        s = spectra.summarize_channel(unitary_channel(u))
+        s = spectra.summarize(unitary_channel(u))
         assert s.l0_or_m0 == 5 and s.lP_or_mP == 9
 
     def test_phase_damping_d3(self):
-        s = spectra.summarize_channel(phase_damping_channel(3))
+        s = spectra.summarize(phase_damping_channel(3))
         values = [(item.value, item.multiplicity) for item in s.distinct]
         assert values[0][0] == pytest.approx(1.0) and values[0][1] == 5
         assert values[1][0] == pytest.approx(np.exp(-1.0)) and values[1][1] == 4
         assert s.l0_or_m0 == 5 and s.lP_or_mP == 5 and s.bulk_multiplicity == 4
 
     def test_phase_damping_d4(self):
-        s = spectra.summarize_channel(phase_damping_channel(4))
+        s = spectra.summarize(phase_damping_channel(4))
         assert s.l0_or_m0 == 10 and s.lP_or_mP == 10
 
     def test_invalid_subject_without_unit_eigenvalue(self):
         fake = QuantumChannel(dim=2, _superop=0.5 * np.eye(4))
         with pytest.raises(ValueError, match="no eigenvalue cluster"):
-            spectra.summarize_channel(fake)
+            spectra.summarize(fake)
 
     def test_multiplicities_always_sum(self, rng):
         from oqspectra.constructions import stinespring_channel
         for d in (2, 3, 4):
-            s = spectra.summarize_channel(stinespring_channel(d, rng))
+            s = spectra.summarize(stinespring_channel(d, rng))
             assert sum(i.multiplicity for i in s.distinct) == d * d
             assert s.l0_or_m0 <= s.lP_or_mP <= d * d
             assert s.bulk_multiplicity + s.lP_or_mP == d * d
@@ -140,54 +140,50 @@ class TestCachedSpectrum:
         # summaries read the cached eig(M); a fresh eigvals(M) must give
         # the same integers and the same classification
         for name, subject in helpers.oracle_subjects(d):
-            is_channel = isinstance(subject, QuantumChannel)
-            kind = "channel" if is_channel else "generator"
-            classify = bounds.classify_channel if is_channel else bounds.classify_generator
-            cached = (spectra.summarize_channel(subject) if is_channel
-                      else spectra.summarize_generator(subject))
-            fresh = spectra._summarize(kind, d, linalg.eigvals(subject.superop),
+            cached = spectra.summarize(subject)
+            fresh = spectra._summarize(subject.kind, d, linalg.eigvals(subject.superop),
                                        None, spectra.DEFAULT_PERIPHERAL_TOL)
             assert (cached.l0_or_m0, cached.lP_or_mP) == (fresh.l0_or_m0, fresh.lP_or_mP), name
-            assert classify(subject) == classify(subject, summary=fresh), name
+            assert bounds.classify(subject) == bounds.classify(subject, summary=fresh), name
 
 
 class TestGeneratorSummary:
     def test_zero_generator(self):
         gen = build_generator(np.zeros((3, 3)), ())
-        s = spectra.summarize_generator(gen)
+        s = spectra.summarize(gen)
         assert s.l0_or_m0 == 9 and s.lP_or_mP == 9
 
     def test_two_level_hamiltonian(self):
-        s = spectra.summarize_generator(saturating_hamiltonian_generator(3))
+        s = spectra.summarize(saturating_hamiltonian_generator(3))
         assert s.l0_or_m0 == 5 and s.lP_or_mP == 9
 
     def test_dephasing_d5(self):
-        s = spectra.summarize_generator(dephasing_generator(5))
+        s = spectra.summarize(dephasing_generator(5))
         assert s.l0_or_m0 == 17 and s.lP_or_mP == 17
 
     def test_rates_attached(self):
-        s = spectra.summarize_generator(dephasing_generator(3))
+        s = spectra.summarize(dephasing_generator(3))
         rates = sorted((i.rate, i.multiplicity) for i in s.distinct)
         assert rates == [(0.0, 5), (1.0, 4)]
 
     def test_unitary_channels_have_full_peripheral_spectrum(self, rng):
         for _ in range(5):
             u = helpers.haar(3, rng)
-            s = spectra.summarize_channel(unitary_channel(u))
+            s = spectra.summarize(unitary_channel(u))
             assert s.lP_or_mP == 9
 
     def test_exponential_peripheral_match(self, rng):
         # lP(e^L) equals mP(L)
         for _ in range(5):
             gen = generic_gkls(2, rng)
-            sg = spectra.summarize_generator(gen)
-            sc = spectra.summarize_channel(exponentiate(gen, 1.0))
+            sg = spectra.summarize(gen)
+            sc = spectra.summarize(exponentiate(gen, 1.0))
             assert sc.lP_or_mP == sg.lP_or_mP
 
 
 class TestJson:
     def test_fields_and_order(self):
-        s = spectra.summarize_channel(phase_damping_channel(3))
+        s = spectra.summarize(phase_damping_channel(3))
         obj = spectra.summary_to_json(s)
         assert obj["kind"] == "channel" and obj["dim"] == 3
         mods = [abs(complex(*e["value"])) for e in obj["distinct"]]
@@ -195,6 +191,6 @@ class TestJson:
         assert obj["tolerances"]["cluster"] == s.cluster_tol
 
     def test_generator_rates_serialized(self):
-        s = spectra.summarize_generator(dephasing_generator(2))
+        s = spectra.summarize(dephasing_generator(2))
         obj = spectra.summary_to_json(s)
         assert any("rate" in e for e in obj["distinct"])
