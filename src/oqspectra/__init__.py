@@ -60,8 +60,6 @@ from .superop import (
     from_superop,
     is_unitary_channel,
     power,
-    to_choi,
-    to_superop,
 )
 
 __version__ = "0.1.0"

@@ -7,10 +7,13 @@ subject's :class:`linalg.Spectrum`, sharing one SVD at the anchor of its
 kind (1 for channels, 0 for generators); bases in matrix coordinates are
 built on first read.
 
-Spectral projections are built from biorthogonal left/right eigenvector
-blocks, P = V (W^dag V)^{-1} W^dag, which is exact up to eig accuracy for
-semisimple eigenvalues (all peripheral eigenvalues of valid channels and
-generators are semisimple).  A Cesaro power average is kept as an
+Spectral projections (onto the fixed space or the attractor) read the same
+cached ``Spectrum``: the real right columns V the attractor uses, and their
+left counterparts W (left eigenvectors of simple eigenvalues, the left
+singular vectors of the same SVD for multiple ones), give
+P' = V (W^T V)^{-1} W^T in the coordinates of R', exact up to eig accuracy
+for semisimple eigenvalues (all peripheral eigenvalues of valid channels
+and generators are semisimple).  A Cesaro power average is kept as an
 independent, slowly converging cross-check oracle.
 """
 
@@ -25,7 +28,7 @@ import scipy.linalg
 
 from . import linalg, spectra, superop
 from .gkls import GklsGenerator
-from .linalg import dagger, nullspace, unvec, vec
+from .linalg import dagger, unvec, vec
 from .superop import QuantumChannel
 
 DEFAULT_NULL_TOL = 1e-8
@@ -81,7 +84,7 @@ def fixed_space(subject, tol: float = DEFAULT_NULL_TOL,
         summary = spectra.summarize(subject)
     spectrum = subject.spectrum
     # A multiple anchor cluster's vectors go into the attractor.
-    dim, _ = spectrum.null_space(kind.anchor, tol, vectors=summary.l0_or_m0 > 1)
+    dim, *_ = spectrum.null_space(kind.anchor, tol, vectors=summary.l0_or_m0 > 1)
     if dim != summary.l0_or_m0:
         raise ConsistencyError(
             f"{kind.space} dimension {dim} != clustered multiplicity "
@@ -115,7 +118,7 @@ def attractor(subject, tol: float = DEFAULT_NULL_TOL,
     if summary is None:
         summary = spectra.summarize(subject, cluster_tol, peripheral_tol)
     spectrum = subject.spectrum
-    stack, orthonormal = _peripheral_columns(spectrum, summary, subject.kind.anchor, tol)
+    stack, _, orthonormal = _peripheral_columns(spectrum, summary, subject.kind.anchor, tol)
     rank = stack.shape[1] if orthonormal else linalg.numerical_rank(
         scipy.linalg.svdvals(stack), stack.shape, ATTRACTOR_RANK_TOL)
     if rank != summary.lP_or_mP or rank != stack.shape[1]:
@@ -128,17 +131,18 @@ def attractor(subject, tol: float = DEFAULT_NULL_TOL,
 
 
 def _peripheral_columns(spectrum: linalg.Spectrum, summary: spectra.SpectralSummary,
-                        anchor: float, tol: float) -> tuple[np.ndarray, bool]:
-    """Real columns spanning the attractor in the coordinates of R', and
-    whether they are orthonormal by construction.  Real vectors stay; v
-    above the real axis gives sqrt 2 Re v, sqrt 2 Im v, which is [v, conj v]
-    times a unitary, so the stack has the singular values of the complex
-    stack of all peripheral eigenvectors (left/right unit vectors of R' are
-    ``vl sqrt_h`` and ``vr / sqrt_h``: their overlap is the one of M's)."""
+                        anchor: float, tol: float, anchor_only: bool = False,
+                        with_left: bool = False):
+    """Real columns spanning the right eigenvectors of the peripheral
+    eigenvalues (with ``anchor_only``, of the anchor cluster) in the
+    coordinates of R', with ``with_left`` real columns spanning their left
+    eigenvectors (else None), and whether the right columns are orthonormal
+    by construction.  Left/right unit vectors of R' are ``vl sqrt_h`` and
+    ``vr / sqrt_h``: their overlap is the one of M's."""
     w, sqrt_h = spectrum.values, spectrum.sqrt_h[:, None]
     anchor_item = min(summary.distinct, key=lambda item: abs(item.value - anchor))
-    blocks, singles = [], []  # blocks: (columns, real)
-    for item in (item for item in summary.distinct if item.peripheral):
+    blocks, singles = [], []
+    for item in [anchor_item] if anchor_only else [i for i in summary.distinct if i.peripheral]:
         mu = item.value
         # A cluster within cluster_tol of its conjugate is its own conjugate;
         # any other lies more than cluster_tol / 2 off the real axis.
@@ -147,13 +151,13 @@ def _peripheral_columns(spectrum: linalg.Spectrum, summary: spectra.SpectralSumm
             singles.append((np.flatnonzero(w == mu)[0], mu, real))
         elif real or mu.imag > 0:  # one below the axis is its partner's conjugate
             center = anchor if item is anchor_item else (mu.real if real else mu)
-            dim, null = spectrum.null_space(center, tol, vectors=True)
+            dim, right, left = spectrum.null_space(center, tol, vectors=True)
             if dim != item.multiplicity:
                 raise ConsistencyError(
                     f"peripheral eigenvalue {mu:.6g}: geometric multiplicity "
                     f"{dim} != algebraic {item.multiplicity}"
                 )
-            blocks.append((null, real))
+            blocks.append((right, left, real))
     if singles:
         k, mu, real = map(np.array, zip(*singles))
         right, left = spectrum.vr[:, k] / sqrt_h, spectrum.vl[:, k] * sqrt_h
@@ -165,58 +169,50 @@ def _peripheral_columns(spectrum: linalg.Spectrum, summary: spectra.SpectralSumm
                 f"peripheral eigenvalue {mu[bad[0]]:.6g}: left/right eigenvector "
                 f"overlap {overlap[bad[0]]:.3e} <= {tol:.1e}, not semisimple"
             )
-        blocks += [(right[:, real], True), (right[:, ~real & (mu.imag > 0)], False)]
-    stack = np.hstack([b.real if real else np.sqrt(2) * np.hstack((b.real, b.imag))
-                       for b, real in blocks if b.shape[1]])
+        blocks += [(right[:, sel], left[:, sel] if with_left else None, is_real)
+                   for sel, is_real in ((real, True), (~real & (mu.imag > 0), False))]
+    blocks = [b for b in blocks if b[0].shape[1]]
+    # A real block stays; v above the axis gives sqrt 2 Re v, sqrt 2 Im v, which
+    # is [v, conj v] times a unitary: the stack keeps the singular values.
+    v, w = (np.hstack([b[s].real if b[2] else np.sqrt(2) * np.hstack((b[s].real, b[s].imag))
+                       for b in blocks]) if s == 0 or with_left else None for s in (0, 1))
     # One eigenspace from an SVD, or one unit vector, is orthonormal.
-    return stack, sum(b.shape[1] > 0 for b, _ in blocks) == 1 and (
-        not singles or stack.shape[1] == 1)
+    return v, w, len(blocks) == 1 and (not singles or v.shape[1] == 1)
 
 
-def eigen_projector(m: np.ndarray, center: complex, tol: float = DEFAULT_NULL_TOL) -> np.ndarray:
-    """Spectral projector for a semisimple eigenvalue cluster at ``center``.
-
-    Built from right eigenvectors V and left eigenvectors W as
-    V (W^dag V)^{-1} W^dag.  Raises on biorthogonalization breakdown
-    (near-defective cluster).
-    """
-    ident = np.eye(m.shape[0])
-    v = nullspace(m - center * ident, tol=tol)
-    w = nullspace(dagger(m) - np.conj(center) * ident, tol=tol)
-    if v.shape[1] == 0 or v.shape[1] != w.shape[1]:
-        raise ConsistencyError(
-            f"left/right eigenspace dimensions differ at {center:.6g}: "
-            f"{w.shape[1]} vs {v.shape[1]}"
-        )
-    overlap = dagger(w) @ v
+def _projection(subject, summary: spectra.SpectralSummary, tol: float,
+                anchor_only: bool) -> np.ndarray:
+    """Spectral projection onto the attractor (or with ``anchor_only`` onto
+    the fixed space), as a superoperator: P' = V (W^T V)^{-1} W^T with the
+    real right and left columns V, W in the coordinates of R', mapped back
+    as U P' U^dag = (U V) (W^T V)^{-1} (U W)^dag.  Raises on
+    biorthogonalization breakdown (near-defective eigenvalues)."""
+    spectrum = subject.spectrum
+    v, w, _ = _peripheral_columns(spectrum, summary, subject.kind.anchor, tol, anchor_only,
+                                  with_left=True)
+    overlap = w.T @ v
     cond = np.linalg.cond(overlap)
     if not np.isfinite(cond) or cond > 1e12:
-        raise ConsistencyError(
-            f"biorthogonalization breakdown at {center:.6g} (cond {cond:.3e})"
-        )
-    return v @ np.linalg.solve(overlap, dagger(w))
+        raise ConsistencyError(f"biorthogonalization breakdown (cond {cond:.3e})")
+    return spectrum.to_matrix(v) @ np.linalg.solve(overlap, dagger(spectrum.to_matrix(w)))
 
 
-def fixed_projection(channel: QuantumChannel, tol: float = DEFAULT_NULL_TOL) -> np.ndarray:
-    """Spectral projection onto Fix(Phi) (eigenvalue 1), as a superoperator."""
-    return eigen_projector(channel.superop, 1.0, tol)
+def fixed_projection(subject, tol: float = DEFAULT_NULL_TOL) -> np.ndarray:
+    """Spectral projection onto Fix(Phi) or Ker(L), as a superoperator."""
+    return _projection(subject, spectra.summarize(subject), tol, anchor_only=True)
 
 
-def peripheral_projection(channel: QuantumChannel, tol: float = DEFAULT_NULL_TOL,
+def peripheral_projection(subject, tol: float = DEFAULT_NULL_TOL,
                           cluster_tol: float | None = None,
                           peripheral_tol: float = spectra.DEFAULT_PERIPHERAL_TOL) -> np.ndarray:
-    """Spectral projection onto Attr(Phi), as a superoperator matrix.
+    """Spectral projection onto the attractor, as a superoperator matrix.
 
-    The result is idempotent, commutes with the channel matrix and is
-    itself a quantum channel (all checked in the test suite at 1e-7/1e-6).
+    The result is idempotent and commutes with the superoperator; for a
+    channel it is itself a quantum channel (all checked in the test suite
+    at 1e-7/1e-6).
     """
-    summary = spectra.summarize(channel, cluster_tol, peripheral_tol)
-    m = channel.superop
-    proj = np.zeros_like(m)
-    for item in summary.distinct:
-        if item.peripheral:
-            proj += eigen_projector(m, item.value, tol)
-    return proj
+    summary = spectra.summarize(subject, cluster_tol, peripheral_tol)
+    return _projection(subject, summary, tol, anchor_only=False)
 
 
 def cesaro_projection(channel: QuantumChannel, n: int = CESARO_DEFAULT_N) -> np.ndarray:
@@ -234,23 +230,25 @@ def cesaro_projection(channel: QuantumChannel, n: int = CESARO_DEFAULT_N) -> np.
 def maximal_steady_state(subject, tol: float = DEFAULT_NULL_TOL) -> np.ndarray:
     """The steady state P(I)/d of maximal support (P the spectral projection
     onto Fix(Phi) or Ker(L))."""
-    d, proj = subject.dim, eigen_projector(subject.superop, subject.kind.anchor, tol)
-    rho = unvec(proj @ vec(np.eye(d)), rows=d) / d
+    d = subject.dim
+    rho = unvec(fixed_projection(subject, tol) @ vec(np.eye(d)), rows=d) / d
     rho = (rho + dagger(rho)) / 2
     return rho / np.trace(rho).real
 
 
-def _support_isometry(rho: np.ndarray, support_tol: float) -> np.ndarray:
+def _support(rho: np.ndarray, support_tol: float = SUPPORT_REL_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues of a state above ``support_tol`` times the largest,
+    and their eigenvectors: an isometry onto its support."""
     w, v = np.linalg.eigh(rho)
     keep = w > support_tol * max(w.max(), 0.0)
-    return v[:, keep]
+    return w[keep], v[:, keep]
 
 
 def is_faithful(channel: QuantumChannel, tol: float = DEFAULT_NULL_TOL,
                 support_tol: float = SUPPORT_REL_TOL) -> bool:
     """A channel is faithful iff it admits an invertible steady state."""
     rho = maximal_steady_state(channel, tol)
-    return _support_isometry(rho, support_tol).shape[1] == channel.dim
+    return _support(rho, support_tol)[1].shape[1] == channel.dim
 
 
 def faithful_reduce(channel: QuantumChannel, tol: float = DEFAULT_NULL_TOL,
@@ -264,7 +262,7 @@ def faithful_reduce(channel: QuantumChannel, tol: float = DEFAULT_NULL_TOL,
     faithful: its steady state V^dag rho0 V is invertible by construction.
     """
     rho0 = maximal_steady_state(channel, tol)
-    v = _support_isometry(rho0, support_tol)
+    v = _support(rho0, support_tol)[1]
     d0 = v.shape[1]
     kraus = channel.kraus_operators()
     compressor = np.eye(channel.dim) - v @ dagger(v)
@@ -294,7 +292,8 @@ def steady_states(subject, tol: float = DEFAULT_NULL_TOL) -> list[np.ndarray]:
     def residual(r):
         return float(np.linalg.norm(unvec(m @ vec(r), rows=d) - anchor * r))
 
-    support_floor = _support_floor(rho0)
+    positive = _support(rho0)[0]
+    support_floor = float(positive.min()) if positive.size else 0.0
     for x in basis.matrices():
         for cand in ((x + dagger(x)) / 2, (x - dagger(x)) / 2j):
             state = _positivize(cand, rho0, support_floor)
@@ -307,12 +306,6 @@ def steady_states(subject, tol: float = DEFAULT_NULL_TOL) -> list[np.ndarray]:
         if len(states) >= basis.dimension:
             break
     return states
-
-
-def _support_floor(rho0: np.ndarray) -> float:
-    w = np.linalg.eigh(rho0)[0]
-    positive = w[w > SUPPORT_REL_TOL * max(w.max(), 0.0)]
-    return float(positive.min()) if positive.size else 0.0
 
 
 def _positivize(k: np.ndarray, rho0: np.ndarray, support_floor: float) -> np.ndarray | None:

@@ -109,9 +109,7 @@ class _Task:
 def _subject_tasks(config: CampaignConfig):
     for source in config.sources:
         for dim_i, d in enumerate(config.dims):
-            count = config.per_dim
-            if source == CONSTRUCTORS:
-                count = 4  # one row per saturating example
+            count = len(constructions.SATURATING) if source == CONSTRUCTORS else config.per_dim
             for index in range(count):
                 key = None
                 if source != CONSTRUCTORS:
@@ -131,26 +129,10 @@ def _run_task(task: _Task) -> CampaignRow:
                            report=None, violation=True, note=f"error:{type(exc).__name__}")
 
 
-_CONSTRUCTOR_NAMES = ("unitary", "phase-damping", "hamiltonian", "dissipative")
-
-
 def _run_constructor(task: _Task) -> CampaignRow:
     d = task.dim
-    name = _CONSTRUCTOR_NAMES[task.index]
-    ceiling = bounds.structural_ceiling(d)
-    if name == "unitary":
-        subject = constructions.saturating_unitary_channel(d)
-        expected = (ceiling, d * d)
-    elif name == "phase-damping":
-        subject = constructions.phase_damping_channel(d)
-        expected = (ceiling, ceiling)
-    elif name == "hamiltonian":
-        subject = constructions.saturating_hamiltonian_generator(d)
-        expected = (ceiling, d * d)
-    else:
-        subject = constructions.saturating_dissipative_generator(d)
-        expected = (ceiling, ceiling)
-
+    name = list(constructions.SATURATING)[task.index]
+    subject, expected = constructions.saturating(name, d)
     report = analysis.analyze(subject, markovian=name == "phase-damping",
                               with_commutant=False)
     observed = (report.summary.l0_or_m0, report.summary.lP_or_mP)

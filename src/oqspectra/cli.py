@@ -32,9 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_analyze = sub.add_parser("analyze", help="full pipeline on a JSON subject file")
-    p_analyze.add_argument("path")
-    p_analyze.add_argument("--kind", choices=["channel", "generator"],
-                           help="default: inferred from the JSON fields")
+    p_analyze.add_argument("path", help="a channel, or a generator if it has a hamiltonian")
     p_analyze.add_argument("--tol-cluster", type=float, default=None)
     p_analyze.add_argument("--tol-peripheral", type=float,
                            default=spectra.DEFAULT_PERIPHERAL_TOL)
@@ -56,8 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", default=None, help="write the campaign CSV here")
 
     p_construct = sub.add_parser("construct", help="emit a saturating example")
-    p_construct.add_argument("kind", choices=["unitary", "phase-damping",
-                                              "hamiltonian", "dissipative"])
+    p_construct.add_argument("kind", choices=list(constructions.SATURATING))
     p_construct.add_argument("--dim", type=int, required=True)
     p_construct.add_argument("--h", default="0,1",
                              help="h1,h2 for the two-level Hamiltonian examples")
@@ -146,7 +143,7 @@ def _one_blas_thread():
             set_(count)
 
 
-def _load_subject(path: str, kind: str | None):
+def _load_subject(path: str):
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -155,9 +152,7 @@ def _load_subject(path: str, kind: str | None):
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     try:
-        if kind is None:
-            kind = "generator" if "hamiltonian" in obj else "channel"
-        if kind == "generator":
+        if "hamiltonian" in obj:
             return gkls.generator_from_json(obj)
         return superop.channel_from_json(obj)
     except TypeError as exc:  # e.g. a number where a list of matrices belongs
@@ -165,7 +160,7 @@ def _load_subject(path: str, kind: str | None):
 
 
 def _cmd_analyze(args) -> int:
-    report = analysis.analyze(_load_subject(args.path, args.kind),
+    report = analysis.analyze(_load_subject(args.path),
                               cluster_tol=args.tol_cluster,
                               peripheral_tol=args.tol_peripheral, markovian=args.markovian)
     if args.as_json:
@@ -218,20 +213,10 @@ def _parse_pairs(spec: str) -> tuple[tuple[complex, complex], ...]:
 
 
 def _cmd_construct(args) -> int:
-    d = args.dim
-    if args.kind == "unitary":
-        h1, h2 = (float(tok) for tok in args.h.split(","))
-        obj = superop.channel_to_json(constructions.saturating_unitary_channel(d, h1, h2))
-    elif args.kind == "phase-damping":
-        obj = superop.channel_to_json(constructions.phase_damping_channel(d))
-    elif args.kind == "hamiltonian":
-        h1, h2 = (float(tok) for tok in args.h.split(","))
-        obj = gkls.generator_to_json(
-            constructions.saturating_hamiltonian_generator(d, h1, h2))
-    else:
-        obj = gkls.generator_to_json(
-            constructions.saturating_dissipative_generator(d, _parse_pairs(args.eigenpairs)))
-    _emit(json.dumps(obj), args.out)
+    h1, h2 = (float(tok) for tok in args.h.split(","))
+    subject, _ = constructions.saturating(args.kind, args.dim, (h1, h2),
+                                          _parse_pairs(args.eigenpairs))
+    _emit(_to_json(subject), args.out)
     return 0
 
 
@@ -239,11 +224,13 @@ def _cmd_sample(args) -> int:
     config = constructions.SamplerConfig(
         seed=args.seed, dim=args.dim, ensemble=args.ensemble,
         count=args.count, env_dim=args.env_dim)
-    lines = [json.dumps(superop.channel_to_json(subject) if subject.kind == spectra.CHANNEL
-                        else gkls.generator_to_json(subject))
-             for subject in constructions.sample(config)]
-    _emit("\n".join(lines), args.out)
+    _emit("\n".join(map(_to_json, constructions.sample(config))), args.out)
     return 0
+
+
+def _to_json(subject) -> str:
+    return json.dumps(superop.channel_to_json(subject) if subject.kind == spectra.CHANNEL
+                      else gkls.generator_to_json(subject))
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -138,7 +138,7 @@ def weyr_profile(a, cluster_tol: float | None = None,
     """
     m = require_square(a)
     d = m.shape[0]
-    w = linalg.eigvals(m)
+    w = scipy.linalg.eigvals(m)
     radius = float(np.max(np.abs(w))) if d else 0.0
     ctol = cluster_tol if cluster_tol is not None else spectra.default_cluster_tol(radius)
     clusters = spectra.cluster(w, ctol)

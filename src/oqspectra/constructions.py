@@ -27,6 +27,7 @@ from typing import Iterator, Union
 import numpy as np
 
 from . import gkls, linalg
+from .bounds import structural_ceiling
 from .gkls import GklsGenerator, build_generator
 from .superop import QuantumChannel, from_kraus, from_superop
 
@@ -134,6 +135,26 @@ def phase_damping_channel(d: int) -> QuantumChannel:
     # diagonal position j*d + i.
     m = np.diag(factors.flatten(order="F")).astype(np.complex128)
     return from_superop(m)
+
+
+# The saturating examples by name: a builder of (d, (h1, h2), eigenpairs),
+# which reads the parameters its example takes, and whether the example
+# advertises lP = d^2 (every eigenvalue peripheral) or lP = l0 = the ceiling.
+SATURATING = {
+    "unitary": (lambda d, h, pairs: saturating_unitary_channel(d, *h), True),
+    "phase-damping": (lambda d, h, pairs: phase_damping_channel(d), False),
+    "hamiltonian": (lambda d, h, pairs: saturating_hamiltonian_generator(d, *h), True),
+    "dissipative": (lambda d, h, pairs: saturating_dissipative_generator(d, pairs), False),
+}
+
+
+def saturating(name: str, d: int, h: tuple[float, float] = (0.0, 1.0),
+               eigenpairs=((1.0, 0.0),)) -> tuple[Subject, tuple[int, int]]:
+    """The saturating example ``name`` at dimension d and the (l0, lP) it
+    advertises; l0 is always the ceiling d^2 - 2d + 2."""
+    build, all_peripheral = SATURATING[name]
+    ceiling = structural_ceiling(d)
+    return build(d, h, eigenpairs), (ceiling, d * d if all_peripheral else ceiling)
 
 
 # ---------------------------------------------------------------------------

@@ -100,19 +100,23 @@ class Spectrum:
         return (hermitian_basis(math.isqrt(self.values.size))[0] * self.sqrt_h) @ cols
 
     def null_space(self, center: complex, tol: float,
-                   vectors: bool) -> tuple[int, np.ndarray | None]:
+                   vectors: bool) -> tuple[int, np.ndarray | None, np.ndarray | None]:
         """Dimension of Null(R' - center I), by :func:`numerical_rank` at
-        ``tol``, and with ``vectors`` its orthonormal basis in the
-        coordinates of R'.  One SVD per center, kept for later calls."""
+        ``tol``, and with ``vectors`` orthonormal bases, in the coordinates
+        of R', of the right and the left eigenvectors at ``center``: the
+        trailing right and left singular vectors of one SVD.  One SVD per
+        center, kept for later calls."""
         n = self.values.size
-        s, vh = self._svds.get(center, (None, None))
+        s, u, vh = self._svds.get(center, (None, None, None))
         if s is None or (vectors and vh is None):
             shifted = self.real - center * np.eye(n)
-            s, vh = (scipy.linalg.svd(shifted)[1:] if vectors
-                     else (scipy.linalg.svdvals(shifted), None))
-            self._svds[center] = (s, vh)
+            u, s, vh = (scipy.linalg.svd(shifted) if vectors
+                        else (None, scipy.linalg.svdvals(shifted), None))
+            self._svds[center] = (s, u, vh)
         rank = numerical_rank(s, (n, n), tol)
-        return n - rank, vh[rank:].conj().T if vectors else None
+        if not vectors:
+            return n - rank, None, None
+        return n - rank, vh[rank:].conj().T, u[:, rank:]
 
     @functools.cached_property
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -166,11 +170,6 @@ class Decomposed:
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(w, vl, vr)`` with unit eigenvectors of ``superop``."""
         return self.spectrum.eigensystem
-
-
-def eigvals(a) -> np.ndarray:
-    m = require_square(a)
-    return scipy.linalg.eigvals(m)
 
 
 def numerical_rank(s: np.ndarray, shape: tuple[int, ...], tol: float = 0.0,

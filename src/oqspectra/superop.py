@@ -59,10 +59,7 @@ class QuantumChannel(linalg.Decomposed):
     @property
     def choi(self) -> np.ndarray:
         if self._choi is None:
-            if self.kraus is not None:
-                self._choi = kraus_to_choi(self.kraus)
-            else:
-                self._choi = superop_to_choi(self._superop)
+            self._choi = superop_to_choi(self.superop)
         return self._choi
 
     def kraus_operators(self) -> tuple[np.ndarray, ...]:
@@ -139,16 +136,6 @@ def kraus_to_superop(kraus) -> np.ndarray:
     return (f.conj().T @ f).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
-def kraus_to_choi(kraus) -> np.ndarray:
-    ops = [require_square(b) for b in kraus]
-    d = ops[0].shape[0]
-    c = np.zeros((d * d, d * d), dtype=np.complex128)
-    for b in ops:
-        w = b.flatten(order="C")
-        c += np.outer(w, np.conj(w))
-    return c
-
-
 def superop_to_choi(m) -> np.ndarray:
     """Reshuffle: Choi[a*d+u, b*d+v] = M[b*d+a, v*d+u]."""
     m = require_square(m)
@@ -162,14 +149,6 @@ def choi_to_superop(c) -> np.ndarray:
     d = int(round(np.sqrt(c.shape[0])))
     c4 = c.reshape(d, d, d, d)
     return c4.transpose(2, 0, 3, 1).reshape(d * d, d * d)
-
-
-def to_superop(channel: QuantumChannel) -> np.ndarray:
-    return channel.superop
-
-
-def to_choi(channel: QuantumChannel) -> np.ndarray:
-    return channel.choi
 
 
 def choi_is_cp(choi, tol: float = 1e-10) -> bool:

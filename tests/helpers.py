@@ -333,3 +333,15 @@ def reference_cluster(values, cluster_tol):
     out = [(complex(np.mean(vs[members])), len(members)) for members in groups.values()]
     out.sort(key=lambda cm: (-abs(cm[0]), np.angle(cm[0])))
     return out
+
+
+def reference_projector(m, center, tol=1e-8):
+    """Spectral projector of a semisimple eigenvalue cluster at ``center``
+    from complex SVD nullspaces of M itself: right eigenvectors V of
+    M - c I, left ones W of M^dag - conj(c) I, and V (W^dag V)^{-1} W^dag."""
+    v = reference_nullspace(m, center, tol)
+    w = reference_nullspace(dag(m), np.conj(center), tol)
+    assert v.shape[1] == w.shape[1] > 0, (v.shape, w.shape)
+    overlap = dag(w) @ v
+    assert np.linalg.cond(overlap) <= 1e12
+    return v @ np.linalg.solve(overlap, dag(w))

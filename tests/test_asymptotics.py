@@ -17,10 +17,14 @@ from oqspectra.asymptotics import (
 )
 from oqspectra.constructions import (
     dephasing_generator,
+    generic_gkls,
+    hamiltonian_gkls,
     phase_damping_channel,
+    saturating_dissipative_generator,
     saturating_hamiltonian_generator,
     stinespring_channel,
     subspace_supported_channel,
+    unital_gkls,
     unitary_channel,
 )
 from oqspectra.gkls import build_generator, exponentiate
@@ -184,7 +188,7 @@ class TestAttractor:
         gen = build_generator(np.diag([0.0, 1.0, 2.0]), dephasing_generator(3).noise_ops)
         ch = exponentiate(gen, 1.0)
         summary = spectra.summarize(ch)
-        stack, orthonormal = asymptotics._peripheral_columns(
+        stack, _, orthonormal = asymptotics._peripheral_columns(
             ch.spectrum, summary, 1.0, asymptotics.DEFAULT_NULL_TOL)
         assert stack.shape == (9, 5) and not orthonormal
         x = rng.standard_normal((9, 1))
@@ -205,7 +209,7 @@ class TestAttractor:
         assert np.allclose(scipy.linalg.svdvals(stack), scipy.linalg.svdvals(complex_stack),
                            rtol=0, atol=1e-12)
         monkeypatch.setattr(asymptotics, "_peripheral_columns",
-                            lambda *args: (forged, False))
+                            lambda *args: (forged, None, False))
         with pytest.raises(asymptotics.ConsistencyError, match="attractor dimension"):
             attractor(ch, summary=summary)
 
@@ -216,7 +220,7 @@ class TestAttractor:
     ])
     def test_stack_orthonormal_by_construction(self, rng, make, width, orthonormal):
         ch = make(rng)
-        stack, flag = asymptotics._peripheral_columns(
+        stack, _, flag = asymptotics._peripheral_columns(
             ch.spectrum, spectra.summarize(ch), 1.0, asymptotics.DEFAULT_NULL_TOL)
         assert stack.shape == (9, width) and flag == orthonormal
         if orthonormal:
@@ -315,6 +319,77 @@ class TestProjections:
         p = fixed_projection(ch)
         c = cesaro_projection(ch, n=4096)
         assert np.linalg.norm(p - c) <= 1e-2
+
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_matches_reference_projector(self, d):
+        # Built from the cached Spectrum against complex SVD nullspaces of M
+        # and M^dag, cluster by cluster: the anchor alone and all peripheral
+        subjects = helpers.oracle_subjects(d, seeds=2)
+        subjects.append(("dephasing", dephasing_generator(d)))
+        subjects += [(f"dual-{name}", superop.dual(s)) for name, s in subjects
+                     if s.kind == spectra.CHANNEL]
+        for name, subject in subjects:
+            m, summary = subject.superop, spectra.summarize(subject)
+            cases = [
+                (fixed_projection(subject), helpers.reference_projector(m, subject.kind.anchor)),
+                (peripheral_projection(subject),
+                 sum(helpers.reference_projector(m, item.value)
+                     for item in summary.distinct if item.peripheral)),
+            ]
+            for got, want in cases:
+                assert np.linalg.norm(got - want) <= 1e-10 * max(1.0, np.linalg.norm(want)), name
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: dephasing_generator(3),
+        lambda rng: saturating_hamiltonian_generator(3),
+        lambda rng: saturating_dissipative_generator(4, ((1.0, 0.0), (1j, -1j))),
+        lambda rng: generic_gkls(3, rng),
+        lambda rng: unital_gkls(4, rng),
+        lambda rng: hamiltonian_gkls(3, rng),
+    ])
+    def test_generator_projections(self, rng, make):
+        # P onto Ker(L): idempotent, annihilated by L from both sides, of
+        # trace m0; the peripheral projection commutes with L
+        gen = make(rng)
+        ell, summary = gen.superop, spectra.summarize(gen)
+        scale = max(1.0, np.linalg.norm(ell))
+        p = fixed_projection(gen)
+        assert np.linalg.norm(p @ p - p) <= 1e-9 * max(1.0, np.linalg.norm(p))
+        assert np.linalg.norm(ell @ p) <= 1e-9 * scale * max(1.0, np.linalg.norm(p))
+        assert np.linalg.norm(p @ ell) <= 1e-9 * scale * max(1.0, np.linalg.norm(p))
+        assert np.trace(p) == pytest.approx(summary.l0_or_m0, abs=1e-9)
+        pp = peripheral_projection(gen)
+        assert np.linalg.norm(pp @ ell - ell @ pp) <= 1e-9 * scale * max(1.0, np.linalg.norm(pp))
+        assert np.trace(pp) == pytest.approx(summary.lP_or_mP, abs=1e-9)
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: unitary_channel(helpers.haar(4, rng)),  # 12 singletons, 1 cluster
+        lambda rng: stinespring_channel(3, rng),
+        lambda rng: phase_damping_channel(3),
+        lambda rng: dephasing_generator(3),
+        lambda rng: generic_gkls(4, rng),
+    ])
+    def test_read_cached_spectrum(self, monkeypatch, rng, make):
+        # With the spectrum cached, no eig and no complex SVD: simple
+        # eigenvalues read the cached eigenvectors, real clusters take a real
+        # SVD (a cluster off the real axis would take a complex one)
+        subject = make(rng)
+        subject.spectrum
+        dtypes = []
+        eigs = helpers.count_calls(monkeypatch, scipy.linalg, ("eig", "eigvals"))
+        eigs.update(helpers.count_calls(monkeypatch, np.linalg, ("eig", "eigvals")))
+        for module, name in ((scipy.linalg, "svd"), (scipy.linalg, "svdvals"),
+                             (np.linalg, "svd")):
+            def recording(a, *args, _original=getattr(module, name), **kwargs):
+                dtypes.append(np.asarray(a).dtype)
+                return _original(a, *args, **kwargs)
+            monkeypatch.setattr(module, name, recording)
+        peripheral_projection(subject)
+        fixed_projection(subject)
+        asymptotics.maximal_steady_state(subject)
+        assert sum(eigs.values()) == 0
+        assert all(dtype.kind == "f" for dtype in dtypes), dtypes
 
 
 class TestFaithfulReduce:

@@ -20,6 +20,29 @@ from oqspectra.constructions import (
 # verify --dims 2,3,4,6 --per-dim 3 --seed 1, as the code wrote it when
 # channels and generators still had twin summarize/classify/analyze paths
 GOLDEN_CSV = pathlib.Path(__file__).parent / "data" / "verify-golden.csv"
+# analyze --json without "timings", one line per subject: {"argv" that writes
+# the subject file, "exit", "report"}; the 4 constructors at d = 3, 4 and
+# sample of each ensemble at d = 3, seeds 0 and 1, as written when spectral
+# projections still took complex SVDs of M itself
+GOLDEN_ANALYZE = pathlib.Path(__file__).parent / "data" / "analyze-golden.jsonl"
+
+
+def assert_json_close(got, want, where="report"):
+    """Integers, strings, booleans and nulls exact; floats to within
+    1e-11 * max(1, |x|)."""
+    if isinstance(want, float) and not isinstance(got, bool):
+        assert isinstance(got, (int, float)), where
+        assert abs(got - want) <= 1e-11 * max(1.0, abs(want)), f"{where}: {got} != {want}"
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and got.keys() == want.keys(), where
+        for key in want:
+            assert_json_close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for k, (x, y) in enumerate(zip(got, want)):
+            assert_json_close(x, y, f"{where}[{k}]")
+    else:
+        assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
 
 
 class TestAnalysisPipeline:
@@ -152,6 +175,19 @@ class TestCliAnalyze:
             gkls.generator_to_json(saturating_hamiltonian_generator(3))))
         assert main(["analyze", str(path), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["kind"] == "generator"
+
+    def test_matches_golden_json(self, tmp_path, capsys):
+        lines = GOLDEN_ANALYZE.read_text().splitlines()
+        assert len(lines) == 18
+        for line in lines:
+            case = json.loads(line)
+            path = tmp_path / "subject.json"
+            assert main(case["argv"] + ["--out", str(path)]) == 0
+            capsys.readouterr()
+            assert main(["analyze", str(path), "--json"]) == case["exit"], case["argv"]
+            report = json.loads(capsys.readouterr().out)
+            report.pop("timings")
+            assert_json_close(report, case["report"], " ".join(case["argv"]))
 
     def test_parse_error_exit_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -400,8 +436,9 @@ class TestParserReuse:
         with pytest.raises(SystemExit) as exc:
             main(["analyze", str(path), "--json", "--table"])
         assert exc.value.code == 2
-        assert main(["analyze", str(path), "--kind", "channel", "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["kind"] == "channel"
+        with pytest.raises(SystemExit) as exc:  # the kind is inferred, never forced
+            main(["analyze", str(path), "--kind", "channel", "--json"])
+        assert exc.value.code == 2
         assert builds["build_parser"] == 1
         cli._parser.cache_clear()
 

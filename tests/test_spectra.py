@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
 import helpers
-from oqspectra import bounds, linalg, spectra
+from oqspectra import bounds, spectra
 from oqspectra.constructions import (
     dephasing_generator,
     generic_gkls,
@@ -141,7 +142,7 @@ class TestCachedSpectrum:
         # the same integers and the same classification
         for name, subject in helpers.oracle_subjects(d):
             cached = spectra.summarize(subject)
-            fresh = spectra._summarize(subject.kind, d, linalg.eigvals(subject.superop),
+            fresh = spectra._summarize(subject.kind, d, scipy.linalg.eigvals(subject.superop),
                                        None, spectra.DEFAULT_PERIPHERAL_TOL)
             assert (cached.l0_or_m0, cached.lP_or_mP) == (fresh.l0_or_m0, fresh.lP_or_mP), name
             assert bounds.classify(subject) == bounds.classify(subject, summary=fresh), name
