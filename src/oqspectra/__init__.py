@@ -13,7 +13,6 @@ from .asymptotics import (
     attractor,
     faithful_reduce,
     fixed_space,
-    kernel,
     peripheral_projection,
     steady_states,
 )
@@ -27,7 +26,6 @@ from .bounds import (
     structural_ceiling,
 )
 from .commutants import (
-    CommutantResult,
     JordanProfile,
     commutant,
     commutant_dim_from_jordan,
@@ -46,7 +44,6 @@ from .gkls import (
     GklsGenerator,
     build_generator,
     exponentiate,
-    is_hamiltonian,
     relaxation_rates,
 )
 from .spectra import CHANNEL, GENERATOR, Kind, SpectralSummary, cluster, summarize
@@ -58,7 +55,6 @@ from .superop import (
     dual,
     from_kraus,
     from_superop,
-    is_unitary_channel,
     power,
 )
 

@@ -1,11 +1,11 @@
 """Fixed-point spaces, attractor subspaces, spectral projections and
 steady-state extraction.
 
-:func:`fixed_space` (for a generator also :func:`kernel`) and
-:func:`attractor` count dimensions in the real coordinates of the
-subject's :class:`linalg.Spectrum`, sharing one SVD at the anchor of its
-kind (1 for channels, 0 for generators); bases in matrix coordinates are
-built on first read.
+:func:`fixed_space` (for a generator its kernel) and :func:`attractor`
+count dimensions in the real coordinates of the subject's
+:class:`linalg.Spectrum`, sharing one SVD at the anchor of its kind (1 for
+channels, 0 for generators); bases in matrix coordinates are built on
+first read.  Every nullspace cut reads ``DEFAULT_NULL_TOL``.
 
 Spectral projections (onto the fixed space or the attractor) read the same
 cached ``Spectrum``: the real right columns V the attractor uses, and their
@@ -27,12 +27,12 @@ import numpy as np
 import scipy.linalg
 
 from . import linalg, spectra, superop
-from .gkls import GklsGenerator
 from .linalg import dagger, unvec, vec
 from .superop import QuantumChannel
 
-DEFAULT_NULL_TOL = 1e-8
+DEFAULT_NULL_TOL = 1e-8  # nullspace cut and left/right overlap floor of every eigenspace
 SUPPORT_REL_TOL = 1e-9  # eigenvalues of rho0 below this times the largest are noise
+SUPPORT_LEAK_TOL = 1e-8  # largest norm of the off-support block (I - V V^dag) B V
 CESARO_DEFAULT_N = 2048
 ATTRACTOR_RANK_TOL = 1e-10  # independent columns: singular values above this times the largest
 
@@ -70,8 +70,7 @@ class FaithfulReduction:
     reduced_channel: QuantumChannel
 
 
-def fixed_space(subject, tol: float = DEFAULT_NULL_TOL,
-                summary: spectra.SpectralSummary | None = None) -> SubspaceBasis:
+def fixed_space(subject, summary: spectra.SpectralSummary | None = None) -> SubspaceBasis:
     """Fix(Phi) = Null(M - I) of a channel, or Ker(L) = Null(L) of a
     generator (the fixed space of its semigroup e^{tL}), counted from the
     singular values of R' minus the anchor.
@@ -82,7 +81,7 @@ def fixed_space(subject, tol: float = DEFAULT_NULL_TOL,
     kind = subject.kind
     if summary is None:
         summary = spectra.summarize(subject)
-    spectrum = subject.spectrum
+    spectrum, tol = subject.spectrum, DEFAULT_NULL_TOL
     # A multiple anchor cluster's vectors go into the attractor.
     dim, *_ = spectrum.null_space(kind.anchor, tol, vectors=summary.l0_or_m0 > 1)
     if dim != summary.l0_or_m0:
@@ -94,31 +93,22 @@ def fixed_space(subject, tol: float = DEFAULT_NULL_TOL,
         spectrum.null_space(kind.anchor, tol, vectors=True)[1]))
 
 
-def kernel(gen: GklsGenerator, tol: float = DEFAULT_NULL_TOL,
-           summary: spectra.SpectralSummary | None = None) -> SubspaceBasis:
-    """Ker(L) = Null(L): the :func:`fixed_space` of a generator."""
-    return fixed_space(gen, tol, summary)
-
-
-def attractor(subject, tol: float = DEFAULT_NULL_TOL,
-              cluster_tol: float | None = None,
-              peripheral_tol: float = spectra.DEFAULT_PERIPHERAL_TOL,
-              summary: spectra.SpectralSummary | None = None) -> SubspaceBasis:
+def attractor(subject, summary: spectra.SpectralSummary | None = None) -> SubspaceBasis:
     """The span of all peripheral eigenvectors, which are semisimple.
 
     A simple peripheral eigenvalue takes its eigenvectors from the cached
-    decomposition, and their left/right overlap must exceed ``tol``.  A
-    multiple one takes Null(R' - mu I), at the anchor the cross-check's SVD,
-    of dimension equal to the multiplicity (R' is real: a cluster below the
-    axis is checked as its conjugate).  The rank of all these columns
-    (singular values above ``ATTRACTOR_RANK_TOL`` times the largest) must
-    equal lP/mP.  Any failure raises ConsistencyError.  A given ``summary``
-    must be this subject's own.
+    decomposition, and their left/right overlap must exceed
+    ``DEFAULT_NULL_TOL``.  A multiple one takes Null(R' - mu I), at the
+    anchor the cross-check's SVD, of dimension equal to the multiplicity
+    (R' is real: a cluster below the axis is checked as its conjugate).
+    The rank of all these columns (singular values above
+    ``ATTRACTOR_RANK_TOL`` times the largest) must equal lP/mP.  Any failure
+    raises ConsistencyError.  A given ``summary`` must be this subject's own.
     """
     if summary is None:
-        summary = spectra.summarize(subject, cluster_tol, peripheral_tol)
+        summary = spectra.summarize(subject)
     spectrum = subject.spectrum
-    stack, _, orthonormal = _peripheral_columns(spectrum, summary, subject.kind.anchor, tol)
+    stack, _, orthonormal = _peripheral_columns(spectrum, summary)
     rank = stack.shape[1] if orthonormal else linalg.numerical_rank(
         scipy.linalg.svdvals(stack), stack.shape, ATTRACTOR_RANK_TOL)
     if rank != summary.lP_or_mP or rank != stack.shape[1]:
@@ -131,16 +121,16 @@ def attractor(subject, tol: float = DEFAULT_NULL_TOL,
 
 
 def _peripheral_columns(spectrum: linalg.Spectrum, summary: spectra.SpectralSummary,
-                        anchor: float, tol: float, anchor_only: bool = False,
-                        with_left: bool = False):
+                        anchor_only: bool = False):
     """Real columns spanning the right eigenvectors of the peripheral
     eigenvalues (with ``anchor_only``, of the anchor cluster) in the
-    coordinates of R', with ``with_left`` real columns spanning their left
-    eigenvectors (else None), and whether the right columns are orthonormal
-    by construction.  Left/right unit vectors of R' are ``vl sqrt_h`` and
-    ``vr / sqrt_h``: their overlap is the one of M's."""
+    coordinates of R', real columns spanning their left eigenvectors, and
+    whether the right columns are orthonormal by construction.  Left/right
+    unit vectors of R' are ``vl sqrt_h`` and ``vr / sqrt_h``: their overlap
+    is the one of M's."""
+    tol, anchor = DEFAULT_NULL_TOL, summary.kind.anchor
     w, sqrt_h = spectrum.values, spectrum.sqrt_h[:, None]
-    anchor_item = min(summary.distinct, key=lambda item: abs(item.value - anchor))
+    anchor_item = summary.distinct[summary.anchor_index]
     blocks, singles = [], []
     for item in [anchor_item] if anchor_only else [i for i in summary.distinct if i.peripheral]:
         mu = item.value
@@ -169,27 +159,25 @@ def _peripheral_columns(spectrum: linalg.Spectrum, summary: spectra.SpectralSumm
                 f"peripheral eigenvalue {mu[bad[0]]:.6g}: left/right eigenvector "
                 f"overlap {overlap[bad[0]]:.3e} <= {tol:.1e}, not semisimple"
             )
-        blocks += [(right[:, sel], left[:, sel] if with_left else None, is_real)
+        blocks += [(right[:, sel], left[:, sel], is_real)
                    for sel, is_real in ((real, True), (~real & (mu.imag > 0), False))]
     blocks = [b for b in blocks if b[0].shape[1]]
     # A real block stays; v above the axis gives sqrt 2 Re v, sqrt 2 Im v, which
     # is [v, conj v] times a unitary: the stack keeps the singular values.
     v, w = (np.hstack([b[s].real if b[2] else np.sqrt(2) * np.hstack((b[s].real, b[s].imag))
-                       for b in blocks]) if s == 0 or with_left else None for s in (0, 1))
+                       for b in blocks]) for s in (0, 1))
     # One eigenspace from an SVD, or one unit vector, is orthonormal.
     return v, w, len(blocks) == 1 and (not singles or v.shape[1] == 1)
 
 
-def _projection(subject, summary: spectra.SpectralSummary, tol: float,
-                anchor_only: bool) -> np.ndarray:
+def _projection(subject, summary: spectra.SpectralSummary, anchor_only: bool) -> np.ndarray:
     """Spectral projection onto the attractor (or with ``anchor_only`` onto
     the fixed space), as a superoperator: P' = V (W^T V)^{-1} W^T with the
     real right and left columns V, W in the coordinates of R', mapped back
     as U P' U^dag = (U V) (W^T V)^{-1} (U W)^dag.  Raises on
     biorthogonalization breakdown (near-defective eigenvalues)."""
     spectrum = subject.spectrum
-    v, w, _ = _peripheral_columns(spectrum, summary, subject.kind.anchor, tol, anchor_only,
-                                  with_left=True)
+    v, w, _ = _peripheral_columns(spectrum, summary, anchor_only)
     overlap = w.T @ v
     cond = np.linalg.cond(overlap)
     if not np.isfinite(cond) or cond > 1e12:
@@ -197,22 +185,19 @@ def _projection(subject, summary: spectra.SpectralSummary, tol: float,
     return spectrum.to_matrix(v) @ np.linalg.solve(overlap, dagger(spectrum.to_matrix(w)))
 
 
-def fixed_projection(subject, tol: float = DEFAULT_NULL_TOL) -> np.ndarray:
+def fixed_projection(subject) -> np.ndarray:
     """Spectral projection onto Fix(Phi) or Ker(L), as a superoperator."""
-    return _projection(subject, spectra.summarize(subject), tol, anchor_only=True)
+    return _projection(subject, spectra.summarize(subject), anchor_only=True)
 
 
-def peripheral_projection(subject, tol: float = DEFAULT_NULL_TOL,
-                          cluster_tol: float | None = None,
-                          peripheral_tol: float = spectra.DEFAULT_PERIPHERAL_TOL) -> np.ndarray:
+def peripheral_projection(subject) -> np.ndarray:
     """Spectral projection onto the attractor, as a superoperator matrix.
 
     The result is idempotent and commutes with the superoperator; for a
     channel it is itself a quantum channel (all checked in the test suite
     at 1e-7/1e-6).
     """
-    summary = spectra.summarize(subject, cluster_tol, peripheral_tol)
-    return _projection(subject, summary, tol, anchor_only=False)
+    return _projection(subject, spectra.summarize(subject), anchor_only=False)
 
 
 def cesaro_projection(channel: QuantumChannel, n: int = CESARO_DEFAULT_N) -> np.ndarray:
@@ -227,47 +212,42 @@ def cesaro_projection(channel: QuantumChannel, n: int = CESARO_DEFAULT_N) -> np.
     return acc / n
 
 
-def maximal_steady_state(subject, tol: float = DEFAULT_NULL_TOL) -> np.ndarray:
+def maximal_steady_state(subject) -> np.ndarray:
     """The steady state P(I)/d of maximal support (P the spectral projection
     onto Fix(Phi) or Ker(L))."""
     d = subject.dim
-    rho = unvec(fixed_projection(subject, tol) @ vec(np.eye(d)), rows=d) / d
+    rho = unvec(fixed_projection(subject) @ vec(np.eye(d)), rows=d) / d
     rho = (rho + dagger(rho)) / 2
     return rho / np.trace(rho).real
 
 
-def _support(rho: np.ndarray, support_tol: float = SUPPORT_REL_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvalues of a state above ``support_tol`` times the largest,
-    and their eigenvectors: an isometry onto its support."""
+def _support(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues of a state above ``SUPPORT_REL_TOL`` times the
+    largest, and their eigenvectors: an isometry onto its support."""
     w, v = np.linalg.eigh(rho)
-    keep = w > support_tol * max(w.max(), 0.0)
+    keep = w > SUPPORT_REL_TOL * max(w.max(), 0.0)
     return w[keep], v[:, keep]
 
 
-def is_faithful(channel: QuantumChannel, tol: float = DEFAULT_NULL_TOL,
-                support_tol: float = SUPPORT_REL_TOL) -> bool:
+def is_faithful(channel: QuantumChannel) -> bool:
     """A channel is faithful iff it admits an invertible steady state."""
-    rho = maximal_steady_state(channel, tol)
-    return _support(rho, support_tol)[1].shape[1] == channel.dim
+    return _support(maximal_steady_state(channel))[1].shape[1] == channel.dim
 
 
-def faithful_reduce(channel: QuantumChannel, tol: float = DEFAULT_NULL_TOL,
-                    support_tol: float = SUPPORT_REL_TOL,
-                    leak_tol: float = 1e-8) -> FaithfulReduction:
+def faithful_reduce(channel: QuantumChannel) -> FaithfulReduction:
     """Compress a channel onto the support H0 of its maximal steady state.
 
     Kraus operators are compressed to B0 = V^dag B V with V the isometry
     onto H0; the off-support block (I - V V^dag) B V must vanish within
-    ``leak_tol`` or the reduction is invalid.  The reduced channel is
+    ``SUPPORT_LEAK_TOL`` or the reduction is invalid.  The reduced channel is
     faithful: its steady state V^dag rho0 V is invertible by construction.
     """
-    rho0 = maximal_steady_state(channel, tol)
-    v = _support(rho0, support_tol)[1]
+    v = _support(maximal_steady_state(channel))[1]
     d0 = v.shape[1]
     kraus = channel.kraus_operators()
     compressor = np.eye(channel.dim) - v @ dagger(v)
     leak = max(float(np.linalg.norm(compressor @ b @ v, 2)) for b in kraus)
-    if leak > leak_tol:
+    if leak > SUPPORT_LEAK_TOL:
         raise ConsistencyError(
             f"steady-state support leaks under Kraus action (norm {leak:.3e})"
         )
@@ -275,7 +255,7 @@ def faithful_reduce(channel: QuantumChannel, tol: float = DEFAULT_NULL_TOL,
     return FaithfulReduction(support_dim=d0, isometry=v, reduced_channel=reduced)
 
 
-def steady_states(subject, tol: float = DEFAULT_NULL_TOL) -> list[np.ndarray]:
+def steady_states(subject) -> list[np.ndarray]:
     """Density matrices spanning as much of Fix/Ker as positivity allows.
 
     The first entry is the guaranteed maximal-support steady state P(I)/d.
@@ -285,8 +265,8 @@ def steady_states(subject, tol: float = DEFAULT_NULL_TOL) -> list[np.ndarray]:
     the fixed-point residual, rho >= -1e-8 and Tr rho = 1.
     """
     anchor, d, m = subject.kind.anchor, subject.dim, subject.superop
-    basis = fixed_space(subject, tol)
-    rho0 = maximal_steady_state(subject, tol)
+    basis = fixed_space(subject)
+    rho0 = maximal_steady_state(subject)
     states = [rho0]
 
     def residual(r):
@@ -299,7 +279,7 @@ def steady_states(subject, tol: float = DEFAULT_NULL_TOL) -> list[np.ndarray]:
             state = _positivize(cand, rho0, support_floor)
             if state is None:
                 continue
-            if residual(state) > max(tol, 1e-7):
+            if residual(state) > 1e-7:
                 continue
             if all(np.linalg.norm(state - s) > 1e-6 for s in states):
                 states.append(state)

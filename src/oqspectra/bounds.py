@@ -128,11 +128,6 @@ def check_bounds(summary: SpectralSummary, classification: str) -> BoundReport:
                        ckks=tuple(ckks(summary)))
 
 
-def _zero_cluster_index(summary: SpectralSummary) -> int:
-    return min(range(len(summary.distinct)),
-               key=lambda k: abs(summary.distinct[k].value))
-
-
 def ckks_generator(summary: SpectralSummary) -> list[CkksMargin]:
     """Per-eigenvalue margins of Gamma_alpha <= (1/d) sum m_beta Gamma_beta.
 
@@ -142,7 +137,7 @@ def ckks_generator(summary: SpectralSummary) -> list[CkksMargin]:
     if summary.kind != spectra.GENERATOR:
         raise ValueError("ckks_generator needs a generator summary")
     d = summary.dim
-    zero_idx = _zero_cluster_index(summary)
+    zero_idx = summary.anchor_index
     rhs = sum(item.multiplicity * (item.rate or 0.0)
               for k, item in enumerate(summary.distinct) if k != zero_idx) / d
     scale = max(1.0, rhs)

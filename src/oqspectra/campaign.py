@@ -25,8 +25,9 @@ from .spectra import SpectralSummary
 from .superop import ValidationError
 
 CONSTRUCTORS = "constructors"
-ALL_SOURCES = (CONSTRUCTORS,) + ENSEMBLES
+ALL_SOURCES = (CONSTRUCTORS,) + tuple(ENSEMBLES)
 MAX_RESAMPLES = 64
+CKKS_NOTE = "ckks violated on unital sample"  # only where CKKS is proved
 
 CSV_COLUMNS = (
     "source", "dim", "index", "seed", "kind", "classification",
@@ -56,6 +57,8 @@ class CampaignConfig:
             raise ValueError("dimensions must be at least 2")
         if self.per_dim < 1:
             raise ValueError("per_dim must be at least 1")
+        constructions.check_seed(self.seed)
+        constructions.check_env_dim(self.env_dim)
 
 
 @dataclass(frozen=True)
@@ -88,7 +91,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     result = CampaignResult(rows=rows)
     for row in rows:
         if row.violation:
-            if row.source == "gkls-unital" and "ckks" in row.note:
+            if row.note == CKKS_NOTE:
                 result.ckks_unital_failures += 1
             elif row.note.startswith(("oracle", "error:")):
                 result.oracle_mismatches += 1
@@ -171,25 +174,17 @@ def _run_sampled(task: _Task) -> CampaignRow:
                            violation=True, note="oracle: resampling exhausted")
 
     summary, classification = accepted
-    report = analysis.analyze(subject, markovian=task.source.startswith("gkls"),
-                              with_commutant=False, summary=summary,
+    report = analysis.analyze(subject, with_commutant=False, summary=summary,
                               classification=classification)
     violation = not report.bounds_satisfied
     if violation:
         note = "bound violation" if report.discrepancy is None else report.discrepancy
-    if task.source == "gkls-unital" and report.bound_report.ckks:
-        if not all(m.satisfied for m in report.bound_report.ckks):
-            violation = True
-            note = "ckks violated on unital sample"
+    if ENSEMBLES[task.source].ckks_proved and not all(m.satisfied for m in report.bound_report.ckks):
+        violation = True
+        note = CKKS_NOTE
     return CampaignRow(source=task.source, dim=task.dim, index=task.index,
                        seed="-".join(map(str, rng_key)), report=report, rejects=rejects,
                        violation=violation, note=note)
-
-
-_ADVERTISED = {"haar-unitary": ("unitary", "non-unitary"),
-               "cptp-stinespring": ("non-unitary",),
-               "gkls-generic": ("non-hamiltonian",), "gkls-unital": ("non-hamiltonian",),
-               "gkls-hamiltonian": ("hamiltonian",)}
 
 
 def _acceptable(source: str, subject) -> tuple[SpectralSummary, str] | None:
@@ -197,7 +192,7 @@ def _acceptable(source: str, subject) -> tuple[SpectralSummary, str] | None:
     in a classification its generic ensemble advertises, else None."""
     summary = spectra.summarize(subject)
     classification = bounds.classify(subject, summary)
-    if classification not in _ADVERTISED[source]:
+    if classification not in ENSEMBLES[source].advertised:
         return None
     return summary, classification
 

@@ -45,14 +45,8 @@ class JordanProfile:
         return sum(sum(sizes) for _, sizes in self.eigenvalues)
 
 
-@dataclass(frozen=True)
-class CommutantResult:
-    dimension: int
-    basis: SubspaceBasis | None = None
-
-
-def commutant(ops, tol: float = 0.0, with_basis: bool = True) -> CommutantResult:
-    """Dimension (and orthonormal basis) of {B : A B = B A for all A in ops}.
+def commutant(ops, tol: float = 0.0) -> SubspaceBasis:
+    """{B : A B = B A for all A in ops}: its dimension and orthonormal basis.
 
     The nullspace cutoff is anchored at the operators' Frobenius norms
     (within sqrt(d) of the operator norms, with no SVD), so a set of
@@ -70,13 +64,12 @@ def commutant(ops, tol: float = 0.0, with_basis: bool = True) -> CommutantResult
     dim = int(ns.shape[1])
     if dim < 1:
         raise AssertionError("commutant lost the identity; tolerance too tight")
-    basis = (SubspaceBasis(ambient_dim=d * d, dimension=dim, label="commutant",
-                           build=lambda: ns) if with_basis else None)
-    return CommutantResult(dimension=dim, basis=basis)
+    return SubspaceBasis(ambient_dim=d * d, dimension=dim, label="commutant",
+                         build=lambda: ns)
 
 
 def commutant_dimension(ops) -> int:
-    """``commutant(ops, with_basis=False).dimension`` from the Gram matrix.
+    """``commutant(ops).dimension`` from the Gram matrix.
 
     G = sum_A C_A^dag C_A = I (x) P + conj(Q) (x) I - S - S^dag with
     P = sum A^dag A, Q = sum A A^dag and S = sum conj(A) (x) A.  Squaring
@@ -109,7 +102,7 @@ def commutant_dimension(ops) -> int:
         certified = residual <= n_ops * d * d * linalg.EPS * ref
     if certified:
         return k
-    return commutant(list(a), with_basis=False).dimension
+    return commutant(list(a)).dimension
 
 
 def commutant_dim_from_jordan(profile: JordanProfile) -> int:
@@ -125,8 +118,7 @@ def commutant_dim_from_jordan(profile: JordanProfile) -> int:
     return total
 
 
-def weyr_profile(a, cluster_tol: float | None = None,
-                 rank_tol: float = DEFAULT_RANK_TOL) -> JordanProfile:
+def weyr_profile(a, cluster_tol: float | None = None) -> JordanProfile:
     """Numerical Jordan profile via Weyr rank sequences.
 
     For each distinct eigenvalue the ranks of (A - lambda I)^i are computed
@@ -156,18 +148,18 @@ def weyr_profile(a, cluster_tol: float | None = None,
 
     profile = []
     for center, mult in clusters:
-        sizes = _block_sizes(m, center, mult, rank_tol)
+        sizes = _block_sizes(m, center, mult)
         profile.append((complex(center), tuple(sizes)))
     return JordanProfile(eigenvalues=tuple(profile))
 
 
-def _block_sizes(m: np.ndarray, center: complex, mult: int, rank_tol: float) -> list[int]:
+def _block_sizes(m: np.ndarray, center: complex, mult: int) -> list[int]:
     d = m.shape[0]
     shifted = m - center * np.eye(d)
     # Anchor the cutoff at the scale of A itself: when A is (numerically) a
     # scalar matrix the shifted matrix is pure rounding noise.
     scale = float(max(np.linalg.norm(shifted, 2), np.linalg.norm(m, 2)))
-    if scale == 0.0 or np.linalg.norm(shifted, 2) <= rank_tol * scale:
+    if scale == 0.0 or np.linalg.norm(shifted, 2) <= DEFAULT_RANK_TOL * scale:
         # A = center * I: every block is trivial.
         return [1] * mult
 
@@ -179,7 +171,7 @@ def _block_sizes(m: np.ndarray, center: complex, mult: int, rank_tol: float) -> 
     while True:
         x = shifted @ q
         u, s, _ = scipy.linalg.svd(x, full_matrices=False)
-        r = int(np.sum(s > rank_tol * scale))
+        r = int(np.sum(s > DEFAULT_RANK_TOL * scale))
         if 0 < r < s.size and s[r - 1] < RANK_GAP_FACTOR * s[r]:
             raise ValueError(
                 f"no certified singular-value gap at eigenvalue {center:.6g} "

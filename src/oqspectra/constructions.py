@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -30,14 +30,6 @@ from . import gkls, linalg
 from .bounds import structural_ceiling
 from .gkls import GklsGenerator, build_generator
 from .superop import QuantumChannel, from_kraus, from_superop
-
-ENSEMBLES = (
-    "haar-unitary",
-    "cptp-stinespring",
-    "gkls-generic",
-    "gkls-unital",
-    "gkls-hamiltonian",
-)
 
 Subject = Union[QuantumChannel, GklsGenerator]
 
@@ -56,9 +48,21 @@ class SamplerConfig:
         if self.count < 1:
             raise ValueError("count must be at least 1")
         if self.ensemble not in ENSEMBLES:
-            raise ValueError(f"unknown ensemble {self.ensemble!r}; pick from {ENSEMBLES}")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+            raise ValueError(f"unknown ensemble {self.ensemble!r}; pick from {tuple(ENSEMBLES)}")
+        check_seed(self.seed)
+        check_env_dim(self.env_dim)
+
+
+def check_seed(seed: int) -> None:
+    """A seed is any nonnegative integer, as ``numpy.random.SeedSequence`` takes."""
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+
+
+def check_env_dim(env_dim: int | None) -> None:
+    """A Stinespring environment has dimension at least 1 (None: d^2)."""
+    if env_dim is not None and env_dim < 1:
+        raise ValueError(f"env_dim must be at least 1, got {env_dim}")
 
 
 # ---------------------------------------------------------------------------
@@ -233,25 +237,44 @@ def _normalized_generator(h: np.ndarray, ops: list[np.ndarray]) -> GklsGenerator
     return scaled
 
 
-def generic_gkls(d: int, rng: np.random.Generator, n_ops: int | None = None) -> GklsGenerator:
-    """GUE Hamiltonian plus Ginibre noise operators, spectral radius ~1."""
-    n = n_ops if n_ops is not None else d
+def generic_gkls(d: int, rng: np.random.Generator) -> GklsGenerator:
+    """GUE Hamiltonian plus d Ginibre noise operators, spectral radius ~1."""
     h = random_hermitian(d, rng)
-    ops = [ginibre(d, d, rng) for _ in range(n)]
-    return _normalized_generator(h, ops)
+    return _normalized_generator(h, [ginibre(d, d, rng) for _ in range(d)])
 
 
-def unital_gkls(d: int, rng: np.random.Generator, n_ops: int | None = None) -> GklsGenerator:
-    """Unital ensemble: Hermitian noise operators make the dissipator
+def unital_gkls(d: int, rng: np.random.Generator) -> GklsGenerator:
+    """Unital ensemble: d Hermitian noise operators make the dissipator
     annihilate the identity, the regime where the CKKS bound is proved."""
-    n = n_ops if n_ops is not None else d
     h = random_hermitian(d, rng)
-    ops = [random_hermitian(d, rng) for _ in range(n)]
-    return _normalized_generator(h, ops)
+    return _normalized_generator(h, [random_hermitian(d, rng) for _ in range(d)])
 
 
 def hamiltonian_gkls(d: int, rng: np.random.Generator) -> GklsGenerator:
     return _normalized_generator(random_hermitian(d, rng), [])
+
+
+@dataclass(frozen=True)
+class Ensemble:
+    """What a random ensemble draws and promises."""
+
+    draw: Callable[[int, np.random.Generator, int | None], Subject]  # (d, rng, env_dim)
+    advertised: tuple[str, ...]  # the classifications a draw is accepted in
+    ckks_proved: bool  # CKKS is a theorem here, so a violation is a failure
+
+
+# The ensembles in campaign order: seed keys hold each one's position.
+ENSEMBLES = {
+    "haar-unitary": Ensemble(lambda d, rng, env: unitary_channel(haar_unitary(d, rng)),
+                             ("unitary", "non-unitary"), False),
+    "cptp-stinespring": Ensemble(stinespring_channel, ("non-unitary",), False),
+    "gkls-generic": Ensemble(lambda d, rng, env: generic_gkls(d, rng),
+                             ("non-hamiltonian",), False),
+    "gkls-unital": Ensemble(lambda d, rng, env: unital_gkls(d, rng),
+                            ("non-hamiltonian",), True),
+    "gkls-hamiltonian": Ensemble(lambda d, rng, env: hamiltonian_gkls(d, rng),
+                                 ("hamiltonian",), False),
+}
 
 
 def sample(config: SamplerConfig) -> Iterator[Subject]:
@@ -273,14 +296,6 @@ def sample_one(config: SamplerConfig, index: int) -> Subject:
 def draw(ensemble: str, d: int, rng: np.random.Generator,
          env_dim: int | None = None) -> Subject:
     """One subject of ``ensemble`` at dimension d, drawn from ``rng``."""
-    if ensemble == "haar-unitary":
-        return unitary_channel(haar_unitary(d, rng))
-    if ensemble == "cptp-stinespring":
-        return stinespring_channel(d, rng, env_dim)
-    if ensemble == "gkls-generic":
-        return generic_gkls(d, rng)
-    if ensemble == "gkls-unital":
-        return unital_gkls(d, rng)
-    if ensemble == "gkls-hamiltonian":
-        return hamiltonian_gkls(d, rng)
-    raise ValueError(f"unknown ensemble {ensemble!r}")
+    if ensemble not in ENSEMBLES:
+        raise ValueError(f"unknown ensemble {ensemble!r}")
+    return ENSEMBLES[ensemble].draw(d, rng, env_dim)

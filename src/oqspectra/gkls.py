@@ -49,18 +49,19 @@ class GklsGenerator(linalg.Decomposed):
         return self._superop
 
 
-def build_generator(hamiltonian, noise_ops=(), herm_tol: float = HERMITIAN_FAIL_TOL) -> GklsGenerator:
+def build_generator(hamiltonian, noise_ops=()) -> GklsGenerator:
     """Validate, symmetrize and assemble a GKLS generator.
 
-    The Hamiltonian must be Hermitian within ``herm_tol``; residuals in
-    (1e-12, herm_tol] are symmetrized away with a warning.  Noise operators
-    are arbitrary square matrices of the same dimension.  A list longer than
-    d^2 - 1 is representationally redundant but accepted.
+    The Hamiltonian must be Hermitian within ``HERMITIAN_FAIL_TOL``;
+    residuals in (``HERMITIAN_WARN_TOL``, ``HERMITIAN_FAIL_TOL``] are
+    symmetrized away with a warning.  Noise operators are arbitrary square
+    matrices of the same dimension.  A list longer than d^2 - 1 is
+    representationally redundant but accepted.
     """
     h = require_square(hamiltonian)
     d = h.shape[0]
     residual = float(np.linalg.norm(h - dagger(h)))
-    if residual > herm_tol:
+    if residual > HERMITIAN_FAIL_TOL:
         raise ValueError(f"Hamiltonian is not Hermitian (residual {residual:.3e})")
     if residual > HERMITIAN_WARN_TOL:
         warnings.warn(
@@ -97,17 +98,6 @@ def apply_generator(gen: GklsGenerator, x) -> np.ndarray:
     return out
 
 
-def is_hamiltonian(gen: GklsGenerator, tol: float = 1e-7) -> bool:
-    """True iff every eigenvalue of L has |Re(lambda)| <= tol.
-
-    Classification is spectral, not representational: the GKLS decomposition
-    into Hamiltonian and dissipative parts is not unique, but the relaxation
-    rates are.
-    """
-    w = gen.spectrum.values
-    return bool(np.max(np.abs(w.real)) <= tol)
-
-
 def exponentiate(gen: GklsGenerator, t: float = 1.0) -> QuantumChannel:
     """The Markovian channel e^{tL}, validated as CPTP.
 
@@ -121,14 +111,14 @@ def exponentiate(gen: GklsGenerator, t: float = 1.0) -> QuantumChannel:
     )
 
 
-def relaxation_rates(gen: GklsGenerator, cluster_tol: float | None = None) -> list[tuple[float, int]]:
+def relaxation_rates(gen: GklsGenerator) -> list[tuple[float, int]]:
     """Distinct relaxation rates Gamma = -Re(lambda) with multiplicities.
 
     Rates are clustered through the shared eigenvalue clustering; tiny
     negative values (within 1e-8) are clipped to zero, anything worse
     signals an invalid generator.
     """
-    summary = spectra.summarize(gen, cluster_tol=cluster_tol)
+    summary = spectra.summarize(gen)
     out = []
     for item in summary.distinct:
         rate = -item.value.real

@@ -73,8 +73,8 @@ class SpectralSummary:
     """Distinct eigenvalues with multiplicities and the derived counts.
 
     ``l0_or_m0`` is the multiplicity of the cluster at 1 (channels) or 0
-    (generators); ``lP_or_mP`` sums all peripheral multiplicities;
-    ``bulk_multiplicity`` is the complement.
+    (generators), ``distinct[anchor_index]``; ``lP_or_mP`` sums all
+    peripheral multiplicities; ``bulk_multiplicity`` is the complement.
     """
 
     kind: Kind
@@ -85,6 +85,7 @@ class SpectralSummary:
     bulk_multiplicity: int
     cluster_tol: float
     peripheral_tol: float
+    anchor_index: int  # the cluster nearest the anchor; not serialized
 
 
 def cluster(values, cluster_tol: float) -> list[tuple[complex, int]]:
@@ -163,7 +164,8 @@ def _summarize(kind: Kind, dim: int, eigenvalues: np.ndarray,
     return SpectralSummary(kind=kind, dim=dim, distinct=distinct,
                            l0_or_m0=clusters[anchor_idx][1], lP_or_mP=lp,
                            bulk_multiplicity=dim * dim - lp,
-                           cluster_tol=ctol, peripheral_tol=peripheral_tol)
+                           cluster_tol=ctol, peripheral_tol=peripheral_tol,
+                           anchor_index=anchor_idx)
 
 
 def summary_to_json(summary: SpectralSummary) -> dict:

@@ -69,11 +69,12 @@ class QuantumChannel(linalg.Decomposed):
         return self.kraus
 
 
-def from_kraus(kraus, tp_tol: float = DEFAULT_TP_TOL) -> QuantumChannel:
+def from_kraus(kraus) -> QuantumChannel:
     """Build a channel from Kraus operators, checking trace preservation.
 
     Raises :class:`ValidationError` with the residual norm if
-    sum_k B_k^dag B_k deviates from the identity by more than ``tp_tol``.
+    sum_k B_k^dag B_k deviates from the identity by more than
+    ``DEFAULT_TP_TOL``.
     """
     ops = tuple(require_square(b) for b in kraus)
     if not ops:
@@ -83,20 +84,16 @@ def from_kraus(kraus, tp_tol: float = DEFAULT_TP_TOL) -> QuantumChannel:
         raise ValueError("Kraus operators must share one dimension")
     gram = sum(dagger(b) @ b for b in ops)
     residual = float(np.linalg.norm(gram - np.eye(d)))
-    if residual > tp_tol:
+    if residual > DEFAULT_TP_TOL:
         raise ValidationError("Kraus list is not trace preserving", residual)
     return QuantumChannel(dim=d, kraus=ops)
 
 
-def from_superop(
-    m,
-    tp_tol: float = DEFAULT_TP_TOL,
-    cp_tol: float = DEFAULT_CP_TOL,
-    validate: bool = True,
-) -> QuantumChannel:
+def from_superop(m, tp_tol: float = DEFAULT_TP_TOL,
+                 cp_tol: float = DEFAULT_CP_TOL) -> QuantumChannel:
     """Build a channel from its d^2 x d^2 superoperator matrix.
 
-    A validated matrix is replaced by its Hermiticity-preserving part, the
+    The matrix is replaced by its Hermiticity-preserving part, the
     superoperator of the Hermitian part of its Choi matrix, so that the
     deviation accepted within ``cp_tol`` never reaches :func:`linalg.eig`.
     """
@@ -104,21 +101,18 @@ def from_superop(
     d = int(round(np.sqrt(m.shape[0])))
     if d * d != m.shape[0]:
         raise ValueError(f"superoperator side {m.shape[0]} is not a perfect square")
-    channel = QuantumChannel(dim=d, _superop=m)
-    if validate:
-        tp = tp_residual(channel)
-        if tp > tp_tol:
-            raise ValidationError("superoperator is not trace preserving", tp)
-        choi = channel.choi
-        herm = float(np.linalg.norm(choi - dagger(choi)))
-        if herm > cp_tol:
-            raise ValidationError("Choi matrix is not Hermitian", herm)
-        choi = (choi + dagger(choi)) / 2
-        channel = QuantumChannel(dim=d, _superop=choi_to_superop(choi), _choi=choi)
-        if not choi_is_cp(choi, cp_tol):
-            wmin = float(np.linalg.eigvalsh(choi).min())
-            raise ValidationError("Choi matrix is not positive semidefinite", -wmin)
-    return channel
+    tp = tp_residual(QuantumChannel(dim=d, _superop=m))
+    if tp > tp_tol:
+        raise ValidationError("superoperator is not trace preserving", tp)
+    choi = superop_to_choi(m)
+    herm = float(np.linalg.norm(choi - dagger(choi)))
+    if herm > cp_tol:
+        raise ValidationError("Choi matrix is not Hermitian", herm)
+    choi = (choi + dagger(choi)) / 2
+    if not choi_is_cp(choi, cp_tol):
+        wmin = float(np.linalg.eigvalsh(choi).min())
+        raise ValidationError("Choi matrix is not positive semidefinite", -wmin)
+    return QuantumChannel(dim=d, _superop=choi_to_superop(choi), _choi=choi)
 
 
 def tp_residual(channel: QuantumChannel) -> float:
@@ -158,15 +152,15 @@ def choi_is_cp(choi, tol: float = 1e-10) -> bool:
     return bool(w.min() >= -tol)
 
 
-def choi_to_kraus(choi, weight_cut: float = KRAUS_WEIGHT_CUT) -> tuple[np.ndarray, ...]:
+def choi_to_kraus(choi) -> tuple[np.ndarray, ...]:
     """Canonical minimal Kraus set from the Choi eigendecomposition.
 
-    Eigenvalues below ``weight_cut * trace`` are discarded.
+    Eigenvalues below ``KRAUS_WEIGHT_CUT * trace`` are discarded.
     """
     c = require_square(choi)
     d = int(round(np.sqrt(c.shape[0])))
     w, v = np.linalg.eigh((c + dagger(c)) / 2)
-    cut = weight_cut * max(float(np.trace(c).real), 1e-300)
+    cut = KRAUS_WEIGHT_CUT * max(float(np.trace(c).real), 1e-300)
     ops = []
     for k in range(w.size - 1, -1, -1):
         if w[k] <= cut:
@@ -219,12 +213,6 @@ def identity_channel(d: int) -> QuantumChannel:
     return QuantumChannel(dim=d, kraus=(np.eye(d, dtype=np.complex128),))
 
 
-def is_unitary_channel(channel: QuantumChannel, tol: float = 1e-7) -> bool:
-    """True iff every superoperator eigenvalue has modulus >= 1 - tol."""
-    w = channel.spectrum.values
-    return bool(np.min(np.abs(w)) >= 1.0 - tol)
-
-
 def channel_to_json(channel: QuantumChannel) -> dict:
     obj: dict = {"dim": channel.dim}
     if channel.kraus is not None:
@@ -234,14 +222,11 @@ def channel_to_json(channel: QuantumChannel) -> dict:
     return obj
 
 
-def channel_from_json(obj: dict, tp_tol: float = DEFAULT_TP_TOL,
-                      cp_tol: float = DEFAULT_CP_TOL) -> QuantumChannel:
+def channel_from_json(obj: dict) -> QuantumChannel:
     if "kraus" in obj:
-        kraus = [linalg.matrix_from_json(b) for b in obj["kraus"]]
-        channel = from_kraus(kraus, tp_tol=tp_tol)
+        channel = from_kraus([linalg.matrix_from_json(b) for b in obj["kraus"]])
     elif "superop" in obj:
-        channel = from_superop(linalg.matrix_from_json(obj["superop"]),
-                               tp_tol=tp_tol, cp_tol=cp_tol)
+        channel = from_superop(linalg.matrix_from_json(obj["superop"]))
     else:
         raise ValueError("channel JSON needs a 'kraus' or 'superop' field")
     if "dim" in obj and int(obj["dim"]) != channel.dim:

@@ -125,7 +125,7 @@ def test_criterion_06_fixed_point_commutant_duality():
             assert dual_fix.dimension == res.dimension
             # commutant sits inside Fix(Phi*): containment residual
             proj = dual_fix.basis @ helpers.dag(dual_fix.basis)
-            resid = np.linalg.norm(res.basis.basis - proj @ res.basis.basis, 2)
+            resid = np.linalg.norm(res.basis - proj @ res.basis, 2)
             assert resid <= 1e-8
         # non-faithful: the support reduction preserves the fixed-point count
         for _ in range(10):

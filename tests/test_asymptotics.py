@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 import helpers
-from oqspectra import analysis, asymptotics, commutants, linalg, spectra, superop
+from oqspectra import analysis, asymptotics, bounds, commutants, linalg, spectra, superop
 from oqspectra.asymptotics import (
     attractor,
     cesaro_projection,
@@ -11,7 +11,6 @@ from oqspectra.asymptotics import (
     fixed_projection,
     fixed_space,
     is_faithful,
-    kernel,
     peripheral_projection,
     steady_states,
 )
@@ -72,9 +71,9 @@ class TestFixedSpace:
         assert dual_fix.dimension == cdim
 
     def test_kernel_dimensions(self):
-        assert kernel(build_generator(np.zeros((3, 3)), ())).dimension == 9
-        assert kernel(saturating_hamiltonian_generator(3)).dimension == 5
-        assert kernel(dephasing_generator(4)).dimension == 10
+        assert fixed_space(build_generator(np.zeros((3, 3)), ())).dimension == 9
+        assert fixed_space(saturating_hamiltonian_generator(3)).dimension == 5
+        assert fixed_space(dephasing_generator(4)).dimension == 10
 
     def test_generator_commutant_inside_dual_kernel(self, rng):
         # {H, A_k, A_k^dag}' sits inside Ker(L*); equality when an
@@ -88,7 +87,7 @@ class TestFixedSpace:
             cdim = commutants.commutant(ops).dimension
             dual_kernel = linalg.nullspace(helpers.dag(gen.superop), tol=1e-8)
             proj = dual_kernel @ helpers.dag(dual_kernel)
-            cbasis = commutants.commutant(ops).basis.basis
+            cbasis = commutants.commutant(ops).basis
             resid = np.linalg.norm(cbasis - proj @ cbasis, 2)
             assert resid <= 1e-8
             if expect_equality:
@@ -161,7 +160,7 @@ class TestAttractor:
         with pytest.raises(asymptotics.ConsistencyError, match="overlap"):
             attractor(fake)
 
-    def test_overlap_is_the_one_of_matrix_coordinates(self):
+    def test_overlap_is_the_one_of_matrix_coordinates(self, monkeypatch):
         # A forged map coupling a diagonal coordinate (h = 1) to an
         # off-diagonal one (h = 1/2): the simple peripheral eigenvalues 1 and
         # -1 have overlap 2/sqrt(8.5) in matrix coordinates (2/sqrt(13) in
@@ -174,9 +173,11 @@ class TestAttractor:
         peripheral = np.flatnonzero(np.abs(w) > 0.9)
         overlap = min(abs(np.vdot(vl[:, k], vr[:, k])) for k in peripheral)
         assert overlap == pytest.approx(2 / np.sqrt(8.5), rel=1e-12)
-        assert attractor(fake, tol=overlap * (1 - 1e-9)).dimension == 2
+        monkeypatch.setattr(asymptotics, "DEFAULT_NULL_TOL", overlap * (1 - 1e-9))
+        assert attractor(fake).dimension == 2
+        monkeypatch.setattr(asymptotics, "DEFAULT_NULL_TOL", overlap * (1 + 1e-9))
         with pytest.raises(asymptotics.ConsistencyError, match="overlap"):
-            attractor(fake, tol=overlap * (1 + 1e-9))
+            attractor(fake)
 
     @pytest.mark.parametrize("dependent", ["singleton-copy", "parallel-pair"])
     def test_dependent_column_fails_certificate(self, monkeypatch, rng, dependent):
@@ -188,8 +189,7 @@ class TestAttractor:
         gen = build_generator(np.diag([0.0, 1.0, 2.0]), dephasing_generator(3).noise_ops)
         ch = exponentiate(gen, 1.0)
         summary = spectra.summarize(ch)
-        stack, _, orthonormal = asymptotics._peripheral_columns(
-            ch.spectrum, summary, 1.0, asymptotics.DEFAULT_NULL_TOL)
+        stack, _, orthonormal = asymptotics._peripheral_columns(ch.spectrum, summary)
         assert stack.shape == (9, 5) and not orthonormal
         x = rng.standard_normal((9, 1))
         extra = stack[:, -1:] if dependent == "singleton-copy" else np.hstack((x, 2 * x))
@@ -220,8 +220,7 @@ class TestAttractor:
     ])
     def test_stack_orthonormal_by_construction(self, rng, make, width, orthonormal):
         ch = make(rng)
-        stack, _, flag = asymptotics._peripheral_columns(
-            ch.spectrum, spectra.summarize(ch), 1.0, asymptotics.DEFAULT_NULL_TOL)
+        stack, _, flag = asymptotics._peripheral_columns(ch.spectrum, spectra.summarize(ch))
         assert stack.shape == (9, width) and flag == orthonormal
         if orthonormal:
             assert np.linalg.norm(stack.T @ stack - np.eye(width)) <= 1e-12
@@ -256,8 +255,7 @@ class TestComplexReference:
             ref_attractor = helpers.reference_attractor(m, summary)
             assert report.fixed_dim == ref_fixed.shape[1], name
             assert report.attractor_dim == ref_attractor.shape[1], name
-            space = fixed_space if channel else kernel
-            for basis, ref in ((space(subject, summary=summary).basis, ref_fixed),
+            for basis, ref in ((fixed_space(subject, summary=summary).basis, ref_fixed),
                                (attractor(subject, summary=summary).basis, ref_attractor)):
                 k = basis.shape[1]
                 assert np.linalg.norm(helpers.dag(basis) @ basis - np.eye(k)) <= 1e-12, name
@@ -305,7 +303,7 @@ class TestProjections:
         for k in range(att.dimension):
             v = att.basis[:, k]
             assert np.linalg.norm(pp @ v - v) <= 1e-8
-        assert not superop.is_unitary_channel(pp_channel)
+        assert bounds.classify(pp_channel) == "non-unitary"
 
     def test_cesaro_cross_check(self, rng):
         for ch in (phase_damping_channel(3), stinespring_channel(2, rng)):

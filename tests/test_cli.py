@@ -305,11 +305,33 @@ class TestCliVerify:
     @pytest.mark.parametrize("option, value, message", [
         ("--dims", "5..2", "no dimensions to verify"),
         ("--ensembles", ",", "no sources to verify"),
-    ], ids=["empty-dims", "empty-sources"])
+        ("--seed", "-1", "seed must be nonnegative, got -1"),
+        ("--env-dim", "0", "env_dim must be at least 1, got 0"),
+        ("--env-dim", "-2", "env_dim must be at least 1, got -2"),
+    ], ids=["empty-dims", "empty-sources", "negative-seed", "zero-env-dim", "negative-env-dim"])
     def test_empty_campaign_exit_2(self, capsys, option, value, message):
-        # a campaign that checks nothing must not report success
+        # a campaign that checks nothing, or cannot draw its subjects, must
+        # be rejected as input, not reported as success or as numerics
         assert main(["verify", option, value]) == 2
-        assert message in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("ensemble, option, value, message", [
+        ("cptp-stinespring", "--env-dim", "0", "env_dim must be at least 1, got 0"),
+        ("gkls-generic", "--env-dim", "0", "env_dim must be at least 1, got 0"),
+        ("gkls-generic", "--seed", "-1", "seed must be nonnegative, got -1"),
+    ], ids=["stinespring-env-dim", "generator-env-dim", "negative-seed"])
+    def test_sample_invalid_input_exit_2(self, capsys, ensemble, option, value, message):
+        # the same checks as verify, whether or not the ensemble reads env_dim
+        assert main(["sample", "--ensemble", ensemble, "--dim", "2", option, value]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err and captured.out == ""
+
+    def test_sample_seed_beyond_64_bits(self, capsys):
+        # any nonnegative seed is valid, for sample as for verify
+        assert main(["sample", "--ensemble", "gkls-generic", "--dim", "2",
+                     "--seed", str(2 ** 64)]) == 0
+        assert capsys.readouterr().out
 
     def test_matches_golden_csv(self, tmp_path):
         # every column exact; the float CKKS margin may drift at rounding level

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import helpers
-from oqspectra import linalg, superop
+from oqspectra import bounds, linalg, superop
 from oqspectra.constructions import (
     phase_damping_channel,
     stinespring_channel,
@@ -19,7 +19,6 @@ from oqspectra.superop import (
     from_kraus,
     from_superop,
     identity_channel,
-    is_unitary_channel,
     power,
     superop_to_choi,
 )
@@ -225,10 +224,10 @@ class TestDualComposePower:
 
 class TestUnitarity:
     def test_unitary_channel_detected(self):
-        assert is_unitary_channel(unitary_channel(np.diag([1.0, 1j])))
+        assert bounds.classify(unitary_channel(np.diag([1.0, 1j]))) == "unitary"
 
     def test_phase_damping_not_unitary(self):
-        assert not is_unitary_channel(phase_damping_channel(3))
+        assert bounds.classify(phase_damping_channel(3)) == "non-unitary"
 
     def test_depolarizing_not_unitary(self):
         p, d = 0.5, 2
@@ -237,7 +236,7 @@ class TestUnitarity:
         ch = from_superop(dep)
         w = np.linalg.eigvals(ch.superop)
         helpers.assert_multisets_close(w, [1.0, 1 - p, 1 - p, 1 - p], atol=1e-12)
-        assert not is_unitary_channel(ch)
+        assert bounds.classify(ch) == "non-unitary"
 
 
 class TestSpectralProperties:
