@@ -110,7 +110,7 @@ def attractor(subject, summary: spectra.SpectralSummary | None = None) -> Subspa
     spectrum = subject.spectrum
     stack, _, orthonormal = _peripheral_columns(spectrum, summary)
     rank = stack.shape[1] if orthonormal else linalg.numerical_rank(
-        scipy.linalg.svdvals(stack), stack.shape, ATTRACTOR_RANK_TOL)
+        linalg.real_svd(stack, False)[1], stack.shape, ATTRACTOR_RANK_TOL)
     if rank != summary.lP_or_mP or rank != stack.shape[1]:
         raise ConsistencyError(
             f"attractor dimension {rank} != peripheral multiplicity "
@@ -131,15 +131,14 @@ def _peripheral_columns(spectrum: linalg.Spectrum, summary: spectra.SpectralSumm
     tol, anchor = DEFAULT_NULL_TOL, summary.kind.anchor
     w, sqrt_h = spectrum.values, spectrum.sqrt_h[:, None]
     anchor_item = summary.distinct[summary.anchor_index]
-    blocks, singles = [], []
-    for item in [anchor_item] if anchor_only else [i for i in summary.distinct if i.peripheral]:
+    items = [anchor_item] if anchor_only else [i for i in summary.distinct if i.peripheral]
+    blocks = []
+    for item in items:
         mu = item.value
         # A cluster within cluster_tol of its conjugate is its own conjugate;
         # any other lies more than cluster_tol / 2 off the real axis.
         real = 2 * abs(mu.imag) <= summary.cluster_tol
-        if item.multiplicity == 1:  # its center is its eigenvalue, bit for bit
-            singles.append((np.flatnonzero(w == mu)[0], mu, real))
-        elif real or mu.imag > 0:  # one below the axis is its partner's conjugate
+        if item.multiplicity > 1 and (real or mu.imag > 0):  # below the axis: a conjugate
             center = anchor if item is anchor_item else (mu.real if real else mu)
             dim, right, left = spectrum.null_space(center, tol, vectors=True)
             if dim != item.multiplicity:
@@ -148,8 +147,10 @@ def _peripheral_columns(spectrum: linalg.Spectrum, summary: spectra.SpectralSumm
                     f"{dim} != algebraic {item.multiplicity}"
                 )
             blocks.append((right, left, real))
-    if singles:
-        k, mu, real = map(np.array, zip(*singles))
+    mu = np.array([item.value for item in items if item.multiplicity == 1])
+    if mu.size:  # a singleton's center is its eigenvalue, bit for bit
+        k = (w[:, None] == mu).argmax(axis=0)  # the first match of each
+        real = 2 * np.abs(mu.imag) <= summary.cluster_tol
         right, left = spectrum.vr[:, k] / sqrt_h, spectrum.vl[:, k] * sqrt_h
         right /= np.linalg.norm(right, axis=0)
         overlap = np.abs(np.einsum("ij,ij->j", left.conj(), right)) / np.linalg.norm(left, axis=0)
@@ -167,7 +168,7 @@ def _peripheral_columns(spectrum: linalg.Spectrum, summary: spectra.SpectralSumm
     v, w = (np.hstack([b[s].real if b[2] else np.sqrt(2) * np.hstack((b[s].real, b[s].imag))
                        for b in blocks]) for s in (0, 1))
     # One eigenspace from an SVD, or one unit vector, is orthonormal.
-    return v, w, len(blocks) == 1 and (not singles or v.shape[1] == 1)
+    return v, w, len(blocks) == 1 and (not mu.size or v.shape[1] == 1)
 
 
 def _projection(subject, summary: spectra.SpectralSummary, anchor_only: bool) -> np.ndarray:

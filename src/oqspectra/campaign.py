@@ -59,6 +59,8 @@ class CampaignConfig:
             raise ValueError("per_dim must be at least 1")
         constructions.check_seed(self.seed)
         constructions.check_env_dim(self.env_dim)
+        if self.env_dim == 1 and "cptp-stinespring" in self.sources:  # one Kraus operator: unitary
+            raise ValueError("env_dim must be at least 2 for cptp-stinespring, got 1")
 
 
 @dataclass(frozen=True)

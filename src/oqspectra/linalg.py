@@ -24,6 +24,9 @@ import numpy as np
 import scipy.linalg
 
 EPS = float(np.finfo(np.float64).eps)
+# Bound once: scipy's wrappers cost as much as LAPACK itself at n <= 16.
+_dgeev, _dgeev_lwork, _dgesdd, _dgesdd_lwork = scipy.linalg.get_lapack_funcs(
+    ("geev", "geev_lwork", "gesdd", "gesdd_lwork"), dtype=np.float64)
 # eig() rejects a matrix whose Hermitian coordinates have an imaginary part
 # above HERMITICITY_CUT * n * eps * (largest real part): rounding only.
 HERMITICITY_CUT = 16.0
@@ -78,11 +81,45 @@ def hermitian_basis(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return b, b_inv, h
 
 
+@functools.cache
+def _lwork(query, *args) -> int:
+    """The optimal workspace of one call shape, queried once per process."""
+    return int(_checked("workspace query", *query(*args))[0])
+
+
+def _checked(routine: str, *out):
+    """A LAPACK routine's outputs without the trailing ``info``, which must be 0."""
+    if out[-1]:  # > 0: no convergence; < 0: an illegal argument
+        raise np.linalg.LinAlgError(f"{routine} failed (LAPACK info={out[-1]})")
+    return out[:-1]
+
+
+def real_eig(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(w, vl, vr)`` of a finite real square matrix by ``dgeev``, bit for
+    bit ``scipy.linalg.eig(r, left=True, right=True, check_finite=False)``."""
+    wr, wi, vl, vr = _checked("dgeev", *_dgeev(r, lwork=_lwork(_dgeev_lwork, r.shape[0])))
+    if wi.any():  # else vl, vr stay real; a pair at k, k + 1 (wi[k] > 0) holds Re v, Im v
+        k = np.flatnonzero(wi > 0)
+        vl, vr = vl.astype(np.complex128), vr.astype(np.complex128)
+        for v in (vl, vr):
+            v.imag[:, k] = v.real[:, k + 1]
+            v[:, k + 1] = v[:, k].conj()
+    return wr + 1j * wi, vl, vr
+
+
+def real_svd(a: np.ndarray, vectors: bool):
+    """``(u, s, vh)`` of a finite real matrix by ``dgesdd``, bit for bit
+    ``scipy.linalg.svd(a)``, or ``(None, s, None)`` with ``svdvals(a)``."""
+    lwork = _lwork(_dgesdd_lwork, *a.shape, vectors, True)
+    u, s, vh = _checked("dgesdd", *_dgesdd(a, compute_uv=vectors, lwork=lwork))
+    return (u, s, vh) if vectors else (None, s, None)
+
+
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """:func:`eig` of a d^2 x d^2 matrix M; read, never modify.
 
-    ``values``, ``vl`` and ``vr`` are ``scipy.linalg.eig`` of the real
+    ``values``, ``vl`` and ``vr`` are :func:`real_eig` of the real
     R = B^-1 M B (:func:`hermitian_basis`).  ``real`` is the real R' = U^dag M U
     in the orthonormal basis U = B diag(sqrt_h), ``sqrt_h`` = sqrt h, so R' - cI
     has the singular values of M - cI and eigenvectors vr / sqrt_h, vl sqrt_h.
@@ -110,8 +147,8 @@ class Spectrum:
         s, u, vh = self._svds.get(center, (None, None, None))
         if s is None or (vectors and vh is None):
             shifted = self.real - center * np.eye(n)
-            u, s, vh = (scipy.linalg.svd(shifted) if vectors
-                        else (None, scipy.linalg.svdvals(shifted), None))
+            real = np.isrealobj(shifted)  # else off the real axis, with vectors: on scipy
+            u, s, vh = real_svd(shifted, vectors) if real else scipy.linalg.svd(shifted)
             self._svds[center] = (s, u, vh)
         rank = numerical_rank(s, (n, n), tol)
         if not vectors:
@@ -153,7 +190,7 @@ def eig(a) -> Spectrum:
             f"in its Hermitian coordinates"
         )
     r = r.real
-    w, vl, vr = scipy.linalg.eig(r, left=True, right=True, check_finite=False)
+    w, vl, vr = real_eig(r)
     sqrt_h = np.sqrt(h)
     return Spectrum(w, r * (sqrt_h.T / sqrt_h), vl, vr, sqrt_h[:, 0])
 

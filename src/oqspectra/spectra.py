@@ -116,15 +116,15 @@ def cluster(values, cluster_tol: float) -> list[tuple[complex, int]]:
         labels = nxt
     counts = np.bincount(labels, minlength=n)
     # Mean as first member plus mean offset: about an ulp off, at any size.
-    offsets = np.zeros(n, dtype=np.complex128)
-    np.add.at(offsets, labels, vs - vs[labels])
+    diff = vs - vs[labels]
+    offsets = np.bincount(labels, diff.real, n) + 1j * np.bincount(labels, diff.imag, n)
     roots = np.flatnonzero(counts)
     mults = counts[roots]
     # A singleton's center is its value bit for bit (attractor matches by ==).
     centers = np.where(mults == 1, vs[roots], vs[roots] + offsets[roots] / mults)
     # np.hypot rounds |c| as Python's abs does; np.abs may differ by an ulp.
     order = np.lexsort((np.angle(centers), -np.hypot(centers.real, centers.imag)))
-    return [(complex(c), int(m)) for c, m in zip(centers[order], mults[order])]
+    return list(zip(centers[order].tolist(), mults[order].tolist()))
 
 
 def summarize(subject, cluster_tol: float | None = None,

@@ -10,7 +10,7 @@ import collections
 import numpy as np
 import scipy.linalg
 
-from oqspectra import constructions, gkls, superop
+from oqspectra import constructions, gkls, linalg, superop
 from oqspectra.commutants import JordanProfile
 
 
@@ -26,6 +26,25 @@ def count_calls(monkeypatch, module, names):
 
         monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def count_decompositions(monkeypatch):
+    """Spy on every dense eig and SVD entry point the package calls: the
+    real LAPACK kernels ``linalg.real_eig`` and ``linalg.real_svd``, and
+    scipy's ``eig``, ``eigvals``, ``svd`` and ``svdvals``, which it keeps for
+    complex matrices.  Returns the call counter by entry-point name and the
+    ``(name, input dtype)`` pairs in call order."""
+    calls, dtypes = collections.Counter(), []
+    entries = [(linalg, "real_eig"), (linalg, "real_svd")]
+    entries += [(scipy.linalg, name) for name in ("eig", "eigvals", "svd", "svdvals")]
+    for module, name in entries:
+        def spy(a, *args, _original=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            dtypes.append((_name, np.asarray(a).dtype))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    return calls, dtypes
 
 
 def dag(a):

@@ -374,20 +374,21 @@ class TestProjections:
         # SVD (a cluster off the real axis would take a complex one)
         subject = make(rng)
         subject.spectrum
-        dtypes = []
-        eigs = helpers.count_calls(monkeypatch, scipy.linalg, ("eig", "eigvals"))
-        eigs.update(helpers.count_calls(monkeypatch, np.linalg, ("eig", "eigvals")))
-        for module, name in ((scipy.linalg, "svd"), (scipy.linalg, "svdvals"),
-                             (np.linalg, "svd")):
-            def recording(a, *args, _original=getattr(module, name), **kwargs):
-                dtypes.append(np.asarray(a).dtype)
-                return _original(a, *args, **kwargs)
-            monkeypatch.setattr(module, name, recording)
+        calls, dtypes = helpers.count_decompositions(monkeypatch)
+        eigs = helpers.count_calls(monkeypatch, np.linalg, ("eig", "eigvals"))
+        np_svd = np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            dtypes.append(("np.svd", np.asarray(a).dtype))
+            return np_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
         peripheral_projection(subject)
         fixed_projection(subject)
         asymptotics.maximal_steady_state(subject)
-        assert sum(eigs.values()) == 0
-        assert all(dtype.kind == "f" for dtype in dtypes), dtypes
+        assert sum(eigs.values()) + calls["real_eig"] + calls["eig"] + calls["eigvals"] == 0
+        assert all(dtype.kind == "f" for _, dtype in dtypes), dtypes
+        assert calls["svd"] + calls["svdvals"] == 0
 
 
 class TestFaithfulReduce:

@@ -4,11 +4,10 @@ import pathlib
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import helpers
 from oqspectra import (analysis, asymptotics, bounds, campaign, cli, constructions, gkls,
-                       spectra, superop)
+                       linalg, spectra, superop)
 from oqspectra.cli import main
 from oqspectra.constructions import (
     phase_damping_channel,
@@ -88,42 +87,26 @@ class TestAnalysisPipeline:
         # singletons read off the one eig; SVDs only for the fixed-space
         # cross-check, which also gives the multiple cluster at 1, and the
         # attractor's rank certificate.  The eig runs in real Hermitian
-        # coordinates.
+        # coordinates, and every decomposition on the LAPACK kernels.
         ch = unitary_channel(helpers.haar(4, rng))
-        dtypes = []
-        eig = scipy.linalg.eig
-
-        def recording(a, *args, **kwargs):
-            dtypes.append(np.asarray(a).dtype)
-            return eig(a, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "eig", recording)
-        calls = helpers.count_calls(monkeypatch, scipy.linalg, ("eig", "eigvals", "svd", "svdvals"))
+        calls, dtypes = helpers.count_decompositions(monkeypatch)
         rep = analysis.analyze(ch, with_commutant=False)
         assert rep.attractor_dim == 16 and rep.fixed_dim == 4
-        assert calls["eig"] + calls["eigvals"] == 1
-        assert dtypes == [np.float64]
-        assert calls["svd"] + calls["svdvals"] <= 2
+        assert calls["real_eig"] + calls["eig"] + calls["eigvals"] == 1
+        assert [dtype for name, dtype in dtypes if "eig" in name] == [np.float64]
+        assert calls["real_svd"] + calls["svd"] + calls["svdvals"] <= 2
+        assert calls["eig"] + calls["svd"] + calls["svdvals"] == 0
 
     def test_one_svd_per_generic_generator(self, monkeypatch):
         # A simple kernel and lP = 1: the values-only cross-check is the one
-        # SVD, of the real matrix in Hermitian coordinates
+        # SVD, of the real matrix in Hermitian coordinates, on the kernel
         config = constructions.SamplerConfig(seed=5, dim=5, ensemble="gkls-generic")
         gen = constructions.sample_one(config, 0)
-        dtypes = []
-        svd_like = {name: getattr(scipy.linalg, name) for name in ("svd", "svdvals")}
-
-        def recording(name):
-            def call(a, *args, **kwargs):
-                dtypes.append(np.asarray(a).dtype)
-                return svd_like[name](a, *args, **kwargs)
-            return call
-
-        for name in svd_like:
-            monkeypatch.setattr(scipy.linalg, name, recording(name))
+        calls, dtypes = helpers.count_decompositions(monkeypatch)
         rep = analysis.analyze(gen, with_commutant=False)
         assert rep.fixed_dim == rep.attractor_dim == 1
-        assert dtypes == [np.float64]
+        assert [dtype for name, dtype in dtypes if "svd" in name] == [np.float64]
+        assert calls["svd"] + calls["svdvals"] == 0
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="ROADMAP item 1: the absolute cluster tolerance merges "
@@ -308,7 +291,9 @@ class TestCliVerify:
         ("--seed", "-1", "seed must be nonnegative, got -1"),
         ("--env-dim", "0", "env_dim must be at least 1, got 0"),
         ("--env-dim", "-2", "env_dim must be at least 1, got -2"),
-    ], ids=["empty-dims", "empty-sources", "negative-seed", "zero-env-dim", "negative-env-dim"])
+        ("--env-dim", "1", "env_dim must be at least 2 for cptp-stinespring, got 1"),
+    ], ids=["empty-dims", "empty-sources", "negative-seed", "zero-env-dim", "negative-env-dim",
+            "stinespring-unit-env-dim"])
     def test_empty_campaign_exit_2(self, capsys, option, value, message):
         # a campaign that checks nothing, or cannot draw its subjects, must
         # be rejected as input, not reported as success or as numerics
@@ -407,10 +392,11 @@ class TestCampaignWork:
     CONFIG = campaign.CampaignConfig(dims=(3,), per_dim=5, sources=("gkls-generic",))
 
     def test_one_eig_per_sampled_generator(self, monkeypatch):
-        calls = helpers.count_calls(monkeypatch, scipy.linalg, ("eig", "eigvals"))
+        calls, _ = helpers.count_decompositions(monkeypatch)
         result = campaign.run_campaign(self.CONFIG)
         assert [row.rejects for row in result.rows] == [0] * 5
-        assert calls["eig"] + calls["eigvals"] == 5
+        assert calls["real_eig"] + calls["eig"] + calls["eigvals"] == 5
+        assert calls["eig"] == 0
 
     def test_one_summary_per_sampled_subject(self, monkeypatch):
         calls = helpers.count_calls(monkeypatch, spectra, ("summarize",))
@@ -424,14 +410,16 @@ class TestCampaignWork:
     def test_decompositions_per_subject(self, monkeypatch):
         # Every source at d = 6: one eig per drawn subject, and on average
         # at most 1.6 SVDs (the cross-check, plus the rank certificate and
-        # multiple peripheral clusters where they occur)
-        calls = helpers.count_calls(monkeypatch, scipy.linalg, ("eig", "eigvals", "svd", "svdvals"))
+        # multiple peripheral clusters where they occur); scipy sees only
+        # the complex SVDs of clusters off the real axis
+        calls, dtypes = helpers.count_decompositions(monkeypatch)
         cfg = campaign.CampaignConfig(dims=(6,), per_dim=2, sources=campaign.ALL_SOURCES)
         result = campaign.run_campaign(cfg)
         draws = sum(1 + row.rejects for row in result.rows)
         assert not any(row.report.rechecked for row in result.rows)
-        assert calls["eig"] == draws and calls["eigvals"] == 0
-        assert calls["svd"] + calls["svdvals"] <= 1.6 * len(result.rows)
+        assert calls["real_eig"] == draws and calls["eig"] == calls["eigvals"] == 0
+        assert calls["real_svd"] + calls["svd"] + calls["svdvals"] <= 1.6 * len(result.rows)
+        assert all(dtype.kind == "c" for name, dtype in dtypes if name in ("svd", "svdvals"))
 
     def test_one_classification_per_sampled_subject(self, monkeypatch):
         calls = helpers.count_calls(monkeypatch, bounds, ("classify",))
@@ -495,6 +483,26 @@ class TestCampaignErrors:
         assert [k for k, (a, b) in enumerate(zip(lines, clean)) if a != b] == [victim + 1]
         assert result.oracle_mismatches == 1
         assert result.structural_violations == 0 and result.ckks_unital_failures == 0
+
+    def test_unconverged_lapack_is_one_error_row(self, monkeypatch):
+        # LAPACK info > 0 in one subject's eig: that row reads
+        # error:LinAlgError, and the campaign goes on to the same other rows
+        clean = campaign.rows_to_csv(campaign.run_campaign(self.CONFIG).rows).splitlines()
+        dgeev, count = linalg._dgeev, [0]
+
+        def failing(*args, **kwargs):
+            count[0] += 1
+            *out, info = dgeev(*args, **kwargs)
+            return (*out, 1 if count[0] == 10 else info)
+
+        monkeypatch.setattr(linalg, "_dgeev", failing)
+        result = campaign.run_campaign(self.CONFIG)
+        lines = campaign.rows_to_csv(result.rows).splitlines()
+        changed = [k for k, (a, b) in enumerate(zip(lines, clean)) if a != b]
+        assert len(lines) == len(clean) and len(changed) == 1
+        bad = result.rows[changed[0] - 1]
+        assert bad.report is None and bad.note == "error:LinAlgError"
+        assert result.oracle_mismatches == 1 and result.structural_violations == 0
 
     def test_error_row_exits_1(self, monkeypatch, tmp_path, capsys):
         def failing(*args, **kwargs):

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import helpers
-from oqspectra import linalg
+from oqspectra import asymptotics, linalg, spectra
 from oqspectra.constructions import phase_damping_channel
 from oqspectra.superop import identity_channel
 
@@ -82,6 +82,50 @@ class TestEig:
             linalg.eig(a)
         with pytest.raises(ValueError, match="Hermiticity"):
             linalg.eig(1j * random_hermiticity_preserving(rng, 3))
+
+
+def same_bits(got, want):
+    """Equal dtype, shape and bytes, signed zeros included."""
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestLapackKernels:
+    """The direct dgeev/dgesdd kernels return scipy's results bit for bit."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_eig_is_scipy_eig(self, d):
+        # the 4 constructors and the 5 ensembles; phase damping has an
+        # all-real spectrum, whose eigenvectors stay real
+        real_vectors = []
+        for name, subject in helpers.oracle_subjects(d, seeds=1):
+            b, b_inv, _ = linalg.hermitian_basis(d)
+            r = (b_inv @ subject.superop @ b).real
+            spectrum = linalg.eig(subject.superop)
+            want = scipy.linalg.eig(r, left=True, right=True, check_finite=False)
+            for got, ref in zip((spectrum.values, spectrum.vl, spectrum.vr), want):
+                assert same_bits(got, ref), name
+            if spectrum.vr.dtype == np.float64:
+                real_vectors.append(name)
+        assert "phase-damping" in real_vectors
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_null_space_and_certificate_are_scipy_svd(self, d):
+        for name, subject in helpers.oracle_subjects(d, seeds=1):
+            spectrum, anchor = subject.spectrum, subject.kind.anchor
+            shifted = spectrum.real - anchor * np.eye(d * d)
+            dim, right, left = spectrum.null_space(anchor, 1e-8, vectors=True)
+            u, s, vh = scipy.linalg.svd(shifted)
+            rank = d * d - dim
+            assert same_bits(right, vh[rank:].conj().T) and same_bits(left, u[:, rank:]), name
+            assert same_bits(linalg.real_svd(shifted, False)[1], scipy.linalg.svdvals(shifted))
+            stack, _, _ = asymptotics._peripheral_columns(spectrum, spectra.summarize(subject))
+            assert same_bits(linalg.real_svd(stack, False)[1], scipy.linalg.svdvals(stack)), name
+
+    def test_unconverged_eig_raises(self, monkeypatch):
+        dgeev = linalg._dgeev
+        monkeypatch.setattr(linalg, "_dgeev", lambda *a, **k: (*dgeev(*a, **k)[:4], 3))
+        with pytest.raises(np.linalg.LinAlgError, match="dgeev failed"):
+            linalg.eig(phase_damping_channel(3).superop)
 
 
 class TestHermitianBasis:
