@@ -14,7 +14,6 @@ from .asymptotics import (
     faithful_reduce,
     fixed_space,
     peripheral_projection,
-    steady_states,
 )
 from .bounds import (
     BoundReport,
@@ -40,12 +39,7 @@ from .constructions import (
     saturating_hamiltonian_generator,
     saturating_unitary_channel,
 )
-from .gkls import (
-    GklsGenerator,
-    build_generator,
-    exponentiate,
-    relaxation_rates,
-)
+from .gkls import GklsGenerator, build_generator, exponentiate
 from .spectra import CHANNEL, GENERATOR, Kind, SpectralSummary, cluster, summarize
 from .superop import (
     QuantumChannel,

@@ -30,7 +30,6 @@ class AnalysisReport:
     attractor_dim: int
     commutant_dim: int | None
     bound_report: BoundReport
-    tolerances: dict
     timings: dict
     discrepancy: str | None = None  # cross-check mismatch, if any survived
     rechecked: bool = False
@@ -95,10 +94,6 @@ def analyze(subject,
         attractor_dim=attractor_dim,
         commutant_dim=commutant_dim,
         bound_report=report,
-        tolerances={
-            "cluster": summary.cluster_tol,
-            "peripheral": summary.peripheral_tol,
-        },
         timings=timings,
         discrepancy=discrepancy,
         rechecked=rechecked,
@@ -134,19 +129,20 @@ def _commutant_dim(subject) -> int:
 
 
 def report_to_json(report: AnalysisReport) -> dict:
+    summary = spectra.summary_to_json(report.summary)
     return {
         "schema": SCHEMA,
         "kind": report.kind.name,
         "dim": report.dim,
         "classification": report.classification,
-        "summary": spectra.summary_to_json(report.summary),
+        "summary": summary,
         "subspaces": {
             "fixed_dim": report.fixed_dim,
             "attractor_dim": report.attractor_dim,
             "commutant_dim": report.commutant_dim,
         },
         "bounds": bounds.report_to_json(report.bound_report),
-        "tolerances": report.tolerances,
+        "tolerances": summary["tolerances"],
         "timings": report.timings,
         "discrepancy": report.discrepancy,
         "rechecked": report.rechecked,
@@ -182,8 +178,8 @@ def report_to_table(report: AnalysisReport) -> str:
         worst = min(m.margin for m in report.bound_report.ckks)
         lines.append(f"ckks margins    min {worst:.6g} over "
                      f"{len(report.bound_report.ckks)} eigenvalues")
-    lines.append(f"tolerances      cluster {report.tolerances['cluster']:.3g}, "
-                 f"peripheral {report.tolerances['peripheral']:.3g}")
+    lines.append(f"tolerances      cluster {report.summary.cluster_tol:.3g}, "
+                 f"peripheral {report.summary.peripheral_tol:.3g}")
     if report.discrepancy:
         lines.append(f"DISCREPANCY     {report.discrepancy}")
     return "\n".join(lines)

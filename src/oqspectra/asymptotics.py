@@ -1,5 +1,5 @@
-"""Fixed-point spaces, attractor subspaces, spectral projections and
-steady-state extraction.
+"""Fixed-point spaces, attractor subspaces, spectral projections and the
+maximal steady state.
 
 :func:`fixed_space` (for a generator its kernel) and :func:`attractor`
 count dimensions in the real coordinates of the subject's
@@ -13,8 +13,9 @@ left counterparts W (left eigenvectors of simple eigenvalues, the left
 singular vectors of the same SVD for multiple ones), give
 P' = V (W^T V)^{-1} W^T in the coordinates of R', exact up to eig accuracy
 for semisimple eigenvalues (all peripheral eigenvalues of valid channels
-and generators are semisimple).  A Cesaro power average is kept as an
-independent, slowly converging cross-check oracle.
+and generators are semisimple).  The one steady state guaranteed is the one
+of maximal support, P(I)/d; :func:`faithful_reduce` compresses a channel
+onto that support.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .superop import QuantumChannel
 DEFAULT_NULL_TOL = 1e-8  # nullspace cut and left/right overlap floor of every eigenspace
 SUPPORT_REL_TOL = 1e-9  # eigenvalues of rho0 below this times the largest are noise
 SUPPORT_LEAK_TOL = 1e-8  # largest norm of the off-support block (I - V V^dag) B V
-CESARO_DEFAULT_N = 2048
 ATTRACTOR_RANK_TOL = 1e-10  # independent columns: singular values above this times the largest
 
 
@@ -44,21 +44,14 @@ class ConsistencyError(RuntimeError):
 @dataclass(frozen=True, eq=False)
 class SubspaceBasis:
     """A subspace of vectorized operators; its orthonormal ``basis``
-    (ambient_dim x dimension) comes from ``build`` on first read."""
+    (d^2 x dimension) comes from ``build`` on first read."""
 
-    ambient_dim: int
     dimension: int
-    label: str  # fix | ker | attractor | commutant
     build: Callable[[], np.ndarray] = field(repr=False)
 
     @functools.cached_property
     def basis(self) -> np.ndarray:
         return self.build()
-
-    def matrices(self) -> list[np.ndarray]:
-        """The basis vectors reshaped to d x d operators."""
-        d = int(round(np.sqrt(self.ambient_dim)))
-        return [unvec(self.basis[:, k], rows=d) for k in range(self.dimension)]
 
 
 @dataclass(frozen=True)
@@ -89,7 +82,7 @@ def fixed_space(subject, summary: spectra.SpectralSummary | None = None) -> Subs
             f"{kind.space} dimension {dim} != clustered multiplicity "
             f"{summary.l0_or_m0}; tighten tolerances"
         )
-    return SubspaceBasis(spectrum.values.size, dim, kind.label, lambda: spectrum.to_matrix(
+    return SubspaceBasis(dim, lambda: spectrum.to_matrix(
         spectrum.null_space(kind.anchor, tol, vectors=True)[1]))
 
 
@@ -116,7 +109,7 @@ def attractor(subject, summary: spectra.SpectralSummary | None = None) -> Subspa
             f"attractor dimension {rank} != peripheral multiplicity "
             f"{summary.lP_or_mP}"
         )
-    return SubspaceBasis(spectrum.values.size, rank, "attractor", lambda: spectrum.to_matrix(
+    return SubspaceBasis(rank, lambda: spectrum.to_matrix(
         scipy.linalg.svd(stack, full_matrices=False)[0][:, :rank]))
 
 
@@ -201,18 +194,6 @@ def peripheral_projection(subject) -> np.ndarray:
     return _projection(subject, spectra.summarize(subject), anchor_only=False)
 
 
-def cesaro_projection(channel: QuantumChannel, n: int = CESARO_DEFAULT_N) -> np.ndarray:
-    """Cesaro mean (1/n) sum_{k<n} M^k; slow independent oracle for
-    :func:`fixed_projection` (error of order 1/(n * peripheral gap))."""
-    m = channel.superop
-    acc = np.eye(m.shape[0], dtype=np.complex128)
-    p = np.eye(m.shape[0], dtype=np.complex128)
-    for _ in range(1, n):
-        p = m @ p
-        acc += p
-    return acc / n
-
-
 def maximal_steady_state(subject) -> np.ndarray:
     """The steady state P(I)/d of maximal support (P the spectral projection
     onto Fix(Phi) or Ker(L))."""
@@ -255,57 +236,3 @@ def faithful_reduce(channel: QuantumChannel) -> FaithfulReduction:
     reduced = superop.from_kraus([dagger(v) @ b @ v for b in kraus])
     return FaithfulReduction(support_dim=d0, isometry=v, reduced_channel=reduced)
 
-
-def steady_states(subject) -> list[np.ndarray]:
-    """Density matrices spanning as much of Fix/Ker as positivity allows.
-
-    The first entry is the guaranteed maximal-support steady state P(I)/d.
-    Further entries re-express the remaining basis directions as states by
-    mixing Hermitian fixed-point components with the first state; this is
-    best effort beyond the guaranteed one.  Every returned rho satisfies
-    the fixed-point residual, rho >= -1e-8 and Tr rho = 1.
-    """
-    anchor, d, m = subject.kind.anchor, subject.dim, subject.superop
-    basis = fixed_space(subject)
-    rho0 = maximal_steady_state(subject)
-    states = [rho0]
-
-    def residual(r):
-        return float(np.linalg.norm(unvec(m @ vec(r), rows=d) - anchor * r))
-
-    positive = _support(rho0)[0]
-    support_floor = float(positive.min()) if positive.size else 0.0
-    for x in basis.matrices():
-        for cand in ((x + dagger(x)) / 2, (x - dagger(x)) / 2j):
-            state = _positivize(cand, rho0, support_floor)
-            if state is None:
-                continue
-            if residual(state) > 1e-7:
-                continue
-            if all(np.linalg.norm(state - s) > 1e-6 for s in states):
-                states.append(state)
-        if len(states) >= basis.dimension:
-            break
-    return states
-
-
-def _positivize(k: np.ndarray, rho0: np.ndarray, support_floor: float) -> np.ndarray | None:
-    """Mix a Hermitian fixed-point component with rho0 until positive."""
-    norm = float(np.linalg.norm(k))
-    if norm < 1e-12 or support_floor <= 0.0:
-        return None
-    k = k / norm
-    if np.trace(k).real < 0:
-        k = -k
-    wmin = float(np.linalg.eigh(k)[0].min())
-    # Every fixed point is supported inside supp(rho0), where rho0 >= floor.
-    alpha = max(0.0, -wmin) / support_floor
-    mix = k + alpha * rho0
-    tr = float(np.trace(mix).real)
-    if tr < 1e-10:
-        mix = mix + rho0
-        tr += 1.0
-    state = mix / tr
-    if float(np.linalg.eigh(state)[0].min()) < -1e-8:
-        return None
-    return state

@@ -1,9 +1,9 @@
 """Command-line front end: analyze subjects, run verification campaigns,
 construct the saturating examples, emit sampled subjects.
 
-Exit codes: 0 success, 2 validation/parse failure, 3 bound violation (for
-CI use); `verify` additionally exits 1 on oracle mismatches that are not
-bound violations.
+Exit codes: 0 success, 2 validation/parse failure or an unwritable
+``--out``, 3 bound violation (for CI use); `verify` additionally exits 1 on
+oracle mismatches that are not bound violations.
 
 Each command runs with every loaded OpenBLAS limited to one thread and puts
 the previous counts back on exit.  The matrices are at most 144 x 144
@@ -186,13 +186,9 @@ def _cmd_verify(args) -> int:
         seed=args.seed,
         env_dim=args.env_dim,
     )
-    result = campaign.run_campaign(config)
-    text = campaign.rows_to_csv(result.rows)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _emit(args.out) as fh:  # an unwritable --out fails before the campaign
+        result = campaign.run_campaign(config)
+        fh.write(campaign.rows_to_csv(result.rows))
     print(f"subjects analyzed:     {len(result.rows)}", file=sys.stderr)
     print(f"structural violations: {result.structural_violations}", file=sys.stderr)
     print(f"oracle mismatches:     {result.oracle_mismatches}", file=sys.stderr)
@@ -216,7 +212,8 @@ def _cmd_construct(args) -> int:
     h1, h2 = (float(tok) for tok in args.h.split(","))
     subject, _ = constructions.saturating(args.kind, args.dim, (h1, h2),
                                           _parse_pairs(args.eigenpairs))
-    _emit(_to_json(subject), args.out)
+    with _emit(args.out) as fh:
+        fh.write(_to_json(subject) + "\n")
     return 0
 
 
@@ -224,7 +221,9 @@ def _cmd_sample(args) -> int:
     config = constructions.SamplerConfig(
         seed=args.seed, dim=args.dim, ensemble=args.ensemble,
         count=args.count, env_dim=args.env_dim)
-    _emit("\n".join(map(_to_json, constructions.sample(config))), args.out)
+    text = "".join(_to_json(subject) + "\n" for subject in constructions.sample(config))
+    with _emit(args.out) as fh:
+        fh.write(text)
     return 0
 
 
@@ -233,12 +232,14 @@ def _to_json(subject) -> str:
                       else gkls.generator_to_json(subject))
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _emit(out: str | None):
+    """The writer of every command's output: the file ``out``, or stdout."""
+    if not out:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(out, "w")
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc.strerror}") from exc
 
 
 if __name__ == "__main__":

@@ -64,8 +64,7 @@ def commutant(ops, tol: float = 0.0) -> SubspaceBasis:
     dim = int(ns.shape[1])
     if dim < 1:
         raise AssertionError("commutant lost the identity; tolerance too tight")
-    return SubspaceBasis(ambient_dim=d * d, dimension=dim, label="commutant",
-                         build=lambda: ns)
+    return SubspaceBasis(dimension=dim, build=lambda: ns)
 
 
 def commutant_dimension(ops) -> int:

@@ -285,12 +285,8 @@ def sample(config: SamplerConfig) -> Iterator[Subject]:
     the stream.
     """
     for index in range(config.count):
-        yield sample_one(config, index)
-
-
-def sample_one(config: SamplerConfig, index: int) -> Subject:
-    return draw(config.ensemble, config.dim, np.random.default_rng((config.seed, index)),
-                config.env_dim)
+        yield draw(config.ensemble, config.dim, np.random.default_rng((config.seed, index)),
+                   config.env_dim)
 
 
 def draw(ensemble: str, d: int, rng: np.random.Generator,

@@ -24,7 +24,7 @@ import scipy.linalg
 
 from . import linalg, spectra, superop
 from .linalg import dagger, require_square
-from .superop import QuantumChannel, ValidationError
+from .superop import QuantumChannel
 
 HERMITIAN_WARN_TOL = 1e-12
 HERMITIAN_FAIL_TOL = 1e-8
@@ -87,17 +87,6 @@ def gkls_superop(hamiltonian, noise_ops) -> np.ndarray:
     return m
 
 
-def apply_generator(gen: GklsGenerator, x) -> np.ndarray:
-    """Direct operator action L(X); independent of the matrix realization."""
-    x = require_square(x)
-    h = gen.hamiltonian
-    out = -1j * (h @ x - x @ h)
-    for a in gen.noise_ops:
-        aa = dagger(a) @ a
-        out += a @ x @ dagger(a) - 0.5 * (aa @ x + x @ aa)
-    return out
-
-
 def exponentiate(gen: GklsGenerator, t: float = 1.0) -> QuantumChannel:
     """The Markovian channel e^{tL}, validated as CPTP.
 
@@ -109,24 +98,6 @@ def exponentiate(gen: GklsGenerator, t: float = 1.0) -> QuantumChannel:
     return superop.from_superop(
         m, tp_tol=EXP_VALIDATION_TOL, cp_tol=EXP_VALIDATION_TOL
     )
-
-
-def relaxation_rates(gen: GklsGenerator) -> list[tuple[float, int]]:
-    """Distinct relaxation rates Gamma = -Re(lambda) with multiplicities.
-
-    Rates are clustered through the shared eigenvalue clustering; tiny
-    negative values (within 1e-8) are clipped to zero, anything worse
-    signals an invalid generator.
-    """
-    summary = spectra.summarize(gen)
-    out = []
-    for item in summary.distinct:
-        rate = -item.value.real
-        if rate < -1e-8:
-            raise ValidationError("positive real part in generator spectrum", -rate)
-        out.append((max(rate, 0.0), item.multiplicity))
-    out.sort(key=lambda pair: pair[0])
-    return out
 
 
 def generator_to_json(gen: GklsGenerator) -> dict:

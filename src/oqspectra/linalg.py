@@ -10,8 +10,9 @@ where they enter, not again by internal kernels like nullspace.
 Every channel and generator maps Hermitian operators to Hermitian
 operators, so in a basis of Hermitian operators its d^2 x d^2 matrix is
 real (Wolf, *Quantum Channels & Operations: Guided Tour*, 2012, ch. 6).
-:func:`eig` works there, and its :class:`Spectrum` stays there: vectors in
-matrix coordinates are built only when a caller reads them.
+:func:`eig` works there, and its :class:`Spectrum` stays there: only
+:meth:`Spectrum.to_matrix` maps columns back to matrix coordinates, for the
+bases and projections a caller reads.
 """
 
 from __future__ import annotations
@@ -155,16 +156,6 @@ class Spectrum:
             return n - rank, None, None
         return n - rank, vh[rank:].conj().T, u[:, rank:]
 
-    @functools.cached_property
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(w, vl, vr)``: ``vr[:, k]`` and ``vl[:, k]`` are unit right and
-        left eigenvectors of M for ``w[k]``, mapped back by B and B^-dag."""
-        n = self.values.size
-        b, _, h = hermitian_basis(math.isqrt(n))
-        v = b @ np.concatenate((h * self.vl, self.vr), axis=1)  # B^-dag = B h
-        v /= np.sqrt(np.einsum("ij,ij->j", v.conj(), v).real)
-        return self.values, v[:, :n], v[:, n:]
-
 
 def eig(a) -> Spectrum:
     """The :class:`Spectrum` of a Hermiticity-preserving d^2 x d^2 matrix.
@@ -202,11 +193,6 @@ class Decomposed:
     @functools.cached_property
     def spectrum(self) -> Spectrum:
         return eig(self.superop)
-
-    @property
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(w, vl, vr)`` with unit eigenvectors of ``superop``."""
-        return self.spectrum.eigensystem
 
 
 def numerical_rank(s: np.ndarray, shape: tuple[int, ...], tol: float = 0.0,

@@ -37,7 +37,6 @@ class Kind:
     counts: tuple[str, str]  # names of the steady and peripheral counts
     classes: tuple[str, str, str]  # the trivial map, all peripheral, the rest
     trivial_tol: float  # ||M - anchor I|| at most this: the trivial map
-    label: str  # fix | ker
     space: str  # fixed-space | kernel
     peripheral_tol_max: float  # peripheral_tol must lie in [0, this)
 
@@ -48,10 +47,10 @@ class Kind:
 
 CHANNEL = Kind(name="channel", anchor=1.0, counts=("l0", "lP"),
                classes=("trivial", "unitary", "non-unitary"), trivial_tol=1e-8,
-               label="fix", space="fixed-space", peripheral_tol_max=1.0)
+               space="fixed-space", peripheral_tol_max=1.0)
 GENERATOR = Kind(name="generator", anchor=0.0, counts=("m0", "mP"),
                  classes=("zero", "hamiltonian", "non-hamiltonian"), trivial_tol=1e-12,
-                 label="ker", space="kernel", peripheral_tol_max=math.inf)
+                 space="kernel", peripheral_tol_max=math.inf)
 
 
 def default_cluster_tol(spectral_radius: float) -> float:

@@ -19,7 +19,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import linalg, spectra
-from .linalg import dagger, require_square, unvec, vec
+from .linalg import dagger, require_square, vec
 
 DEFAULT_TP_TOL = 1e-8
 DEFAULT_CP_TOL = 1e-8
@@ -169,12 +169,6 @@ def choi_to_kraus(choi) -> tuple[np.ndarray, ...]:
     if not ops:
         raise ValueError("Choi matrix has no eigenvalue above the weight cut")
     return tuple(ops)
-
-
-def apply_channel(channel: QuantumChannel, x) -> np.ndarray:
-    """Action Phi(X) via the superoperator matrix."""
-    x = require_square(x)
-    return unvec(channel.superop @ vec(x), rows=channel.dim)
 
 
 def dual(channel: QuantumChannel) -> QuantumChannel:

@@ -107,6 +107,12 @@ def gkls_apply(h, noise_ops, x):
     return out
 
 
+def apply_superop(m, x):
+    """X -> unvec(M vec(X)) under column stacking."""
+    x = np.asarray(x, dtype=complex)
+    return (m @ x.flatten(order="F")).reshape(x.shape, order="F")
+
+
 def superop_from_action(action, d):
     """Brute-force superoperator matrix: columns are vec(action(E_ij))
     under column stacking, j*d + i ordering."""
@@ -228,7 +234,7 @@ def oracle_subjects(d, seeds=3):
     for ensemble in constructions.ENSEMBLES:
         for seed in range(seeds):
             config = constructions.SamplerConfig(seed=seed, dim=d, ensemble=ensemble)
-            subjects.append((f"{ensemble}-s{seed}", constructions.sample_one(config, 0)))
+            subjects.append((f"{ensemble}-s{seed}", next(constructions.sample(config))))
     return subjects
 
 
@@ -283,6 +289,27 @@ def reference_eig(m):
     v = b @ np.concatenate((h * vl, vr), axis=1)
     v /= np.sqrt(np.einsum("ij,ij->j", v.conj(), v).real)
     return w, v[:, :n], v[:, n:]
+
+
+def real_eigenvectors(spectrum):
+    """Unit left and right eigenvectors ``vl sqrt_h`` and ``vr / sqrt_h`` of
+    the real R' = U^dag M U of a ``Spectrum``.  U is unitary, so their
+    residuals on R' are those of the unit eigenvectors U v of M."""
+    sqrt_h = spectrum.sqrt_h[:, None]
+    vl, vr = spectrum.vl * sqrt_h, spectrum.vr / sqrt_h
+    return vl / np.linalg.norm(vl, axis=0), vr / np.linalg.norm(vr, axis=0)
+
+
+def cesaro_projection(channel, n=2048):
+    """Cesaro mean (1/n) sum_{k<n} M^k: a slow projection oracle onto the
+    fixed space, with error of order 1/(n * peripheral gap)."""
+    m = channel.superop
+    acc = np.eye(m.shape[0], dtype=complex)
+    p = np.eye(m.shape[0], dtype=complex)
+    for _ in range(1, n):
+        p = m @ p
+        acc += p
+    return acc / n
 
 
 def reference_nullspace(m, center, tol=1e-8):

@@ -6,13 +6,12 @@ import helpers
 from oqspectra import analysis, asymptotics, bounds, commutants, linalg, spectra, superop
 from oqspectra.asymptotics import (
     attractor,
-    cesaro_projection,
     faithful_reduce,
     fixed_projection,
     fixed_space,
     is_faithful,
+    maximal_steady_state,
     peripheral_projection,
-    steady_states,
 )
 from oqspectra.constructions import (
     dephasing_generator,
@@ -27,7 +26,7 @@ from oqspectra.constructions import (
     unitary_channel,
 )
 from oqspectra.gkls import build_generator, exponentiate
-from oqspectra.superop import apply_channel, from_kraus, from_superop, identity_channel
+from oqspectra.superop import from_kraus, from_superop, identity_channel
 
 
 def amplitude_damping(gamma=0.5):
@@ -203,7 +202,7 @@ class TestAttractor:
         assert rank(forged) == forged.shape[1] - 1
         # the real stack has the singular values of the complex one, the
         # eigenspace of 1 and both eigenvectors of the pair e^{+-i} of M
-        w, _, vr = ch.eigensystem
+        w, _, vr = helpers.reference_eig(ch.superop)
         pair = np.flatnonzero(np.abs(np.abs(w.imag) - np.sin(1.0)) < 1e-9)
         complex_stack = np.hstack((helpers.reference_nullspace(ch.superop, 1.0), vr[:, pair]))
         assert np.allclose(scipy.linalg.svdvals(stack), scipy.linalg.svdvals(complex_stack),
@@ -261,14 +260,15 @@ class TestComplexReference:
                 assert np.linalg.norm(helpers.dag(basis) @ basis - np.eye(k)) <= 1e-12, name
                 assert scipy.linalg.subspace_angles(basis, ref).max() <= 1e-9, name
 
-            # A fresh decomposition maps back exactly as the reference; the
-            # cached one of a sampled generator was rescaled with its matrix
-            for got, want in zip(linalg.eig(m).eigensystem, helpers.reference_eig(m)):
-                assert np.array_equal(got, want), name
-            w, vl, vr = subject.eigensystem
+            # A fresh decomposition has the reference's eigenvalues bit for
+            # bit; the cached one of a sampled generator was rescaled with
+            # its matrix, and its eigenvectors are those of its own R'
+            assert np.array_equal(linalg.eig(m).values, helpers.reference_eig(m)[0]), name
+            w, r = subject.spectrum.values, subject.spectrum.real
+            vl, vr = helpers.real_eigenvectors(subject.spectrum)
             bound = 16.0 * d * d * linalg.EPS * np.linalg.norm(m, 2)
-            assert np.linalg.norm(m @ vr - vr * w, axis=0).max() <= bound, name
-            assert np.linalg.norm(helpers.dag(vl) @ m - w[:, None] * helpers.dag(vl),
+            assert np.linalg.norm(r @ vr - vr * w, axis=0).max() <= bound, name
+            assert np.linalg.norm(helpers.dag(vl) @ r - w[:, None] * helpers.dag(vl),
                                   axis=1).max() <= bound, name
 
 
@@ -308,14 +308,14 @@ class TestProjections:
     def test_cesaro_cross_check(self, rng):
         for ch in (phase_damping_channel(3), stinespring_channel(2, rng)):
             p = fixed_projection(ch)
-            c = cesaro_projection(ch, n=2048)
+            c = helpers.cesaro_projection(ch, n=2048)
             assert np.linalg.norm(p - c) <= 1e-2
 
     def test_cesaro_on_unitary(self):
         u = np.diag([1.0, np.exp(1j)])
         ch = unitary_channel(u)
         p = fixed_projection(ch)
-        c = cesaro_projection(ch, n=4096)
+        c = helpers.cesaro_projection(ch, n=4096)
         assert np.linalg.norm(p - c) <= 1e-2
 
 
@@ -411,7 +411,7 @@ class TestFaithfulReduce:
     def test_pinching_already_faithful(self):
         p1 = helpers.matrix_unit(2, 0, 0)
         ch = from_kraus([p1, np.eye(2) - p1])
-        assert np.linalg.norm(apply_channel(ch, np.eye(2)) - np.eye(2)) <= 1e-12
+        assert np.linalg.norm(helpers.apply_superop(ch.superop, np.eye(2)) - np.eye(2)) <= 1e-12
         assert faithful_reduce(ch).support_dim == 2
 
     def test_non_faithful_fix_dimension_preserved(self, rng):
@@ -430,24 +430,22 @@ def _conjugated_superop(ch, iso):
 
 class TestSteadyStates:
     def test_unitary_returns_maximally_mixed(self, rng):
-        states = steady_states(unitary_channel(helpers.haar(3, rng)))
-        assert np.linalg.norm(states[0] - np.eye(3) / 3) <= 1e-9
+        rho = maximal_steady_state(unitary_channel(helpers.haar(3, rng)))
+        assert np.linalg.norm(rho - np.eye(3) / 3) <= 1e-9
 
     def test_amplitude_damping_unique_state(self):
-        states = steady_states(amplitude_damping(0.5))
+        ch = amplitude_damping(0.5)
         expected = np.zeros((2, 2)); expected[0, 0] = 1.0
-        assert len(states) == 1
-        assert np.linalg.norm(states[0] - expected) <= 1e-9
+        assert fixed_space(ch).dimension == 1
+        assert np.linalg.norm(maximal_steady_state(ch) - expected) <= 1e-9
 
     def test_dephasing_states_valid_and_multiple(self):
         gen = dephasing_generator(3)
-        states = steady_states(gen)
-        assert len(states) >= 2
-        for rho in states:
-            assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
-            assert np.min(np.linalg.eigvalsh(rho)) >= -1e-8
-            assert np.linalg.norm(helpers.gkls_apply(
-                gen.hamiltonian, gen.noise_ops, rho)) <= 1e-7
+        assert fixed_space(gen).dimension == 5
+        rho = maximal_steady_state(gen)
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
+        assert np.min(np.linalg.eigvalsh(rho)) >= -1e-8
+        assert np.linalg.norm(helpers.gkls_apply(gen.hamiltonian, gen.noise_ops, rho)) <= 1e-7
         # the block structure of the kernel: E11 and the 2..3 block states
         # are steady by the direct action
         e11 = helpers.matrix_unit(3, 0, 0)
@@ -458,8 +456,10 @@ class TestSteadyStates:
 
     def test_channel_states_are_fixed(self, rng):
         ch = stinespring_channel(3, rng)
-        for rho in steady_states(ch):
-            assert np.linalg.norm(apply_channel(ch, rho) - rho) <= 1e-8
+        rho = maximal_steady_state(ch)
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
+        assert np.min(np.linalg.eigvalsh(rho)) >= -1e-8
+        assert np.linalg.norm(helpers.kraus_apply(ch.kraus, rho) - rho) <= 1e-8
 
 
 class TestEvolutionConvergence:

@@ -101,7 +101,7 @@ class TestAnalysisPipeline:
         # A simple kernel and lP = 1: the values-only cross-check is the one
         # SVD, of the real matrix in Hermitian coordinates, on the kernel
         config = constructions.SamplerConfig(seed=5, dim=5, ensemble="gkls-generic")
-        gen = constructions.sample_one(config, 0)
+        gen = next(constructions.sample(config))
         calls, dtypes = helpers.count_decompositions(monkeypatch)
         rep = analysis.analyze(gen, with_commutant=False)
         assert rep.fixed_dim == rep.attractor_dim == 1
@@ -317,6 +317,20 @@ class TestCliVerify:
         assert main(["sample", "--ensemble", "gkls-generic", "--dim", "2",
                      "--seed", str(2 ** 64)]) == 0
         assert capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--dims", "2", "--per-dim", "1", "--out", "{missing}/x.csv"],
+        ["construct", "unitary", "--dim", "2", "--out", "{directory}"],
+        ["sample", "--ensemble", "haar-unitary", "--dim", "2", "--out", "{missing}/y.json"],
+    ], ids=["verify-missing-dir", "construct-directory", "sample-missing-dir"])
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, monkeypatch, argv):
+        # one error line and no traceback; verify fails before its campaign
+        monkeypatch.setattr(campaign, "run_campaign", lambda config: pytest.fail("campaign ran"))
+        argv = [a.format(missing=tmp_path / "missing", directory=tmp_path) for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_matches_golden_csv(self, tmp_path):
         # every column exact; the float CKKS margin may drift at rounding level

@@ -52,7 +52,7 @@ class TestBruteForce:
     def test_closed_under_products(self, rng):
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         res = commutant([a, helpers.dag(a)])
-        mats = res.matrices()
+        mats = [linalg.unvec(res.basis[:, k]) for k in range(res.dimension)]
         proj = res.basis @ helpers.dag(res.basis)
         for x in mats:
             for y in mats:
@@ -95,7 +95,7 @@ class TestGramRoute:
            st.integers(0, 2 ** 16))
     def test_ensembles_match_brute_force(self, ensemble, d, seed):
         config = constructions.SamplerConfig(seed=seed, dim=d, ensemble=ensemble)
-        ops = helpers.star_closed_ops(constructions.sample_one(config, 0))
+        ops = helpers.star_closed_ops(next(constructions.sample(config)))
         assert commutant_dimension(ops) == brute_force_dim(ops)
 
     @pytest.mark.parametrize("d", range(2, 9))
@@ -136,12 +136,12 @@ class TestGramRoute:
     def test_analyze_builds_no_commutation_stack(self, monkeypatch):
         config = constructions.SamplerConfig(seed=0, dim=8, ensemble="gkls-generic")
         without, _ = helpers.count_decompositions(monkeypatch)
-        analysis.analyze(constructions.sample_one(config, 0), with_commutant=False)
+        analysis.analyze(next(constructions.sample(config)), with_commutant=False)
         monkeypatch.undo()
         with_commutant, _ = helpers.count_decompositions(monkeypatch)
         stack = helpers.count_calls(monkeypatch, linalg, ("commutation_superop",))
         brute = helpers.count_calls(monkeypatch, commutants, ("commutant",))
-        rep = analysis.analyze(constructions.sample_one(config, 0))
+        rep = analysis.analyze(next(constructions.sample(config)))
         assert rep.commutant_dim == 1
         assert stack["commutation_superop"] == brute["commutant"] == 0
         assert with_commutant == without

@@ -27,38 +27,42 @@ def random_hermiticity_preserving(rng, d):
 
 class TestEig:
     def test_identity(self):
-        w, _, _ = linalg.eig(np.eye(9)).eigensystem
+        w = linalg.eig(np.eye(9)).values
         helpers.assert_multisets_close(w, [1] * 9)
 
     def test_diagonal(self):
         # X -> diag action on matrix units; the E_10/E_01 pair is conjugate
-        w, _, _ = linalg.eig(np.diag([2.0, 5.0 + 1j, 5.0 - 1j, 3.0])).eigensystem
+        w = linalg.eig(np.diag([2.0, 5.0 + 1j, 5.0 - 1j, 3.0])).values
         helpers.assert_multisets_close(w, [2, 5 + 1j, 5 - 1j, 3])
 
     def test_phase_damping_superop_spectrum(self):
         # {1 x5, e^-1 x4} at d = 3
-        w, _, _ = linalg.eig(phase_damping_channel(3).superop).eigensystem
+        w = linalg.eig(phase_damping_channel(3).superop).values
         expected = [1.0] * 5 + [np.exp(-1.0)] * 4
         helpers.assert_multisets_close(w, expected, atol=1e-12)
 
     def test_residual_contract(self, rng):
         # ||A v - w v||_2 <= 16 n eps ||A||_2 for every unit pair: LAPACK's
-        # QR iteration is backward stable with a low-degree polynomial constant
+        # QR iteration is backward stable with a low-degree polynomial
+        # constant.  Stated on R' = U^dag A U, which has A's residuals
         for d in (2, 3, 4):
             n = d * d
             a = random_hermiticity_preserving(rng, d)
-            w, vl, vr = linalg.eig(a).eigensystem
+            spectrum = linalg.eig(a)
+            w, r = spectrum.values, spectrum.real
+            vl, vr = helpers.real_eigenvectors(spectrum)
             bound = 16.0 * n * linalg.EPS * np.linalg.norm(a, 2)
             for k in range(n):
-                res = np.linalg.norm(a @ vr[:, k] - w[k] * vr[:, k])
+                res = np.linalg.norm(r @ vr[:, k] - w[k] * vr[:, k])
                 assert res <= bound
-                left = np.linalg.norm(helpers.dag(vl[:, k]) @ a - w[k] * helpers.dag(vl[:, k]))
+                left = np.linalg.norm(helpers.dag(vl[:, k]) @ r - w[k] * helpers.dag(vl[:, k]))
                 assert left <= bound
 
     def test_returns_all_eigenvalues(self, rng):
         a = random_hermiticity_preserving(rng, 3)
-        w, vl, vr = linalg.eig(a).eigensystem
-        assert w.shape == (9,) and vl.shape == (9, 9) and vr.shape == (9, 9)
+        spectrum = linalg.eig(a)
+        assert spectrum.values.shape == (9,)
+        assert spectrum.vl.shape == spectrum.vr.shape == spectrum.real.shape == (9, 9)
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
@@ -149,7 +153,7 @@ class TestHermitianBasis:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_identity_channel_eigenvalues_exact(self, d):
-        w, _, _ = identity_channel(d).eigensystem
+        w = identity_channel(d).spectrum.values
         assert np.array_equal(w, np.ones(d * d))
 
 
@@ -160,17 +164,22 @@ class TestRealCoordinates:
     def test_matches_complex_eigvals(self, d):
         for name, subject in helpers.subjects_and_derived(d):
             m = subject.superop
-            w, vl, vr = linalg.eig(m).eigensystem
+            spectrum = linalg.eig(m)
+            w, r = spectrum.values, spectrum.real
             ref = scipy.linalg.eigvals(m)
             rows, cols = scipy.optimize.linear_sum_assignment(np.abs(w[:, None] - ref[None, :]))
             gap = np.abs(w[rows] - ref[cols]) / np.maximum(1.0, np.abs(w[rows]))
             assert gap.max() <= 1e-12, f"{name}: eigenvalues differ by {gap.max():.2e}"
             # non-real eigenvalues come in exactly conjugate pairs
             assert np.array_equal(np.sort_complex(w), np.sort_complex(w.conj())), name
+            # residuals on R' = U^dag M U, and U maps unit vectors to unit
+            # eigenvectors of M
+            vl, vr = helpers.real_eigenvectors(spectrum)
             bound = 16.0 * d * d * linalg.EPS * np.linalg.norm(m, 2)
-            assert np.linalg.norm(m @ vr - vr * w, axis=0).max() <= bound, name
-            left = helpers.dag(vl) @ m - w[:, None] * helpers.dag(vl)
+            assert np.linalg.norm(r @ vr - vr * w, axis=0).max() <= bound, name
+            left = helpers.dag(vl) @ r - w[:, None] * helpers.dag(vl)
             assert np.linalg.norm(left, axis=1).max() <= bound, name
+            vl, vr = spectrum.to_matrix(vl), spectrum.to_matrix(vr)
             assert np.allclose(np.linalg.norm(vr, axis=0), 1.0, atol=1e-14), name
             assert np.allclose(np.linalg.norm(vl, axis=0), 1.0, atol=1e-14), name
 
