@@ -164,20 +164,19 @@ def report_to_table(report: AnalysisReport) -> str:
         f"gap / forbidden {report.bound_report.gap} / {report.bound_report.forbidden}",
         "distinct eigenvalues (value, multiplicity, peripheral):",
     ]
-    for item in report.summary.distinct:
-        lines.append(
-            f"  {item.value.real:+.9f}{item.value.imag:+.9f}j"
-            f"  x{item.multiplicity}  {'peripheral' if item.peripheral else 'bulk'}"
-        )
+    summary = report.summary
+    for value, mult, peripheral in zip(summary.values.tolist(), summary.multiplicities.tolist(),
+                                       summary.peripheral.tolist()):
+        lines.append(f"  {value.real:+.9f}{value.imag:+.9f}j"
+                     f"  x{mult}  {'peripheral' if peripheral else 'bulk'}")
     lines.append("bound checks:")
     for c in report.bound_report.checks:
         status = "ok " if c.satisfied else "VIOLATED"
         lines.append(f"  [{status}] {c.name}: observed {c.observed}, "
                      f"bound {c.bound}, margin {c.margin}")
-    if report.bound_report.ckks:
-        worst = min(m.margin for m in report.bound_report.ckks)
-        lines.append(f"ckks margins    min {worst:.6g} over "
-                     f"{len(report.bound_report.ckks)} eigenvalues")
+    margins = report.bound_report.ckks.margin
+    if margins.size:
+        lines.append(f"ckks margins    min {margins.min():.6g} over {margins.size} eigenvalues")
     lines.append(f"tolerances      cluster {report.summary.cluster_tol:.3g}, "
                  f"peripheral {report.summary.peripheral_tol:.3g}")
     if report.discrepancy:

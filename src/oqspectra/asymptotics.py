@@ -123,27 +123,29 @@ def _peripheral_columns(spectrum: linalg.Spectrum, summary: spectra.SpectralSumm
     is the one of M's."""
     tol, anchor = DEFAULT_NULL_TOL, summary.kind.anchor
     w, sqrt_h = spectrum.values, spectrum.sqrt_h[:, None]
-    anchor_item = summary.distinct[summary.anchor_index]
-    items = [anchor_item] if anchor_only else [i for i in summary.distinct if i.peripheral]
+    values, mults = summary.values, summary.multiplicities
+    selected = summary.peripheral
+    if anchor_only:
+        selected = np.arange(values.size) == summary.anchor_index
+    # A cluster within cluster_tol of its conjugate is its own conjugate;
+    # any other lies more than cluster_tol / 2 off the real axis.
+    real = 2 * np.abs(values.imag) <= summary.cluster_tol
     blocks = []
-    for item in items:
-        mu = item.value
-        # A cluster within cluster_tol of its conjugate is its own conjugate;
-        # any other lies more than cluster_tol / 2 off the real axis.
-        real = 2 * abs(mu.imag) <= summary.cluster_tol
-        if item.multiplicity > 1 and (real or mu.imag > 0):  # below the axis: a conjugate
-            center = anchor if item is anchor_item else (mu.real if real else mu)
-            dim, right, left = spectrum.null_space(center, tol, vectors=True)
-            if dim != item.multiplicity:
-                raise ConsistencyError(
-                    f"peripheral eigenvalue {mu:.6g}: geometric multiplicity "
-                    f"{dim} != algebraic {item.multiplicity}"
-                )
-            blocks.append((right, left, real))
-    mu = np.array([item.value for item in items if item.multiplicity == 1])
+    # A multiple eigenvalue takes one SVD; below the axis it is a conjugate.
+    for k in np.flatnonzero(selected & (mults > 1) & (real | (values.imag > 0))).tolist():
+        mu = complex(values[k])
+        center = anchor if k == summary.anchor_index else (mu.real if real[k] else mu)
+        dim, right, left = spectrum.null_space(center, tol, vectors=True)
+        if dim != mults[k]:
+            raise ConsistencyError(
+                f"peripheral eigenvalue {mu:.6g}: geometric multiplicity "
+                f"{dim} != algebraic {mults[k]}"
+            )
+        blocks.append((right, left, real[k]))
+    single = selected & (mults == 1)
+    mu, real = values[single], real[single]
     if mu.size:  # a singleton's center is its eigenvalue, bit for bit
         k = (w[:, None] == mu).argmax(axis=0)  # the first match of each
-        real = 2 * np.abs(mu.imag) <= summary.cluster_tol
         right, left = spectrum.vr[:, k] / sqrt_h, spectrum.vl[:, k] * sqrt_h
         right /= np.linalg.norm(right, axis=0)
         overlap = np.abs(np.einsum("ij,ij->j", left.conj(), right)) / np.linalg.norm(left, axis=0)
@@ -228,11 +230,11 @@ def faithful_reduce(channel: QuantumChannel) -> FaithfulReduction:
     d0 = v.shape[1]
     kraus = channel.kraus_operators()
     compressor = np.eye(channel.dim) - v @ dagger(v)
-    leak = max(float(np.linalg.norm(compressor @ b @ v, 2)) for b in kraus)
+    leak = float(np.linalg.norm(compressor @ kraus @ v, 2, axis=(1, 2)).max())
     if leak > SUPPORT_LEAK_TOL:
         raise ConsistencyError(
             f"steady-state support leaks under Kraus action (norm {leak:.3e})"
         )
-    reduced = superop.from_kraus([dagger(v) @ b @ v for b in kraus])
+    reduced = superop.from_kraus(dagger(v) @ kraus @ v)
     return FaithfulReduction(support_dim=d0, isometry=v, reduced_channel=reduced)
 

@@ -39,13 +39,16 @@ class BoundCheck:
     satisfied: bool
 
 
-@dataclass(frozen=True)
-class CkksMargin:
-    alpha: complex  # the distinct eigenvalue the inequality is anchored at
-    lhs: float
-    rhs: float
-    margin: float
-    satisfied: bool
+@dataclass(frozen=True, eq=False)
+class CkksMargins:
+    """The CKKS inequality at each distinct eigenvalue in ``alpha``: one
+    entry per eigenvalue in each array."""
+
+    alpha: np.ndarray  # complex
+    lhs: np.ndarray
+    rhs: np.ndarray
+    margin: np.ndarray
+    satisfied: np.ndarray  # bool
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,7 @@ class BoundReport:
     checks: tuple[BoundCheck, ...]
     gap: int  # peripheral-multiplicity jump 2(d-1)
     forbidden: int  # forbidden values for the peripheral multiplicity, 2(d-1)-1
-    ckks: tuple[CkksMargin, ...]
+    ckks: CkksMargins
 
     @property
     def all_satisfied(self) -> bool:
@@ -125,10 +128,21 @@ def check_bounds(summary: SpectralSummary, classification: str) -> BoundReport:
     ckks = ckks_channel if kind == spectra.CHANNEL else ckks_generator
     return BoundReport(kind=kind, dim=d, classification=classification,
                        checks=checks, gap=2 * (d - 1), forbidden=2 * (d - 1) - 1,
-                       ckks=tuple(ckks(summary)))
+                       ckks=ckks(summary))
 
 
-def ckks_generator(summary: SpectralSummary) -> list[CkksMargin]:
+def _running_sum(terms: np.ndarray) -> float:
+    """The sum of ``terms`` in order, bit for bit Python's ``sum`` from int 0:
+    ``np.sum`` adds pairwise, and ``+ 0.0`` makes a sum of -0.0 terms +0.0."""
+    return float(np.add.accumulate(terms)[-1]) + 0.0 if terms.size else 0.0
+
+
+def _margins(alpha, lhs, rhs, scale: float) -> CkksMargins:
+    margin = rhs - lhs
+    return CkksMargins(alpha, lhs, rhs, margin, margin >= -CKKS_NUM_TOL * scale)
+
+
+def ckks_generator(summary: SpectralSummary) -> CkksMargins:
     """Per-eigenvalue margins of Gamma_alpha <= (1/d) sum m_beta Gamma_beta.
 
     The sum runs over the distinct nonzero eigenvalues; the zero cluster is
@@ -136,23 +150,13 @@ def ckks_generator(summary: SpectralSummary) -> list[CkksMargin]:
     """
     if summary.kind != spectra.GENERATOR:
         raise ValueError("ckks_generator needs a generator summary")
-    d = summary.dim
-    zero_idx = summary.anchor_index
-    rhs = sum(item.multiplicity * (item.rate or 0.0)
-              for k, item in enumerate(summary.distinct) if k != zero_idx) / d
-    scale = max(1.0, rhs)
-    out = []
-    for k, item in enumerate(summary.distinct):
-        if k == zero_idx:
-            continue
-        lhs = item.rate or 0.0
-        margin = rhs - lhs
-        out.append(CkksMargin(alpha=item.value, lhs=lhs, rhs=rhs,
-                              margin=margin, satisfied=margin >= -CKKS_NUM_TOL * scale))
-    return out
+    nonzero = np.arange(summary.values.size) != summary.anchor_index
+    lhs = summary.rates[nonzero]
+    rhs = _running_sum(summary.multiplicities[nonzero] * lhs) / summary.dim
+    return _margins(summary.values[nonzero], lhs, np.full(lhs.size, rhs), max(1.0, rhs))
 
 
-def ckks_channel(summary: SpectralSummary) -> list[CkksMargin]:
+def ckks_channel(summary: SpectralSummary) -> CkksMargins:
     """Margins of sum_beta l_beta x_beta <= d(d-1) + d x_alpha.
 
     The inequality is stated for the eigenvalues other than mu_0 = 1; the
@@ -161,16 +165,10 @@ def ckks_channel(summary: SpectralSummary) -> list[CkksMargin]:
     """
     if summary.kind != spectra.CHANNEL:
         raise ValueError("ckks_channel needs a channel summary")
-    d = summary.dim
-    total = sum(item.multiplicity * item.real_part for item in summary.distinct)
-    scale = float(d * d)
-    out = []
-    for item in summary.distinct:
-        rhs = d * (d - 1) + d * item.real_part
-        margin = rhs - total
-        out.append(CkksMargin(alpha=item.value, lhs=total, rhs=rhs,
-                              margin=margin, satisfied=margin >= -CKKS_NUM_TOL * scale))
-    return out
+    d, re = summary.dim, summary.values.real
+    total = _running_sum(summary.multiplicities * re)
+    rhs = d * (d - 1) + d * re
+    return _margins(summary.values, np.full(re.size, total), rhs, float(d * d))
 
 
 def ckks_derived_bounds(summary: SpectralSummary, classification: str,
@@ -217,13 +215,9 @@ def report_to_json(report: BoundReport) -> dict:
         "gap": report.gap,
         "forbidden": report.forbidden,
         "ckks": [
-            {
-                "alpha": [m.alpha.real, m.alpha.imag],
-                "lhs": m.lhs,
-                "rhs": m.rhs,
-                "margin": m.margin,
-                "satisfied": m.satisfied,
-            }
-            for m in report.ckks
+            {"alpha": [alpha.real, alpha.imag], "lhs": lhs, "rhs": rhs, "margin": margin,
+             "satisfied": satisfied}
+            for alpha, lhs, rhs, margin, satisfied in zip(
+                *(a.tolist() for a in vars(report.ckks).values()))  # the fields in order
         ],
     }

@@ -181,7 +181,7 @@ def _run_sampled(task: _Task) -> CampaignRow:
     violation = not report.bounds_satisfied
     if violation:
         note = "bound violation" if report.discrepancy is None else report.discrepancy
-    if ENSEMBLES[task.source].ckks_proved and not all(m.satisfied for m in report.bound_report.ckks):
+    if ENSEMBLES[task.source].ckks_proved and not report.bound_report.ckks.satisfied.all():
         violation = True
         note = CKKS_NOTE
     return CampaignRow(source=task.source, dim=task.dim, index=task.index,
@@ -218,11 +218,10 @@ def rows_to_csv(rows: list[CampaignRow]) -> str:
                        if c.name.startswith(("l0", "m0"))), "")
         periph = next((c.margin for c in rep.bound_report.checks
                        if c.name.startswith(("lP", "mP"))), "")
-        ckks_min = ""
-        ckks_ok = ""
-        if rep.bound_report.ckks:
-            ckks_min = _fmt(min(m.margin for m in rep.bound_report.ckks))
-            ckks_ok = int(all(m.satisfied for m in rep.bound_report.ckks))
+        ckks = rep.bound_report.ckks
+        ckks_min = ckks_ok = ""
+        if ckks.margin.size:
+            ckks_min, ckks_ok = _fmt(ckks.margin.min()), int(ckks.satisfied.all())
         writer.writerow([
             row.source, row.dim, row.index, row.seed, rep.kind.name,
             rep.classification, rep.summary.l0_or_m0, rep.summary.lP_or_mP,

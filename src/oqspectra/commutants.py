@@ -132,23 +132,21 @@ def weyr_profile(a, cluster_tol: float | None = None) -> JordanProfile:
     w = scipy.linalg.eigvals(m)
     radius = float(np.max(np.abs(w))) if d else 0.0
     ctol = cluster_tol if cluster_tol is not None else spectra.default_cluster_tol(radius)
-    clusters = spectra.cluster(w, ctol)
+    centers, mults = spectra.cluster(w, ctol)
+    diff = centers[:, None] - centers[None, :]
+    gaps = np.hypot(diff.real, diff.imag)
+    close = np.argwhere(np.triu(gaps < SEPARATION_FACTOR * ctol, 1))
+    centers = centers.tolist()
+    if close.size:
+        i, j = close[0]
+        raise ValueError(
+            f"eigenvalue clusters {centers[i]:.6g} and {centers[j]:.6g} "
+            f"separated by {gaps[i, j]:.3e} < {SEPARATION_FACTOR} x cluster_tol; "
+            "Jordan structure not certifiable"
+        )
 
-    centers = [c for c, _ in clusters]
-    for i in range(len(centers)):
-        for j in range(i + 1, len(centers)):
-            gap = abs(centers[i] - centers[j])
-            if gap < SEPARATION_FACTOR * ctol:
-                raise ValueError(
-                    f"eigenvalue clusters {centers[i]:.6g} and {centers[j]:.6g} "
-                    f"separated by {gap:.3e} < {SEPARATION_FACTOR} x cluster_tol; "
-                    "Jordan structure not certifiable"
-                )
-
-    profile = []
-    for center, mult in clusters:
-        sizes = _block_sizes(m, center, mult)
-        profile.append((complex(center), tuple(sizes)))
+    profile = [(center, tuple(_block_sizes(m, center, mult)))
+               for center, mult in zip(centers, mults.tolist())]
     return JordanProfile(eigenvalues=tuple(profile))
 
 

@@ -196,8 +196,7 @@ def stinespring_channel(d: int, rng: np.random.Generator,
     """
     env = env_dim if env_dim is not None else d * d
     q, _ = np.linalg.qr(ginibre(d * env, d, rng))
-    blocks = q.reshape(d, env, d)
-    return from_kraus([blocks[:, k, :] for k in range(env)])
+    return from_kraus(q.reshape(d, env, d).transpose(1, 0, 2))
 
 
 def subspace_supported_channel(d: int, support_dim: int,
@@ -211,12 +210,8 @@ def subspace_supported_channel(d: int, support_dim: int,
         raise ValueError("support_dim must satisfy 1 <= support_dim < d")
     env = d * support_dim
     q, _ = np.linalg.qr(ginibre(support_dim * env, d, rng))
-    blocks = q.reshape(support_dim, env, d)
-    kraus = []
-    for k in range(env):
-        b = np.zeros((d, d), dtype=np.complex128)
-        b[:support_dim, :] = blocks[:, k, :]
-        kraus.append(b)
+    kraus = np.zeros((env, d, d), dtype=np.complex128)
+    kraus[:, :support_dim, :] = q.reshape(support_dim, env, d).transpose(1, 0, 2)
     return from_kraus(kraus)
 
 

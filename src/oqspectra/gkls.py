@@ -115,6 +115,8 @@ def generator_from_json(obj: dict) -> GklsGenerator:
     except KeyError as exc:
         raise ValueError(f"generator JSON is missing field {exc}") from exc
     gen = build_generator(h, ops)
+    if gen.dim < 2:
+        raise ValueError("dimension must be at least 2")
     if "dim" in obj and int(obj["dim"]) != gen.dim:
         raise ValueError(f"declared dim {obj['dim']} != matrix dim {gen.dim}")
     return gen

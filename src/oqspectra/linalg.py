@@ -269,9 +269,11 @@ def matrix_to_json(a) -> dict:
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     try:
-        rows, cols, entries = int(obj["rows"]), int(obj["cols"]), obj["entries"]
+        rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
+    if type(rows) is not int or type(cols) is not int:  # not a float, bool or string
+        raise ValueError(f"matrix rows and cols must be integers, got {rows!r} and {cols!r}")
     if rows <= 0 or cols <= 0:
         raise ValueError("matrix dimensions must be positive")
     pairs = np.asarray(entries)  # ValueError on ragged nesting

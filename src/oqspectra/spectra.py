@@ -40,9 +40,10 @@ class Kind:
     space: str  # fixed-space | kernel
     peripheral_tol_max: float  # peripheral_tol must lie in [0, this)
 
-    def peripheral(self, c: complex, tol: float) -> bool:
-        """|c| >= 1 - tol for a channel, |Re c| <= tol for a generator."""
-        return abs(c) >= 1.0 - tol if self.anchor else abs(c.real) <= tol
+    def peripheral(self, c: np.ndarray, tol: float) -> np.ndarray:
+        """Mask of |c| >= 1 - tol for a channel, |Re c| <= tol for a generator
+        (np.hypot rounds |c| as Python's abs does; np.abs may differ by an ulp)."""
+        return np.hypot(c.real, c.imag) >= 1.0 - tol if self.anchor else np.abs(c.real) <= tol
 
 
 CHANNEL = Kind(name="channel", anchor=1.0, counts=("l0", "lP"),
@@ -58,27 +59,22 @@ def default_cluster_tol(spectral_radius: float) -> float:
     return DEFAULT_CLUSTER_REL_TOL * max(1.0, spectral_radius)
 
 
-@dataclass(frozen=True)
-class DistinctEigenvalue:
-    value: complex
-    multiplicity: int
-    peripheral: bool
-    real_part: float
-    rate: float | None = None  # -Re(lambda), generators only
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralSummary:
     """Distinct eigenvalues with multiplicities and the derived counts.
 
+    ``values`` (complex), ``multiplicities`` and the ``peripheral`` mask
+    hold one entry per cluster, in the order of :func:`cluster`.
     ``l0_or_m0`` is the multiplicity of the cluster at 1 (channels) or 0
-    (generators), ``distinct[anchor_index]``; ``lP_or_mP`` sums all
+    (generators), ``values[anchor_index]``; ``lP_or_mP`` sums all
     peripheral multiplicities; ``bulk_multiplicity`` is the complement.
     """
 
     kind: Kind
     dim: int
-    distinct: tuple[DistinctEigenvalue, ...]
+    values: np.ndarray
+    multiplicities: np.ndarray
+    peripheral: np.ndarray
     l0_or_m0: int
     lP_or_mP: int
     bulk_multiplicity: int
@@ -86,21 +82,28 @@ class SpectralSummary:
     peripheral_tol: float
     anchor_index: int  # the cluster nearest the anchor; not serialized
 
+    @property
+    def rates(self) -> np.ndarray:
+        """max(0, -Re lambda) per cluster, the relaxation rates of a generator."""
+        # Not np.maximum(0.0, -re): it keeps -0.0 where Python's max gives 0.0.
+        neg = -self.values.real
+        return np.where(neg > 0, neg, 0.0)
 
-def cluster(values, cluster_tol: float) -> list[tuple[complex, int]]:
+
+def cluster(values, cluster_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Single-linkage clustering of complex values.
 
     Two values share a cluster if they are within ``cluster_tol`` of each
-    other through a chain.  Returns (center, multiplicity) pairs with center
-    the mean of the cluster members, sorted by descending |center| then by
-    phase angle; the result is invariant under permutations of the input.
+    other through a chain.  Returns arrays (centers, multiplicities), each center
+    the mean of its cluster, sorted by descending |center| then by phase
+    angle; the result is invariant under permutations of the input.
     """
     if not 0.0 < cluster_tol < math.inf:
         raise ValueError(f"cluster_tol must be finite and positive, got {cluster_tol!r}")
     vs = np.asarray(values, dtype=np.complex128).ravel()
     n = vs.size
     if n == 0:
-        return []
+        return vs, np.zeros(0, dtype=np.int64)
     # Sorting first makes the arithmetic permutation-invariant.
     vs = vs[np.lexsort((vs.imag, vs.real))]
     close = np.abs(vs[:, None] - vs[None, :]) <= cluster_tol
@@ -123,7 +126,7 @@ def cluster(values, cluster_tol: float) -> list[tuple[complex, int]]:
     centers = np.where(mults == 1, vs[roots], vs[roots] + offsets[roots] / mults)
     # np.hypot rounds |c| as Python's abs does; np.abs may differ by an ulp.
     order = np.lexsort((np.angle(centers), -np.hypot(centers.real, centers.imag)))
-    return list(zip(centers[order].tolist(), mults[order].tolist()))
+    return centers[order], mults[order]
 
 
 def summarize(subject, cluster_tol: float | None = None,
@@ -141,45 +144,38 @@ def _summarize(kind: Kind, dim: int, eigenvalues: np.ndarray,
                          f"[0, {kind.peripheral_tol_max:g}), got {peripheral_tol!r}")
     radius = float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 0.0
     ctol = cluster_tol if cluster_tol is not None else default_cluster_tol(radius)
-    clusters = cluster(eigenvalues, ctol)
+    centers, mults = cluster(eigenvalues, ctol)
 
     anchor = kind.anchor
-    anchor_idx = min(range(len(clusters)), key=lambda k: abs(clusters[k][0] - anchor))
-    anchor_dist = abs(clusters[anchor_idx][0] - anchor)
+    dist = np.hypot(centers.real - anchor, centers.imag)
+    anchor_idx = int(np.argmin(dist))  # the first of equally near clusters
+    anchor_dist = float(dist[anchor_idx])
     if anchor_dist > max(peripheral_tol, 2 * ctol):
         raise ValueError(
             f"no eigenvalue cluster within tolerance of {complex(anchor)}: "
             f"nearest at distance {anchor_dist:.3e}; invalid {kind.name}"
         )
 
-    rates = kind == GENERATOR
-    distinct = tuple(
-        DistinctEigenvalue(value=center, multiplicity=mult,
-                           peripheral=kind.peripheral(center, peripheral_tol),
-                           real_part=float(center.real),
-                           rate=max(0.0, -center.real) if rates else None)
-        for center, mult in clusters)
-    lp = sum(item.multiplicity for item in distinct if item.peripheral)
-    return SpectralSummary(kind=kind, dim=dim, distinct=distinct,
-                           l0_or_m0=clusters[anchor_idx][1], lP_or_mP=lp,
+    peripheral = kind.peripheral(centers, peripheral_tol)
+    lp = int(mults[peripheral].sum())
+    return SpectralSummary(kind=kind, dim=dim, values=centers, multiplicities=mults,
+                           peripheral=peripheral, l0_or_m0=int(mults[anchor_idx]), lP_or_mP=lp,
                            bulk_multiplicity=dim * dim - lp,
                            cluster_tol=ctol, peripheral_tol=peripheral_tol,
                            anchor_index=anchor_idx)
 
 
 def summary_to_json(summary: SpectralSummary) -> dict:
+    rates = summary.rates.tolist() if summary.kind == GENERATOR else None
     return {
         "kind": summary.kind.name,
         "dim": summary.dim,
         "distinct": [
-            {
-                "value": [item.value.real, item.value.imag],
-                "multiplicity": item.multiplicity,
-                "peripheral": item.peripheral,
-                "real_part": item.real_part,
-                **({"rate": item.rate} if item.rate is not None else {}),
-            }
-            for item in summary.distinct
+            {"value": [value.real, value.imag], "multiplicity": mult, "peripheral": peripheral,
+             "real_part": value.real, **({"rate": rates[k]} if rates is not None else {})}
+            for k, (value, mult, peripheral) in enumerate(zip(
+                summary.values.tolist(), summary.multiplicities.tolist(),
+                summary.peripheral.tolist()))
         ],
         "l0_or_m0": summary.l0_or_m0,
         "lP_or_mP": summary.lP_or_mP,

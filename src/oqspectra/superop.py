@@ -46,7 +46,7 @@ class QuantumChannel(linalg.Decomposed):
 
     kind: ClassVar[spectra.Kind] = spectra.CHANNEL
     dim: int
-    kraus: tuple[np.ndarray, ...] | None = None
+    kraus: np.ndarray | None = None  # the (K, d, d) stack of Kraus operators
     _superop: np.ndarray | None = field(default=None, repr=False)
     _choi: np.ndarray | None = field(default=None, repr=False)
 
@@ -62,28 +62,30 @@ class QuantumChannel(linalg.Decomposed):
             self._choi = superop_to_choi(self.superop)
         return self._choi
 
-    def kraus_operators(self) -> tuple[np.ndarray, ...]:
-        """Kraus list, extracting a canonical minimal one from Choi if absent."""
+    def kraus_operators(self) -> np.ndarray:
+        """Kraus stack, extracting a canonical minimal one from Choi if absent."""
         if self.kraus is None:
             self.kraus = choi_to_kraus(self.choi)
         return self.kraus
 
 
 def from_kraus(kraus) -> QuantumChannel:
-    """Build a channel from Kraus operators, checking trace preservation.
+    """Build a channel from Kraus operators, a sequence of d x d matrices or
+    their (K, d, d) stack, checking trace preservation.
 
     Raises :class:`ValidationError` with the residual norm if
-    sum_k B_k^dag B_k deviates from the identity by more than
-    ``DEFAULT_TP_TOL``.
+    sum_k B_k^dag B_k = F^dag F, F the (K d) x d stack, deviates from the
+    identity by more than ``DEFAULT_TP_TOL``.
     """
-    ops = tuple(require_square(b) for b in kraus)
-    if not ops:
-        raise ValueError("at least one Kraus operator is required")
-    d = ops[0].shape[0]
-    if any(b.shape[0] != d for b in ops):
-        raise ValueError("Kraus operators must share one dimension")
-    gram = sum(dagger(b) @ b for b in ops)
-    residual = float(np.linalg.norm(gram - np.eye(d)))
+    try:
+        ops = np.asarray(kraus, dtype=np.complex128)
+    except ValueError as exc:  # ragged nesting or a non-number
+        raise ValueError(f"Kraus operators must be numbers of one dimension: {exc}") from exc
+    if ops.ndim != 3 or ops.shape[1] != ops.shape[2] or not ops.size or not np.isfinite(ops).all():
+        raise ValueError(f"expected finite square Kraus operators, got shape {ops.shape}")
+    d = ops.shape[1]
+    f = ops.reshape(-1, d)
+    residual = float(np.linalg.norm(f.conj().T @ f - np.eye(d)))
     if residual > DEFAULT_TP_TOL:
         raise ValidationError("Kraus list is not trace preserving", residual)
     return QuantumChannel(dim=d, kraus=ops)
@@ -152,8 +154,9 @@ def choi_is_cp(choi, tol: float = 1e-10) -> bool:
     return bool(w.min() >= -tol)
 
 
-def choi_to_kraus(choi) -> tuple[np.ndarray, ...]:
-    """Canonical minimal Kraus set from the Choi eigendecomposition.
+def choi_to_kraus(choi) -> np.ndarray:
+    """Canonical minimal Kraus stack from the Choi eigendecomposition, by
+    descending weight.
 
     Eigenvalues below ``KRAUS_WEIGHT_CUT * trace`` are discarded.
     """
@@ -161,14 +164,11 @@ def choi_to_kraus(choi) -> tuple[np.ndarray, ...]:
     d = int(round(np.sqrt(c.shape[0])))
     w, v = np.linalg.eigh((c + dagger(c)) / 2)
     cut = KRAUS_WEIGHT_CUT * max(float(np.trace(c).real), 1e-300)
-    ops = []
-    for k in range(w.size - 1, -1, -1):
-        if w[k] <= cut:
-            break
-        ops.append(np.sqrt(w[k]) * v[:, k].reshape(d, d, order="C"))
-    if not ops:
+    keep = np.flatnonzero(w > cut)[::-1]
+    if not keep.size:
         raise ValueError("Choi matrix has no eigenvalue above the weight cut")
-    return tuple(ops)
+    # Column k of v, row-major, is the Kraus operator of weight w[k].
+    return (np.sqrt(w[keep]) * v[:, keep]).T.reshape(-1, d, d)
 
 
 def dual(channel: QuantumChannel) -> QuantumChannel:
@@ -180,7 +180,7 @@ def dual(channel: QuantumChannel) -> QuantumChannel:
     """
     kraus = None
     if channel.kraus is not None:
-        kraus = tuple(dagger(b) for b in channel.kraus)
+        kraus = channel.kraus.conj().transpose(0, 2, 1)
     return QuantumChannel(dim=channel.dim, kraus=kraus, _superop=dagger(channel.superop))
 
 
@@ -204,7 +204,7 @@ def power(channel: QuantumChannel, n: int) -> QuantumChannel:
 
 
 def identity_channel(d: int) -> QuantumChannel:
-    return QuantumChannel(dim=d, kraus=(np.eye(d, dtype=np.complex128),))
+    return QuantumChannel(dim=d, kraus=np.eye(d, dtype=np.complex128)[None])
 
 
 def channel_to_json(channel: QuantumChannel) -> dict:
@@ -223,6 +223,8 @@ def channel_from_json(obj: dict) -> QuantumChannel:
         channel = from_superop(linalg.matrix_from_json(obj["superop"]))
     else:
         raise ValueError("channel JSON needs a 'kraus' or 'superop' field")
+    if channel.dim < 2:
+        raise ValueError("dimension must be at least 2")
     if "dim" in obj and int(obj["dim"]) != channel.dim:
         raise ValueError(f"declared dim {obj['dim']} != matrix dim {channel.dim}")
     return channel

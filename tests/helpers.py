@@ -324,8 +324,7 @@ def reference_attractor(m, summary, tol=1e-8):
     """Per-cluster SVD attractor: the nullspace of M - c I (singular values
     at most tol * sigma_max) for each peripheral cluster center c, stacked
     and orthonormalized.  One SVD per peripheral cluster, no eigenvectors."""
-    blocks = [reference_nullspace(m, item.value, tol) for item in summary.distinct
-              if item.peripheral]
+    blocks = [reference_nullspace(m, value, tol) for value in summary.values[summary.peripheral]]
     u, s, _ = np.linalg.svd(np.hstack(blocks), full_matrices=False)
     return u[:, :int(np.sum(s > 1e-10 * s[0]))]
 
@@ -391,3 +390,49 @@ def reference_projector(m, center, tol=1e-8):
     overlap = dag(w) @ v
     assert np.linalg.cond(overlap) <= 1e12
     return v @ np.linalg.solve(overlap, dag(w))
+
+
+def reference_scalar_summary(kind, centers, mults, peripheral_tol):
+    """The per-cluster summary in scalar form, one Python object per
+    cluster: (value, multiplicity, peripheral, rate) with Python's abs and
+    rate max(0.0, -Re) (None for a channel); the anchor index; and lP."""
+    tol, items = peripheral_tol, []
+    for c, m in zip(centers.tolist(), mults.tolist()):
+        peripheral = abs(c) >= 1.0 - tol if kind.anchor else abs(c.real) <= tol
+        items.append((c, m, peripheral, max(0.0, -c.real) if not kind.anchor else None))
+    anchor = min(range(len(items)), key=lambda k: abs(items[k][0] - kind.anchor))
+    return items, anchor, sum(m for _, m, p, _ in items if p)
+
+
+def running_sum(terms):
+    """Python's sum of floats up to 3.11: from int 0, one addition at a time
+    (from 3.12 on, ``sum`` compensates rounding)."""
+    total = 0
+    for x in terms:
+        total += x
+    return total
+
+
+def reference_scalar_ckks(kind, dim, items, anchor):
+    """CKKS margins (alpha, lhs, rhs, margin, satisfied) per eigenvalue in
+    scalar form, summed in cluster order by :func:`running_sum`."""
+    out = []
+    if kind.anchor:
+        total = running_sum(m * c.real for c, m, _, _ in items)
+        for c, _, _, _ in items:
+            rhs = dim * (dim - 1) + dim * c.real
+            out.append((c, total, rhs, rhs - total, rhs - total >= -1e-8 * float(dim * dim)))
+    else:
+        rhs = running_sum(m * rate for k, (_, m, _, rate) in enumerate(items) if k != anchor) / dim
+        for k, (c, _, _, rate) in enumerate(items):
+            if k != anchor:
+                out.append((c, rate, rhs, rhs - rate, rhs - rate >= -1e-8 * max(1.0, rhs)))
+    return out
+
+
+def assert_bits_equal(got, want):
+    """Equal arrays with equal signs of zero: bit for bit for finite values."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and np.array_equal(got, want), (got, want)
+    for g, w in ((got.real, want.real), (got.imag, want.imag)):  # imag of a real array: zeros
+        assert np.array_equal(np.signbit(g), np.signbit(w)), (got, want)

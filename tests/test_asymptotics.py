@@ -155,7 +155,7 @@ class TestAttractor:
         r = scipy.linalg.block_diag(1.0, [[-1.0, 1e6], [-1e-18, -1.0]], 0.5)
         fake = helpers.forged_channel(r)  # r in Hermitian coordinates
         summary = spectra.summarize(fake)
-        assert [i.multiplicity for i in summary.distinct if i.peripheral] == [1, 1, 1]
+        assert summary.multiplicities[summary.peripheral].tolist() == [1, 1, 1]
         with pytest.raises(asymptotics.ConsistencyError, match="overlap"):
             attractor(fake)
 
@@ -332,8 +332,8 @@ class TestProjections:
             cases = [
                 (fixed_projection(subject), helpers.reference_projector(m, subject.kind.anchor)),
                 (peripheral_projection(subject),
-                 sum(helpers.reference_projector(m, item.value)
-                     for item in summary.distinct if item.peripheral)),
+                 sum(helpers.reference_projector(m, value)
+                     for value in summary.values[summary.peripheral])),
             ]
             for got, want in cases:
                 assert np.linalg.norm(got - want) <= 1e-10 * max(1.0, np.linalg.norm(want)), name

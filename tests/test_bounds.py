@@ -105,43 +105,44 @@ class TestCkks:
     def test_hamiltonian_all_margins_zero(self):
         s = spectra.summarize(saturating_hamiltonian_generator(3))
         margins = ckks_generator(s)
-        assert all(m.lhs == 0.0 and m.margin == m.rhs for m in margins)
-        assert all(m.satisfied for m in margins)
+        assert (margins.lhs == 0.0).all() and (margins.margin == margins.rhs).all()
+        assert margins.satisfied.all()
 
     def test_dephasing_margin_frozen(self):
         # Gamma = 1, rhs = (1/3)(4 * 1) = 4/3, margin 1/3
         s = spectra.summarize(dephasing_generator(3))
         margins = ckks_generator(s)
-        assert len(margins) == 1
-        assert margins[0].rhs == pytest.approx(4.0 / 3.0, abs=1e-12)
-        assert margins[0].margin == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert margins.margin.size == 1
+        assert margins.rhs[0] == pytest.approx(4.0 / 3.0, abs=1e-12)
+        assert margins.margin[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_unital_batch_satisfied(self, rng):
         for d in (2, 3):
             for _ in range(15):
                 s = spectra.summarize(unital_gkls(d, rng))
-                assert all(m.satisfied for m in ckks_generator(s))
+                assert ckks_generator(s).satisfied.all()
 
     def test_channel_identity_margin_zero(self):
         s = spectra.summarize(identity_channel(3))
         margins = ckks_channel(s)
-        assert len(margins) == 1
-        assert margins[0].lhs == pytest.approx(9.0)
-        assert margins[0].margin == pytest.approx(0.0, abs=1e-12)
+        assert margins.margin.size == 1
+        assert margins.lhs[0] == pytest.approx(9.0)
+        assert margins.margin[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_channel_phase_damping_frozen(self):
         # sum l x = 5 + 4/e; margin at the e^-1 cluster: 1 - 1/e
         s = spectra.summarize(phase_damping_channel(3))
-        margins = {round(m.alpha.real, 6): m for m in ckks_channel(s)}
+        margins = ckks_channel(s)
         e = np.exp(-1.0)
-        assert margins[round(e, 6)].lhs == pytest.approx(5 + 4 * e, abs=1e-12)
-        assert margins[round(e, 6)].margin == pytest.approx(1 - e, abs=1e-12)
+        (k,) = np.flatnonzero(np.round(margins.alpha.real, 6) == round(e, 6))
+        assert margins.lhs[k] == pytest.approx(5 + 4 * e, abs=1e-12)
+        assert margins.margin[k] == pytest.approx(1 - e, abs=1e-12)
 
     def test_markovian_channels_satisfied(self, rng):
         for _ in range(10):
             ch = exponentiate(unital_gkls(3, rng), 1.0)
             s = spectra.summarize(ch)
-            assert all(m.satisfied for m in ckks_channel(s))
+            assert ckks_channel(s).satisfied.all()
 
     def test_kind_mismatch_rejected(self):
         s = spectra.summarize(identity_channel(2))
@@ -195,4 +196,4 @@ class TestReportJson:
         obj = bounds.report_to_json(rep)
         assert obj["gap"] == 2 and obj["forbidden"] == 1
         assert obj["checks"][0]["satisfied"] is True
-        assert len(obj["ckks"]) == len(rep.ckks)
+        assert len(obj["ckks"]) == rep.ckks.margin.size

@@ -1,6 +1,7 @@
 import csv
 import json
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -216,6 +217,19 @@ class TestCliAnalyze:
         assert main(["analyze", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subject", [
+        {"kraus": [{"rows": 1, "cols": 1, "entries": [[1, 0]]}]},
+        {"superop": {"rows": 1, "cols": 1, "entries": [[1, 0]]}},
+        {"hamiltonian": {"rows": 1, "cols": 1, "entries": [[0, 0]]}},
+    ], ids=["kraus", "superop", "hamiltonian"])
+    def test_one_dimensional_subject_exit_2(self, tmp_path, capsys, subject):
+        # at d = 1 the ceiling comparison d^2-2d+2 <= d^2-d reads 1 <= 0:
+        # such a subject is rejected on input, never reported as a violation
+        path = tmp_path / "d1.json"
+        path.write_text(json.dumps(subject))
+        assert main(["analyze", str(path)]) == 2
+        assert "dimension must be at least 2" in capsys.readouterr().err
+
     def test_missing_file_exit_2(self):
         assert main(["analyze", "/nonexistent/file.json"]) == 2
 
@@ -364,6 +378,15 @@ class TestCliConstructAndSample:
         assert main(["analyze", str(path), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["summary"]["l0_or_m0"] == 5
 
+    def test_hamiltonian_report_has_no_negative_zero(self, tmp_path, capsys):
+        # rates and CKKS sides are max(0, -Re lambda): +0.0 at Re lambda = 0,
+        # which the golden compare, tolerance-based, would not tell from -0.0
+        path = tmp_path / "h.json"
+        assert main(["construct", "hamiltonian", "--dim", "3", "--out", str(path)]) == 0
+        assert main(["analyze", str(path), "--json"]) == 0
+        out = capsys.readouterr().out
+        assert '"rate": 0.0' in out and "-0.0" not in out
+
     def test_construct_dissipative_d2(self, tmp_path, capsys):
         path = tmp_path / "diss.json"
         assert main(["construct", "dissipative", "--dim", "2",
@@ -434,6 +457,36 @@ class TestCampaignWork:
         assert calls["real_eig"] == draws and calls["eig"] == calls["eigvals"] == 0
         assert calls["real_svd"] + calls["svd"] + calls["svdvals"] <= 1.6 * len(result.rows)
         assert all(dtype.kind == "c" for name, dtype in dtypes if name in ("svd", "svdvals"))
+
+    # Frames a generator's d noise operators enter per operator (ginibre,
+    # random_hermitian, validation): the only per-subject work that grows with d.
+    FRAMES_PER_D = 8
+
+    def test_no_python_loop_over_clusters_or_kraus_operators(self):
+        # a loop over the clusters (d^2 - d + 1 for a unitary) or the d^2 Kraus
+        # operators adds at least 44 frames from d = 4 to d = 8 for each frame
+        # it enters per item, over the allowance of 32
+        root = pathlib.Path(spectra.__file__).parent
+
+        def frames(source, d):
+            count = 0
+
+            def profile(frame, event, arg):
+                nonlocal count
+                count += event == "call" and pathlib.Path(frame.f_code.co_filename).parent == root
+
+            for tracing in (False, True):  # the first run fills the per-d caches
+                sys.setprofile(profile if tracing else None)
+                try:
+                    subject = constructions.draw(source, d, np.random.default_rng(3))
+                    analysis.analyze(subject, with_commutant=False)
+                finally:
+                    sys.setprofile(None)
+            return count
+
+        for source in constructions.ENSEMBLES:
+            small, large = frames(source, 4), frames(source, 8)
+            assert large - small <= self.FRAMES_PER_D * (8 - 4), (source, small, large)
 
     def test_one_classification_per_sampled_subject(self, monkeypatch):
         calls = helpers.count_calls(monkeypatch, bounds, ("classify",))

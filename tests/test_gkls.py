@@ -158,7 +158,8 @@ class TestExponentiate:
 
 def relaxation_rates(gen):
     """(rate, multiplicity) of each distinct eigenvalue of the summary, by rate."""
-    return sorted((item.rate, item.multiplicity) for item in spectra.summarize(gen).distinct)
+    s = spectra.summarize(gen)
+    return sorted(zip(s.rates.tolist(), s.multiplicities.tolist()))
 
 
 class TestRates:

@@ -284,6 +284,13 @@ class TestJson:
         obj = linalg.matrix_to_json(a)
         assert [e[0] for e in obj["entries"]] == [1.0, 2.0, 3.0, 4.0]
 
+    @pytest.mark.parametrize("rows, cols", [(2.5, 2.9), (2.0, 2), (True, 1), ("2", 2)])
+    def test_non_integer_shape_rejected(self, rows, cols):
+        # int() would truncate 2.5 x 2.9 to 2 x 2 and read true as 1
+        entries = [[1, 0]] * 4
+        with pytest.raises(ValueError, match="must be integers"):
+            linalg.matrix_from_json({"rows": rows, "cols": cols, "entries": entries})
+
     def test_malformed(self):
         with pytest.raises(ValueError):
             linalg.matrix_from_json({"rows": 2, "cols": 2, "entries": [[1, 0]]})

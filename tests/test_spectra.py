@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import helpers
@@ -17,31 +17,43 @@ from oqspectra.gkls import build_generator, exponentiate
 from oqspectra.superop import QuantumChannel, identity_channel
 
 
+def cluster_pairs(values, tol):
+    """spectra.cluster as a list of (center, multiplicity) pairs."""
+    centers, mults = spectra.cluster(values, tol)
+    return list(zip(centers.tolist(), mults.tolist()))
+
+
 class TestCluster:
+    def test_returns_arrays(self):
+        centers, mults = spectra.cluster([1, 1, 1, 1], 1e-7)
+        assert centers.dtype == np.complex128 and mults.dtype.kind == "i"
+        empty = spectra.cluster([], 1e-7)
+        assert empty[0].shape == empty[1].shape == (0,)
+
     def test_repeated_value(self):
-        assert spectra.cluster([1, 1, 1, 1], 1e-7) == [(1 + 0j, 4)]
+        assert cluster_pairs([1, 1, 1, 1], 1e-7) == [(1 + 0j, 4)]
 
     def test_perturbed_pair_merges(self):
         tol = 1e-7
-        got = spectra.cluster([1.0, 1.0 + 0.5 * tol], tol)
+        got = cluster_pairs([1.0, 1.0 + 0.5 * tol], tol)
         assert len(got) == 1 and got[0][1] == 2
 
     def test_chain_linkage(self):
         # single linkage: 0 ~ 0.8t ~ 1.6t even though the ends are 1.6t apart
         t = 1e-6
-        got = spectra.cluster([0.0, 0.8 * t, 1.6 * t], t)
+        got = cluster_pairs([0.0, 0.8 * t, 1.6 * t], t)
         assert len(got) == 1 and got[0][1] == 3
 
     def test_separated_values_stay_apart(self):
-        got = spectra.cluster([0.0, 1.0, 1j], 1e-7)
+        got = cluster_pairs([0.0, 1.0, 1j], 1e-7)
         assert sorted(m for _, m in got) == [1, 1, 1]
 
     def test_center_is_mean(self):
-        got = spectra.cluster([1.0, 1.0 + 4e-8], 1e-7)
+        got = cluster_pairs([1.0, 1.0 + 4e-8], 1e-7)
         assert got[0][0] == pytest.approx(1.0 + 2e-8, abs=1e-15)
 
     def test_sorted_by_modulus_then_angle(self):
-        got = spectra.cluster([0.5, -1.0, 1.0, 1j], 1e-7)
+        got = cluster_pairs([0.5, -1.0, 1.0, 1j], 1e-7)
         assert [c for c, _ in got] == [1 + 0j, 1j, -1 + 0j, 0.5 + 0j]
 
     def test_nonpositive_tolerance_rejected(self):
@@ -54,11 +66,11 @@ class TestCluster:
            st.randoms())
     def test_permutation_invariant_and_mass_preserving(self, values, pyrandom):
         tol = 1e-6
-        base = spectra.cluster(values, tol)
+        base = cluster_pairs(values, tol)
         assert sum(m for _, m in base) == len(values)
         shuffled = list(values)
         pyrandom.shuffle(shuffled)
-        assert spectra.cluster(shuffled, tol) == base
+        assert cluster_pairs(shuffled, tol) == base
 
 
     @given(st.lists(st.tuples(st.complex_numbers(max_magnitude=2, allow_nan=False,
@@ -74,7 +86,7 @@ class TestCluster:
         values = [c + r * tol * np.exp(2j * np.pi * pyrandom.random())
                   for c, count, r in planted for _ in range(count)]
         pyrandom.shuffle(values)
-        got = spectra.cluster(values, tol)
+        got = cluster_pairs(values, tol)
         ref = helpers.reference_cluster(values, tol)
         assert len(got) == len(ref)
         for i, (c, m) in enumerate(got):
@@ -94,9 +106,65 @@ class TestCluster:
         # round only links neighbours, so the chain needs several
         tol = 1e-6
         values = 0.3 + 0.9 * tol * np.arange(12) * np.exp(0.7j)
-        got = spectra.cluster(rng.permutation(values), tol)
+        got = cluster_pairs(rng.permutation(values), tol)
         assert len(got) == 1 and got[0][1] == 12
         assert abs(got[0][0] - values.mean()) <= 1e-15
+
+
+# Parts of eigenvalues with exact and signed zeros, exact repeats and
+# anchors, and generic values.
+EIGENVALUE_PARTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5]),
+                             st.floats(min_value=-1.5, max_value=1.5))
+
+
+@st.composite
+def eigenvalue_lists(draw):
+    """(kind, d, d^2 eigenvalues): the anchor, then values drawn with
+    repetition from a small pool, some followed by their conjugates."""
+    kind = draw(st.sampled_from([spectra.CHANNEL, spectra.GENERATOR]))
+    d = draw(st.integers(min_value=2, max_value=4))
+    pool = draw(st.lists(st.builds(complex, EIGENVALUE_PARTS, EIGENVALUE_PARTS),
+                         min_size=1, max_size=d * d))
+    values = [complex(kind.anchor)]
+    while len(values) < d * d:
+        c = draw(st.sampled_from(pool))
+        values.append(c)
+        if len(values) < d * d and draw(st.booleans()):
+            values.append(c.conjugate())
+    return kind, d, values
+
+
+class TestArraysMatchScalarReference:
+    @given(eigenvalue_lists(), st.sampled_from([None, 1e-7, 0.3]),
+           st.sampled_from([0.0, 1e-7, 0.5]))
+    # sums whose pairwise order (np.sum) rounds differently from the running one
+    @example((spectra.GENERATOR, 3, [0.0, -1.3, -0.84, -0.48, -0.66, -0.09, -0.23, -1.02,
+                                     -0.99]), None, 1e-7)
+    @example((spectra.CHANNEL, 3, [1.0, -0.66, 0.4, 0.05, -0.34, -0.03, 0.7, 0.78, -0.26]),
+             None, 1e-7)
+    def test_summary_and_ckks_bit_for_bit(self, drawn, cluster_tol, peripheral_tol):
+        kind, d, values = drawn
+        s = spectra._summarize(kind, d, np.array(values), cluster_tol, peripheral_tol)
+        centers, mults = spectra.cluster(values, s.cluster_tol)
+        items, anchor, lp = helpers.reference_scalar_summary(kind, centers, mults, peripheral_tol)
+        helpers.assert_bits_equal(s.values, np.array([c for c, _, _, _ in items]))
+        assert s.multiplicities.tolist() == [m for _, m, _, _ in items]
+        assert s.peripheral.tolist() == [p for _, _, p, _ in items]
+        assert (s.anchor_index, s.l0_or_m0, s.lP_or_mP) == (anchor, items[anchor][1], lp)
+        if kind == spectra.GENERATOR:
+            helpers.assert_bits_equal(s.rates, np.array([r for _, _, _, r in items]))
+        ckks = (bounds.ckks_channel if kind.anchor else bounds.ckks_generator)(s)
+        ref = helpers.reference_scalar_ckks(kind, d, items, anchor)
+        for k, field in enumerate(("alpha", "lhs", "rhs", "margin")):
+            got = getattr(ckks, field)
+            helpers.assert_bits_equal(got, np.array([r[k] for r in ref], dtype=got.dtype))
+        assert ckks.satisfied.tolist() == [r[4] for r in ref]
+
+
+    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3)), max_size=20))
+    def test_running_sum_bit_for_bit(self, terms):
+        helpers.assert_bits_equal(bounds._running_sum(np.array(terms, dtype=float)),
+                                  np.float64(helpers.running_sum(terms)))
 
 
 class TestChannelSummary:
@@ -112,7 +180,7 @@ class TestChannelSummary:
 
     def test_phase_damping_d3(self):
         s = spectra.summarize(phase_damping_channel(3))
-        values = [(item.value, item.multiplicity) for item in s.distinct]
+        values = list(zip(s.values.tolist(), s.multiplicities.tolist()))
         assert values[0][0] == pytest.approx(1.0) and values[0][1] == 5
         assert values[1][0] == pytest.approx(np.exp(-1.0)) and values[1][1] == 4
         assert s.l0_or_m0 == 5 and s.lP_or_mP == 5 and s.bulk_multiplicity == 4
@@ -130,7 +198,7 @@ class TestChannelSummary:
         from oqspectra.constructions import stinespring_channel
         for d in (2, 3, 4):
             s = spectra.summarize(stinespring_channel(d, rng))
-            assert sum(i.multiplicity for i in s.distinct) == d * d
+            assert s.multiplicities.sum() == d * d
             assert s.l0_or_m0 <= s.lP_or_mP <= d * d
             assert s.bulk_multiplicity + s.lP_or_mP == d * d
 
@@ -164,7 +232,7 @@ class TestGeneratorSummary:
 
     def test_rates_attached(self):
         s = spectra.summarize(dephasing_generator(3))
-        rates = sorted((i.rate, i.multiplicity) for i in s.distinct)
+        rates = sorted(zip(s.rates.tolist(), s.multiplicities.tolist()))
         assert rates == [(0.0, 5), (1.0, 4)]
 
     def test_unitary_channels_have_full_peripheral_spectrum(self, rng):
