@@ -13,7 +13,9 @@ import dataclasses
 import time
 from dataclasses import dataclass
 
-from . import asymptotics, bounds, commutants, linalg, spectra
+import numpy as np
+
+from . import asymptotics, bounds, commutants, spectra
 from .bounds import BoundReport
 from .spectra import SpectralSummary
 
@@ -117,14 +119,10 @@ def _bound_report(summary, classification, markovian) -> BoundReport:
 
 def _commutant_dim(subject) -> int:
     """Commutant of the Kraus set (with adjoints) or of {H, A_k, A_k^dag}."""
-    if subject.kind == spectra.CHANNEL:
-        ops = list(subject.kraus_operators())
-        ops += [linalg.dagger(b) for b in ops]
-    else:
-        ops = [subject.hamiltonian]
-        for a in subject.noise_ops:
-            ops.append(a)
-            ops.append(linalg.dagger(a))
+    a = subject.kraus_operators() if subject.kind == spectra.CHANNEL else subject.noise_ops
+    ops = np.concatenate([a, a.conj().transpose(0, 2, 1)])
+    if subject.kind == spectra.GENERATOR:
+        ops = np.concatenate([subject.hamiltonian[None], ops])
     return commutants.commutant_dimension(ops)
 
 

@@ -173,8 +173,8 @@ def ckks_channel(summary: SpectralSummary) -> CkksMargins:
 
 def ckks_derived_bounds(summary: SpectralSummary, classification: str,
                         markovian: bool = False) -> list[BoundCheck]:
-    """The integer ceilings implied by the CKKS bound, plus the comparison
-    check that the structural ceiling implies them (strictly for d >= 3)."""
+    """The integer ceilings implied by the CKKS bound, plus, for d >= 2, the
+    comparison check that the structural ceiling implies them."""
     d = summary.dim
     loose = d * d - d
     checks = []
@@ -187,13 +187,8 @@ def ckks_derived_bounds(summary: SpectralSummary, classification: str,
         if classification == "non-hamiltonian":
             checks.append(_le("ckks: m0 <= d^2-d", summary.l0_or_m0, loose))
             checks.append(_le("ckks: mP <= d^2-d", summary.lP_or_mP, loose))
-    # d^2-2d+2 <= d^2-d for every d >= 2, strictly for d >= 3.
-    implies = _le("structural ceiling <= ckks ceiling", structural_ceiling(d), loose)
-    if d >= 3 and implies.margin <= 0:
-        implies = BoundCheck(name=implies.name, bound=implies.bound,
-                             observed=implies.observed, margin=implies.margin,
-                             satisfied=False)
-    checks.append(implies)
+    if d >= 2:  # d^2-2d+2 <= d^2-d; at d = 1, left by a faithful reduction, 1 <= 0
+        checks.append(_le("structural ceiling <= ckks ceiling", structural_ceiling(d), loose))
     return checks
 
 
@@ -202,16 +197,7 @@ def report_to_json(report: BoundReport) -> dict:
         "kind": report.kind.name,
         "dim": report.dim,
         "classification": report.classification,
-        "checks": [
-            {
-                "name": c.name,
-                "bound": c.bound,
-                "observed": c.observed,
-                "margin": c.margin,
-                "satisfied": c.satisfied,
-            }
-            for c in report.checks
-        ],
+        "checks": [dict(vars(c)) for c in report.checks],  # the fields in order
         "gap": report.gap,
         "forbidden": report.forbidden,
         "ckks": [

@@ -141,14 +141,13 @@ def _run_constructor(task: _Task) -> CampaignRow:
     report = analysis.analyze(subject, markovian=name == "phase-damping",
                               with_commutant=False)
     observed = (report.summary.l0_or_m0, report.summary.lP_or_mP)
-    note = f"constructor:{name}"
-    violation = False
+    note, violation = f"constructor:{name}", True
     if observed != expected:
-        violation = True
         note = f"oracle mismatch {name}: counts {observed} != advertised {expected}"
     elif not report.bounds_satisfied:
-        violation = True
         note = f"constructor:{name} bound check failed"
+    else:
+        violation = False
     return CampaignRow(source=task.source, dim=d, index=task.index, seed="",
                        report=report, violation=violation, note=note)
 
@@ -199,10 +198,6 @@ def _acceptable(source: str, subject) -> tuple[SpectralSummary, str] | None:
     return summary, classification
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def rows_to_csv(rows: list[CampaignRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -221,7 +216,7 @@ def rows_to_csv(rows: list[CampaignRow]) -> str:
         ckks = rep.bound_report.ckks
         ckks_min = ckks_ok = ""
         if ckks.margin.size:
-            ckks_min, ckks_ok = _fmt(ckks.margin.min()), int(ckks.satisfied.all())
+            ckks_min, ckks_ok = f"{ckks.margin.min():.12g}", int(ckks.satisfied.all())
         writer.writerow([
             row.source, row.dim, row.index, row.seed, rep.kind.name,
             rep.classification, rep.summary.l0_or_m0, rep.summary.lP_or_mP,

@@ -3,7 +3,8 @@ construct the saturating examples, emit sampled subjects.
 
 Exit codes: 0 success, 2 validation/parse failure or an unwritable
 ``--out``, 3 bound violation (for CI use); `verify` additionally exits 1 on
-oracle mismatches that are not bound violations.
+oracle mismatches that are not bound violations.  Reports and subjects are
+written as compact JSON lines: Python's C encoder runs only without indent.
 
 Each command runs with every loaded OpenBLAS limited to one thread and puts
 the previous counts back on exit.  The matrices are at most 144 x 144
@@ -164,7 +165,7 @@ def _cmd_analyze(args) -> int:
                               cluster_tol=args.tol_cluster,
                               peripheral_tol=args.tol_peripheral, markovian=args.markovian)
     if args.as_json:
-        print(json.dumps(analysis.report_to_json(report), indent=2))
+        print(json.dumps(analysis.report_to_json(report)))
     else:
         print(analysis.report_to_table(report))
     return 0 if report.bounds_satisfied else 3

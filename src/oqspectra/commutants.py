@@ -5,7 +5,8 @@ C_A = I (x) A - A^T (x) I and takes their joint nullspace; it provides the
 commutant basis and is the oracle for the cheaper routes.  The Gram route
 (:func:`commutant_dimension`) reads the dimension off the d^2 x d^2
 Hermitian matrix G = sum_A C_A^dag C_A, whose nullspace is the commutant,
-without building the 2K d^2-row stack; it answers only when it can certify
+without building the 2K d^2-row stack, and in real Hermitian coordinates
+for the *-closed sets analysis passes; it answers only when it can certify
 the brute-force count and falls back to it otherwise.  The structural
 route reads the dimension off the Jordan block profile via the Weyr
 characteristic: for one eigenvalue with block sizes d_1, d_2, ... the
@@ -18,6 +19,7 @@ rather than guessing.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,37 +73,60 @@ def commutant_dimension(ops) -> int:
     """``commutant(ops).dimension`` from the Gram matrix.
 
     G = sum_A C_A^dag C_A = I (x) P + conj(Q) (x) I - S - S^dag with
-    P = sum A^dag A, Q = sum A A^dag and S = sum conj(A) (x) A.  Squaring
-    the singular values of the stack costs half the digits, so the count of
-    small eigenvalues of G is accepted only when it is certified: a gap of
-    ``GRAM_GAP_FACTOR`` above the cut, and null vectors whose commutators,
-    computed directly, pass the stack SVD's own cutoff.  An uncertified
-    count falls back to the brute-force :func:`commutant`.
+    P = sum A^dag A, Q = sum A A^dag and S = sum conj(A) (x) A.  Of these
+    only X -> PX + XQ can take a Hermitian X to a non-Hermitian one, unless
+    P = Q, as for every *-closed set: then G' = U^dag G U in the orthonormal
+    Hermitian basis U (as in :func:`linalg.eig`) is real, for float64 LAPACK.
+    Squaring the singular values of the stack costs half the digits, so the
+    count of small eigenvalues of G' is accepted only when it is certified:
+    a gap of ``GRAM_GAP_FACTOR`` above the cut, and null vectors whose
+    commutators, computed directly, pass the stack SVD's own cutoff.  P != Q
+    beyond rounding, or an uncertified count, falls back to :func:`commutant`.
     """
     a = np.asarray(ops, dtype=np.complex128)
     if a.ndim != 3 or a.shape[0] == 0 or a.shape[1] != a.shape[2]:
         raise ValueError("expected a nonempty set of square operators of one dimension")
-    n_ops, d = a.shape[0], a.shape[1]
+    n_ops, d, n = a.shape[0], a.shape[1], a.shape[1] ** 2
     rows = a.reshape(n_ops * d, d)  # A_k stacked vertically: P = rows^dag rows
     cols = a.transpose(1, 0, 2).reshape(d, n_ops * d)  # side by side: Q = cols cols^dag
+    p, q = rows.conj().T @ rows, cols @ cols.conj().T
+    if np.abs(p - q).max() > linalg.HERMITICITY_CUT * n * linalg.EPS * np.abs(p).max():
+        return commutant(list(a)).dimension  # G' is complex: the set is not *-closed
     s = superop.kraus_to_superop(a)
-    gram = (linalg.kronecker_sum(rows.conj().T @ rows, (cols @ cols.conj().T).conj())
-            - s - s.conj().T)
-    w = scipy.linalg.eigvalsh(gram)
+    u, idx, weights = _hermitian_coordinates(d)
+    gram = (linalg.kronecker_sum(p, q.conj()) - s - s.conj().T).view(np.float64).take(idx)
+    gram = np.multiply(gram, weights, out=gram).sum(axis=0)  # G' = U^dag G U
+    w, _ = linalg.real_eigh(gram)
     ref = np.sqrt(max(w[-1], float(np.max(np.sum(np.abs(a) ** 2, axis=(1, 2))))))
-    cut = GRAM_NULL_FACTOR * d * d * linalg.EPS * ref * ref
-    k = int(np.sum(w <= cut))
-    certified = k == d * d or (k > 0 and w[k] >= GRAM_GAP_FACTOR * cut)
+    cut = GRAM_NULL_FACTOR * n * linalg.EPS * ref * ref
+    k = int(np.count_nonzero(w <= cut))
+    certified = k == n or (k > 0 and w[k] >= GRAM_GAP_FACTOR * cut)
     if certified and k > 1:
         # The identity alone needs no check; other null vectors must pass
         # the stack SVD's cutoff with their commutators computed directly
-        _, v = scipy.linalg.eigh(gram, subset_by_index=[0, k - 1])
-        x = v.T.reshape(k, d, d).transpose(0, 2, 1)  # unvec: column-stacked
-        residual = np.sqrt(sum(np.linalg.norm(b @ x - x @ b) ** 2 for b in a))
-        certified = residual <= n_ops * d * d * linalg.EPS * ref
+        _, v = linalg.real_eigh(gram, k)
+        x = (u @ v).T.reshape(k, d, d).transpose(0, 2, 1)  # unvec: column-stacked
+        residual = np.linalg.norm(a[:, None] @ x - x @ a[:, None])
+        certified = residual <= n_ops * n * linalg.EPS * ref
     if certified:
         return k
     return commutant(list(a)).dimension
+
+
+@functools.cache
+def _hermitian_coordinates(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(U, idx, weights)``: U = B diag(sqrt h) (:func:`linalg.hermitian_basis`)
+    has two nonzeros per column at most, real or imaginary, so a real U^dag G U
+    is G.view(float64).take(idx) * weights summed over axis 0, no dense product."""
+    b, _, h = linalg.hermitian_basis(d)
+    u = b * np.sqrt(h.T)
+    j, nonzero = np.arange(d * d), u != 0
+    p, q = nonzero.argmax(axis=0), d * d - 1 - nonzero[::-1].argmax(axis=0)  # first, last
+    terms = [(p, u[p, j]), (q, np.where(p == q, 0.0, u[q, j]))]
+    idx = np.stack([r[:, None] * d * d + c for r, _ in terms for c, _ in terms])
+    weights = np.stack([wr.conj()[:, None] * wc for _, wr in terms for _, wc in terms])
+    imag = weights.imag != 0  # Re(w g) is Re w Re g, or -Im w Im g
+    return u, 2 * idx + imag, np.where(imag, -weights.imag, weights.real)
 
 
 def commutant_dim_from_jordan(profile: JordanProfile) -> int:

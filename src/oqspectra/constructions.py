@@ -26,7 +26,7 @@ from typing import Callable, Iterator, Union
 
 import numpy as np
 
-from . import gkls, linalg
+from . import gkls
 from .bounds import structural_ceiling
 from .gkls import GklsGenerator, build_generator
 from .superop import QuantumChannel, from_kraus, from_superop
@@ -69,19 +69,15 @@ def check_env_dim(env_dim: int | None) -> None:
 # deterministic saturating examples
 # ---------------------------------------------------------------------------
 
-def two_level_hamiltonian(d: int, h1: float, h2: float) -> np.ndarray:
-    h = np.full(d, h2, dtype=np.complex128)
-    h[0] = h1
-    return np.diag(h)
-
-
 def saturating_hamiltonian_generator(d: int, h1: float = 0.0, h2: float = 1.0) -> GklsGenerator:
     """Purely Hamiltonian generator with m0 = d^2 - 2d + 2 and mP = d^2."""
     if d < 2:
         raise ValueError("dimension must be at least 2")
     if h1 == h2:
         raise ValueError("h1 = h2 gives a scalar Hamiltonian, i.e. the zero generator")
-    return build_generator(two_level_hamiltonian(d, h1, h2), ())
+    h = np.full(d, h2, dtype=np.complex128)
+    h[0] = h1
+    return build_generator(np.diag(h), ())
 
 
 def saturating_unitary_channel(d: int, h1: float = 0.0, h2: float = 1.0) -> QuantumChannel:
@@ -105,13 +101,11 @@ def saturating_dissipative_generator(
     pairs = tuple(eigenpairs)
     if not pairs:
         raise ValueError("at least one eigenvalue pair is required")
-    ops = []
     for lam1, lam2 in pairs:
         if lam1 == lam2:
             raise ValueError(f"degenerate eigenvalue pair ({lam1}, {lam2})")
-        diag = np.full(d, complex(lam2), dtype=np.complex128)
-        diag[0] = complex(lam1)
-        ops.append(np.diag(diag))
+    ops = np.zeros((len(pairs), d, d), dtype=np.complex128)
+    ops[:, np.arange(d), np.arange(d)] = [[lam1] + [lam2] * (d - 1) for lam1, lam2 in pairs]
     return build_generator(np.zeros((d, d)), ops)
 
 
@@ -165,9 +159,12 @@ def saturating(name: str, d: int, h: tuple[float, float] = (0.0, 1.0),
 # random ensembles
 # ---------------------------------------------------------------------------
 
-def ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    return (rng.standard_normal((rows, cols))
-            + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
+def ginibre(rows: int, cols: int, rng: np.random.Generator, count: int = 0) -> np.ndarray:
+    """A Ginibre matrix or, with ``count``, the stack of ``count`` of them
+    from one draw: the same PCG64 stream as ``count`` single draws."""
+    g = rng.standard_normal((max(count, 1), 2, rows, cols))
+    g = (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
+    return g if count else g[0]
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -178,9 +175,10 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases
 
 
-def random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:
-    g = ginibre(d, d, rng)
-    return (g + linalg.dagger(g)) / 2.0
+def random_hermitian(d: int, rng: np.random.Generator, count: int = 0) -> np.ndarray:
+    """A GUE matrix or, with ``count``, the stack of ``count`` of them, as :func:`ginibre`."""
+    g = ginibre(d, d, rng, count)
+    return (g + np.swapaxes(g, -1, -2).conj()) / 2.0
 
 
 def unitary_channel(u: np.ndarray) -> QuantumChannel:
@@ -199,23 +197,7 @@ def stinespring_channel(d: int, rng: np.random.Generator,
     return from_kraus(q.reshape(d, env, d).transpose(1, 0, 2))
 
 
-def subspace_supported_channel(d: int, support_dim: int,
-                               rng: np.random.Generator) -> QuantumChannel:
-    """A non-faithful channel whose image lives in the leading block.
-
-    The Stinespring isometry targets only the first ``support_dim``
-    coordinates, so every steady state is supported there.
-    """
-    if not 1 <= support_dim < d:
-        raise ValueError("support_dim must satisfy 1 <= support_dim < d")
-    env = d * support_dim
-    q, _ = np.linalg.qr(ginibre(support_dim * env, d, rng))
-    kraus = np.zeros((env, d, d), dtype=np.complex128)
-    kraus[:, :support_dim, :] = q.reshape(support_dim, env, d).transpose(1, 0, 2)
-    return from_kraus(kraus)
-
-
-def _normalized_generator(h: np.ndarray, ops: list[np.ndarray]) -> GklsGenerator:
+def _normalized_generator(h: np.ndarray, ops: np.ndarray) -> GklsGenerator:
     # Rescale so the superoperator has spectral radius ~1, keeping tolerances
     # scale-appropriate; H scales linearly, noise operators by sqrt, so L and
     # its eigenvalues scale by 1 / r and the eigenvectors stay.
@@ -225,7 +207,7 @@ def _normalized_generator(h: np.ndarray, ops: list[np.ndarray]) -> GklsGenerator
     if radius < 1e-12:
         return gen
     scaled = GklsGenerator(dim=gen.dim, hamiltonian=gen.hamiltonian / radius,
-                           noise_ops=tuple(a / np.sqrt(radius) for a in gen.noise_ops),
+                           noise_ops=gen.noise_ops / np.sqrt(radius),
                            _superop=gen.superop / radius)
     scaled.spectrum = replace(spectrum, values=spectrum.values / radius,
                               real=spectrum.real / radius)
@@ -235,18 +217,18 @@ def _normalized_generator(h: np.ndarray, ops: list[np.ndarray]) -> GklsGenerator
 def generic_gkls(d: int, rng: np.random.Generator) -> GklsGenerator:
     """GUE Hamiltonian plus d Ginibre noise operators, spectral radius ~1."""
     h = random_hermitian(d, rng)
-    return _normalized_generator(h, [ginibre(d, d, rng) for _ in range(d)])
+    return _normalized_generator(h, ginibre(d, d, rng, count=d))
 
 
 def unital_gkls(d: int, rng: np.random.Generator) -> GklsGenerator:
     """Unital ensemble: d Hermitian noise operators make the dissipator
     annihilate the identity, the regime where the CKKS bound is proved."""
     h = random_hermitian(d, rng)
-    return _normalized_generator(h, [random_hermitian(d, rng) for _ in range(d)])
+    return _normalized_generator(h, random_hermitian(d, rng, count=d))
 
 
 def hamiltonian_gkls(d: int, rng: np.random.Generator) -> GklsGenerator:
-    return _normalized_generator(random_hermitian(d, rng), [])
+    return _normalized_generator(random_hermitian(d, rng), ())
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ class GklsGenerator(linalg.Decomposed):
     kind: ClassVar[spectra.Kind] = spectra.GENERATOR
     dim: int
     hamiltonian: np.ndarray
-    noise_ops: tuple[np.ndarray, ...]
+    noise_ops: np.ndarray  # the (K, d, d) stack of noise operators
     _superop: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -55,7 +55,8 @@ def build_generator(hamiltonian, noise_ops=()) -> GklsGenerator:
     The Hamiltonian must be Hermitian within ``HERMITIAN_FAIL_TOL``;
     residuals in (``HERMITIAN_WARN_TOL``, ``HERMITIAN_FAIL_TOL``] are
     symmetrized away with a warning.  Noise operators are arbitrary square
-    matrices of the same dimension.  A list longer than d^2 - 1 is
+    matrices of the same dimension, given as a sequence or as their
+    (K, d, d) stack and held as that stack.  A list longer than d^2 - 1 is
     representationally redundant but accepted.
     """
     h = require_square(hamiltonian)
@@ -69,10 +70,11 @@ def build_generator(hamiltonian, noise_ops=()) -> GklsGenerator:
             stacklevel=2,
         )
     h = (h + dagger(h)) / 2
-    ops = tuple(require_square(a) for a in noise_ops)
-    if any(a.shape[0] != d for a in ops):
-        raise ValueError("noise operators must match the Hamiltonian dimension")
-    return GklsGenerator(dim=d, hamiltonian=h, noise_ops=ops)
+    ops = np.asarray(noise_ops, dtype=np.complex128)  # ValueError on ragged nesting
+    if ops.size and ops.shape[1:] != (d, d) or not np.isfinite(ops).all():
+        raise ValueError(f"noise operators must be finite and match the Hamiltonian "
+                         f"dimension {d}, got shape {ops.shape}")
+    return GklsGenerator(dim=d, hamiltonian=h, noise_ops=ops.reshape(-1, d, d))
 
 
 def gkls_superop(hamiltonian, noise_ops) -> np.ndarray:
@@ -110,13 +112,9 @@ def generator_to_json(gen: GklsGenerator) -> dict:
 
 def generator_from_json(obj: dict) -> GklsGenerator:
     try:
-        h = linalg.matrix_from_json(obj["hamiltonian"])
-        ops = [linalg.matrix_from_json(a) for a in obj.get("noise_ops", [])]
+        h = linalg.matrices_from_json([obj["hamiltonian"]])[0]
     except KeyError as exc:
         raise ValueError(f"generator JSON is missing field {exc}") from exc
-    gen = build_generator(h, ops)
-    if gen.dim < 2:
-        raise ValueError("dimension must be at least 2")
-    if "dim" in obj and int(obj["dim"]) != gen.dim:
-        raise ValueError(f"declared dim {obj['dim']} != matrix dim {gen.dim}")
-    return gen
+    noise = obj.get("noise_ops", [])
+    ops = linalg.matrices_from_json(noise) if noise != [] else ()
+    return superop.check_declared_dim(obj, build_generator(h, ops))

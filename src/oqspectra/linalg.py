@@ -26,8 +26,9 @@ import scipy.linalg
 
 EPS = float(np.finfo(np.float64).eps)
 # Bound once: scipy's wrappers cost as much as LAPACK itself at n <= 16.
-_dgeev, _dgeev_lwork, _dgesdd, _dgesdd_lwork = scipy.linalg.get_lapack_funcs(
-    ("geev", "geev_lwork", "gesdd", "gesdd_lwork"), dtype=np.float64)
+_dgeev, _dgeev_lwork, _dgesdd, _dgesdd_lwork, _dsyevr, _dsyevr_lwork = (
+    scipy.linalg.get_lapack_funcs(("geev", "geev_lwork", "gesdd", "gesdd_lwork",
+                                   "syevr", "syevr_lwork"), dtype=np.float64))
 # eig() rejects a matrix whose Hermitian coordinates have an imaginary part
 # above HERMITICITY_CUT * n * eps * (largest real part): rounding only.
 HERMITICITY_CUT = 16.0
@@ -83,9 +84,9 @@ def hermitian_basis(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def _lwork(query, *args) -> int:
-    """The optimal workspace of one call shape, queried once per process."""
-    return int(_checked("workspace query", *query(*args))[0])
+def _lwork(query, *args) -> tuple[int, ...]:
+    """The optimal workspace sizes of one call shape, queried once per process."""
+    return tuple(int(x) for x in _checked("workspace query", *query(*args)))
 
 
 def _checked(routine: str, *out):
@@ -98,7 +99,7 @@ def _checked(routine: str, *out):
 def real_eig(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(w, vl, vr)`` of a finite real square matrix by ``dgeev``, bit for
     bit ``scipy.linalg.eig(r, left=True, right=True, check_finite=False)``."""
-    wr, wi, vl, vr = _checked("dgeev", *_dgeev(r, lwork=_lwork(_dgeev_lwork, r.shape[0])))
+    wr, wi, vl, vr = _checked("dgeev", *_dgeev(r, lwork=_lwork(_dgeev_lwork, r.shape[0])[0]))
     if wi.any():  # else vl, vr stay real; a pair at k, k + 1 (wi[k] > 0) holds Re v, Im v
         k = np.flatnonzero(wi > 0)
         vl, vr = vl.astype(np.complex128), vr.astype(np.complex128)
@@ -111,9 +112,19 @@ def real_eig(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def real_svd(a: np.ndarray, vectors: bool):
     """``(u, s, vh)`` of a finite real matrix by ``dgesdd``, bit for bit
     ``scipy.linalg.svd(a)``, or ``(None, s, None)`` with ``svdvals(a)``."""
-    lwork = _lwork(_dgesdd_lwork, *a.shape, vectors, True)
+    lwork = _lwork(_dgesdd_lwork, *a.shape, vectors, True)[0]
     u, s, vh = _checked("dgesdd", *_dgesdd(a, compute_uv=vectors, lwork=lwork))
     return (u, s, vh) if vectors else (None, s, None)
+
+
+def real_eigh(a: np.ndarray, count: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending eigenvalues of a finite real symmetric matrix by ``dsyevr``,
+    bit for bit ``scipy.linalg.eigh``, or with ``count`` the ``count`` smallest
+    and their eigenvectors: ``(w, v)``, v empty without ``count``."""
+    subset = {"compute_v": 1, "range": "I", "il": 1, "iu": count} if count else {"compute_v": 0}
+    lwork, liwork = _lwork(_dsyevr_lwork, a.shape[0], 1)
+    w, v, m, _ = _checked("dsyevr", *_dsyevr(a, lower=1, lwork=lwork, liwork=liwork, **subset))
+    return w[:m], v
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,24 +274,27 @@ def commutation_superop(a) -> np.ndarray:
 def matrix_to_json(a) -> dict:
     """Row-major JSON encoding: {"rows", "cols", "entries": [[re, im], ...]}."""
     m = as_complex_matrix(a)
-    entries = [[float(z.real), float(z.imag)] for z in m.flatten(order="C")]
-    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "entries": entries}
+    entries = m.ravel().view(np.float64).reshape(-1, 2).tolist()
+    return {"rows": m.shape[0], "cols": m.shape[1], "entries": entries}
 
 
-def matrix_from_json(obj: dict) -> np.ndarray:
+def matrices_from_json(objs: list) -> np.ndarray:
+    """The (K, rows, cols) stack of K >= 1 JSON matrices of one shape, read
+    by one ``np.asarray`` and validated once."""
     try:
-        rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
+        shapes = {(type(obj["rows"]), type(obj["cols"]), obj["rows"], obj["cols"]) for obj in objs}
+        pairs = np.asarray([obj["entries"] for obj in objs])  # ValueError on ragged nesting
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
-    if type(rows) is not int or type(cols) is not int:  # not a float, bool or string
-        raise ValueError(f"matrix rows and cols must be integers, got {rows!r} and {cols!r}")
-    if rows <= 0 or cols <= 0:
-        raise ValueError("matrix dimensions must be positive")
-    pairs = np.asarray(entries)  # ValueError on ragged nesting
-    if pairs.dtype.kind not in "biuf" or pairs.shape != (rows * cols, 2):
-        raise ValueError(
-            f"{rows}x{cols} matrix needs {rows * cols} numeric [re, im] entries, "
-            f"got an array of {pairs.dtype} with shape {pairs.shape}"
-        )
-    flat = np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128)
-    return as_complex_matrix(flat.reshape((rows, cols), order="C"))
+    if len(shapes) != 1:
+        raise ValueError(f"expected a nonempty list of matrices of one shape, got {len(shapes)}")
+    (*types, rows, cols), = shapes
+    if types != [int, int] or rows <= 0 or cols <= 0:  # not a float, bool or string
+        raise ValueError(f"matrix rows and cols must be integers > 0, got {rows!r} and {cols!r}")
+    if pairs.dtype.kind not in "biuf" or pairs.shape != (len(objs), rows * cols, 2):
+        raise ValueError(f"{rows}x{cols} matrices need {rows * cols} numeric [re, im] entries "
+                         f"each, got an array of {pairs.dtype} with shape {pairs.shape}")
+    m = np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128)
+    if not np.isfinite(m).all():
+        raise ValueError("matrix contains NaN or Inf entries")
+    return m.reshape((-1, rows, cols))

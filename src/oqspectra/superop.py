@@ -103,7 +103,8 @@ def from_superop(m, tp_tol: float = DEFAULT_TP_TOL,
     d = int(round(np.sqrt(m.shape[0])))
     if d * d != m.shape[0]:
         raise ValueError(f"superoperator side {m.shape[0]} is not a perfect square")
-    tp = tp_residual(QuantumChannel(dim=d, _superop=m))
+    ident = vec(np.eye(d))
+    tp = float(np.linalg.norm(dagger(m) @ ident - ident))  # zero iff m preserves traces
     if tp > tp_tol:
         raise ValidationError("superoperator is not trace preserving", tp)
     choi = superop_to_choi(m)
@@ -111,16 +112,10 @@ def from_superop(m, tp_tol: float = DEFAULT_TP_TOL,
     if herm > cp_tol:
         raise ValidationError("Choi matrix is not Hermitian", herm)
     choi = (choi + dagger(choi)) / 2
-    if not choi_is_cp(choi, cp_tol):
-        wmin = float(np.linalg.eigvalsh(choi).min())
+    wmin = float(np.linalg.eigvalsh(choi).min())  # as choi_is_cp
+    if wmin < -cp_tol:
         raise ValidationError("Choi matrix is not positive semidefinite", -wmin)
     return QuantumChannel(dim=d, _superop=choi_to_superop(choi), _choi=choi)
-
-
-def tp_residual(channel: QuantumChannel) -> float:
-    """Norm of M^dag vec(I) - vec(I); zero iff the map preserves traces."""
-    ident = vec(np.eye(channel.dim))
-    return float(np.linalg.norm(dagger(channel.superop) @ ident - ident))
 
 
 def kraus_to_superop(kraus) -> np.ndarray:
@@ -218,13 +213,19 @@ def channel_to_json(channel: QuantumChannel) -> dict:
 
 def channel_from_json(obj: dict) -> QuantumChannel:
     if "kraus" in obj:
-        channel = from_kraus([linalg.matrix_from_json(b) for b in obj["kraus"]])
+        channel = from_kraus(linalg.matrices_from_json(obj["kraus"]))
     elif "superop" in obj:
-        channel = from_superop(linalg.matrix_from_json(obj["superop"]))
+        channel = from_superop(linalg.matrices_from_json([obj["superop"]])[0])
     else:
         raise ValueError("channel JSON needs a 'kraus' or 'superop' field")
-    if channel.dim < 2:
+    return check_declared_dim(obj, channel)
+
+
+def check_declared_dim(obj: dict, subject):
+    """``subject``, read from ``obj``, if d >= 2 and any ``"dim"`` is the integer d."""
+    if subject.dim < 2:
         raise ValueError("dimension must be at least 2")
-    if "dim" in obj and int(obj["dim"]) != channel.dim:
-        raise ValueError(f"declared dim {obj['dim']} != matrix dim {channel.dim}")
-    return channel
+    declared = obj.get("dim", subject.dim)
+    if type(declared) is not int or declared != subject.dim:  # not a float, bool or string
+        raise ValueError(f"declared dim {declared!r} is not the matrix dim {subject.dim}")
+    return subject

@@ -6,6 +6,7 @@ never assert the implementation against itself.
 """
 
 import collections
+import json
 
 import numpy as np
 import scipy.linalg
@@ -45,6 +46,37 @@ def count_decompositions(monkeypatch):
 
         monkeypatch.setattr(module, name, spy)
     return calls, dtypes
+
+
+def reference_subject_json(subject):
+    """A subject file line as written with ``float`` applied to each entry
+    of each matrix in turn."""
+    def matrix(a):
+        m = np.asarray(a, dtype=complex)
+        return {"rows": int(m.shape[0]), "cols": int(m.shape[1]),
+                "entries": [[float(z.real), float(z.imag)] for z in m.flatten(order="C")]}
+
+    if hasattr(subject, "hamiltonian"):
+        obj = {"dim": subject.dim, "hamiltonian": matrix(subject.hamiltonian),
+               "noise_ops": [matrix(a) for a in subject.noise_ops]}
+    elif subject.kraus is not None:
+        obj = {"dim": subject.dim, "kraus": [matrix(b) for b in subject.kraus]}
+    else:
+        obj = {"dim": subject.dim, "superop": matrix(subject.superop)}
+    return json.dumps(obj) + "\n"
+
+
+def subspace_supported_channel(d, support_dim, rng):
+    """A non-faithful channel whose image lives in the leading block: its
+    Stinespring isometry targets only the first ``support_dim`` coordinates,
+    so every steady state is supported there."""
+    if not 1 <= support_dim < d:
+        raise ValueError("support_dim must satisfy 1 <= support_dim < d")
+    env = d * support_dim
+    q, _ = np.linalg.qr(constructions.ginibre(support_dim * env, d, rng))
+    kraus = np.zeros((env, d, d), dtype=np.complex128)
+    kraus[:, :support_dim, :] = q.reshape(support_dim, env, d).transpose(1, 0, 2)
+    return superop.from_kraus(kraus)
 
 
 def dag(a):

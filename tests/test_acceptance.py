@@ -21,7 +21,6 @@ from oqspectra.constructions import (
     saturating_hamiltonian_generator,
     saturating_unitary_channel,
     stinespring_channel,
-    subspace_supported_channel,
     unital_gkls,
     unitary_channel,
 )
@@ -129,7 +128,7 @@ def test_criterion_06_fixed_point_commutant_duality():
             assert resid <= 1e-8
         # non-faithful: the support reduction preserves the fixed-point count
         for _ in range(10):
-            ch = subspace_supported_channel(d + 1, d, rng)
+            ch = helpers.subspace_supported_channel(d + 1, d, rng)
             red = faithful_reduce(ch)
             assert fixed_space(ch).dimension == \
                 fixed_space(red.reduced_channel).dimension

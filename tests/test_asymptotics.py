@@ -21,7 +21,6 @@ from oqspectra.constructions import (
     saturating_dissipative_generator,
     saturating_hamiltonian_generator,
     stinespring_channel,
-    subspace_supported_channel,
     unital_gkls,
     unitary_channel,
 )
@@ -408,6 +407,14 @@ class TestFaithfulReduce:
         iso = red.isometry
         assert abs(abs(iso[0, 0]) - 1.0) <= 1e-9
 
+    def test_one_dimensional_reduction_reports_no_violation(self):
+        # at d = 1 the ceiling comparison d^2-2d+2 <= d^2-d reads 1 <= 0,
+        # which is no theorem and must not be reported as violated
+        red = faithful_reduce(amplitude_damping(0.5))
+        rep = analysis.analyze(red.reduced_channel)
+        assert rep.dim == 1 and rep.bounds_satisfied
+        assert all(c.satisfied for c in rep.bound_report.checks)
+
     def test_pinching_already_faithful(self):
         p1 = helpers.matrix_unit(2, 0, 0)
         ch = from_kraus([p1, np.eye(2) - p1])
@@ -416,7 +423,7 @@ class TestFaithfulReduce:
 
     def test_non_faithful_fix_dimension_preserved(self, rng):
         for d, d0 in ((3, 2), (4, 2)):
-            ch = subspace_supported_channel(d, d0, rng)
+            ch = helpers.subspace_supported_channel(d, d0, rng)
             assert not is_faithful(ch)
             red = faithful_reduce(ch)
             assert red.support_dim <= d0

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -147,6 +148,46 @@ class TestGramRoute:
         assert with_commutant == without
         # the counter sees the cross-check, which may be values-only
         assert without["real_svd"] + without["svd"] + without["svdvals"] > 0
+
+    def test_star_closed_sets_decompose_in_float64(self, monkeypatch):
+        # G' = U^dag G U is real for a *-closed set: no complex eigensolver
+        # runs, and the count is still the brute-force one
+        dtypes = []
+        entries = [(scipy.linalg, name) for name in ("eigh", "eigvalsh")]
+        entries += [(np.linalg, name) for name in ("eigh", "eigvalsh")] + [(linalg, "real_eigh")]
+        for module, name in entries:
+            def spy(a, *args, _original=getattr(module, name), _name=name, **kwargs):
+                dtypes.append((_name, np.asarray(a).dtype))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+        brute = helpers.count_calls(monkeypatch, commutants, ("commutant",))
+        for d in (3, 5):
+            for name, subject in helpers.oracle_subjects(d, seeds=1):
+                ops = helpers.star_closed_ops(subject)
+                del dtypes[:]
+                got = commutant_dimension(ops)
+                assert dtypes and all(t == np.float64 for _, t in dtypes), name
+                assert {n for n, _ in dtypes} == {"real_eigh"}, name
+                assert got == brute_force_dim(ops), name
+        assert brute["commutant"] == 0
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_set_not_star_closed_falls_back(self, monkeypatch, rng, d):
+        # {A} for a Ginibre A: P != Q, so G' has an imaginary part far above
+        # rounding, which the route must not drop
+        a = constructions.ginibre(d, d, rng)
+        brute = helpers.count_calls(monkeypatch, commutants, ("commutant",))
+        real = helpers.count_calls(monkeypatch, linalg, ("real_eigh",))
+        assert commutant_dimension([a]) == brute_force_dim([a]) == d
+        assert brute["commutant"] == 1 and real["real_eigh"] == 0
+
+    def test_normal_operator_stays_real(self, monkeypatch, rng):
+        # {U} for a Haar unitary is not *-closed, but P = Q = I: G' is real
+        u = constructions.haar_unitary(4, rng)
+        brute = helpers.count_calls(monkeypatch, commutants, ("commutant",))
+        assert commutant_dimension([u]) == brute_force_dim([u]) == 4
+        assert brute["commutant"] == 0
 
     def test_cut_inside_rounding_noise_falls_back(self, monkeypatch):
         # A cut a few decades under the rounding level of G's null

@@ -17,7 +17,6 @@ from oqspectra.constructions import (
     saturating_hamiltonian_generator,
     saturating_unitary_channel,
     stinespring_channel,
-    subspace_supported_channel,
     unital_gkls,
     unitary_channel,
 )
@@ -162,7 +161,7 @@ class TestSamplers:
         assert hits >= 95
 
     def test_subspace_supported_channel_valid(self, rng):
-        ch = subspace_supported_channel(4, 2, rng)
+        ch = helpers.subspace_supported_channel(4, 2, rng)
         rho = helpers.random_density(4, rng)
         out = helpers.kraus_apply(ch.kraus, rho)
         assert np.linalg.norm(out[2:, :]) <= 1e-12
@@ -170,7 +169,7 @@ class TestSamplers:
 
     def test_subspace_supported_bad_dims(self, rng):
         with pytest.raises(ValueError):
-            subspace_supported_channel(3, 3, rng)
+            helpers.subspace_supported_channel(3, 3, rng)
 
 
 class TestSampleStream:

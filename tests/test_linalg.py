@@ -277,7 +277,7 @@ class TestJson:
         a = random_complex(rng, 2, 3)
         obj = linalg.matrix_to_json(a)
         assert obj["rows"] == 2 and obj["cols"] == 3
-        assert np.array_equal(linalg.matrix_from_json(obj), a)
+        assert np.array_equal(linalg.matrices_from_json([obj])[0], a)
 
     def test_row_major_order(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -289,12 +289,12 @@ class TestJson:
         # int() would truncate 2.5 x 2.9 to 2 x 2 and read true as 1
         entries = [[1, 0]] * 4
         with pytest.raises(ValueError, match="must be integers"):
-            linalg.matrix_from_json({"rows": rows, "cols": cols, "entries": entries})
+            linalg.matrices_from_json([{"rows": rows, "cols": cols, "entries": entries}])
 
     def test_malformed(self):
         with pytest.raises(ValueError):
-            linalg.matrix_from_json({"rows": 2, "cols": 2, "entries": [[1, 0]]})
+            linalg.matrices_from_json([{"rows": 2, "cols": 2, "entries": [[1, 0]]}])
         with pytest.raises(ValueError):
-            linalg.matrix_from_json({"rows": 2})
+            linalg.matrices_from_json([{"rows": 2}])
         with pytest.raises(ValueError):
-            linalg.matrix_from_json({"rows": 0, "cols": 1, "entries": []})
+            linalg.matrices_from_json([{"rows": 0, "cols": 1, "entries": []}])
