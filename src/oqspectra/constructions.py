@@ -197,7 +197,7 @@ def stinespring_channel(d: int, rng: np.random.Generator,
     return from_kraus(q.reshape(d, env, d).transpose(1, 0, 2))
 
 
-def _normalized_generator(h: np.ndarray, ops: np.ndarray) -> GklsGenerator:
+def _normalized_generator(h: np.ndarray, ops: np.ndarray | tuple) -> GklsGenerator:
     # Rescale so the superoperator has spectral radius ~1, keeping tolerances
     # scale-appropriate; H scales linearly, noise operators by sqrt, so L and
     # its eigenvalues scale by 1 / r and the eigenvectors stay.
