@@ -9,7 +9,6 @@ violation that survives both steps lands in the report, flagged so callers
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass
 
@@ -112,9 +111,8 @@ def _nullspace_dim(subject, summary) -> tuple[int, str | None]:
 
 
 def _bound_report(summary, classification, markovian) -> BoundReport:
-    report = bounds.check_bounds(summary, classification)
     derived = bounds.ckks_derived_bounds(summary, classification, markovian)
-    return dataclasses.replace(report, checks=report.checks + tuple(derived))
+    return bounds.check_bounds(summary, classification, derived)
 
 
 def _commutant_dim(subject) -> int:

@@ -119,51 +119,57 @@ def _peripheral_columns(spectrum: linalg.Spectrum, summary: spectra.SpectralSumm
     eigenvalues (with ``anchor_only``, of the anchor cluster) in the
     coordinates of R', real columns spanning their left eigenvectors, and
     whether the right columns are orthonormal by construction.  Left/right
-    unit vectors of R' are ``vl sqrt_h`` and ``vr / sqrt_h``: their overlap
-    is the one of M's."""
-    tol, anchor = DEFAULT_NULL_TOL, summary.kind.anchor
-    w, sqrt_h = spectrum.values, spectrum.sqrt_h[:, None]
+    eigenvectors of R' are ``vl sqrt_h`` and ``vr / sqrt_h``: their overlap is
+    the one of M's.  A complex v gives sqrt 2 Re v, sqrt 2 Im v: [v, conj v]
+    times a unitary, so the stack keeps the singular values."""
+    tol, anchor, sqrt_h = DEFAULT_NULL_TOL, summary.kind.anchor, spectrum.sqrt_h[:, None]
     values, mults = summary.values, summary.multiplicities
     selected = summary.peripheral
     if anchor_only:
         selected = np.arange(values.size) == summary.anchor_index
-    # A cluster within cluster_tol of its conjugate is its own conjugate;
-    # any other lies more than cluster_tol / 2 off the real axis.
-    real = 2 * np.abs(values.imag) <= summary.cluster_tol
-    blocks = []
+    rights, lefts = [], []
     # A multiple eigenvalue takes one SVD; below the axis it is a conjugate.
-    for k in np.flatnonzero(selected & (mults > 1) & (real | (values.imag > 0))).tolist():
+    for k in np.flatnonzero(selected & (mults > 1)).tolist():
         mu = complex(values[k])
-        center = anchor if k == summary.anchor_index else (mu.real if real[k] else mu)
+        real = 2 * abs(mu.imag) <= summary.cluster_tol  # within cluster_tol of its conjugate
+        if not real and mu.imag < 0:
+            continue
+        center = anchor if k == summary.anchor_index else (mu.real if real else mu)
         dim, right, left = spectrum.null_space(center, tol, vectors=True)
         if dim != mults[k]:
             raise ConsistencyError(
                 f"peripheral eigenvalue {mu:.6g}: geometric multiplicity "
                 f"{dim} != algebraic {mults[k]}"
             )
-        blocks.append((right, left, real[k]))
-    single = selected & (mults == 1)
-    mu, real = values[single], real[single]
-    if mu.size:  # a singleton's center is its eigenvalue, bit for bit
-        k = (w[:, None] == mu).argmax(axis=0)  # the first match of each
-        right, left = spectrum.vr[:, k] / sqrt_h, spectrum.vl[:, k] * sqrt_h
-        right /= np.linalg.norm(right, axis=0)
-        overlap = np.abs(np.einsum("ij,ij->j", left.conj(), right)) / np.linalg.norm(left, axis=0)
+        for cols, x in ((rights, right), (lefts, left)):
+            cols.append(x.real if real else np.sqrt(2) * np.hstack((x.real, x.imag)))
+    # A singleton is its eigenvalue bit for bit; dgeev keeps v = a + ib above
+    # the axis in columns k and k + 1, and a conjugate below has its overlap.
+    mu = values[selected & (mults == 1) & (values.imag >= 0)]
+    if mu.size:
+        k = (spectrum.values[:, None] == mu).argmax(axis=0)  # the first match of each
+        a, c = spectrum.vr[:, k] / sqrt_h, spectrum.vl[:, k] * sqrt_h
+        rr, ll, lr, im = (a * a).sum(0), (c * c).sum(0), (c * a).sum(0), 0.0
+        pair = mu.imag > 0
+        if pair.any():  # u^H v = (c.a + d.b) + i(c.b - d.a) for u = c + id; b = d = 0 if real
+            j = k + pair
+            b, d = spectrum.vr[:, j] * (pair / sqrt_h), spectrum.vl[:, j] * (pair * sqrt_h)
+            rr, ll, lr = rr + (b * b).sum(0), ll + (d * d).sum(0), lr + (d * b).sum(0)
+            im = (c * b - d * a).sum(0)
+        norm = np.sqrt(rr)
+        overlap = np.hypot(lr, im) / (norm * np.sqrt(ll))
         bad = np.flatnonzero(overlap <= tol)
         if bad.size:
             raise ConsistencyError(
                 f"peripheral eigenvalue {mu[bad[0]]:.6g}: left/right eigenvector "
                 f"overlap {overlap[bad[0]]:.3e} <= {tol:.1e}, not semisimple"
             )
-        blocks += [(right[:, sel], left[:, sel], is_real)
-                   for sel, is_real in ((real, True), (~real & (mu.imag > 0), False))]
-    blocks = [b for b in blocks if b[0].shape[1]]
-    # A real block stays; v above the axis gives sqrt 2 Re v, sqrt 2 Im v, which
-    # is [v, conj v] times a unitary: the stack keeps the singular values.
-    v, w = (np.hstack([b[s].real if b[2] else np.sqrt(2) * np.hstack((b[s].real, b[s].imag))
-                       for b in blocks]) for s in (0, 1))
+        scale = (1 + (np.sqrt(2) - 1) * pair) / norm  # sqrt 2 / |v| above the axis
+        rights += [a * scale, b[:, pair] * scale[pair]] if pair.any() else [a * scale]
+        lefts += [c, d[:, pair]] if pair.any() else [c]
+    v, w = (x[0] if len(x) == 1 else np.hstack(x) for x in (rights, lefts))
     # One eigenspace from an SVD, or one unit vector, is orthonormal.
-    return v, w, len(blocks) == 1 and (not mu.size or v.shape[1] == 1)
+    return v, w, len(rights) == 1 and (not mu.size or v.shape[1] == 1)
 
 
 def _projection(subject, summary: spectra.SpectralSummary, anchor_only: bool) -> np.ndarray:

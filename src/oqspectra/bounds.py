@@ -98,11 +98,12 @@ def classify(subject, summary: SpectralSummary | None = None) -> str:
     return all_peripheral if summary.lP_or_mP == summary.dim ** 2 else other
 
 
-def check_bounds(summary: SpectralSummary, classification: str) -> BoundReport:
-    """Integer-margin report for the proved bounds, with the CKKS margins.
+def check_bounds(summary: SpectralSummary, classification: str, derived=()) -> BoundReport:
+    """Integer-margin report for the proved bounds, then the ``derived``
+    checks (``analyze`` adds :func:`ckks_derived_bounds`), with the CKKS margins.
 
     The trivial map (identity channel, zero generator) is excluded from the
-    inequalities (l0 = lP = d^2 there) and gets an empty check list.
+    inequalities (l0 = lP = d^2 there) and gets no check of its own.
     """
     kind = summary.kind
     if classification not in kind.classes:
@@ -127,7 +128,7 @@ def check_bounds(summary: SpectralSummary, classification: str) -> BoundReport:
         )
     ckks = ckks_channel if kind == spectra.CHANNEL else ckks_generator
     return BoundReport(kind=kind, dim=d, classification=classification,
-                       checks=checks, gap=2 * (d - 1), forbidden=2 * (d - 1) - 1,
+                       checks=(*checks, *derived), gap=2 * (d - 1), forbidden=2 * (d - 1) - 1,
                        ckks=ckks(summary))
 
 

@@ -53,6 +53,9 @@ class CampaignConfig:
         unknown = set(self.sources) - set(ALL_SOURCES)
         if unknown:
             raise ValueError(f"unknown sources {sorted(unknown)}; pick from {ALL_SOURCES}")
+        for what, items in (("dimension", self.dims), ("source", self.sources)):
+            if len(set(items)) < len(items):  # one (source, dim, index) twice
+                raise ValueError(f"repeated {what} {[x for x in items if items.count(x) > 1][0]!r}")
         if any(d < 2 for d in self.dims):
             raise ValueError("dimensions must be at least 2")
         if self.per_dim < 1:

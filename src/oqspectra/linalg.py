@@ -97,15 +97,10 @@ def _checked(routine: str, *out):
 
 
 def real_eig(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(w, vl, vr)`` of a finite real square matrix by ``dgeev``, bit for
-    bit ``scipy.linalg.eig(r, left=True, right=True, check_finite=False)``."""
+    """``(wr + 1j wi, vl, vr)`` of a finite real square matrix, bit for bit
+    ``scipy.linalg.lapack.dgeev``: float64 vl and vr, where a conjugate pair
+    at k, k + 1 (wi[k] > 0) holds Re v in column k and Im v in column k + 1."""
     wr, wi, vl, vr = _checked("dgeev", *_dgeev(r, lwork=_lwork(_dgeev_lwork, r.shape[0])[0]))
-    if wi.any():  # else vl, vr stay real; a pair at k, k + 1 (wi[k] > 0) holds Re v, Im v
-        k = np.flatnonzero(wi > 0)
-        vl, vr = vl.astype(np.complex128), vr.astype(np.complex128)
-        for v in (vl, vr):
-            v.imag[:, k] = v.real[:, k + 1]
-            v[:, k + 1] = v[:, k].conj()
     return wr + 1j * wi, vl, vr
 
 
@@ -132,9 +127,10 @@ class Spectrum:
     """:func:`eig` of a d^2 x d^2 matrix M; read, never modify.
 
     ``values``, ``vl`` and ``vr`` are :func:`real_eig` of the real
-    R = B^-1 M B (:func:`hermitian_basis`).  ``real`` is the real R' = U^dag M U
-    in the orthonormal basis U = B diag(sqrt_h), ``sqrt_h`` = sqrt h, so R' - cI
-    has the singular values of M - cI and eigenvectors vr / sqrt_h, vl sqrt_h.
+    R = B^-1 M B (:func:`hermitian_basis`), pairs packed (Re v, Im v).  ``real`` is
+    the real R' = U^dag M U in the orthonormal basis U = B diag(sqrt_h), ``sqrt_h`` =
+    sqrt h, so R' - cI has the singular values of M - cI and eigenvectors
+    vr / sqrt_h, vl sqrt_h.
     """
 
     values: np.ndarray
@@ -158,7 +154,8 @@ class Spectrum:
         n = self.values.size
         s, u, vh = self._svds.get(center, (None, None, None))
         if s is None or (vectors and vh is None):
-            shifted = self.real - center * np.eye(n)
+            shifted = self.real.astype(np.result_type(self.real, center))  # a copy
+            shifted.flat[::n + 1] -= center
             real = np.isrealobj(shifted)  # else off the real axis, with vectors: on scipy
             u, s, vh = real_svd(shifted, vectors) if real else scipy.linalg.svd(shifted)
             self._svds[center] = (s, u, vh)

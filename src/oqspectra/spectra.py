@@ -107,6 +107,9 @@ def cluster(values, cluster_tol: float) -> tuple[np.ndarray, np.ndarray]:
     # Sorting first makes the arithmetic permutation-invariant.
     vs = vs[np.lexsort((vs.imag, vs.real))]
     close = np.abs(vs[:, None] - vs[None, :]) <= cluster_tol
+    if np.count_nonzero(close) == n:  # nothing chains: the general path's bits
+        order = np.lexsort((np.angle(vs), -np.hypot(vs.real, vs.imag)))
+        return vs[order], np.ones(n, dtype=np.intp)
     # Label propagation with pointer jumping: labels only decrease, and the
     # fixed point gives each value the smallest index it chains to.
     labels = np.arange(n)

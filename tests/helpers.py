@@ -11,7 +11,7 @@ import json
 import numpy as np
 import scipy.linalg
 
-from oqspectra import constructions, gkls, linalg, superop
+from oqspectra import asymptotics, constructions, gkls, linalg, superop
 from oqspectra.commutants import JordanProfile
 
 
@@ -323,13 +323,59 @@ def reference_eig(m):
     return w, v[:, :n], v[:, n:]
 
 
+def unpack_eigenvectors(w, vl, vr):
+    """dgeev's packed real eigenvectors as complex ones, as
+    ``scipy.linalg.eig`` returns them: a conjugate pair at k, k + 1
+    (Im w[k] > 0) holds Re v in column k and Im v in column k + 1, and
+    becomes v, conj v.  Without a pair the arrays stay real."""
+    if not w.imag.any():
+        return vl, vr
+    k = np.flatnonzero(w.imag > 0)
+    vl, vr = vl.astype(np.complex128), vr.astype(np.complex128)
+    for v in (vl, vr):
+        v.imag[:, k] = v.real[:, k + 1]
+        v[:, k + 1] = v[:, k].conj()
+    return vl, vr
+
+
 def real_eigenvectors(spectrum):
     """Unit left and right eigenvectors ``vl sqrt_h`` and ``vr / sqrt_h`` of
-    the real R' = U^dag M U of a ``Spectrum``.  U is unitary, so their
-    residuals on R' are those of the unit eigenvectors U v of M."""
+    the real R' = U^dag M U of a ``Spectrum``, its pairs unpacked.  U is
+    unitary, so their residuals on R' are those of the unit eigenvectors
+    U v of M."""
     sqrt_h = spectrum.sqrt_h[:, None]
-    vl, vr = spectrum.vl * sqrt_h, spectrum.vr / sqrt_h
+    vl, vr = unpack_eigenvectors(spectrum.values, spectrum.vl, spectrum.vr)
+    vl, vr = vl * sqrt_h, vr / sqrt_h
     return vl / np.linalg.norm(vl, axis=0), vr / np.linalg.norm(vr, axis=0)
+
+
+def reference_peripheral_columns(spectrum, summary):
+    """The attractor's real right and left columns through complex
+    eigenvectors: each singleton's pair unpacked to v, conj v, a real v
+    giving Re v and one above the axis sqrt 2 Re v, sqrt 2 Im v (right ones
+    normalized first), after each multiple cluster's SVD eigenspace."""
+    sqrt_h = spectrum.sqrt_h[:, None]
+    values, mults, tol = summary.values, summary.multiplicities, asymptotics.DEFAULT_NULL_TOL
+    real = 2 * np.abs(values.imag) <= summary.cluster_tol
+    blocks = []
+    for k in np.flatnonzero(summary.peripheral & (mults > 1) & (real | (values.imag > 0))):
+        mu = complex(values[k])
+        center = summary.kind.anchor if k == summary.anchor_index else (
+            mu.real if real[k] else mu)
+        dim, right, left = spectrum.null_space(center, tol, vectors=True)
+        assert dim == mults[k]
+        blocks.append((right, left, real[k]))
+    single = summary.peripheral & (mults == 1)
+    mu, real = values[single], real[single]
+    if mu.size:
+        vl, vr = unpack_eigenvectors(spectrum.values, spectrum.vl, spectrum.vr)
+        k = [int(np.flatnonzero(spectrum.values == x)[0]) for x in mu]
+        right, left = vr[:, k] / sqrt_h, vl[:, k] * sqrt_h
+        right /= np.linalg.norm(right, axis=0)
+        blocks += [(right[:, real], left[:, real], True),
+                   (right[:, ~real & (mu.imag > 0)], left[:, ~real & (mu.imag > 0)], False)]
+    return tuple(np.hstack([b[s].real if b[2] else np.sqrt(2) * np.hstack((b[s].real, b[s].imag))
+                            for b in blocks]) for s in (0, 1))
 
 
 def cesaro_projection(channel, n=2048):

@@ -177,6 +177,26 @@ class TestAttractor:
         with pytest.raises(asymptotics.ConsistencyError, match="overlap"):
             attractor(fake)
 
+    def test_pair_overlap_is_the_one_of_matrix_coordinates(self, monkeypatch):
+        # The peripheral pair e^{+-i} of a non-normal rotation that couples a
+        # diagonal coordinate (h = 1) to an off-diagonal one (h = 1/2): the
+        # overlap read from the packed columns Re v, Im v is the one of the
+        # complex unit eigenvectors of M, and the error names e^{+i}
+        s = np.array([[1.0, 2.0], [0.0, 1.0]])
+        rot = np.array([[np.cos(1.0), -np.sin(1.0)], [np.sin(1.0), np.cos(1.0)]])
+        r = np.diag([0.0, 1.0, 0.0, 0.5])
+        r[np.ix_([0, 2], [0, 2])] = s @ rot @ np.linalg.inv(s)
+        fake = helpers.forged_channel(r)
+        w, vl, vr = helpers.reference_eig(fake.superop)
+        pair = np.flatnonzero(np.abs(w.imag) > 0.5)
+        overlap = min(abs(np.vdot(vl[:, k], vr[:, k])) for k in pair)
+        assert overlap < 0.5
+        monkeypatch.setattr(asymptotics, "DEFAULT_NULL_TOL", overlap * (1 - 1e-9))
+        assert attractor(fake).dimension == 3
+        monkeypatch.setattr(asymptotics, "DEFAULT_NULL_TOL", overlap * (1 + 1e-9))
+        with pytest.raises(asymptotics.ConsistencyError, match=r"0\.540302\+0\.841471j.*overlap"):
+            attractor(fake)
+
     @pytest.mark.parametrize("dependent", ["singleton-copy", "parallel-pair"])
     def test_dependent_column_fails_certificate(self, monkeypatch, rng, dependent):
         # The oscillating-coherence channel: the eigenspace of 1 and the
@@ -232,6 +252,34 @@ class TestAttractor:
             assert att.dimension == ref.shape[1] == summary.lP_or_mP, name
             gap = np.linalg.norm(att.basis @ helpers.dag(att.basis) - ref @ helpers.dag(ref))
             assert gap <= 1e-9, f"{name}: projectors differ by {gap:.3e}"
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_stack_matches_complex_reference(self, d):
+        # the right columns read from the packed real eigenvectors are the
+        # ones the complex split built, up to rounding, in the same order:
+        # same width, same rank decision and the same span; the left ones,
+        # which only the projections read, span the same space
+        def rank(cols):
+            return linalg.numerical_rank(scipy.linalg.svdvals(cols), cols.shape,
+                                         asymptotics.ATTRACTOR_RANK_TOL)
+
+        names, off_axis = set(), 0
+        for name, subject in helpers.oracle_subjects(d, seeds=2):
+            summary = spectra.summarize(subject)
+            stack, left, _ = asymptotics._peripheral_columns(subject.spectrum, summary)
+            ref, ref_left = helpers.reference_peripheral_columns(subject.spectrum, summary)
+            assert stack.shape == ref.shape and left.shape == ref_left.shape, name
+            assert np.abs(stack - ref).max() <= 1e-13, name
+            assert rank(stack) == rank(ref) == summary.lP_or_mP, name
+            assert scipy.linalg.subspace_angles(stack, ref).max() <= 1e-9, name
+            assert scipy.linalg.subspace_angles(left, ref_left).max() <= 1e-9, name
+            multiple = summary.peripheral & (summary.multiplicities > 1)
+            off_axis += int((multiple & (2 * np.abs(summary.values.imag)
+                                         > summary.cluster_tol)).any())
+            if (summary.peripheral & ~multiple & (summary.values.imag > 0)).any():
+                names.add(name.split("-s")[0])  # a singleton pair
+        assert {"haar-unitary", "gkls-hamiltonian"} <= names
+        assert off_axis >= (2 if d >= 3 else 0)  # the unitary and Hamiltonian constructors
 
 
 class TestComplexReference:

@@ -1,6 +1,8 @@
 import csv
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import numpy as np
@@ -376,6 +378,21 @@ class TestCliVerify:
         captured = capsys.readouterr()
         assert f"error: {message}" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--dims", "2", "--ensembles", "haar-unitary,haar-unitary"],
+         "repeated source 'haar-unitary'"),
+        (["--dims", "3,3", "--ensembles", "constructors"], "repeated dimension 3"),
+        (["--dims", "2,4,2", "--ensembles", "haar-unitary"], "repeated dimension 2"),
+    ], ids=["repeated-source", "repeated-dim", "repeated-dim-apart"])
+    def test_repeated_campaign_key_exit_2(self, tmp_path, capsys, argv, message):
+        # each (source, dim, index) is one CSV row: a repeat would write the
+        # same subject twice or two subjects under one key
+        out = tmp_path / "campaign.csv"
+        assert main(["verify", *argv, "--per-dim", "2", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err and captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("ensemble, option, value, message", [
         ("cptp-stinespring", "--env-dim", "0", "env_dim must be at least 1, got 0"),
         ("gkls-generic", "--env-dim", "0", "env_dim must be at least 1, got 0"),
@@ -590,6 +607,31 @@ class TestParserReuse:
         assert exc.value.code == 2
         assert builds["build_parser"] == 1
         cli._parser.cache_clear()
+
+
+class TestModuleEntryPoint:
+    """``python -m oqspectra`` runs ``cli.main`` and exits with its code."""
+
+    @staticmethod
+    def run(*argv):
+        src = pathlib.Path(cli.__file__).parents[1]  # the directory holding oqspectra/
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        return subprocess.run([sys.executable, "-m", "oqspectra", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_verify_exits_0(self):
+        done = self.run("verify", "--dims", "2", "--per-dim", "1", "--ensembles", "constructors")
+        assert done.returncode == 0, done.stderr
+        rows = list(csv.DictReader(done.stdout.splitlines()))
+        assert [row["note"] for row in rows] == [
+            "constructor:unitary", "constructor:phase-damping",
+            "constructor:hamiltonian", "constructor:dissipative"]
+        assert "subjects analyzed:     4" in done.stderr
+
+    def test_invalid_input_exits_2(self):
+        done = self.run("verify", "--dims", "3,3", "--ensembles", "constructors")
+        assert done.returncode == 2 and done.stdout == ""
+        assert "error: repeated dimension 3" in done.stderr
 
 
 class TestCampaignErrors:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 import scipy.optimize
 from hypothesis import given
 from hypothesis import strategies as st
@@ -97,20 +98,41 @@ class TestLapackKernels:
     """The direct dgeev/dgesdd kernels return scipy's results bit for bit."""
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_real_eig_is_raw_dgeev(self, d):
+        for name, subject in helpers.oracle_subjects(d, seeds=1):
+            b, b_inv, _ = linalg.hermitian_basis(d)
+            r = (b_inv @ subject.superop @ b).real
+            lwork = int(scipy.linalg.lapack.dgeev_lwork(d * d)[0])
+            wr, wi, vl, vr, info = scipy.linalg.lapack.dgeev(r, lwork=lwork)
+            assert info == 0
+            for got, ref in zip(linalg.real_eig(r), (wr + 1j * wi, vl, vr)):
+                assert same_bits(got, ref), name
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_eig_is_scipy_eig(self, d):
-        # the 4 constructors and the 5 ensembles; phase damping has an
-        # all-real spectrum, whose eigenvectors stay real
+        # the 4 constructors and the 5 ensembles: the packed float64 vectors
+        # unpack to scipy's bit for bit; phase damping has an all-real
+        # spectrum, whose eigenvectors scipy leaves real
         real_vectors = []
         for name, subject in helpers.oracle_subjects(d, seeds=1):
             b, b_inv, _ = linalg.hermitian_basis(d)
             r = (b_inv @ subject.superop @ b).real
             spectrum = linalg.eig(subject.superop)
+            assert spectrum.vl.dtype == spectrum.vr.dtype == np.float64, name
+            got = (spectrum.values,
+                   *helpers.unpack_eigenvectors(spectrum.values, spectrum.vl, spectrum.vr))
             want = scipy.linalg.eig(r, left=True, right=True, check_finite=False)
-            for got, ref in zip((spectrum.values, spectrum.vl, spectrum.vr), want):
-                assert same_bits(got, ref), name
-            if spectrum.vr.dtype == np.float64:
+            for g, ref in zip(got, want):
+                assert same_bits(g, ref), name
+            if want[2].dtype == np.float64:
                 real_vectors.append(name)
         assert "phase-damping" in real_vectors
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_cached_vectors_are_float64(self, d):
+        for name, subject in helpers.oracle_subjects(d) + helpers.subjects_and_derived(d):
+            spectrum = subject.spectrum
+            assert spectrum.vl.dtype == spectrum.vr.dtype == np.float64, name
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_null_space_and_certificate_are_scipy_svd(self, d):

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -80,6 +82,9 @@ class TestCluster:
                     min_size=1, max_size=12),
            st.sampled_from([1e-7, 1e-4, 1e-2, 0.5]),
            st.randoms())
+    # values that never chain: singletons 1.5 tol apart on a lattice
+    @example([(0.3 + 0.2j + 1.5e-4 * complex(a, b), 1, 0.0) for a in range(-3, 4)
+              for b in range(-2, 3)], 1e-4, random.Random(0))
     def test_matches_union_find_reference(self, planted, tol, pyrandom):
         # clusters of up to 10 values on a circle of radius <= 0.45 tol
         # around each planted center; nearby centers chain together
@@ -100,6 +105,8 @@ class TestCluster:
             if m == 1:
                 (v,) = [v for v in values if v == c]
                 assert np.complex128(c).tobytes() == np.complex128(v).tobytes()
+        if all(m == 1 for _, m in got):  # nothing chains: the reference's order exactly
+            assert got == ref
 
     def test_shuffled_long_chain_is_one_cluster(self, rng):
         # neighbours 0.9 tol apart, ends 9.9 tol apart: one propagation
