@@ -23,8 +23,6 @@ SCHEMA = "oqs/1"
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    kind: spectra.Kind
-    dim: int
     classification: str
     summary: SpectralSummary
     fixed_dim: int  # nullspace dimension of (M - I) or L
@@ -44,21 +42,17 @@ def analyze(subject,
             cluster_tol: float | None = None,
             peripheral_tol: float = spectra.DEFAULT_PERIPHERAL_TOL,
             markovian: bool = False,
-            with_commutant: bool = True,
-            summary: SpectralSummary | None = None,
-            classification: str | None = None) -> AnalysisReport:
-    """Analyze a channel or a generator.  ``markovian`` adds the
-    Markovian-only CKKS-derived channel bound.  A given ``summary`` must be
-    the subject's own at these tolerances, and a given ``classification``
-    the one of that summary."""
+            with_commutant: bool = True) -> AnalysisReport:
+    """Analyze a channel or a generator: one summary and one classification
+    at the given tolerances, a second of each only when the re-analysis
+    protocol runs.  ``markovian`` adds the Markovian-only CKKS-derived
+    channel bound."""
     timings: dict = {}
     t0 = time.perf_counter()
-    if summary is None:
-        summary = spectra.summarize(subject, cluster_tol, peripheral_tol)
+    summary = spectra.summarize(subject, cluster_tol, peripheral_tol)
     timings["spectra"] = time.perf_counter() - t0
 
-    if classification is None:
-        classification = bounds.classify(subject, summary)
+    classification = bounds.classify(subject, summary)
     fixed_dim, discrepancy = _nullspace_dim(subject, summary)
     report = _bound_report(summary, classification, markovian)
     rechecked = False
@@ -87,8 +81,6 @@ def analyze(subject,
         timings["commutant"] = time.perf_counter() - t2
 
     return AnalysisReport(
-        kind=subject.kind,
-        dim=subject.dim,
         classification=classification,
         summary=summary,
         fixed_dim=fixed_dim,
@@ -128,8 +120,8 @@ def report_to_json(report: AnalysisReport) -> dict:
     summary = spectra.summary_to_json(report.summary)
     return {
         "schema": SCHEMA,
-        "kind": report.kind.name,
-        "dim": report.dim,
+        "kind": report.summary.kind.name,
+        "dim": report.summary.dim,
         "classification": report.classification,
         "summary": summary,
         "subspaces": {
@@ -148,8 +140,8 @@ def report_to_json(report: AnalysisReport) -> dict:
 def report_to_table(report: AnalysisReport) -> str:
     """Human-readable rendering with the same numeric content as the JSON."""
     lines = [
-        f"kind            {report.kind.name}",
-        f"dim             {report.dim}",
+        f"kind            {report.summary.kind.name}",
+        f"dim             {report.summary.dim}",
         f"classification  {report.classification}",
         f"l0/m0           {report.summary.l0_or_m0}",
         f"lP/mP           {report.summary.lP_or_mP}",

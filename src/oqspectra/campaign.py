@@ -1,33 +1,31 @@
 """Seeded verification campaigns over constructors and random ensembles.
 
 One CSV row per analyzed subject.  Identical seeds give byte-identical CSV
-files: every subject draws from its own ``default_rng((seed, dim-block,
-index))`` stream and floats are written with a fixed 12-significant-digit
-format.  A sampled subject is decomposed, summarized and classified once:
-the default-tolerance summary and classification that accept it are the
-ones the analysis reads.  A subject whose analysis raises (``ValueError``,
-``LinAlgError``, ``ConsistencyError``) becomes a row with an empty report
-and ``note=error:<type>``, counted as an oracle mismatch; it never aborts
-the campaign.
+files: every subject draws from its own ``default_rng((seed, source,
+dim-block, index, 0))`` stream and floats are written with a fixed
+12-significant-digit format.  A sampled subject is drawn once and analyzed
+once, and each ensemble's advertised classes make the campaign an oracle: a
+draw classified outside them is an oracle mismatch row with its full report.
+A subject whose draw or analysis raises (``ValueError``, ``LinAlgError``,
+``ConsistencyError``) becomes a row with an empty report and
+``note=error:<type>``, counted as an oracle mismatch; it never aborts the
+campaign.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis, asymptotics, bounds, constructions, spectra
+from . import analysis, asymptotics, constructions
 from .constructions import ENSEMBLES
-from .spectra import SpectralSummary
-from .superop import ValidationError
 
 CONSTRUCTORS = "constructors"
 ALL_SOURCES = (CONSTRUCTORS,) + tuple(ENSEMBLES)
-MAX_RESAMPLES = 64
-CKKS_NOTE = "ckks violated on unital sample"  # only where CKKS is proved
 
 CSV_COLUMNS = (
     "source", "dim", "index", "seed", "kind", "classification",
@@ -73,17 +71,20 @@ class CampaignRow:
     index: int
     seed: str
     report: analysis.AnalysisReport
-    rejects: int = 0
-    violation: bool = False
-    note: str = ""
+    failure: str  # "", "structural", "oracle" or "ckks"
+    note: str
+
+    @property
+    def violation(self) -> bool:
+        return bool(self.failure)
 
 
 @dataclass
 class CampaignResult:
-    rows: list[CampaignRow] = field(default_factory=list)
-    structural_violations: int = 0
-    oracle_mismatches: int = 0
-    ckks_unital_failures: int = 0
+    rows: list[CampaignRow]
+    structural_violations: int
+    oracle_mismatches: int
+    ckks_unital_failures: int
 
     @property
     def clean(self) -> bool:
@@ -93,16 +94,10 @@ class CampaignResult:
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:
     rows = [_run_task(t) for t in _subject_tasks(config)]
-    result = CampaignResult(rows=rows)
-    for row in rows:
-        if row.violation:
-            if row.note == CKKS_NOTE:
-                result.ckks_unital_failures += 1
-            elif row.note.startswith(("oracle", "error:")):
-                result.oracle_mismatches += 1
-            else:
-                result.structural_violations += 1
-    return result
+    counts = Counter(row.failure for row in rows)
+    return CampaignResult(rows=rows, structural_violations=counts["structural"],
+                          oracle_mismatches=counts["oracle"],
+                          ckks_unital_failures=counts["ckks"])
 
 
 @dataclass(frozen=True)
@@ -134,7 +129,7 @@ def _run_task(task: _Task) -> CampaignRow:
     except (ValueError, np.linalg.LinAlgError, asymptotics.ConsistencyError) as exc:
         seed = "" if task.seed_key is None else "-".join(map(str, task.seed_key))
         return CampaignRow(source=task.source, dim=task.dim, index=task.index, seed=seed,
-                           report=None, violation=True, note=f"error:{type(exc).__name__}")
+                           report=None, failure="oracle", note=f"error:{type(exc).__name__}")
 
 
 def _run_constructor(task: _Task) -> CampaignRow:
@@ -144,61 +139,35 @@ def _run_constructor(task: _Task) -> CampaignRow:
     report = analysis.analyze(subject, markovian=name == "phase-damping",
                               with_commutant=False)
     observed = (report.summary.l0_or_m0, report.summary.lP_or_mP)
-    note, violation = f"constructor:{name}", True
+    failure, note = "", f"constructor:{name}"
     if observed != expected:
+        failure = "oracle"
         note = f"oracle mismatch {name}: counts {observed} != advertised {expected}"
     elif not report.bounds_satisfied:
-        note = f"constructor:{name} bound check failed"
-    else:
-        violation = False
+        failure, note = "structural", f"constructor:{name} bound check failed"
     return CampaignRow(source=task.source, dim=d, index=task.index, seed="",
-                       report=report, violation=violation, note=note)
+                       report=report, failure=failure, note=note)
 
 
 def _run_sampled(task: _Task) -> CampaignRow:
-    rng_key = task.seed_key
-    rejects = 0
-    note = ""
-    subject = None
-    for attempt in range(MAX_RESAMPLES):
-        rng = np.random.default_rng(rng_key + (attempt,))
-        try:
-            subject = constructions.draw(task.source, task.dim, rng, task.env_dim)
-        except ValidationError:
-            rejects += 1
-            continue
-        accepted = _acceptable(task.source, subject)
-        if accepted is not None:
-            break
-        rejects += 1
-        subject = None
-    if subject is None:
-        return CampaignRow(source=task.source, dim=task.dim, index=task.index,
-                           seed="-".join(map(str, rng_key)), report=None, rejects=rejects,
-                           violation=True, note="oracle: resampling exhausted")
-
-    summary, classification = accepted
-    report = analysis.analyze(subject, with_commutant=False, summary=summary,
-                              classification=classification)
-    violation = not report.bounds_satisfied
-    if violation:
+    """One draw, one analysis.  An unadvertised class outranks a CKKS
+    failure, which outranks a bound violation."""
+    ensemble = ENSEMBLES[task.source]
+    rng = np.random.default_rng(task.seed_key + (0,))
+    subject = constructions.draw(task.source, task.dim, rng, task.env_dim)
+    report = analysis.analyze(subject, with_commutant=False)
+    failure = note = ""
+    if report.classification not in ensemble.advertised:
+        failure = "oracle"
+        note = f"oracle: {report.classification} not advertised by {task.source}"
+    elif ensemble.ckks_proved and not report.bound_report.ckks.satisfied.all():
+        failure, note = "ckks", "ckks violated on unital sample"
+    elif not report.bounds_satisfied:
+        failure = "structural"
         note = "bound violation" if report.discrepancy is None else report.discrepancy
-    if ENSEMBLES[task.source].ckks_proved and not report.bound_report.ckks.satisfied.all():
-        violation = True
-        note = CKKS_NOTE
     return CampaignRow(source=task.source, dim=task.dim, index=task.index,
-                       seed="-".join(map(str, rng_key)), report=report, rejects=rejects,
-                       violation=violation, note=note)
-
-
-def _acceptable(source: str, subject) -> tuple[SpectralSummary, str] | None:
-    """The default-tolerance summary and classification if the subject lands
-    in a classification its generic ensemble advertises, else None."""
-    summary = spectra.summarize(subject)
-    classification = bounds.classify(subject, summary)
-    if classification not in ENSEMBLES[source].advertised:
-        return None
-    return summary, classification
+                       seed="-".join(map(str, task.seed_key)), report=report,
+                       failure=failure, note=note)
 
 
 def rows_to_csv(rows: list[CampaignRow]) -> str:
@@ -209,7 +178,7 @@ def rows_to_csv(rows: list[CampaignRow]) -> str:
         rep = row.report
         if rep is None:
             writer.writerow([row.source, row.dim, row.index, row.seed,
-                             "", "", "", "", "", "", "", "", row.rejects,
+                             "", "", "", "", "", "", "", "", 0,
                              "", int(row.violation), row.note])
             continue
         steady = next((c.margin for c in rep.bound_report.checks
@@ -221,9 +190,9 @@ def rows_to_csv(rows: list[CampaignRow]) -> str:
         if ckks.margin.size:
             ckks_min, ckks_ok = f"{ckks.margin.min():.12g}", int(ckks.satisfied.all())
         writer.writerow([
-            row.source, row.dim, row.index, row.seed, rep.kind.name,
+            row.source, row.dim, row.index, row.seed, rep.summary.kind.name,
             rep.classification, rep.summary.l0_or_m0, rep.summary.lP_or_mP,
-            steady, periph, ckks_min, ckks_ok, row.rejects,
+            steady, periph, ckks_min, ckks_ok, 0,  # rejects: no draw is redrawn
             int(rep.rechecked), int(row.violation), row.note,
         ])
     return buf.getvalue()

@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="seeded verification campaign")
     p_verify.add_argument("--dims", default="2..4",
-                          help="range like 2..6 or list like 2,3,5")
+                          help="comma list of integers and inclusive ranges, e.g. 2..4,6")
     p_verify.add_argument("--per-dim", type=int, default=100)
     p_verify.add_argument("--ensembles", default=",".join(campaign.ALL_SOURCES),
                           help=f"comma list from {campaign.ALL_SOURCES}")
@@ -172,11 +172,15 @@ def _cmd_analyze(args) -> int:
 
 
 def _parse_dims(spec: str) -> tuple[int, ...]:
-    spec = spec.strip()
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(tok) for tok in spec.split(",") if tok)
+    """A comma list whose items are each an integer or an inclusive range a..b."""
+    dims = []
+    for item in filter(None, map(str.strip, spec.split(","))):
+        lo, dots, hi = item.partition("..")
+        try:
+            dims += range(int(lo), int(hi) + 1) if dots else [int(lo)]
+        except ValueError:
+            raise ValueError(f"--dims: {item!r} is neither an integer nor a range a..b") from None
+    return tuple(dims)
 
 
 def _cmd_verify(args) -> int:

@@ -236,7 +236,7 @@ class Ensemble:
     """What a random ensemble draws and promises."""
 
     draw: Callable[[int, np.random.Generator, int | None], Subject]  # (d, rng, env_dim)
-    advertised: tuple[str, ...]  # the classifications a draw is accepted in
+    advertised: tuple[str, ...]  # the classes a draw must land in
     ckks_proved: bool  # CKKS is a theorem here, so a violation is a failure
 
 

@@ -460,7 +460,7 @@ class TestFaithfulReduce:
         # which is no theorem and must not be reported as violated
         red = faithful_reduce(amplitude_damping(0.5))
         rep = analysis.analyze(red.reduced_channel)
-        assert rep.dim == 1 and rep.bounds_satisfied
+        assert rep.summary.dim == 1 and rep.bounds_satisfied
         assert all(c.satisfied for c in rep.bound_report.checks)
 
     def test_pinching_already_faithful(self):

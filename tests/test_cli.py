@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import pathlib
@@ -359,6 +360,23 @@ class TestCliVerify:
         dims = {line.split(",")[1] for line in out.read_text().splitlines()[1:]}
         assert dims == {"2", "3"}
 
+    def test_dims_mixed_ranges_and_integers(self, tmp_path):
+        out = tmp_path / "d.csv"
+        assert main(["verify", "--dims", "2..3,5", "--per-dim", "1",
+                     "--ensembles", "haar-unitary", "--out", str(out)]) == 0
+        assert [line.split(",")[1] for line in out.read_text().splitlines()[1:]] == [
+            "2", "3", "5"]
+
+    @pytest.mark.parametrize("value, item", [("2,x", "x"), ("2..", "2.."), ("..3", "..3"),
+                                             ("2..3..4", "2..3..4")])
+    def test_malformed_dims_exit_2(self, tmp_path, capsys, value, item):
+        out = tmp_path / "d.csv"
+        assert main(["verify", "--dims", value, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: --dims: {item!r} is neither an integer "
+                                "nor a range a..b\n")
+        assert captured.out == "" and not out.exists()
+
     def test_unknown_ensemble_exit_2(self, capsys):
         assert main(["verify", "--ensembles", "bogus"]) == 2
 
@@ -383,7 +401,8 @@ class TestCliVerify:
          "repeated source 'haar-unitary'"),
         (["--dims", "3,3", "--ensembles", "constructors"], "repeated dimension 3"),
         (["--dims", "2,4,2", "--ensembles", "haar-unitary"], "repeated dimension 2"),
-    ], ids=["repeated-source", "repeated-dim", "repeated-dim-apart"])
+        (["--dims", "2..3,3", "--ensembles", "haar-unitary"], "repeated dimension 3"),
+    ], ids=["repeated-source", "repeated-dim", "repeated-dim-apart", "repeated-dim-in-range"])
     def test_repeated_campaign_key_exit_2(self, tmp_path, capsys, argv, message):
         # each (source, dim, index) is one CSV row: a repeat would write the
         # same subject twice or two subjects under one key
@@ -523,7 +542,8 @@ class TestCampaignWork:
     def test_one_eig_per_sampled_generator(self, monkeypatch):
         calls, _ = helpers.count_decompositions(monkeypatch)
         result = campaign.run_campaign(self.CONFIG)
-        assert [row.rejects for row in result.rows] == [0] * 5
+        rows = list(csv.DictReader(campaign.rows_to_csv(result.rows).splitlines()))
+        assert [row["rejects"] for row in rows] == ["0"] * 5
         assert calls["real_eig"] + calls["eig"] + calls["eigvals"] == 5
         assert calls["eig"] == 0
 
@@ -532,7 +552,7 @@ class TestCampaignWork:
         cfg = campaign.CampaignConfig(dims=(2, 3), per_dim=3, seed=4,
                                       sources=campaign.ENSEMBLES)
         result = campaign.run_campaign(cfg)
-        draws = sum(1 + row.rejects for row in result.rows)
+        draws = len(result.rows)
         assert not any(row.report.rechecked for row in result.rows)
         assert calls["summarize"] == draws
 
@@ -544,7 +564,7 @@ class TestCampaignWork:
         calls, dtypes = helpers.count_decompositions(monkeypatch)
         cfg = campaign.CampaignConfig(dims=(6,), per_dim=2, sources=campaign.ALL_SOURCES)
         result = campaign.run_campaign(cfg)
-        draws = sum(1 + row.rejects for row in result.rows)
+        draws = len(result.rows)
         assert not any(row.report.rechecked for row in result.rows)
         assert calls["real_eig"] == draws and calls["eig"] == calls["eigvals"] == 0
         assert calls["real_svd"] + calls["svd"] + calls["svdvals"] <= 1.6 * len(result.rows)
@@ -582,9 +602,33 @@ class TestCampaignWork:
         cfg = campaign.CampaignConfig(dims=(2, 3), per_dim=3, seed=4,
                                       sources=campaign.ENSEMBLES)
         result = campaign.run_campaign(cfg)
-        draws = sum(1 + row.rejects for row in result.rows)
+        draws = len(result.rows)
         assert not any(row.report.rechecked for row in result.rows)
         assert calls["classify"] == draws
+
+    def test_unadvertised_draw_is_one_oracle_mismatch_row(self, monkeypatch, tmp_path, capsys):
+        # every gkls-generic draw is non-hamiltonian: with only "hamiltonian"
+        # advertised, each one is an oracle mismatch row with its full
+        # report, from one draw and one summary, never a redraw
+        ensemble = campaign.ENSEMBLES["gkls-generic"]
+        monkeypatch.setitem(campaign.ENSEMBLES, "gkls-generic",
+                            dataclasses.replace(ensemble, advertised=("hamiltonian",)))
+        calls = helpers.count_calls(monkeypatch, spectra, ("summarize",))
+        result = campaign.run_campaign(self.CONFIG)
+        assert calls["summarize"] == len(result.rows) == 5
+        assert result.oracle_mismatches == len(result.rows)
+        assert result.structural_violations == result.ckks_unital_failures == 0
+        for row in result.rows:
+            assert row.failure == "oracle" and row.violation
+            assert row.report is not None and row.report.classification == "non-hamiltonian"
+            assert row.note == "oracle: non-hamiltonian not advertised by gkls-generic"
+        rows = list(csv.DictReader(campaign.rows_to_csv(result.rows).splitlines()))
+        assert [row["rejects"] for row in rows] == ["0"] * 5
+        assert all(row["l0_or_m0"] == "1" and row["violation"] == "1" for row in rows)
+        out = tmp_path / "c.csv"
+        assert main(["verify", "--dims", "3", "--per-dim", "2", "--ensembles", "gkls-generic",
+                     "--out", str(out)]) == 1
+        assert "oracle mismatches:     2" in capsys.readouterr().err
 
 
 class TestParserReuse:

@@ -1,8 +1,12 @@
-"""Every ```python block of README.md runs as written, so the quickstart
-names only API that exists."""
+"""Every ```python block of README.md runs as written and every
+``oqspectra`` command line of its ```sh blocks parses, so the quickstart
+names only API and options that exist."""
 
 import pathlib
 import re
+import shlex
+
+from oqspectra import cli
 
 README = pathlib.Path(__file__).parents[1] / "README.md"
 
@@ -12,3 +16,17 @@ def test_python_blocks_run():
     assert blocks
     for k, code in enumerate(blocks, 1):
         exec(compile(code, f"README.md python block {k}", "exec"), {"__name__": "readme"})
+
+
+def test_command_lines_parse():
+    # every `oqspectra ...` line of the sh blocks, cut at a pipe or a
+    # comment, parses with the CLI's own parser; nothing runs
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.M | re.S)
+    lines = [shlex.split(re.split(r"[|#]", line)[0]) for block in blocks
+             for line in block.splitlines()]
+    commands = [words[1:] for words in lines if words[:1] == ["oqspectra"]]
+    assert len(commands) >= 4
+    for argv in commands:
+        args = cli.build_parser().parse_args(argv)
+        if args.command == "verify":
+            assert cli._parse_dims(args.dims), argv
