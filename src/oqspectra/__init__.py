@@ -24,12 +24,7 @@ from .bounds import (
     classify,
     structural_ceiling,
 )
-from .commutants import (
-    JordanProfile,
-    commutant,
-    commutant_dim_from_jordan,
-    weyr_profile,
-)
+from .commutants import commutant
 from .constructions import (
     SamplerConfig,
     draw,

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg, spectra, superop
 from .linalg import dagger, unvec, vec
@@ -110,7 +109,7 @@ def attractor(subject, summary: spectra.SpectralSummary | None = None) -> Subspa
             f"{summary.lP_or_mP}"
         )
     return SubspaceBasis(rank, lambda: spectrum.to_matrix(
-        scipy.linalg.svd(stack, full_matrices=False)[0][:, :rank]))
+        linalg.svd(stack, full_matrices=False)[0][:, :rank]))
 
 
 def _peripheral_columns(spectrum: linalg.Spectrum, summary: spectra.SpectralSummary,

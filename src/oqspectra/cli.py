@@ -21,7 +21,7 @@ import functools
 import json
 import sys
 
-from . import analysis, campaign, constructions, gkls, spectra, superop
+from . import analysis, campaign, constructions, gkls, linalg, spectra, superop
 from .superop import ValidationError
 
 
@@ -99,12 +99,11 @@ def main(argv=None) -> int:
 @functools.cache
 def _openblas_thread_controls() -> tuple:
     """``(get, set)`` thread-count functions of every OpenBLAS this process
-    has loaded (numpy and scipy each bundle their own copy), looked up once.
+    has loaded (numpy's, and scipy's once imported), looked up once.
     Empty where none is found, e.g. with MKL or off Linux."""
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-        paths = [p for p in paths if p.startswith("/")]
     except OSError:
         return ()
     controls = []
@@ -113,22 +112,13 @@ def _openblas_thread_controls() -> tuple:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        get = _openblas_function(lib, "get_num_threads")
-        set_ = _openblas_function(lib, "set_num_threads")
+        get = linalg.openblas_symbol(lib, "openblas_get_num_threads")
+        set_ = linalg.openblas_symbol(lib, "openblas_set_num_threads")
         if get is not None and set_ is not None:
             get.argtypes, get.restype = [], ctypes.c_int
             set_.argtypes, set_.restype = [ctypes.c_int], None
             controls.append((get, set_))
     return tuple(controls)
-
-
-def _openblas_function(lib, stem: str):
-    for prefix in ("scipy_openblas_", "openblas_"):
-        for suffix in ("64_", ""):
-            fn = getattr(lib, prefix + stem + suffix, None)
-            if fn is not None:
-                return fn
-    return None
 
 
 @contextlib.contextmanager

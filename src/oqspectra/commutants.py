@@ -1,50 +1,25 @@
-"""Commutants of operator sets and commutant dimension from Jordan data.
+"""Commutants of operator sets.
 
 The brute-force route stacks the commutation superoperators
-C_A = I (x) A - A^T (x) I and takes their joint nullspace; it provides the
-commutant basis and is the oracle for the cheaper routes.  The Gram route
-(:func:`commutant_dimension`) reads the dimension off the d^2 x d^2
-Hermitian matrix G = sum_A C_A^dag C_A, whose nullspace is the commutant,
-without building the 2K d^2-row stack, and in real Hermitian coordinates
-for the *-closed sets analysis passes; it answers only when it can certify
-the brute-force count and falls back to it otherwise.  The structural
-route reads the dimension off the Jordan block profile via the Weyr
-characteristic: for one eigenvalue with block sizes d_1, d_2, ... the
-contribution is sum_i s_i^2 with s_i = #{j : d_j >= i}.
-
-Jordan structure is numerically unstable, so :func:`weyr_profile` only
-proceeds when the eigenvalue clusters are certifiably separated; it refuses
-rather than guessing.
+C_A = I (x) A - A^T (x) I and takes their joint nullspace: the commutant
+basis, and the oracle of the Gram route (:func:`commutant_dimension`), which
+reads the dimension off the d^2 x d^2 Hermitian G = sum_A C_A^dag C_A,
+whose nullspace is the commutant, in real Hermitian coordinates for the
+*-closed sets analysis passes, and falls back when it cannot certify it.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from . import linalg, spectra, superop
+from . import linalg, superop
 from .asymptotics import SubspaceBasis
 from .linalg import require_square
 
-SEPARATION_FACTOR = 100.0  # required cluster separation, in units of cluster_tol
-DEFAULT_RANK_TOL = 1e-10
-RANK_GAP_FACTOR = 10.0  # singular values must drop by this across the rank cut
 GRAM_NULL_FACTOR = 10.0  # Gram eigenvalues <= this * d^2 * eps * ref^2 count as null
 GRAM_GAP_FACTOR = 1e3  # the first non-null Gram eigenvalue must clear the cut by this
-
-
-@dataclass(frozen=True)
-class JordanProfile:
-    """Distinct eigenvalues with their Jordan block sizes."""
-
-    eigenvalues: tuple[tuple[complex, tuple[int, ...]], ...]
-
-    @property
-    def dim(self) -> int:
-        return sum(sum(sizes) for _, sizes in self.eigenvalues)
 
 
 def commutant(ops, tol: float = 0.0) -> SubspaceBasis:
@@ -127,95 +102,3 @@ def _hermitian_coordinates(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     weights = np.stack([wr.conj()[:, None] * wc for _, wr in terms for _, wc in terms])
     imag = weights.imag != 0  # Re(w g) is Re w Re g, or -Im w Im g
     return u, 2 * idx + imag, np.where(imag, -weights.imag, weights.real)
-
-
-def commutant_dim_from_jordan(profile: JordanProfile) -> int:
-    """Commutant dimension of a single matrix from its Jordan profile."""
-    total = 0
-    for _, sizes in profile.eigenvalues:
-        if not sizes or any(s < 1 for s in sizes):
-            raise ValueError(f"invalid block sizes {sizes}")
-        top = max(sizes)
-        for i in range(1, top + 1):
-            s_i = sum(1 for s in sizes if s >= i)
-            total += s_i * s_i
-    return total
-
-
-def weyr_profile(a, cluster_tol: float | None = None) -> JordanProfile:
-    """Numerical Jordan profile via Weyr rank sequences.
-
-    For each distinct eigenvalue the ranks of (A - lambda I)^i are computed
-    with re-orthogonalized image iterates (never explicit high powers), and
-    the block sizes are the conjugate partition of the rank differences.
-    Raises if the eigenvalue clusters are separated by less than
-    ``SEPARATION_FACTOR`` times the clustering tolerance, or if the rank
-    sequence is inconsistent with the clustered multiplicities.
-    """
-    m = require_square(a)
-    d = m.shape[0]
-    w = scipy.linalg.eigvals(m)
-    radius = float(np.max(np.abs(w))) if d else 0.0
-    ctol = cluster_tol if cluster_tol is not None else spectra.default_cluster_tol(radius)
-    centers, mults = spectra.cluster(w, ctol)
-    diff = centers[:, None] - centers[None, :]
-    gaps = np.hypot(diff.real, diff.imag)
-    close = np.argwhere(np.triu(gaps < SEPARATION_FACTOR * ctol, 1))
-    centers = centers.tolist()
-    if close.size:
-        i, j = close[0]
-        raise ValueError(
-            f"eigenvalue clusters {centers[i]:.6g} and {centers[j]:.6g} "
-            f"separated by {gaps[i, j]:.3e} < {SEPARATION_FACTOR} x cluster_tol; "
-            "Jordan structure not certifiable"
-        )
-
-    profile = [(center, tuple(_block_sizes(m, center, mult)))
-               for center, mult in zip(centers, mults.tolist())]
-    return JordanProfile(eigenvalues=tuple(profile))
-
-
-def _block_sizes(m: np.ndarray, center: complex, mult: int) -> list[int]:
-    d = m.shape[0]
-    shifted = m - center * np.eye(d)
-    # Anchor the cutoff at the scale of A itself: when A is (numerically) a
-    # scalar matrix the shifted matrix is pure rounding noise.
-    scale = float(max(np.linalg.norm(shifted, 2), np.linalg.norm(m, 2)))
-    if scale == 0.0 or np.linalg.norm(shifted, 2) <= DEFAULT_RANK_TOL * scale:
-        # A = center * I: every block is trivial.
-        return [1] * mult
-
-    # Image iteration: q spans im((A - c I)^i); rank of the next power is the
-    # rank of (A - c I) restricted to that image.  Never forms explicit high
-    # powers, so rounding noise stays at the eps * ||A - c I|| level.
-    ranks = [d]
-    q = np.eye(d, dtype=np.complex128)
-    while True:
-        x = shifted @ q
-        u, s, _ = scipy.linalg.svd(x, full_matrices=False)
-        r = int(np.sum(s > DEFAULT_RANK_TOL * scale))
-        if 0 < r < s.size and s[r - 1] < RANK_GAP_FACTOR * s[r]:
-            raise ValueError(
-                f"no certified singular-value gap at eigenvalue {center:.6g} "
-                f"(sigma_{r} = {s[r - 1]:.3e}, sigma_{r + 1} = {s[r]:.3e})"
-            )
-        ranks.append(r)
-        if r == ranks[-2]:  # stabilized: no more nilpotent directions
-            break
-        if len(ranks) > d + 1:
-            break
-        q = u[:, :r]
-
-    weyr = [ranks[i - 1] - ranks[i] for i in range(1, len(ranks))]
-    weyr = [x for x in weyr if x > 0]
-    if sum(weyr) != mult or any(weyr[i] < weyr[i + 1] for i in range(len(weyr) - 1)):
-        raise ValueError(
-            f"rank sequence {ranks} inconsistent with multiplicity {mult} at "
-            f"eigenvalue {center:.6g}; refusing to guess the Jordan profile"
-        )
-    sizes: list[int] = []
-    weyr.append(0)
-    for i in range(len(weyr) - 1):
-        sizes.extend([i + 1] * (weyr[i] - weyr[i + 1]))
-    sizes.sort(reverse=True)
-    return sizes

@@ -85,7 +85,9 @@ def saturating_unitary_channel(d: int, h1: float = 0.0, h2: float = 1.0) -> Quan
     if math.isclose((h1 - h2) % (2 * math.pi), 0.0, abs_tol=1e-12) or \
             math.isclose((h1 - h2) % (2 * math.pi), 2 * math.pi, abs_tol=1e-12):
         raise ValueError("h1 - h2 must not be a multiple of 2*pi (trivial channel)")
-    return gkls.exponentiate(saturating_hamiltonian_generator(d, h1, h2), 1.0)
+    l_h = saturating_hamiltonian_generator(d, h1, h2).superop  # diagonal, as H is
+    return from_superop(np.diag(np.exp(np.diag(l_h))),  # what expm returns for it
+                        tp_tol=gkls.EXP_VALIDATION_TOL, cp_tol=gkls.EXP_VALIDATION_TOL)
 
 
 def saturating_dissipative_generator(

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg, spectra, superop
 from .linalg import dagger, require_square
@@ -96,6 +95,7 @@ def exponentiate(gen: GklsGenerator, t: float = 1.0) -> QuantumChannel:
     """
     if t < 0:
         raise ValueError("semigroup parameter t must be nonnegative")
+    import scipy.linalg  # here only: the command line never exponentiates
     m = scipy.linalg.expm(t * gen.superop)
     return superop.from_superop(
         m, tp_tol=EXP_VALIDATION_TOL, cp_tol=EXP_VALIDATION_TOL

@@ -7,12 +7,12 @@ never assert the implementation against itself.
 
 import collections
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from oqspectra import asymptotics, constructions, gkls, linalg, superop
-from oqspectra.commutants import JordanProfile
+from oqspectra import asymptotics, constructions, gkls, linalg, spectra, superop
 
 
 def count_calls(monkeypatch, module, names):
@@ -30,21 +30,19 @@ def count_calls(monkeypatch, module, names):
 
 
 def count_decompositions(monkeypatch):
-    """Spy on every dense eig and SVD entry point the package calls: the
-    real LAPACK kernels ``linalg.real_eig`` and ``linalg.real_svd``, and
-    scipy's ``eig``, ``eigvals``, ``svd`` and ``svdvals``, which it keeps for
-    complex matrices.  Returns the call counter by entry-point name and the
-    ``(name, input dtype)`` pairs in call order."""
+    """Spy on every dense eig and SVD entry point of the package: the real
+    LAPACK kernels ``linalg.real_eig`` and ``linalg.real_svd``, and
+    ``linalg.svd``, through which every complex SVD runs.  Returns the call
+    counter by entry-point name and the ``(name, input dtype)`` pairs in
+    call order."""
     calls, dtypes = collections.Counter(), []
-    entries = [(linalg, "real_eig"), (linalg, "real_svd")]
-    entries += [(scipy.linalg, name) for name in ("eig", "eigvals", "svd", "svdvals")]
-    for module, name in entries:
-        def spy(a, *args, _original=getattr(module, name), _name=name, **kwargs):
+    for name in ("real_eig", "real_svd", "svd"):
+        def spy(a, *args, _original=getattr(linalg, name), _name=name, **kwargs):
             calls[_name] += 1
             dtypes.append((_name, np.asarray(a).dtype))
             return _original(a, *args, **kwargs)
 
-        monkeypatch.setattr(module, name, spy)
+        monkeypatch.setattr(linalg, name, spy)
     return calls, dtypes
 
 
@@ -252,6 +250,121 @@ def plant_jordan(profile, rng, cond_max=1e3):
     s = np.sort(s)[::-1]
     sim = haar(d, rng) @ np.diag(s) @ dag(haar(d, rng))
     return sim @ j @ np.linalg.inv(sim)
+
+
+# The structural route to the commutant dimension of one matrix: the Weyr
+# characteristic of its Jordan profile.  For one eigenvalue with block
+# sizes d_1, d_2, ... the contribution is sum_i s_i^2 with
+# s_i = #{j : d_j >= i}.  Jordan structure is numerically unstable, so
+# weyr_profile only proceeds when the eigenvalue clusters are certifiably
+# separated; it refuses rather than guessing.
+
+SEPARATION_FACTOR = 100.0  # required cluster separation, in units of cluster_tol
+DEFAULT_RANK_TOL = 1e-10
+RANK_GAP_FACTOR = 10.0  # singular values must drop by this across the rank cut
+
+
+@dataclass(frozen=True)
+class JordanProfile:
+    """Distinct eigenvalues with their Jordan block sizes."""
+
+    eigenvalues: tuple[tuple[complex, tuple[int, ...]], ...]
+
+    @property
+    def dim(self) -> int:
+        return sum(sum(sizes) for _, sizes in self.eigenvalues)
+
+
+def commutant_dim_from_jordan(profile: JordanProfile) -> int:
+    """Commutant dimension of a single matrix from its Jordan profile."""
+    total = 0
+    for _, sizes in profile.eigenvalues:
+        if not sizes or any(s < 1 for s in sizes):
+            raise ValueError(f"invalid block sizes {sizes}")
+        top = max(sizes)
+        for i in range(1, top + 1):
+            s_i = sum(1 for s in sizes if s >= i)
+            total += s_i * s_i
+    return total
+
+
+def weyr_profile(a, cluster_tol: float | None = None) -> JordanProfile:
+    """Numerical Jordan profile via Weyr rank sequences.
+
+    For each distinct eigenvalue the ranks of (A - lambda I)^i are computed
+    with re-orthogonalized image iterates (never explicit high powers), and
+    the block sizes are the conjugate partition of the rank differences.
+    Raises if the eigenvalue clusters are separated by less than
+    ``SEPARATION_FACTOR`` times the clustering tolerance, or if the rank
+    sequence is inconsistent with the clustered multiplicities.
+    """
+    m = linalg.require_square(a)
+    d = m.shape[0]
+    w = scipy.linalg.eigvals(m)
+    radius = float(np.max(np.abs(w))) if d else 0.0
+    ctol = cluster_tol if cluster_tol is not None else spectra.default_cluster_tol(radius)
+    centers, mults = spectra.cluster(w, ctol)
+    diff = centers[:, None] - centers[None, :]
+    gaps = np.hypot(diff.real, diff.imag)
+    close = np.argwhere(np.triu(gaps < SEPARATION_FACTOR * ctol, 1))
+    centers = centers.tolist()
+    if close.size:
+        i, j = close[0]
+        raise ValueError(
+            f"eigenvalue clusters {centers[i]:.6g} and {centers[j]:.6g} "
+            f"separated by {gaps[i, j]:.3e} < {SEPARATION_FACTOR} x cluster_tol; "
+            "Jordan structure not certifiable"
+        )
+
+    profile = [(center, tuple(_block_sizes(m, center, mult)))
+               for center, mult in zip(centers, mults.tolist())]
+    return JordanProfile(eigenvalues=tuple(profile))
+
+
+def _block_sizes(m: np.ndarray, center: complex, mult: int) -> list[int]:
+    d = m.shape[0]
+    shifted = m - center * np.eye(d)
+    # Anchor the cutoff at the scale of A itself: when A is (numerically) a
+    # scalar matrix the shifted matrix is pure rounding noise.
+    scale = float(max(np.linalg.norm(shifted, 2), np.linalg.norm(m, 2)))
+    if scale == 0.0 or np.linalg.norm(shifted, 2) <= DEFAULT_RANK_TOL * scale:
+        # A = center * I: every block is trivial.
+        return [1] * mult
+
+    # Image iteration: q spans im((A - c I)^i); rank of the next power is the
+    # rank of (A - c I) restricted to that image.  Never forms explicit high
+    # powers, so rounding noise stays at the eps * ||A - c I|| level.
+    ranks = [d]
+    q = np.eye(d, dtype=np.complex128)
+    while True:
+        x = shifted @ q
+        u, s, _ = scipy.linalg.svd(x, full_matrices=False)
+        r = int(np.sum(s > DEFAULT_RANK_TOL * scale))
+        if 0 < r < s.size and s[r - 1] < RANK_GAP_FACTOR * s[r]:
+            raise ValueError(
+                f"no certified singular-value gap at eigenvalue {center:.6g} "
+                f"(sigma_{r} = {s[r - 1]:.3e}, sigma_{r + 1} = {s[r]:.3e})"
+            )
+        ranks.append(r)
+        if r == ranks[-2]:  # stabilized: no more nilpotent directions
+            break
+        if len(ranks) > d + 1:
+            break
+        q = u[:, :r]
+
+    weyr = [ranks[i - 1] - ranks[i] for i in range(1, len(ranks))]
+    weyr = [x for x in weyr if x > 0]
+    if sum(weyr) != mult or any(weyr[i] < weyr[i + 1] for i in range(len(weyr) - 1)):
+        raise ValueError(
+            f"rank sequence {ranks} inconsistent with multiplicity {mult} at "
+            f"eigenvalue {center:.6g}; refusing to guess the Jordan profile"
+        )
+    sizes: list[int] = []
+    weyr.append(0)
+    for i in range(len(weyr) - 1):
+        sizes.extend([i + 1] * (weyr[i] - weyr[i + 1]))
+    sizes.sort(reverse=True)
+    return sizes
 
 
 def oracle_subjects(d, seeds=3):

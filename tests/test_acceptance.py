@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import helpers
+from helpers import commutant_dim_from_jordan, weyr_profile
 from oqspectra import analysis, asymptotics, campaign, commutants, linalg, spectra
 from oqspectra.asymptotics import faithful_reduce, fixed_space, is_faithful
-from oqspectra.commutants import commutant, commutant_dim_from_jordan, weyr_profile
+from oqspectra.commutants import commutant
 from oqspectra.constructions import (
     generic_gkls,
     phase_damping_channel,

@@ -559,8 +559,8 @@ class TestCampaignWork:
     def test_decompositions_per_subject(self, monkeypatch):
         # Every source at d = 6: one eig per drawn subject, and on average
         # at most 1.6 SVDs (the cross-check, plus the rank certificate and
-        # multiple peripheral clusters where they occur); scipy sees only
-        # the complex SVDs of clusters off the real axis
+        # multiple peripheral clusters where they occur); linalg.svd sees
+        # only the complex SVDs of clusters off the real axis
         calls, dtypes = helpers.count_decompositions(monkeypatch)
         cfg = campaign.CampaignConfig(dims=(6,), per_dim=2, sources=campaign.ALL_SOURCES)
         result = campaign.run_campaign(cfg)
@@ -676,6 +676,37 @@ class TestModuleEntryPoint:
         done = self.run("verify", "--dims", "3,3", "--ensembles", "constructors")
         assert done.returncode == 2 and done.stdout == ""
         assert "error: repeated dimension 3" in done.stderr
+
+
+class TestNoScipy:
+    """No command imports scipy, whose import costs more than a small analyze."""
+
+    SCRIPT = """
+import contextlib, io, json, sys
+from oqspectra import cli
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(list(argv)) == 0, argv
+    return out.getvalue()
+
+run("construct", "unitary", "--dim", "3", "--out", "u.json")
+run("sample", "--ensemble", "cptp-stinespring", "--dim", "3", "--out", "c.json")
+run("sample", "--ensemble", "gkls-unital", "--dim", "3", "--seed", "2", "--out", "g.json")
+for path in ("u.json", "c.json", "g.json"):
+    assert json.loads(run("analyze", "--json", path))["subspaces"]["commutant_dim"] >= 1
+run("verify", "--dims", "2..3", "--per-dim", "2")
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+    def test_commands_import_no_scipy(self, tmp_path):
+        src = pathlib.Path(cli.__file__).parents[1]
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT], cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == []
 
 
 class TestCampaignErrors:

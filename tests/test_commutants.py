@@ -7,15 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import helpers
+from helpers import JordanProfile, commutant_dim_from_jordan, weyr_profile
 from oqspectra import analysis, commutants, constructions, linalg
 from oqspectra.constructions import stinespring_channel
-from oqspectra.commutants import (
-    JordanProfile,
-    commutant,
-    commutant_dim_from_jordan,
-    commutant_dimension,
-    weyr_profile,
-)
+from oqspectra.commutants import commutant, commutant_dimension
 
 CONSTRUCTORS = (
     constructions.saturating_unitary_channel,

@@ -20,7 +20,7 @@ from oqspectra.constructions import (
     unital_gkls,
     unitary_channel,
 )
-from oqspectra.gkls import GklsGenerator, gkls_superop
+from oqspectra.gkls import GklsGenerator, exponentiate, gkls_superop
 from oqspectra.superop import QuantumChannel
 
 
@@ -32,6 +32,15 @@ class TestSaturators:
     def test_hamiltonian_counts(self, d):
         s = spectra.summarize(saturating_hamiltonian_generator(d))
         assert (s.l0_or_m0, s.lP_or_mP) == (CEILING[d], d * d)
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_unitary_is_exponentiate_bit_for_bit(self, d):
+        # e^{L_H} of the diagonal L_H is built from its diagonal, with no expm
+        for h in ((0.0, 1.0), (0.3, -1.7), (2.5, 0.5)):
+            got = saturating_unitary_channel(d, *h).superop
+            want = exponentiate(saturating_hamiltonian_generator(d, *h), 1.0).superop
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_unitary_counts(self, d):

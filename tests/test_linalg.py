@@ -147,6 +147,29 @@ class TestLapackKernels:
             stack, _, _ = asymptotics._peripheral_columns(spectrum, spectra.summarize(subject))
             assert same_bits(linalg.real_svd(stack, False)[1], scipy.linalg.svdvals(stack)), name
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_scipy_fallback_is_bit_identical(self, monkeypatch, d):
+        # a numpy without the bundled OpenBLAS takes scipy's wrappers instead
+        rng = np.random.default_rng(d)
+        b, b_inv, _ = linalg.hermitian_basis(d)
+        squares = [(b_inv @ subject.superop @ b).real
+                   for _, subject in helpers.oracle_subjects(d, seeds=1)]
+        x = rng.standard_normal((d * d, d * d))
+
+        def kernels():
+            return ([linalg.real_eig(r) for r in squares]
+                    + [linalg.real_svd(a, v) for a in (x, x[:, :d], x[:d]) for v in (True, False)]
+                    + [linalg.real_eigh(x + x.T, count) for count in (0, 1, d)])
+
+        native = kernels()
+        fallbacks = helpers.count_calls(monkeypatch, linalg, ("_scipy_lapack",))
+        monkeypatch.setattr(linalg, "_LAPACK", None)
+        assert fallbacks["_scipy_lapack"] == 0
+        for got, want in zip(kernels(), native, strict=True):
+            for g, w in zip(got, want, strict=True):
+                assert (g is None and w is None) or same_bits(g, w)
+        assert fallbacks["_scipy_lapack"] == len(native)
+
     def test_unconverged_eig_raises(self, monkeypatch):
         dgeev = linalg._dgeev
         monkeypatch.setattr(linalg, "_dgeev", lambda *a, **k: (*dgeev(*a, **k)[:4], 3))
