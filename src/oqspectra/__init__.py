@@ -36,15 +36,6 @@ from .constructions import (
 )
 from .gkls import GklsGenerator, build_generator, exponentiate
 from .spectra import CHANNEL, GENERATOR, Kind, SpectralSummary, cluster, summarize
-from .superop import (
-    QuantumChannel,
-    ValidationError,
-    choi_is_cp,
-    compose,
-    dual,
-    from_kraus,
-    from_superop,
-    power,
-)
+from .superop import QuantumChannel, ValidationError, from_kraus, from_superop
 
 __version__ = "0.1.0"

@@ -2,9 +2,10 @@
 
 An apparent bound violation is never recorded straight away: the clustered
 multiplicity is first cross-checked against the nullspace dimension, then
-the whole summary is recomputed at 10x tighter tolerances.  Only a
-violation that survives both steps lands in the report, flagged so callers
-(CLI exit codes, campaign counters) can react.
+the whole summary is recomputed at 10x tighter tolerances.  A cross-check
+that still disagrees is the report's ``discrepancy``: the numerics failed,
+not a theorem, and callers count it apart from a violation by consistent
+counts (CLI exit 1, not 3; the campaign's ``numerical`` rows).
 """
 
 from __future__ import annotations

@@ -102,14 +102,14 @@ def attractor(subject, summary: spectra.SpectralSummary | None = None) -> Subspa
     spectrum = subject.spectrum
     stack, _, orthonormal = _peripheral_columns(spectrum, summary)
     rank = stack.shape[1] if orthonormal else linalg.numerical_rank(
-        linalg.real_svd(stack, False)[1], stack.shape, ATTRACTOR_RANK_TOL)
+        np.linalg.svd(stack, compute_uv=False), stack.shape, ATTRACTOR_RANK_TOL)
     if rank != summary.lP_or_mP or rank != stack.shape[1]:
         raise ConsistencyError(
             f"attractor dimension {rank} != peripheral multiplicity "
             f"{summary.lP_or_mP}"
         )
     return SubspaceBasis(rank, lambda: spectrum.to_matrix(
-        linalg.svd(stack, full_matrices=False)[0][:, :rank]))
+        np.linalg.svd(stack, full_matrices=False)[0][:, :rank]))
 
 
 def _peripheral_columns(spectrum: linalg.Spectrum, summary: spectra.SpectralSummary,
@@ -216,11 +216,6 @@ def _support(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w, v = np.linalg.eigh(rho)
     keep = w > SUPPORT_REL_TOL * max(w.max(), 0.0)
     return w[keep], v[:, keep]
-
-
-def is_faithful(channel: QuantumChannel) -> bool:
-    """A channel is faithful iff it admits an invertible steady state."""
-    return _support(maximal_steady_state(channel))[1].shape[1] == channel.dim
 
 
 def faithful_reduce(channel: QuantumChannel) -> FaithfulReduction:

@@ -6,6 +6,8 @@ dim-block, index, 0))`` stream and floats are written with a fixed
 12-significant-digit format.  A sampled subject is drawn once and analyzed
 once, and each ensemble's advertised classes make the campaign an oracle: a
 draw classified outside them is an oracle mismatch row with its full report.
+A report with a cross-check ``discrepancy`` is a ``numerical`` row, counted
+as an oracle mismatch: only consistent counts make a bound violation.
 A subject whose draw or analysis raises (``ValueError``, ``LinAlgError``,
 ``ConsistencyError``) becomes a row with an empty report and
 ``note=error:<type>``, counted as an oracle mismatch; it never aborts the
@@ -71,7 +73,7 @@ class CampaignRow:
     index: int
     seed: str
     report: analysis.AnalysisReport
-    failure: str  # "", "structural", "oracle" or "ckks"
+    failure: str  # "", "structural", "oracle", "numerical" or "ckks"
     note: str
 
     @property
@@ -96,7 +98,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     rows = [_run_task(t) for t in _subject_tasks(config)]
     counts = Counter(row.failure for row in rows)
     return CampaignResult(rows=rows, structural_violations=counts["structural"],
-                          oracle_mismatches=counts["oracle"],
+                          oracle_mismatches=counts["oracle"] + counts["numerical"],
                           ckks_unital_failures=counts["ckks"])
 
 
@@ -143,6 +145,8 @@ def _run_constructor(task: _Task) -> CampaignRow:
     if observed != expected:
         failure = "oracle"
         note = f"oracle mismatch {name}: counts {observed} != advertised {expected}"
+    elif report.discrepancy is not None:
+        failure, note = "numerical", f"constructor:{name} {report.discrepancy}"
     elif not report.bounds_satisfied:
         failure, note = "structural", f"constructor:{name} bound check failed"
     return CampaignRow(source=task.source, dim=d, index=task.index, seed="",
@@ -150,8 +154,8 @@ def _run_constructor(task: _Task) -> CampaignRow:
 
 
 def _run_sampled(task: _Task) -> CampaignRow:
-    """One draw, one analysis.  An unadvertised class outranks a CKKS
-    failure, which outranks a bound violation."""
+    """One draw, one analysis.  An unadvertised class outranks a
+    discrepancy, then a CKKS failure, then a bound violation."""
     ensemble = ENSEMBLES[task.source]
     rng = np.random.default_rng(task.seed_key + (0,))
     subject = constructions.draw(task.source, task.dim, rng, task.env_dim)
@@ -160,11 +164,12 @@ def _run_sampled(task: _Task) -> CampaignRow:
     if report.classification not in ensemble.advertised:
         failure = "oracle"
         note = f"oracle: {report.classification} not advertised by {task.source}"
+    elif report.discrepancy is not None:
+        failure, note = "numerical", report.discrepancy
     elif ensemble.ckks_proved and not report.bound_report.ckks.satisfied.all():
         failure, note = "ckks", "ckks violated on unital sample"
     elif not report.bounds_satisfied:
-        failure = "structural"
-        note = "bound violation" if report.discrepancy is None else report.discrepancy
+        failure, note = "structural", "bound violation"
     return CampaignRow(source=task.source, dim=task.dim, index=task.index,
                        seed="-".join(map(str, task.seed_key)), report=report,
                        failure=failure, note=note)

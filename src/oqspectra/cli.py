@@ -1,10 +1,11 @@
 """Command-line front end: analyze subjects, run verification campaigns,
 construct the saturating examples, emit sampled subjects.
 
-Exit codes: 0 success, 2 validation/parse failure or an unwritable
-``--out``, 3 bound violation (for CI use); `verify` additionally exits 1 on
-oracle mismatches that are not bound violations.  Reports and subjects are
-written as compact JSON lines: Python's C encoder runs only without indent.
+Exit codes: 0 success, 1 a failed numerical cross-check (`analyze` names
+it on stderr) or, for `verify`, an oracle mismatch, 2 validation/parse
+failure or an unwritable ``--out``, 3 a bound broken by consistent counts
+(for CI use).  Reports and subjects are written as compact JSON lines:
+Python's C encoder runs only without indent.
 
 Each command runs with every loaded OpenBLAS limited to one thread and puts
 the previous counts back on exit.  The matrices are at most 144 x 144
@@ -158,6 +159,9 @@ def _cmd_analyze(args) -> int:
         print(json.dumps(analysis.report_to_json(report)))
     else:
         print(analysis.report_to_table(report))
+    if report.discrepancy is not None:  # the numerics failed, not a theorem
+        print(f"discrepancy: {report.discrepancy}", file=sys.stderr)
+        return 1
     return 0 if report.bounds_satisfied else 3
 
 

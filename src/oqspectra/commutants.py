@@ -71,7 +71,7 @@ def commutant_dimension(ops) -> int:
     u, idx, weights = _hermitian_coordinates(d)
     gram = (linalg.kronecker_sum(p, q.conj()) - s - s.conj().T).view(np.float64).take(idx)
     gram = np.multiply(gram, weights, out=gram).sum(axis=0)  # G' = U^dag G U
-    w, _ = linalg.real_eigh(gram)
+    w = np.linalg.eigvalsh(gram)
     ref = np.sqrt(max(w[-1], float(np.max(np.sum(np.abs(a) ** 2, axis=(1, 2))))))
     cut = GRAM_NULL_FACTOR * n * linalg.EPS * ref * ref
     k = int(np.count_nonzero(w <= cut))
@@ -79,7 +79,7 @@ def commutant_dimension(ops) -> int:
     if certified and k > 1:
         # The identity alone needs no check; other null vectors must pass
         # the stack SVD's cutoff with their commutators computed directly
-        _, v = linalg.real_eigh(gram, k)
+        v = np.linalg.eigh(gram)[1][:, :k]
         x = (u @ v).T.reshape(k, d, d).transpose(0, 2, 1)  # unvec: column-stacked
         residual = np.linalg.norm(a[:, None] @ x - x @ a[:, None])
         certified = residual <= n_ops * n * linalg.EPS * ref

@@ -111,15 +111,6 @@ def saturating_dissipative_generator(
     return build_generator(np.zeros((d, d)), ops)
 
 
-def dephasing_generator(d: int) -> GklsGenerator:
-    """The projector pair {P1, P2} as noise operators; L flips the sign of
-    the off-diagonal blocks and kills everything else."""
-    p1 = np.zeros((d, d), dtype=np.complex128)
-    p1[0, 0] = 1.0
-    p2 = np.eye(d, dtype=np.complex128) - p1
-    return build_generator(np.zeros((d, d)), (p1, p2))
-
-
 def phase_damping_channel(d: int) -> QuantumChannel:
     """e^L for the dephasing generator: off-diagonal blocks scaled by e^{-1}.
 

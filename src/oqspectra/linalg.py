@@ -13,6 +13,11 @@ real (Wolf, *Quantum Channels & Operations: Guided Tour*, 2012, ch. 6).
 :func:`eig` works there, and its :class:`Spectrum` stays there: only
 :meth:`Spectrum.to_matrix` maps columns back to matrix coordinates, for the
 bases and projections a caller reads.
+
+Every SVD and symmetric eigensolve is ``numpy.linalg``'s.  Only
+:func:`real_eig` calls LAPACK itself: numpy has no eig with left
+eigenvectors, so ``dgeev`` is bound through ``ctypes`` (scipy's wrapper
+where numpy's wheel bundles no OpenBLAS).
 """
 
 from __future__ import annotations
@@ -87,23 +92,21 @@ def openblas_symbol(lib, name: str):
     return next((getattr(lib, n) for n in names if hasattr(lib, n)), None)
 
 
-# dgeev, dgesdd and dsyevr of the ILP64 OpenBLAS that numpy's wheel bundles,
-# bound through numpy's LAPACK module, which links it: importing scipy.linalg
-# costs more than a small analyze.  Like scipy's wrappers, a call keeps the GIL.
+# dgeev of the ILP64 OpenBLAS that numpy's wheel bundles, bound through numpy's
+# LAPACK module, which links it: importing scipy.linalg costs more than a small
+# analyze.  Like scipy's wrapper, a call keeps the GIL.
 try:
     from numpy.linalg import _umath_linalg
-    _LAPACK = [openblas_symbol(ctypes.PyDLL(_umath_linalg.__file__), name + "_64_")
-               for name in ("dgeev", "dgesdd", "dsyevr")]
+    _LAPACK = openblas_symbol(ctypes.PyDLL(_umath_linalg.__file__), "dgeev_64_")
 except (ImportError, OSError):
-    _LAPACK = [None]
-_LAPACK = None if None in _LAPACK else _LAPACK  # a numpy without them: scipy's wrappers
+    _LAPACK = None  # a numpy without it: scipy's wrapper
 # Arguments go by reference as ctypes objects, integers as int64, each CHARACTER with
 # its length; no argtypes, whose conversions add 1-2 us to a 5-30 us call at n <= 16.
-for _fn in _LAPACK or ():
-    _fn.restype = None
-_LOCK, _ONE, _ZERO = threading.Lock(), ctypes.c_size_t(1), ctypes.byref(ctypes.c_double(0.0))
+if _LAPACK is not None:
+    _LAPACK.restype = None
+_LOCK, _ONE = threading.Lock(), ctypes.c_size_t(1)
 # A call prebuilds its arguments on buffers of its own, kept by _kept for the KEPT_SHAPES
-# latest shapes of at most KEPT_ENTRIES entries: a rebuild costs about a dgeev at n = 9.
+# latest sides of at most KEPT_ENTRIES entries: a rebuild costs about a dgeev at n = 9.
 KEPT_SHAPES, KEPT_ENTRIES = 16, 64 * 64
 
 
@@ -111,17 +114,18 @@ def _int(value: int):
     return ctypes.byref(ctypes.c_int64(value))
 
 
-def _buffer(shape: tuple, dtype=np.float64) -> tuple[np.ndarray, ctypes.c_void_p]:
-    """A zeroed Fortran-order array on ctypes memory, cheap to address, and a pointer to it."""
+def _buffer(shape: tuple) -> tuple[np.ndarray, ctypes.c_void_p]:
+    """A zeroed Fortran-order float64 array on ctypes memory, cheap to
+    address, and a pointer to it."""
     block = (ctypes.c_double * max(1, math.prod(shape)))()
     ptr = ctypes.c_void_p(ctypes.addressof(block))
     ptr.block = block
-    return np.frombuffer(block, dtype, math.prod(shape)).reshape(shape, order="F"), ptr
+    return np.frombuffer(block, np.float64, math.prod(shape)).reshape(shape, order="F"), ptr
 
 
 def _kept(build):
     cached = functools.lru_cache(maxsize=KEPT_SHAPES)(build)
-    return lambda m, n, *rest: (cached if m * n <= KEPT_ENTRIES else build)(m, n, *rest)
+    return lambda n: (cached if n * n <= KEPT_ENTRIES else build)(n)
 
 
 def _checked(routine: str, *out):
@@ -131,97 +135,44 @@ def _checked(routine: str, *out):
     return out[:-1]
 
 
-def _prebuilt(routine, args, info, *workspaces) -> tuple:
-    """``args(*pairs)``: a (buffer, size) pair per workspace dtype, of the
-    optimal size that a query with (1-entry buffer, -1) pairs reports."""
-    probes = [_buffer((1,), dtype) for dtype in workspaces]
-    routine(*args(*[(ptr, _int(-1)) for _, ptr in probes]))
-    _checked("LAPACK workspace query", info.value)
-    sizes = [max(1, int(x[0])) for x, _ in probes]
-    return args(*[(_buffer((k,), x.dtype)[1], _int(k)) for k, (x, _) in zip(sizes, probes)])
-
-
 @functools.cache
-def _scipy_lapack(name: str):
-    """scipy's ``d<name>`` and its cached workspace query, for a numpy without the OpenBLAS."""
+def _scipy_lapack():
+    """scipy's ``dgeev`` and its cached workspace query, for a numpy without the OpenBLAS."""
     import scipy.linalg
-    routine, query = scipy.linalg.get_lapack_funcs((name, name + "_lwork"), dtype=np.float64)
-    return routine, functools.cache(lambda *a: [int(x) for x in _checked("query", *query(*a))])
+    routine, query = scipy.linalg.get_lapack_funcs(("geev", "geev_lwork"), dtype=np.float64)
+    return routine, functools.cache(lambda n: int(_checked("query", *query(n))[0]))
 
 
 @_kept
-def _geev_call(n: int, _: int) -> tuple:
-    """dgeev at side n with both eigenvector sets, into the columns wr, wi, vl, vr."""
-    (a, pa), (out, po) = _buffer((n, n)), _buffer((n, 2 * n + 2))
+def _geev_call(n: int) -> tuple:
+    """dgeev's arguments at side n, with both eigenvector sets into the columns
+    wr, wi, vl, vr, and a workspace of the optimal size that a query reports."""
+    (a, pa), (out, po), (probe, pw) = _buffer((n, n)), _buffer((n, 2 * n + 2)), _buffer((1,))
     r, info = _int(n), ctypes.c_int64()
     wi, vl, vr = (ctypes.c_void_p(po.value + 8 * k) for k in (n, 2 * n, (n + 2) * n))
-    return _prebuilt(_LAPACK[0], lambda work: (
-        b"V", b"V", r, pa, r, po, wi, vl, r, vr, r, *work, ctypes.byref(info), _ONE, _ONE),
-        info, np.float64), a, out, info
+
+    def args(work, lwork):
+        return (b"V", b"V", r, pa, r, po, wi, vl, r, vr, r, work, lwork, ctypes.byref(info),
+                _ONE, _ONE)
+
+    _LAPACK(*args(pw, _int(-1)))  # lwork = -1: the query
+    _checked("dgeev workspace query", info.value)
+    size = max(1, int(probe[0]))
+    return args(_buffer((size,))[1], _int(size)), a, out, info
 
 
 def _dgeev(a: np.ndarray) -> tuple:
     """``(wr, wi, vl, vr, info)`` of ``dgeev``, fresh as scipy's ``flapack.dgeev`` returns them."""
     if _LAPACK is None:
-        geev, lwork = _scipy_lapack("geev")
-        return geev(a, lwork=lwork(a.shape[0])[0])
+        geev, lwork = _scipy_lapack()
+        return geev(a, lwork=lwork(a.shape[0]))
     n = a.shape[0]
-    args, buf, out, info = _geev_call(n, n)
+    args, buf, out, info = _geev_call(n)
     with _LOCK:  # the buffers are shared, and threads may switch between these lines
         buf[...] = a
-        _LAPACK[0](*args)
+        _LAPACK(*args)
         out = out.copy(order="F")
         return out[:, 0], out[:, 1], out[:, 2:n + 2], out[:, n + 2:], info.value
-
-
-@_kept
-def _gesdd_call(m: int, n: int, vectors: bool) -> tuple:
-    """dgesdd of an m x n matrix into s, with ``vectors`` also the full U, V^T."""
-    k, rm, rn, info = min(m, n), _int(m), _int(n), ctypes.c_int64()
-    (a, pa), (s, ps), (_, piw) = _buffer((m, n)), _buffer((k,)), _buffer((8 * k,), np.int64)
-    (u, pu), (vt, pvt) = (_buffer((m, m)), _buffer((n, n))) if vectors else ((s, ps), (s, ps))
-    jobz, ldu, ldvt = (b"A", rm, rn) if vectors else (b"N", _int(1), _int(1))
-    return _prebuilt(_LAPACK[1], lambda work: (
-        jobz, rm, rn, pa, rm, ps, pu, ldu, pvt, ldvt, *work, piw, ctypes.byref(info), _ONE),
-        info, np.float64), a, u, s, vt, info
-
-
-def _dgesdd(a: np.ndarray, vectors: bool) -> tuple:
-    """``(u, s, vt, info)`` of ``dgesdd`` as scipy's ``flapack.dgesdd``; U, V^T with ``vectors``."""
-    if _LAPACK is None:
-        gesdd, lwork = _scipy_lapack("gesdd")
-        return gesdd(a, compute_uv=vectors, lwork=lwork(*a.shape, vectors, True)[0])
-    args, buf, u, s, vt, info = _gesdd_call(*a.shape, vectors)
-    with _LOCK:
-        buf[...] = a
-        _LAPACK[1](*args)
-        u, vt = (u.copy(order="F"), vt.copy(order="F")) if vectors else (None, None)
-        return u, s.copy(), vt, info.value
-
-
-@_kept
-def _syevr_call(n: int, _: int, count: int) -> tuple:
-    """dsyevr at side n into w and m: all eigenvalues, or ``count`` and their vectors z."""
-    r, m, info = _int(n), ctypes.c_int64(), ctypes.c_int64()
-    (a, pa), (w, pw), (z, pz) = _buffer((n, n)), _buffer((n,)), _buffer((n, max(count, 1)))
-    jobz, which, iu = (b"V", b"I", _int(count)) if count else (b"N", b"A", r)
-    return _prebuilt(_LAPACK[2], lambda work, iwork: (
-        jobz, which, b"L", r, pa, r, _ZERO, _ZERO, _int(1), iu, _ZERO, ctypes.byref(m), pw, pz, r,
-        _buffer((2 * n,), np.int64)[1], *work, *iwork, ctypes.byref(info), _ONE, _ONE, _ONE),
-        info, np.float64, np.int64), a, w, z, m, info
-
-
-def _dsyevr(a: np.ndarray, count: int) -> tuple:
-    """``(w, z, m, isuppz, info)`` of ``dsyevr`` (lower) as scipy's ``flapack.dsyevr``."""
-    if _LAPACK is None:
-        (syevr, lwork), n = _scipy_lapack("syevr"), a.shape[0]
-        subset = {"compute_v": 1, "range": "I", "il": 1, "iu": count} if count else {"compute_v": 0}
-        return syevr(a, lower=1, lwork=lwork(n, 1)[0], liwork=lwork(n, 1)[1], **subset)
-    args, buf, w, z, m, info = _syevr_call(*a.shape, count)
-    with _LOCK:
-        buf[...] = a
-        _LAPACK[2](*args)
-        return w.copy(), z.copy(order="F") if count else None, m.value, None, info.value
 
 
 def real_eig(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -230,27 +181,6 @@ def real_eig(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     at k, k + 1 (wi[k] > 0) holds Re v in column k and Im v in column k + 1."""
     wr, wi, vl, vr = _checked("dgeev", *_dgeev(r))
     return wr + 1j * wi, vl, vr
-
-
-def real_svd(a: np.ndarray, vectors: bool):
-    """``(u, s, vh)`` of a finite real matrix by ``dgesdd``, bit for bit
-    ``scipy.linalg.svd(a)``, or ``(None, s, None)`` with ``svdvals(a)``."""
-    u, s, vh = _checked("dgesdd", *_dgesdd(a, vectors))
-    return (u, s, vh) if vectors else (None, s, None)
-
-
-def real_eigh(a: np.ndarray, count: int = 0) -> tuple[np.ndarray, np.ndarray | None]:
-    """The ascending eigenvalues of a finite real symmetric matrix by ``dsyevr``,
-    bit for bit ``scipy.linalg.eigh``, or with ``count`` the ``count`` smallest
-    and their eigenvectors: ``(w, v)``, v None without ``count``."""
-    w, v, m, _ = _checked("dsyevr", *_dsyevr(a, count))
-    return w[:m], v if count else None
-
-
-def svd(a: np.ndarray, full_matrices: bool = True):
-    """``np.linalg.svd(a)``: the complex SVDs and the thin real one of the
-    attractor's basis, the package's only SVDs besides :func:`real_svd`."""
-    return np.linalg.svd(a, full_matrices=full_matrices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,8 +217,8 @@ class Spectrum:
         if s is None or (vectors and vh is None):
             shifted = self.real.astype(np.result_type(self.real, center))  # a copy
             shifted.flat[::n + 1] -= center
-            real = np.isrealobj(shifted)  # else off the real axis: complex, with vectors
-            u, s, vh = real_svd(shifted, vectors) if real else svd(shifted)
+            factors = np.linalg.svd(shifted, compute_uv=vectors)
+            u, s, vh = factors if vectors else (None, factors, None)
             self._svds[center] = (s, u, vh)
         rank = numerical_rank(s, (n, n), tol)
         if not vectors:
@@ -357,7 +287,7 @@ def nullspace(a, tol: float = 0.0, scale: float | None = None) -> np.ndarray:
         return np.eye(m.shape[1], dtype=np.complex128)
     # A tall input's thin SVD already has the square V; the full U factor
     # of a tall commutation stack would take (rows x rows) memory unread.
-    _, s, vh = svd(m, full_matrices=m.shape[0] < m.shape[1])
+    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     return vh[numerical_rank(s, m.shape, tol, scale):].conj().T
 
 

@@ -112,7 +112,7 @@ def from_superop(m, tp_tol: float = DEFAULT_TP_TOL,
     if herm > cp_tol:
         raise ValidationError("Choi matrix is not Hermitian", herm)
     choi = (choi + dagger(choi)) / 2
-    wmin = float(np.linalg.eigvalsh(choi).min())  # as choi_is_cp
+    wmin = float(np.linalg.eigvalsh(choi).min())
     if wmin < -cp_tol:
         raise ValidationError("Choi matrix is not positive semidefinite", -wmin)
     return QuantumChannel(dim=d, _superop=choi_to_superop(choi), _choi=choi)
@@ -142,13 +142,6 @@ def choi_to_superop(c) -> np.ndarray:
     return c4.transpose(2, 0, 3, 1).reshape(d * d, d * d)
 
 
-def choi_is_cp(choi, tol: float = 1e-10) -> bool:
-    """Complete positivity: smallest eigenvalue of the (Hermitized) Choi >= -tol."""
-    c = require_square(choi)
-    w = np.linalg.eigvalsh((c + dagger(c)) / 2)
-    return bool(w.min() >= -tol)
-
-
 def choi_to_kraus(choi) -> np.ndarray:
     """Canonical minimal Kraus stack from the Choi eigendecomposition, by
     descending weight.
@@ -164,42 +157,6 @@ def choi_to_kraus(choi) -> np.ndarray:
         raise ValueError("Choi matrix has no eigenvalue above the weight cut")
     # Column k of v, row-major, is the Kraus operator of weight w[k].
     return (np.sqrt(w[keep]) * v[:, keep]).T.reshape(-1, d, d)
-
-
-def dual(channel: QuantumChannel) -> QuantumChannel:
-    """The dual (Heisenberg-picture) map Phi*.
-
-    Its superoperator is the conjugate transpose of Phi's and its Kraus
-    action is X -> sum_k B_k^dag X B_k.  The dual is unital rather than
-    trace preserving, so the returned object skips CPTP validation.
-    """
-    kraus = None
-    if channel.kraus is not None:
-        kraus = channel.kraus.conj().transpose(0, 2, 1)
-    return QuantumChannel(dim=channel.dim, kraus=kraus, _superop=dagger(channel.superop))
-
-
-def compose(a: QuantumChannel, b: QuantumChannel) -> QuantumChannel:
-    """The composition a after b; superoperator matrices multiply."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return QuantumChannel(dim=a.dim, _superop=a.superop @ b.superop)
-
-
-def power(channel: QuantumChannel, n: int) -> QuantumChannel:
-    """Phi^n, taken as R^n of the real matrix R of Phi in Hermitian
-    coordinates, so that it stays exactly Hermiticity preserving: rounding
-    in the complex M^n grows with n and would fail :func:`linalg.eig`."""
-    if n < 0:
-        raise ValueError("channel powers require n >= 0")
-    b, b_inv, _ = linalg.hermitian_basis(channel.dim)
-    r = (b_inv @ channel.superop @ b).real
-    m = b @ np.linalg.matrix_power(r, n) @ b_inv
-    return QuantumChannel(dim=channel.dim, _superop=m)
-
-
-def identity_channel(d: int) -> QuantumChannel:
-    return QuantumChannel(dim=d, kraus=np.eye(d, dtype=np.complex128)[None])
 
 
 def channel_to_json(channel: QuantumChannel) -> dict:

@@ -31,18 +31,17 @@ def count_calls(monkeypatch, module, names):
 
 def count_decompositions(monkeypatch):
     """Spy on every dense eig and SVD entry point of the package: the real
-    LAPACK kernels ``linalg.real_eig`` and ``linalg.real_svd``, and
-    ``linalg.svd``, through which every complex SVD runs.  Returns the call
-    counter by entry-point name and the ``(name, input dtype)`` pairs in
-    call order."""
+    LAPACK kernel ``linalg.real_eig`` (``dgeev``) and ``np.linalg.svd``,
+    through which every SVD runs.  Returns the call counter by entry-point
+    name and the ``(name, input dtype)`` pairs in call order."""
     calls, dtypes = collections.Counter(), []
-    for name in ("real_eig", "real_svd", "svd"):
-        def spy(a, *args, _original=getattr(linalg, name), _name=name, **kwargs):
+    for module, name in ((linalg, "real_eig"), (np.linalg, "svd")):
+        def spy(a, *args, _original=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             dtypes.append((_name, np.asarray(a).dtype))
             return _original(a, *args, **kwargs)
 
-        monkeypatch.setattr(linalg, name, spy)
+        monkeypatch.setattr(module, name, spy)
     return calls, dtypes
 
 
@@ -89,6 +88,59 @@ def hermitian_basis(d):
     ops += [matrix_unit(d, i, j) + matrix_unit(d, j, i) for i, j in pairs]
     ops += [1j * (matrix_unit(d, j, i) - matrix_unit(d, i, j)) for i, j in pairs]
     return np.stack([x.flatten(order="F") for x in ops], axis=1)
+
+
+# Channel algebra and examples that only the tests need.
+
+def dual(channel):
+    """The dual (Heisenberg-picture) map Phi*: the conjugate transpose of
+    Phi's superoperator, Kraus action X -> sum_k B_k^dag X B_k.  Unital
+    rather than trace preserving, so it skips CPTP validation."""
+    kraus = None if channel.kraus is None else channel.kraus.conj().transpose(0, 2, 1)
+    return superop.QuantumChannel(dim=channel.dim, kraus=kraus, _superop=dag(channel.superop))
+
+
+def compose(a, b):
+    """The composition a after b; superoperator matrices multiply."""
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    return superop.QuantumChannel(dim=a.dim, _superop=a.superop @ b.superop)
+
+
+def power(channel, n):
+    """Phi^n, taken as R^n of the real matrix R of Phi in Hermitian
+    coordinates, so that it stays exactly Hermiticity preserving: rounding
+    in the complex M^n grows with n and would fail ``linalg.eig``."""
+    if n < 0:
+        raise ValueError("channel powers require n >= 0")
+    b, b_inv, _ = linalg.hermitian_basis(channel.dim)
+    r = (b_inv @ channel.superop @ b).real
+    return superop.QuantumChannel(dim=channel.dim,
+                                  _superop=b @ np.linalg.matrix_power(r, n) @ b_inv)
+
+
+def identity_channel(d):
+    return superop.QuantumChannel(dim=d, kraus=np.eye(d, dtype=np.complex128)[None])
+
+
+def choi_is_cp(choi, tol=1e-10):
+    """Complete positivity: smallest eigenvalue of the (Hermitized) Choi >= -tol."""
+    c = np.asarray(choi)
+    return bool(np.linalg.eigvalsh((c + dag(c)) / 2).min() >= -tol)
+
+
+def is_faithful(channel):
+    """A channel is faithful iff it admits an invertible steady state, which
+    its maximal steady state then is."""
+    w = np.linalg.eigvalsh(asymptotics.maximal_steady_state(channel))
+    return bool(w.min() > asymptotics.SUPPORT_REL_TOL * w.max())
+
+
+def dephasing_generator(d):
+    """The projector pair {P1, P2} as noise operators; L flips the sign of
+    the off-diagonal blocks and kills everything else."""
+    p1 = matrix_unit(d, 0, 0)
+    return gkls.build_generator(np.zeros((d, d)), (p1, np.eye(d) - p1))
 
 
 def forged_channel(r):
@@ -415,8 +467,8 @@ def subjects_and_derived(d):
     subjects = oracle_subjects(d, seeds=1)
     channels = [s for _, s in subjects if isinstance(s, superop.QuantumChannel)]
     generators = [s for _, s in subjects if isinstance(s, gkls.GklsGenerator)]
-    subjects.append(("dual", superop.dual(channels[-1])))
-    subjects.append(("compose", superop.compose(channels[-1], channels[-2])))
+    subjects.append(("dual", dual(channels[-1])))
+    subjects.append(("compose", compose(channels[-1], channels[-2])))
     subjects.append(("exponentiate", gkls.exponentiate(generators[-1])))
     return subjects
 

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import helpers
-from helpers import commutant_dim_from_jordan, weyr_profile
+from helpers import commutant_dim_from_jordan, dual, is_faithful, weyr_profile
 from oqspectra import analysis, asymptotics, campaign, commutants, linalg, spectra
-from oqspectra.asymptotics import faithful_reduce, fixed_space, is_faithful
+from oqspectra.asymptotics import faithful_reduce, fixed_space
 from oqspectra.commutants import commutant
 from oqspectra.constructions import (
     generic_gkls,
@@ -26,7 +26,6 @@ from oqspectra.constructions import (
     unitary_channel,
 )
 from oqspectra.gkls import exponentiate
-from oqspectra.superop import dual
 
 ACCEPTANCE_SEED = 20240817
 CEILING = {d: d * d - 2 * d + 2 for d in range(2, 9)}

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import dephasing_generator, identity_channel
 from oqspectra import bounds, spectra
 from oqspectra.bounds import (
     check_bounds,
@@ -11,7 +12,6 @@ from oqspectra.bounds import (
     structural_ceiling,
 )
 from oqspectra.constructions import (
-    dephasing_generator,
     generic_gkls,
     phase_damping_channel,
     saturating_hamiltonian_generator,
@@ -21,7 +21,7 @@ from oqspectra.constructions import (
     unitary_channel,
 )
 from oqspectra.gkls import build_generator, exponentiate
-from oqspectra.superop import from_kraus, identity_channel
+from oqspectra.superop import from_kraus
 
 
 def amplitude_damping(gamma=0.5):

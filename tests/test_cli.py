@@ -108,16 +108,17 @@ class TestAnalysisPipeline:
         # Haar unitary at d = 4: 13 peripheral clusters, 12 of them
         # singletons read off the one eig; SVDs only for the fixed-space
         # cross-check, which also gives the multiple cluster at 1, and the
-        # attractor's rank certificate.  The eig runs in real Hermitian
-        # coordinates, and every decomposition on the LAPACK kernels.
+        # attractor's rank certificate.  Every decomposition runs in real
+        # Hermitian coordinates.
         ch = unitary_channel(helpers.haar(4, rng))
         calls, dtypes = helpers.count_decompositions(monkeypatch)
         rep = analysis.analyze(ch, with_commutant=False)
         assert rep.attractor_dim == 16 and rep.fixed_dim == 4
         assert calls["real_eig"] + calls["eig"] + calls["eigvals"] == 1
         assert [dtype for name, dtype in dtypes if "eig" in name] == [np.float64]
-        assert calls["real_svd"] + calls["svd"] + calls["svdvals"] <= 2
-        assert calls["eig"] + calls["svd"] + calls["svdvals"] == 0
+        assert calls["svd"] + calls["svdvals"] <= 2
+        assert calls["eig"] + calls["svdvals"] == 0
+        assert all(dtype == np.float64 for _, dtype in dtypes)
 
     def test_one_svd_per_generic_generator(self, monkeypatch):
         # A simple kernel and lP = 1: the values-only cross-check is the one
@@ -128,7 +129,7 @@ class TestAnalysisPipeline:
         rep = analysis.analyze(gen, with_commutant=False)
         assert rep.fixed_dim == rep.attractor_dim == 1
         assert [dtype for name, dtype in dtypes if "svd" in name] == [np.float64]
-        assert calls["svd"] + calls["svdvals"] == 0
+        assert calls["svd"] == 1 and calls["svdvals"] == 0
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="ROADMAP item 1: the absolute cluster tolerance merges "
@@ -214,7 +215,11 @@ class TestCliAnalyze:
         assert main(["analyze", str(path), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["kind"] == "generator"
 
-    def test_matches_golden_json(self, tmp_path, capsys):
+    @pytest.mark.parametrize("lapack", ["ctypes", "scipy"])
+    def test_matches_golden_json(self, tmp_path, capsys, monkeypatch, lapack):
+        # "scipy": a numpy without the bundled OpenBLAS, with scipy's dgeev
+        if lapack == "scipy":
+            monkeypatch.setattr(linalg, "_LAPACK", None)
         lines = GOLDEN_ANALYZE.read_text().splitlines()
         assert len(lines) == 18
         for line in lines:
@@ -242,15 +247,35 @@ class TestCliAnalyze:
         path.write_text(json.dumps(bad))
         assert main(["analyze", str(path)]) == 2
 
-    def test_surviving_violation_exit_3(self, tmp_path, capsys):
-        # adversarial near-degenerate unitary: the chain 1 ~ e^{i delta}
-        # survives even the 10x tighter recheck, so the recorded l0 = 4
-        # exceeds the unitary ceiling 2 and the CLI reports a violation
-        delta = 9.9e-9
-        ch = unitary_channel(np.diag([1.0, np.exp(1j * delta)]))
-        path = tmp_path / "adv.json"
-        path.write_text(json.dumps(superop.channel_to_json(ch)))
-        assert main(["analyze", str(path)]) == 3
+    def test_surviving_violation_exit_3(self, monkeypatch, capsys):
+        # a forged map that fixes a 3-dimensional space (R = diag(1, 1, 1,
+        # 1/2) in Hermitian coordinates, not CP): its counts l0 = lP = 3
+        # agree with the nullspace, and break the channel ceiling 2 at d = 2
+        forged = helpers.forged_channel(np.diag([1.0, 1.0, 1.0, 0.5]))
+        monkeypatch.setattr(cli, "_load_subject", lambda path: forged)
+        assert main(["analyze", "forged.json"]) == 3
+        assert capsys.readouterr().err == ""
+        rep = analysis.analyze(forged)
+        assert (rep.fixed_dim, rep.attractor_dim, rep.summary.l0_or_m0) == (3, 3, 3)
+        assert rep.discrepancy is None and not rep.bounds_satisfied
+
+    @pytest.mark.parametrize("make", [
+        # the chain 1 ~ e^{i delta} survives even the 10x tighter recheck
+        lambda: unitary_channel(np.diag([1.0, np.exp(9.9e-9j)])),
+        lambda: gkls.build_generator(np.zeros((3, 3)), np.sqrt(1e-8) * np.asarray(
+            saturating_dissipative_generator(3).noise_ops)),
+        lambda: gkls.exponentiate(saturating_dissipative_generator(3), 1e-9),
+    ], ids=["adversarial-unitary", "small-rate-generator", "near-identity-channel"])
+    def test_discrepancy_exit_1(self, tmp_path, capsys, make):
+        # the clustered count disagrees with the nullspace: the numerics
+        # failed, which is no bound violation, and stderr names the mismatch
+        subject = make()
+        path = tmp_path / "subject.json"
+        path.write_text(cli._to_json(subject))
+        assert main(["analyze", str(path)]) == 1
+        rep = analysis.analyze(subject)
+        assert rep.discrepancy and "!= clustered multiplicity" in rep.discrepancy
+        assert capsys.readouterr().err == f"discrepancy: {rep.discrepancy}\n"
 
     @pytest.mark.parametrize("subject", [
         {"kraus": [{"rows": 2, "cols": 2, "entries": [["a", 0], [0, 0], [0, 0], [1, 0]]}]},
@@ -443,8 +468,12 @@ class TestCliVerify:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
-    def test_matches_golden_csv(self, tmp_path):
-        # every column exact; the float CKKS margin may drift at rounding level
+    @pytest.mark.parametrize("lapack", ["ctypes", "scipy"])
+    def test_matches_golden_csv(self, tmp_path, monkeypatch, lapack):
+        # every column exact; the float CKKS margin may drift at rounding level.
+        # "scipy": a numpy without the bundled OpenBLAS, with scipy's dgeev
+        if lapack == "scipy":
+            monkeypatch.setattr(linalg, "_LAPACK", None)
         out = tmp_path / "golden.csv"
         assert main(["verify", "--dims", "2,3,4,6", "--per-dim", "3", "--seed", "1",
                      "--out", str(out)]) == 0
@@ -559,16 +588,21 @@ class TestCampaignWork:
     def test_decompositions_per_subject(self, monkeypatch):
         # Every source at d = 6: one eig per drawn subject, and on average
         # at most 1.6 SVDs (the cross-check, plus the rank certificate and
-        # multiple peripheral clusters where they occur); linalg.svd sees
-        # only the complex SVDs of clusters off the real axis
+        # multiple peripheral clusters where they occur); an SVD is complex
+        # only for a multiple cluster above the real axis
         calls, dtypes = helpers.count_decompositions(monkeypatch)
         cfg = campaign.CampaignConfig(dims=(6,), per_dim=2, sources=campaign.ALL_SOURCES)
         result = campaign.run_campaign(cfg)
         draws = len(result.rows)
         assert not any(row.report.rechecked for row in result.rows)
         assert calls["real_eig"] == draws and calls["eig"] == calls["eigvals"] == 0
-        assert calls["real_svd"] + calls["svd"] + calls["svdvals"] <= 1.6 * len(result.rows)
-        assert all(dtype.kind == "c" for name, dtype in dtypes if name in ("svd", "svdvals"))
+        assert calls["svd"] + calls["svdvals"] <= 1.6 * len(result.rows)
+        off_axis = sum(int(np.sum(s.peripheral & (s.multiplicities > 1)
+                                  & (2 * s.values.imag > s.cluster_tol)))
+                       for s in (row.report.summary for row in result.rows))
+        svds = [dtype for name, dtype in dtypes if name in ("svd", "svdvals")]
+        assert off_axis > 0
+        assert [dtype for dtype in svds if dtype != np.float64] == [np.complex128] * off_axis
 
     def test_no_python_loop_over_clusters_or_kraus_operators(self):
         # a loop over the clusters (d^2 - d + 1 for a unitary), the d^2 Kraus
@@ -759,6 +793,25 @@ class TestCampaignErrors:
         bad = result.rows[changed[0] - 1]
         assert bad.report is None and bad.note == "error:LinAlgError"
         assert result.oracle_mismatches == 1 and result.structural_violations == 0
+
+    def test_discrepancy_is_a_numerical_row(self, monkeypatch, tmp_path, capsys):
+        # every haar-unitary draw replaced by the adversarial unitary, whose
+        # count l0 = 4 disagrees with its fixed space: a numerical row with
+        # the discrepancy as its note, counted as an oracle mismatch (exit 1)
+        adversarial = np.diag([1.0, np.exp(9.9e-9j)])
+        monkeypatch.setattr(constructions, "draw",
+                            lambda *args: unitary_channel(adversarial))
+        config = campaign.CampaignConfig(dims=(2,), per_dim=2, sources=("haar-unitary",))
+        result = campaign.run_campaign(config)
+        assert [row.failure for row in result.rows] == ["numerical"] * 2
+        assert all(row.violation and row.note == row.report.discrepancy
+                   and row.note.startswith("fixed-space dimension 2") for row in result.rows)
+        assert result.oracle_mismatches == 2
+        assert result.structural_violations == result.ckks_unital_failures == 0
+        out = tmp_path / "c.csv"
+        assert main(["verify", "--dims", "2", "--per-dim", "2", "--ensembles", "haar-unitary",
+                     "--out", str(out)]) == 1
+        assert "oracle mismatches:     2" in capsys.readouterr().err
 
     def test_error_row_exits_1(self, monkeypatch, tmp_path, capsys):
         def failing(*args, **kwargs):

@@ -3,10 +3,10 @@ import pytest
 import scipy.linalg
 
 import helpers
+from helpers import dephasing_generator
 from oqspectra import bounds, spectra
 from oqspectra.constructions import (
     SamplerConfig,
-    dephasing_generator,
     generic_gkls,
     ginibre,
     haar_unitary,
@@ -116,10 +116,9 @@ class TestSamplers:
         assert np.linalg.norm(helpers.dag(u) @ u - np.eye(4)) <= 1e-12
 
     def test_stinespring_validates(self, rng):
-        from oqspectra.superop import choi_is_cp
         for _ in range(50):
             ch = stinespring_channel(3, rng)  # from_kraus validates TP
-            assert choi_is_cp(ch.choi, tol=1e-10)
+            assert helpers.choi_is_cp(ch.choi, tol=1e-10)
 
     def test_unital_generator_kills_identity(self, rng):
         for d in (2, 3):

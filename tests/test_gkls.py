@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 import helpers
+from helpers import dephasing_generator
 from oqspectra import bounds, gkls, linalg, spectra
 from oqspectra.constructions import (
     SamplerConfig,
-    dephasing_generator,
     generic_gkls,
     phase_damping_channel,
     sample,

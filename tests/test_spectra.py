@@ -7,16 +7,16 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import helpers
+from helpers import dephasing_generator, identity_channel
 from oqspectra import bounds, spectra
 from oqspectra.constructions import (
-    dephasing_generator,
     generic_gkls,
     phase_damping_channel,
     saturating_hamiltonian_generator,
     unitary_channel,
 )
 from oqspectra.gkls import build_generator, exponentiate
-from oqspectra.superop import QuantumChannel, identity_channel
+from oqspectra.superop import QuantumChannel
 
 
 def cluster_pairs(values, tol):

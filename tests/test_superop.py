@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import helpers
+from helpers import choi_is_cp, compose, dual, identity_channel, power
 from oqspectra import bounds, linalg, superop
 from oqspectra.constructions import (
     phase_damping_channel,
@@ -10,15 +11,10 @@ from oqspectra.constructions import (
 )
 from oqspectra.superop import (
     ValidationError,
-    choi_is_cp,
     choi_to_kraus,
     choi_to_superop,
-    compose,
-    dual,
     from_kraus,
     from_superop,
-    identity_channel,
-    power,
     superop_to_choi,
 )
 
