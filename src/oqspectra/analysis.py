@@ -119,18 +119,18 @@ def _commutant_dim(subject) -> int:
 
 def report_to_json(report: AnalysisReport) -> dict:
     summary = spectra.summary_to_json(report.summary)
+    subject = {"kind": report.summary.kind.name, "dim": report.summary.dim,
+               "classification": report.classification}
     return {
         "schema": SCHEMA,
-        "kind": report.summary.kind.name,
-        "dim": report.summary.dim,
-        "classification": report.classification,
+        **subject,
         "summary": summary,
         "subspaces": {
             "fixed_dim": report.fixed_dim,
             "attractor_dim": report.attractor_dim,
             "commutant_dim": report.commutant_dim,
         },
-        "bounds": bounds.report_to_json(report.bound_report),
+        "bounds": {**subject, **bounds.report_to_json(report.bound_report)},  # oqs/1 repeats it
         "tolerances": summary["tolerances"],
         "timings": report.timings,
         "discrepancy": report.discrepancy,

@@ -53,9 +53,6 @@ class CkksMargins:
 
 @dataclass(frozen=True)
 class BoundReport:
-    kind: spectra.Kind
-    dim: int
-    classification: str
     checks: tuple[BoundCheck, ...]
     gap: int  # peripheral-multiplicity jump 2(d-1)
     forbidden: int  # forbidden values for the peripheral multiplicity, 2(d-1)-1
@@ -127,8 +124,7 @@ def check_bounds(summary: SpectralSummary, classification: str, derived=()) -> B
             _le(f"{name_p} <= d^2-2d+2", lp, ceiling),
         )
     ckks = ckks_channel if kind == spectra.CHANNEL else ckks_generator
-    return BoundReport(kind=kind, dim=d, classification=classification,
-                       checks=(*checks, *derived), gap=2 * (d - 1), forbidden=2 * (d - 1) - 1,
+    return BoundReport(checks=(*checks, *derived), gap=2 * (d - 1), forbidden=2 * (d - 1) - 1,
                        ckks=ckks(summary))
 
 
@@ -194,10 +190,9 @@ def ckks_derived_bounds(summary: SpectralSummary, classification: str,
 
 
 def report_to_json(report: BoundReport) -> dict:
+    """The checks, gap, forbidden count and CKKS margins; the subject's kind,
+    dim and classification are the caller's to add."""
     return {
-        "kind": report.kind.name,
-        "dim": report.dim,
-        "classification": report.classification,
         "checks": [dict(vars(c)) for c in report.checks],  # the fields in order
         "gap": report.gap,
         "forbidden": report.forbidden,

@@ -7,17 +7,17 @@ failure or an unwritable ``--out``, 3 a bound broken by consistent counts
 (for CI use).  Reports and subjects are written as compact JSON lines:
 Python's C encoder runs only without indent.
 
-Each command runs with every loaded OpenBLAS limited to one thread and puts
-the previous counts back on exit.  The matrices are at most 144 x 144
-(d <= 12); at that size BLAS threads only add wake-up stalls.  Library
-calls keep the process's own settings.
+Each command runs inside :func:`linalg.one_blas_thread`: the OpenBLAS of
+every LAPACK call is limited to one thread, and the previous counts come
+back on exit.  The matrices are at most 144 x 144 (d <= 12); at that size
+BLAS threads only add wake-up stalls.  Library calls keep the process's own
+settings.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import ctypes
 import functools
 import json
 import sys
@@ -84,7 +84,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        with _one_blas_thread():
+        with linalg.one_blas_thread():
             if args.command == "analyze":
                 return _cmd_analyze(args)
             if args.command == "verify":
@@ -97,44 +97,6 @@ def main(argv=None) -> int:
         return 2
 
 
-@functools.cache
-def _openblas_thread_controls() -> tuple:
-    """``(get, set)`` thread-count functions of every OpenBLAS this process
-    has loaded (numpy's, and scipy's once imported), looked up once.
-    Empty where none is found, e.g. with MKL or off Linux."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        return ()
-    controls = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        get = linalg.openblas_symbol(lib, "openblas_get_num_threads")
-        set_ = linalg.openblas_symbol(lib, "openblas_set_num_threads")
-        if get is not None and set_ is not None:
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            controls.append((get, set_))
-    return tuple(controls)
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    controls = _openblas_thread_controls()
-    before = [get() for get, _ in controls]
-    for _, set_ in controls:
-        set_(1)
-    try:
-        yield
-    finally:
-        for (_, set_), count in zip(controls, before):
-            set_(count)
-
-
 def _load_subject(path: str):
     try:
         with open(path) as fh:
@@ -143,6 +105,8 @@ def _load_subject(path: str):
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:  # nesting deeper than the decoder's recursion limit
+        raise ValueError(f"{path}: {exc}") from None
     try:
         if "hamiltonian" in obj:
             return gkls.generator_from_json(obj)
@@ -199,18 +163,21 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _parse_pairs(spec: str) -> tuple[tuple[complex, complex], ...]:
-    pairs = []
-    for chunk in spec.split(";"):
-        a, b = chunk.split(",")
-        pairs.append((complex(a), complex(b)))
-    return tuple(pairs)
+def _parse_pair(flag: str, item: str, number) -> tuple:
+    """The two numbers of ``item``, written a,b, each read by ``number``."""
+    try:
+        a, b = map(number, item.split(","))
+    except ValueError:
+        raise ValueError(f"{flag}: {item!r} is not a pair a,b of {number.__name__} "
+                         "numbers") from None
+    return a, b
 
 
 def _cmd_construct(args) -> int:
-    h1, h2 = (float(tok) for tok in args.h.split(","))
-    subject, _ = constructions.saturating(args.kind, args.dim, (h1, h2),
-                                          _parse_pairs(args.eigenpairs))
+    h = _parse_pair("--h", args.h, float)
+    pairs = tuple(_parse_pair("--eigenpairs", chunk, complex)
+                  for chunk in args.eigenpairs.split(";"))
+    subject, _ = constructions.saturating(args.kind, args.dim, h, pairs)
     with _emit(args.out) as fh:
         fh.write(_to_json(subject) + "\n")
     return 0

@@ -17,14 +17,17 @@ bases and projections a caller reads.
 Every SVD and symmetric eigensolve is ``numpy.linalg``'s.  Only
 :func:`real_eig` calls LAPACK itself: numpy has no eig with left
 eigenvectors, so ``dgeev`` is bound through ``ctypes`` (scipy's wrapper
-where numpy's wheel bundles no OpenBLAS).
+where numpy's wheel bundles no OpenBLAS).  :func:`one_blas_thread` limits
+the OpenBLAS of both to one thread.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
+import sys
 import threading
 from dataclasses import dataclass, field
 
@@ -105,9 +108,9 @@ except (ImportError, OSError):
 if _LAPACK is not None:
     _LAPACK.restype = None
 _LOCK, _ONE = threading.Lock(), ctypes.c_size_t(1)
-# A call prebuilds its arguments on buffers of its own, kept by _kept for the KEPT_SHAPES
-# latest sides of at most KEPT_ENTRIES entries: a rebuild costs about a dgeev at n = 9.
-KEPT_SHAPES, KEPT_ENTRIES = 16, 64 * 64
+# A call prebuilds its arguments on buffers of its own, kept by _kept for each side of at
+# most KEPT_ENTRIES entries (n = d^2 <= 64: 8 sides): a rebuild costs about a dgeev at n = 9.
+KEPT_ENTRIES = 64 * 64
 
 
 def _int(value: int):
@@ -124,7 +127,7 @@ def _buffer(shape: tuple) -> tuple[np.ndarray, ctypes.c_void_p]:
 
 
 def _kept(build):
-    cached = functools.lru_cache(maxsize=KEPT_SHAPES)(build)
+    cached = functools.cache(build)
     return lambda n: (cached if n * n <= KEPT_ENTRIES else build)(n)
 
 
@@ -173,6 +176,35 @@ def _dgeev(a: np.ndarray) -> tuple:
         _LAPACK(*args)
         out = out.copy(order="F")
         return out[:, 0], out[:, 1], out[:, 2:n + 2], out[:, n + 2:], info.value
+
+
+@functools.cache
+def _blas_threads(module) -> tuple:
+    """``(get, set)`` of the thread count of the OpenBLAS that the extension
+    ``module`` links, looked up once; ``(None, None)`` where it has none."""
+    lib = ctypes.PyDLL(module.__file__)
+    return tuple(openblas_symbol(lib, f"openblas_{op}_num_threads") for op in ("get", "set"))
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Limit to one thread the OpenBLAS that numpy's LAPACK module links and,
+    whenever scipy's is imported, scipy's, and put the previous counts back
+    on exit.  Where ``dgeev`` is scipy's, scipy is bound first, so that the
+    ``dgeev`` run inside is limited too."""
+    if _LAPACK is None:
+        _scipy_lapack()
+    modules = (sys.modules.get(name) for name in ("numpy.linalg._umath_linalg",
+                                                  "scipy.linalg._flapack"))
+    controls = [c for c in map(_blas_threads, filter(None, modules)) if None not in c]
+    before = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(controls, before):
+            set_(count)
 
 
 def real_eig(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

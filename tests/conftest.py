@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from oqspectra import cli
+from oqspectra import linalg
 
 settings.register_profile(
     "numeric",
@@ -37,7 +37,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture(scope="session", autouse=True)
 def one_blas_thread():
-    """The whole suite runs on one BLAS thread, as every CLI command does:
-    on matrices of at most 144 x 144, more threads only add wake-up stalls."""
-    with cli._one_blas_thread():
+    """The whole suite runs inside ``linalg.one_blas_thread()``, as every CLI
+    command does: numpy's OpenBLAS and, where a collected test module imported
+    scipy, scipy's, each on one thread.  On matrices of at most 144 x 144,
+    more threads only add wake-up stalls."""
+    with linalg.one_blas_thread():
         yield

@@ -1,5 +1,8 @@
 import csv
+import ctypes
 import dataclasses
+import functools
+import inspect
 import json
 import os
 import pathlib
@@ -28,6 +31,18 @@ GOLDEN_CSV = pathlib.Path(__file__).parent / "data" / "verify-golden.csv"
 # sample of each ensemble at d = 3, seeds 0 and 1, as written when spectral
 # projections still took complex SVDs of M itself
 GOLDEN_ANALYZE = pathlib.Path(__file__).parent / "data" / "analyze-golden.jsonl"
+
+
+def openblas_threads() -> dict:
+    """``{path: (get, set)}``: the thread-count functions of every OpenBLAS
+    in /proc/self/maps, whichever module loaded it; empty off Linux."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return {}
+    return {path: tuple(linalg.openblas_symbol(ctypes.CDLL(path), f"openblas_{op}_num_threads")
+                        for op in ("get", "set")) for path in paths}
 
 
 def assert_json_close(got, want, where="report"):
@@ -237,6 +252,16 @@ class TestCliAnalyze:
         path.write_text("{not json")
         assert main(["analyze", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_deeply_nested_subject_exit_2(self, tmp_path, capsys):
+        # nesting deeper than the JSON decoder's recursion limit is a parse
+        # error (exit 2), not a failed numerical cross-check (exit 1)
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {path}: maximum recursion depth exceeded")
 
     def test_validation_error_exit_2(self, tmp_path, capsys):
         # non-trace-preserving Kraus list
@@ -522,6 +547,23 @@ class TestCliConstructAndSample:
 
     def test_construct_invalid_params_exit_2(self, capsys):
         assert main(["construct", "hamiltonian", "--dim", "3", "--h", "1,1"]) == 2
+
+    @pytest.mark.parametrize("option, value, item, numbers", [
+        ("--eigenpairs", "1", "1", "complex"),
+        ("--eigenpairs", "1,0;1j", "1j", "complex"),
+        ("--eigenpairs", "1,0;x,1", "x,1", "complex"),
+        ("--h", "1", "1", "float"),
+        ("--h", "1,2,3", "1,2,3", "float"),
+        ("--h", "a,b", "a,b", "float"),
+    ], ids=["one-eigenvalue", "second-pair-short", "not-complex", "one-h", "three-h",
+            "not-float"])
+    def test_construct_malformed_pair_exit_2(self, capsys, option, value, item, numbers):
+        # the error names the flag and the item it could not read as two numbers
+        kind = "dissipative" if option == "--eigenpairs" else "hamiltonian"
+        assert main(["construct", kind, "--dim", "2", option, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {option}: {item!r} is not a pair a,b of {numbers} numbers\n"
+        assert captured.out == ""
 
     def test_sample_single_json(self, tmp_path):
         path = tmp_path / "s.json"
@@ -830,7 +872,7 @@ class TestOneBlasThread:
 
     @pytest.fixture
     def controls(self):
-        controls = cli._openblas_thread_controls()
+        controls = list(openblas_threads().values())
         if not controls:
             pytest.skip("no OpenBLAS loaded")
         before = [get() for get, _ in controls]
@@ -870,13 +912,54 @@ class TestOneBlasThread:
         assert [get() for get, _ in controls] == [2] * len(controls)
 
     def test_without_openblas_nothing_happens(self, monkeypatch, tmp_path):
-        def unreadable(*args, **kwargs):
-            raise OSError("no maps")
-
-        monkeypatch.setattr(cli, "open", unreadable, raising=False)
-        assert cli._openblas_thread_controls.__wrapped__() == ()
-        monkeypatch.undo()
-        monkeypatch.setattr(cli, "_openblas_thread_controls", lambda: ())
+        # a symbol lookup that finds no OpenBLAS: no thread control, and the command runs
+        monkeypatch.setattr(linalg, "openblas_symbol", lambda lib, name: None)
+        monkeypatch.setattr(linalg, "_blas_threads",
+                            functools.cache(linalg._blas_threads.__wrapped__))
+        assert linalg._blas_threads(np.linalg._umath_linalg) == (None, None)
         out = tmp_path / "u.json"
         assert main(["construct", "unitary", "--dim", "2", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["dim"] == 2
+
+    SCRIPT = """
+import contextlib, ctypes, io, json
+from oqspectra import analysis, cli, linalg
+
+linalg._LAPACK = None  # a numpy without the bundled OpenBLAS: scipy's dgeev
+analyze, seen = analysis.analyze, []
+
+def spy(*args, **kwargs):
+    report = analyze(*args, **kwargs)  # scipy's dgeev has run, so its OpenBLAS is loaded
+    seen[-1]["inside"] = [get() for get, _ in openblas_threads().values()]
+    return report
+
+analysis.analyze = spy
+for argv in (["construct", "unitary", "--dim", "3", "--out", "u.json"],
+             ["analyze", "u.json"], ["analyze", "u.json"]):
+    for _, set_ in openblas_threads().values():
+        set_(2)
+    seen.append({"before": sorted(openblas_threads())})
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    seen[-1]["after"] = {path: get() for path, (get, _) in openblas_threads().items()}
+print(json.dumps(seen))
+"""
+
+    def test_scipy_fallback_limited_from_the_first_command(self, tmp_path):
+        # in a fresh process, scipy's OpenBLAS loads during the commands, and
+        # each analyze still runs with every loaded OpenBLAS on one thread
+        if not openblas_threads():
+            pytest.skip("no OpenBLAS loaded")
+        src = pathlib.Path(cli.__file__).parents[1]
+        script = inspect.getsource(openblas_threads) + self.SCRIPT
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        construct, *analyzes = json.loads(done.stdout)
+        assert "inside" not in construct and len(analyzes) == 2
+        for call in analyzes:
+            assert call["inside"] == [1, 1]  # numpy's OpenBLAS and scipy's
+        for call in (construct, *analyzes):
+            assert {path: call["after"][path] for path in call["before"]} == dict.fromkeys(
+                call["before"], 2)
