@@ -18,9 +18,7 @@ from .asymptotics import (
 from .bounds import (
     BoundReport,
     check_bounds,
-    ckks_channel,
-    ckks_derived_bounds,
-    ckks_generator,
+    ckks,
     classify,
     structural_ceiling,
 )

@@ -5,7 +5,9 @@ multiplicity is first cross-checked against the nullspace dimension, then
 the whole summary is recomputed at 10x tighter tolerances.  A cross-check
 that still disagrees is the report's ``discrepancy``: the numerics failed,
 not a theorem, and callers count it apart from a violation by consistent
-counts (CLI exit 1, not 3; the campaign's ``numerical`` rows).
+counts (CLI exit 1, not 3; the campaign's ``numerical`` rows).  The
+recheck is the second pass of one loop; :func:`report_to_json` alone
+writes the ``oqs/1`` record.
 """
 
 from __future__ import annotations
@@ -50,22 +52,17 @@ def analyze(subject,
     channel bound."""
     timings: dict = {}
     t0 = time.perf_counter()
-    summary = spectra.summarize(subject, cluster_tol, peripheral_tol)
-    timings["spectra"] = time.perf_counter() - t0
-
-    classification = bounds.classify(subject, summary)
-    fixed_dim, discrepancy = _nullspace_dim(subject, summary)
-    report = _bound_report(summary, classification, markovian)
-    rechecked = False
-
-    if discrepancy is not None or not report.all_satisfied:
-        # Re-analysis protocol: 10x tighter tolerances before recording.
-        rechecked = True
-        summary = spectra.summarize(subject, summary.cluster_tol / 10.0,
-                                    peripheral_tol / 10.0)
+    tols = (cluster_tol, peripheral_tol)
+    for rechecked in (False, True):
+        summary = spectra.summarize(subject, *tols)
         classification = bounds.classify(subject, summary)
         fixed_dim, discrepancy = _nullspace_dim(subject, summary)
-        report = _bound_report(summary, classification, markovian)
+        report = bounds.check_bounds(summary, classification, markovian)
+        if discrepancy is None and report.all_satisfied:
+            break
+        # Re-analysis protocol: 10x tighter tolerances before recording.
+        tols = (summary.cluster_tol / 10.0, summary.peripheral_tol / 10.0)
+    timings["spectra"] = time.perf_counter() - t0
 
     t1 = time.perf_counter()
     try:
@@ -103,11 +100,6 @@ def _nullspace_dim(subject, summary) -> tuple[int, str | None]:
         return -1, str(exc)
 
 
-def _bound_report(summary, classification, markovian) -> BoundReport:
-    derived = bounds.ckks_derived_bounds(summary, classification, markovian)
-    return bounds.check_bounds(summary, classification, derived)
-
-
 def _commutant_dim(subject) -> int:
     """Commutant of the Kraus set (with adjoints) or of {H, A_k, A_k^dag}."""
     a = subject.kraus_operators() if subject.kind == spectra.CHANNEL else subject.noise_ops
@@ -118,23 +110,30 @@ def _commutant_dim(subject) -> int:
 
 
 def report_to_json(report: AnalysisReport) -> dict:
-    summary = spectra.summary_to_json(report.summary)
-    subject = {"kind": report.summary.kind.name, "dim": report.summary.dim,
-               "classification": report.classification}
+    """The ``oqs/1`` record of a report, every field in schema order."""
+    s, b = report.summary, report.bound_report
+    kind_dim = {"kind": s.kind.name, "dim": s.dim}
+    subject = {**kind_dim, "classification": report.classification}  # oqs/1 repeats it
+    rates = s.rates.tolist() if s.kind == spectra.GENERATOR else None
+    distinct = [{"value": [v.real, v.imag], "multiplicity": m, "peripheral": p, "real_part": v.real,
+                 **({"rate": rates[k]} if rates is not None else {})}
+                for k, (v, m, p) in enumerate(zip(s.values.tolist(), s.multiplicities.tolist(),
+                                                  s.peripheral.tolist()))]
+    ckks = [{"alpha": [alpha.real, alpha.imag], "lhs": lhs, "rhs": rhs, "margin": margin,
+             "satisfied": ok}
+            for alpha, lhs, rhs, margin, ok in zip(*(a.tolist() for a in vars(b.ckks).values()))]
+    tolerances = {"cluster": s.cluster_tol, "peripheral": s.peripheral_tol}
     return {
-        "schema": SCHEMA,
-        **subject,
-        "summary": summary,
-        "subspaces": {
-            "fixed_dim": report.fixed_dim,
-            "attractor_dim": report.attractor_dim,
-            "commutant_dim": report.commutant_dim,
-        },
-        "bounds": {**subject, **bounds.report_to_json(report.bound_report)},  # oqs/1 repeats it
-        "tolerances": summary["tolerances"],
-        "timings": report.timings,
-        "discrepancy": report.discrepancy,
-        "rechecked": report.rechecked,
+        "schema": SCHEMA, **subject,
+        "summary": {**kind_dim, "distinct": distinct, "l0_or_m0": s.l0_or_m0,
+                    "lP_or_mP": s.lP_or_mP, "bulk_multiplicity": s.bulk_multiplicity,
+                    "tolerances": tolerances},
+        "subspaces": {"fixed_dim": report.fixed_dim, "attractor_dim": report.attractor_dim,
+                      "commutant_dim": report.commutant_dim},
+        "bounds": {**subject, "checks": [dict(vars(c)) for c in b.checks],  # fields in order
+                   "gap": b.gap, "forbidden": b.forbidden, "ckks": ckks},
+        "tolerances": tolerances, "timings": report.timings,
+        "discrepancy": report.discrepancy, "rechecked": report.rechecked,
     }
 
 

@@ -13,9 +13,13 @@ dissipation is switched on, leaving 2(d - 1) - 1 forbidden values.
 
 The CKKS conjecture caps every relaxation rate by the multiplicity-weighted
 mean rate, Gamma_alpha <= (1/d) sum_beta m_beta Gamma_beta, and implies the
-looser ceilings m0, mP, l0 <= d^2 - d handled by
-:func:`ckks_derived_bounds`.  It is proved for unital semigroups; on other
-ensembles a violation is conjecture-relevant data, not an error.
+looser ceilings m0, mP, l0 <= d^2 - d.  It is proved for unital semigroups;
+on other ensembles a violation is conjecture-relevant data, not an error.
+
+Channels and generators differ here only in one table keyed by
+:class:`~oqspectra.spectra.Kind`: each kind's CKKS margin formula and its
+CKKS-derived rows.  :func:`check_bounds` builds the whole report from it,
+and :func:`ckks` gives the margins alone.
 """
 
 from __future__ import annotations
@@ -88,26 +92,32 @@ def classify(subject, summary: SpectralSummary | None = None) -> str:
     """
     kind, m = subject.kind, subject.superop
     trivial, all_peripheral, other = kind.classes
-    if float(np.linalg.norm(m - kind.anchor * np.eye(m.shape[0]))) <= kind.trivial_tol:
+    diff = m - kind.anchor * np.eye(m.shape[0])
+    # The largest |Re| or |Im| bounds ||diff|| from below, and the norm cannot
+    # overflow once that is within trivial_tol.
+    if (np.abs(diff.view(np.float64)).max() <= kind.trivial_tol
+            and float(np.linalg.norm(diff)) <= kind.trivial_tol):
         return trivial
     if summary is None:
         summary = spectra.summarize(subject)
     return all_peripheral if summary.lP_or_mP == summary.dim ** 2 else other
 
 
-def check_bounds(summary: SpectralSummary, classification: str, derived=()) -> BoundReport:
-    """Integer-margin report for the proved bounds, then the ``derived``
-    checks (``analyze`` adds :func:`ckks_derived_bounds`), with the CKKS margins.
+def check_bounds(summary: SpectralSummary, classification: str,
+                 markovian: bool = False) -> BoundReport:
+    """Integer-margin report: the proved bounds, the CKKS-derived ceilings of
+    :data:`_TABLE` (``markovian`` adds the Markovian-only rows), for d >= 2
+    the comparison of the two ceilings, and the CKKS margins.
 
     The trivial map (identity channel, zero generator) is excluded from the
-    inequalities (l0 = lP = d^2 there) and gets no check of its own.
+    inequalities (l0 = lP = d^2 there) and gets the comparison row alone.
     """
     kind = summary.kind
     if classification not in kind.classes:
         raise ValueError(f"unknown {kind.name} classification {classification!r}")
     d = summary.dim
-    ceiling = structural_ceiling(d)
-    l0, lp = summary.l0_or_m0, summary.lP_or_mP
+    ceiling, loose = structural_ceiling(d), d * d - d
+    l0, lp = counts = (summary.l0_or_m0, summary.lP_or_mP)
     name0, name_p = kind.counts  # l0, lP or m0, mP
     trivial, all_peripheral, _ = kind.classes
     checks: tuple[BoundCheck, ...]
@@ -123,9 +133,20 @@ def check_bounds(summary: SpectralSummary, classification: str, derived=()) -> B
             _le(f"{name0} <= {name_p}", l0, lp),
             _le(f"{name_p} <= d^2-2d+2", lp, ceiling),
         )
-    ckks = ckks_channel if kind == spectra.CHANNEL else ckks_generator
-    return BoundReport(checks=(*checks, *derived), gap=2 * (d - 1), forbidden=2 * (d - 1) - 1,
-                       ckks=ckks(summary))
+    ckks_margins, derived = _TABLE[kind]
+    checks += tuple(_le(f"ckks: {kind.counts[k]} <= d^2-d{suffix}", counts[k], loose)
+                    for k, classes, suffix in derived
+                    if classification in classes and (markovian or not suffix))
+    if d >= 2:  # d^2-2d+2 <= d^2-d; at d = 1, left by a faithful reduction, 1 <= 0
+        checks += (_le("structural ceiling <= ckks ceiling", ceiling, loose),)
+    return BoundReport(checks=checks, gap=2 * (d - 1), forbidden=2 * (d - 1) - 1,
+                       ckks=ckks_margins(summary))
+
+
+def ckks(summary: SpectralSummary) -> CkksMargins:
+    """The CKKS inequality at each distinct eigenvalue of a channel's or a
+    generator's summary."""
+    return _TABLE[summary.kind][0](summary)
 
 
 def _running_sum(terms: np.ndarray) -> float:
@@ -139,67 +160,37 @@ def _margins(alpha, lhs, rhs, scale: float) -> CkksMargins:
     return CkksMargins(alpha, lhs, rhs, margin, margin >= -CKKS_NUM_TOL * scale)
 
 
-def ckks_generator(summary: SpectralSummary) -> CkksMargins:
+def _ckks_generator(summary: SpectralSummary) -> CkksMargins:
     """Per-eigenvalue margins of Gamma_alpha <= (1/d) sum m_beta Gamma_beta.
 
     The sum runs over the distinct nonzero eigenvalues; the zero cluster is
     excluded on both sides (its rate vanishes anyway).
     """
-    if summary.kind != spectra.GENERATOR:
-        raise ValueError("ckks_generator needs a generator summary")
     nonzero = np.arange(summary.values.size) != summary.anchor_index
     lhs = summary.rates[nonzero]
     rhs = _running_sum(summary.multiplicities[nonzero] * lhs) / summary.dim
     return _margins(summary.values[nonzero], lhs, np.full(lhs.size, rhs), max(1.0, rhs))
 
 
-def ckks_channel(summary: SpectralSummary) -> CkksMargins:
+def _ckks_channel(summary: SpectralSummary) -> CkksMargins:
     """Margins of sum_beta l_beta x_beta <= d(d-1) + d x_alpha.
 
     The inequality is stated for the eigenvalues other than mu_0 = 1; the
     margin at the unit cluster (trivially nonnegative) is emitted too so the
     report covers every distinct eigenvalue.
     """
-    if summary.kind != spectra.CHANNEL:
-        raise ValueError("ckks_channel needs a channel summary")
     d, re = summary.dim, summary.values.real
     total = _running_sum(summary.multiplicities * re)
     rhs = d * (d - 1) + d * re
     return _margins(summary.values, np.full(re.size, total), rhs, float(d * d))
 
 
-def ckks_derived_bounds(summary: SpectralSummary, classification: str,
-                        markovian: bool = False) -> list[BoundCheck]:
-    """The integer ceilings implied by the CKKS bound, plus, for d >= 2, the
-    comparison check that the structural ceiling implies them."""
-    d = summary.dim
-    loose = d * d - d
-    checks = []
-    if summary.kind == spectra.CHANNEL:
-        if classification != "trivial":
-            checks.append(_le("ckks: l0 <= d^2-d", summary.l0_or_m0, loose))
-        if markovian and classification == "non-unitary":
-            checks.append(_le("ckks: lP <= d^2-d (markovian)", summary.lP_or_mP, loose))
-    else:
-        if classification == "non-hamiltonian":
-            checks.append(_le("ckks: m0 <= d^2-d", summary.l0_or_m0, loose))
-            checks.append(_le("ckks: mP <= d^2-d", summary.lP_or_mP, loose))
-    if d >= 2:  # d^2-2d+2 <= d^2-d; at d = 1, left by a faithful reduction, 1 <= 0
-        checks.append(_le("structural ceiling <= ckks ceiling", structural_ceiling(d), loose))
-    return checks
-
-
-def report_to_json(report: BoundReport) -> dict:
-    """The checks, gap, forbidden count and CKKS margins; the subject's kind,
-    dim and classification are the caller's to add."""
-    return {
-        "checks": [dict(vars(c)) for c in report.checks],  # the fields in order
-        "gap": report.gap,
-        "forbidden": report.forbidden,
-        "ckks": [
-            {"alpha": [alpha.real, alpha.imag], "lhs": lhs, "rhs": rhs, "margin": margin,
-             "satisfied": satisfied}
-            for alpha, lhs, rhs, margin, satisfied in zip(
-                *(a.tolist() for a in vars(report.ckks).values()))  # the fields in order
-        ],
-    }
+# Kind -> (its CKKS margins, its CKKS-derived rows).  A row (k, classes,
+# suffix) checks count k (0: l0/m0, 1: lP/mP) <= d^2-d for the classes
+# named; a row with a suffix holds only for a Markovian map.
+_TABLE = {
+    spectra.CHANNEL: (_ckks_channel, ((0, ("unitary", "non-unitary"), ""),
+                                      (1, ("non-unitary",), " (markovian)"))),
+    spectra.GENERATOR: (_ckks_generator, ((0, ("non-hamiltonian",), ""),
+                                          (1, ("non-hamiltonian",), ""))),
+}

@@ -88,11 +88,6 @@ class CampaignResult:
     oracle_mismatches: int
     ckks_unital_failures: int
 
-    @property
-    def clean(self) -> bool:
-        return (self.structural_violations == 0 and self.oracle_mismatches == 0
-                and self.ckks_unital_failures == 0)
-
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:
     rows = [_run_task(t) for t in _subject_tasks(config)]

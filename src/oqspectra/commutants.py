@@ -58,9 +58,14 @@ def commutant_dimension(ops) -> int:
     commutators, computed directly, pass the stack SVD's own cutoff.  P != Q
     beyond rounding, or an uncertified count, falls back to :func:`commutant`.
     """
-    a = np.asarray(ops, dtype=np.complex128)
+    a = np.ascontiguousarray(ops, dtype=np.complex128)
     if a.ndim != 3 or a.shape[0] == 0 or a.shape[1] != a.shape[2]:
         raise ValueError("expected a nonempty set of square operators of one dimension")
+    # One exact power of two brings the largest entry into [0.5, 1): the Gram
+    # products neither underflow nor overflow, and where they did neither
+    # every quantity scales exactly (2.0 ** -e overflows for a subnormal max).
+    parts = a.view(np.float64)
+    a = np.ldexp(parts, -np.frexp(np.abs(parts).max())[1]).view(np.complex128)
     n_ops, d, n = a.shape[0], a.shape[1], a.shape[1] ** 2
     rows = a.reshape(n_ops * d, d)  # A_k stacked vertically: P = rows^dag rows
     cols = a.transpose(1, 0, 2).reshape(d, n_ops * d)  # side by side: Q = cols cols^dag

@@ -167,24 +167,3 @@ def _summarize(kind: Kind, dim: int, eigenvalues: np.ndarray,
                            cluster_tol=ctol, peripheral_tol=peripheral_tol,
                            anchor_index=anchor_idx)
 
-
-def summary_to_json(summary: SpectralSummary) -> dict:
-    rates = summary.rates.tolist() if summary.kind == GENERATOR else None
-    return {
-        "kind": summary.kind.name,
-        "dim": summary.dim,
-        "distinct": [
-            {"value": [value.real, value.imag], "multiplicity": mult, "peripheral": peripheral,
-             "real_part": value.real, **({"rate": rates[k]} if rates is not None else {})}
-            for k, (value, mult, peripheral) in enumerate(zip(
-                summary.values.tolist(), summary.multiplicities.tolist(),
-                summary.peripheral.tolist()))
-        ],
-        "l0_or_m0": summary.l0_or_m0,
-        "lP_or_mP": summary.lP_or_mP,
-        "bulk_multiplicity": summary.bulk_multiplicity,
-        "tolerances": {
-            "cluster": summary.cluster_tol,
-            "peripheral": summary.peripheral_tol,
-        },
-    }

@@ -135,11 +135,11 @@ def test_criterion_06_fixed_point_commutant_duality():
 
 
 def test_criterion_07_ckks_proved_regime(ensembles):
-    from oqspectra.bounds import ckks_generator
+    from oqspectra.bounds import ckks
     for d in (2, 3, 4):
         for gen in ensembles["unital"][d]:
             s = spectra.summarize(gen)
-            margins = ckks_generator(s)
+            margins = ckks(s)
             assert (margins.margin >= -1e-8 * np.maximum(1.0, margins.rhs)).all()
             assert s.lP_or_mP <= d * d - d
 

@@ -2,15 +2,8 @@ import numpy as np
 import pytest
 
 from helpers import dephasing_generator, identity_channel
-from oqspectra import bounds, spectra
-from oqspectra.bounds import (
-    check_bounds,
-    ckks_channel,
-    ckks_derived_bounds,
-    ckks_generator,
-    classify,
-    structural_ceiling,
-)
+from oqspectra import analysis, spectra
+from oqspectra.bounds import check_bounds, ckks, classify, structural_ceiling
 from oqspectra.constructions import (
     generic_gkls,
     phase_damping_channel,
@@ -22,6 +15,11 @@ from oqspectra.constructions import (
 )
 from oqspectra.gkls import build_generator, exponentiate
 from oqspectra.superop import from_kraus
+
+
+def structural(report):
+    """The proved-bound rows: neither CKKS-derived nor the ceiling comparison."""
+    return [c for c in report.checks if not c.name.startswith(("ckks", "structural ceiling"))]
 
 
 def amplitude_damping(gamma=0.5):
@@ -49,13 +47,18 @@ class TestClassification:
         assert classify(saturating_hamiltonian_generator(3)) == "hamiltonian"
         assert classify(dephasing_generator(3)) == "non-hamiltonian"
 
+    def test_huge_entries_classify_without_overflow(self):
+        # ||L|| overflows float64; the largest entry alone rules out zero
+        gen = build_generator(np.zeros((2, 2)), [[[0, 1e100], [0, 0]]])
+        assert classify(gen) == "non-hamiltonian"
+
 
 class TestStructuralBounds:
     def test_unitary_saturation_margin_zero(self):
         ch = saturating_unitary_channel(4)
         s = spectra.summarize(ch)
         rep = check_bounds(s, "unitary")
-        assert [c.margin for c in rep.checks] == [0, 0]
+        assert [c.margin for c in structural(rep)] == [0, 0]
         assert rep.all_satisfied
 
     def test_phase_damping_margins_zero(self):
@@ -76,7 +79,7 @@ class TestStructuralBounds:
     def test_hamiltonian_generator_margins(self):
         s = spectra.summarize(saturating_hamiltonian_generator(3))
         rep = check_bounds(s, "hamiltonian")
-        assert [c.margin for c in rep.checks] == [0, 0]
+        assert [c.margin for c in structural(rep)] == [0, 0]
 
     def test_dephasing_saturates(self):
         s = spectra.summarize(dephasing_generator(3))
@@ -91,9 +94,9 @@ class TestStructuralBounds:
 
     def test_trivial_and_zero_excluded(self):
         s = spectra.summarize(identity_channel(2))
-        assert check_bounds(s, "trivial").checks == ()
+        assert structural(check_bounds(s, "trivial")) == []
         sz = spectra.summarize(build_generator(np.zeros((2, 2)), ()))
-        assert check_bounds(sz, "zero").checks == ()
+        assert structural(check_bounds(sz, "zero")) == []
 
     def test_unknown_classification_rejected(self):
         s = spectra.summarize(identity_channel(2))
@@ -101,17 +104,55 @@ class TestStructuralBounds:
             check_bounds(s, "bogus")
 
 
+def zero_generator(d):
+    return build_generator(np.zeros((d, d)), ())
+
+
+COMPARISON = "structural ceiling <= ckks ceiling"
+
+
+class TestBoundTable:
+    """Each kind x class x markovian cell: the exact check names, in order."""
+
+    @pytest.mark.parametrize("markovian", [False, True])
+    @pytest.mark.parametrize("build, classification, names, markovian_names", [
+        (identity_channel, "trivial", [], []),
+        (saturating_unitary_channel, "unitary",
+         ["l0 <= d^2-2d+2", "lP == d^2", "ckks: l0 <= d^2-d"], []),
+        (phase_damping_channel, "non-unitary",
+         ["l0 <= lP", "lP <= d^2-2d+2", "ckks: l0 <= d^2-d"], ["ckks: lP <= d^2-d (markovian)"]),
+        (zero_generator, "zero", [], []),
+        (saturating_hamiltonian_generator, "hamiltonian", ["m0 <= d^2-2d+2", "mP == d^2"], []),
+        (dephasing_generator, "non-hamiltonian",
+         ["m0 <= mP", "mP <= d^2-2d+2", "ckks: m0 <= d^2-d", "ckks: mP <= d^2-d"], []),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_check_names_in_order(self, build, classification, names, markovian_names,
+                                  markovian):
+        subject = build(3)
+        assert classify(subject) == classification
+        rep = check_bounds(spectra.summarize(subject), classification, markovian)
+        want = names + (markovian_names if markovian else []) + [COMPARISON]
+        assert [c.name for c in rep.checks] == want
+        assert rep.all_satisfied
+
+    @pytest.mark.parametrize("markovian", [False, True])
+    def test_one_dimensional_map_has_no_comparison_row(self, markovian):
+        # at d = 1 the comparison d^2-2d+2 <= d^2-d would read 1 <= 0
+        s = spectra.summarize(from_kraus([np.eye(1)]))
+        assert check_bounds(s, "trivial", markovian).checks == ()
+
+
 class TestCkks:
     def test_hamiltonian_all_margins_zero(self):
         s = spectra.summarize(saturating_hamiltonian_generator(3))
-        margins = ckks_generator(s)
+        margins = ckks(s)
         assert (margins.lhs == 0.0).all() and (margins.margin == margins.rhs).all()
         assert margins.satisfied.all()
 
     def test_dephasing_margin_frozen(self):
         # Gamma = 1, rhs = (1/3)(4 * 1) = 4/3, margin 1/3
         s = spectra.summarize(dephasing_generator(3))
-        margins = ckks_generator(s)
+        margins = ckks(s)
         assert margins.margin.size == 1
         assert margins.rhs[0] == pytest.approx(4.0 / 3.0, abs=1e-12)
         assert margins.margin[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
@@ -120,11 +161,11 @@ class TestCkks:
         for d in (2, 3):
             for _ in range(15):
                 s = spectra.summarize(unital_gkls(d, rng))
-                assert ckks_generator(s).satisfied.all()
+                assert ckks(s).satisfied.all()
 
     def test_channel_identity_margin_zero(self):
         s = spectra.summarize(identity_channel(3))
-        margins = ckks_channel(s)
+        margins = ckks(s)
         assert margins.margin.size == 1
         assert margins.lhs[0] == pytest.approx(9.0)
         assert margins.margin[0] == pytest.approx(0.0, abs=1e-12)
@@ -132,7 +173,7 @@ class TestCkks:
     def test_channel_phase_damping_frozen(self):
         # sum l x = 5 + 4/e; margin at the e^-1 cluster: 1 - 1/e
         s = spectra.summarize(phase_damping_channel(3))
-        margins = ckks_channel(s)
+        margins = ckks(s)
         e = np.exp(-1.0)
         (k,) = np.flatnonzero(np.round(margins.alpha.real, 6) == round(e, 6))
         assert margins.lhs[k] == pytest.approx(5 + 4 * e, abs=1e-12)
@@ -142,41 +183,36 @@ class TestCkks:
         for _ in range(10):
             ch = exponentiate(unital_gkls(3, rng), 1.0)
             s = spectra.summarize(ch)
-            assert ckks_channel(s).satisfied.all()
-
-    def test_kind_mismatch_rejected(self):
-        s = spectra.summarize(identity_channel(2))
-        with pytest.raises(ValueError):
-            ckks_generator(s)
+            assert ckks(s).satisfied.all()
 
 
 class TestDerivedBounds:
     def test_d2_ceilings_coincide(self):
         assert structural_ceiling(2) == 2 * 2 - 2
         s = spectra.summarize(dephasing_generator(2))
-        checks = ckks_derived_bounds(s, "non-hamiltonian")
+        checks = check_bounds(s, "non-hamiltonian").checks
         comparison = [c for c in checks if "ceiling" in c.name][0]
         assert comparison.margin == 0 and comparison.satisfied
 
     def test_d3_strictly_tighter(self):
         assert structural_ceiling(3) == 5 < 6 == 3 * 3 - 3
         s = spectra.summarize(dephasing_generator(3))
-        comparison = [c for c in ckks_derived_bounds(s, "non-hamiltonian")
+        comparison = [c for c in check_bounds(s, "non-hamiltonian").checks
                       if "ceiling" in c.name][0]
         assert comparison.margin == 1
 
     def test_dephasing_d4_derived(self):
         s = spectra.summarize(dephasing_generator(4))
-        checks = {c.name: c for c in ckks_derived_bounds(s, "non-hamiltonian")}
+        checks = {c.name: c for c in check_bounds(s, "non-hamiltonian").checks}
         assert checks["ckks: mP <= d^2-d"].observed == 10
         assert checks["ckks: mP <= d^2-d"].bound == 12
         assert checks["ckks: mP <= d^2-d"].satisfied
 
     def test_markovian_channel_bound_included(self):
         s = spectra.summarize(phase_damping_channel(3))
-        names = [c.name for c in ckks_derived_bounds(s, "non-unitary", markovian=True)]
+        names = [c.name for c in check_bounds(s, "non-unitary", markovian=True).checks]
         assert "ckks: lP <= d^2-d (markovian)" in names
-        names = [c.name for c in ckks_derived_bounds(s, "non-unitary", markovian=False)]
+        names = [c.name for c in check_bounds(s, "non-unitary", markovian=False).checks]
         assert "ckks: lP <= d^2-d (markovian)" not in names
 
     def test_implication_chain_on_samples(self, rng):
@@ -184,16 +220,15 @@ class TestDerivedBounds:
         for d in (2, 3, 4):
             s = spectra.summarize(generic_gkls(d, rng))
             rep = check_bounds(s, "non-hamiltonian")
-            if rep.all_satisfied:
-                derived = ckks_derived_bounds(s, "non-hamiltonian")
-                assert all(c.satisfied for c in derived)
+            if all(c.satisfied for c in structural(rep)):
+                assert rep.all_satisfied
 
 
 class TestReportJson:
     def test_fields(self):
-        s = spectra.summarize(phase_damping_channel(2))
-        rep = check_bounds(s, "non-unitary")
-        obj = bounds.report_to_json(rep)
+        rep = analysis.analyze(phase_damping_channel(2))
+        assert rep.classification == "non-unitary"
+        obj = analysis.report_to_json(rep)["bounds"]
         assert obj["gap"] == 2 and obj["forbidden"] == 1
         assert obj["checks"][0]["satisfied"] is True
-        assert len(obj["ckks"]) == rep.ckks.margin.size
+        assert len(obj["ckks"]) == rep.bound_report.ckks.margin.size

@@ -10,6 +10,7 @@ import helpers
 from helpers import JordanProfile, commutant_dim_from_jordan, weyr_profile
 from oqspectra import analysis, commutants, constructions, linalg
 from oqspectra.constructions import stinespring_channel
+from oqspectra.gkls import build_generator
 from oqspectra.commutants import commutant, commutant_dimension
 
 CONSTRUCTORS = (
@@ -122,6 +123,17 @@ class TestGramRoute:
     def test_scalar_and_zero_sets(self):
         assert commutant_dimension([2.5 * np.eye(4)]) == 16
         assert commutant_dimension([np.zeros((3, 3))]) == 9
+
+    @pytest.mark.parametrize("scale", [1e-320, 1e-170, 1.0, 1e155, 1e300])
+    def test_count_invariant_under_scale(self, scale):
+        # unscaled, the Gram products of diag(0, s) underflow to a zero cut
+        # that certifies all four, or overflow
+        assert commutant_dimension([np.diag([0.0, scale])]) == 2
+
+    def test_analyze_huge_hamiltonian(self):
+        rep = analysis.analyze(build_generator(np.diag([0.0, 1e155])))
+        assert rep.classification == "hamiltonian" and rep.bounds_satisfied
+        assert (rep.summary.l0_or_m0, rep.summary.lP_or_mP, rep.commutant_dim) == (2, 4, 2)
 
     def test_empty_or_mixed_sets_rejected(self):
         with pytest.raises(ValueError):

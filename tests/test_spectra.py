@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import dephasing_generator, identity_channel
-from oqspectra import bounds, spectra
+from oqspectra import analysis, bounds, spectra
 from oqspectra.constructions import (
     generic_gkls,
     phase_damping_channel,
@@ -160,7 +160,7 @@ class TestArraysMatchScalarReference:
         assert (s.anchor_index, s.l0_or_m0, s.lP_or_mP) == (anchor, items[anchor][1], lp)
         if kind == spectra.GENERATOR:
             helpers.assert_bits_equal(s.rates, np.array([r for _, _, _, r in items]))
-        ckks = (bounds.ckks_channel if kind.anchor else bounds.ckks_generator)(s)
+        ckks = bounds.ckks(s)
         ref = helpers.reference_scalar_ckks(kind, d, items, anchor)
         for k, field in enumerate(("alpha", "lhs", "rhs", "margin")):
             got = getattr(ckks, field)
@@ -259,14 +259,13 @@ class TestGeneratorSummary:
 
 class TestJson:
     def test_fields_and_order(self):
-        s = spectra.summarize(phase_damping_channel(3))
-        obj = spectra.summary_to_json(s)
+        rep = analysis.analyze(phase_damping_channel(3))
+        s, obj = rep.summary, analysis.report_to_json(rep)["summary"]
         assert obj["kind"] == "channel" and obj["dim"] == 3
         mods = [abs(complex(*e["value"])) for e in obj["distinct"]]
         assert mods == sorted(mods, reverse=True)
         assert obj["tolerances"]["cluster"] == s.cluster_tol
 
     def test_generator_rates_serialized(self):
-        s = spectra.summarize(dephasing_generator(2))
-        obj = spectra.summary_to_json(s)
+        obj = analysis.report_to_json(analysis.analyze(dephasing_generator(2)))["summary"]
         assert any("rate" in e for e in obj["distinct"])
