@@ -1,13 +1,13 @@
 """Full analysis pipeline: validate -> spectra -> asymptotics -> bounds.
 
-An apparent bound violation is never recorded straight away: the clustered
-multiplicity is first cross-checked against the nullspace dimension, then
-the whole summary is recomputed at 10x tighter tolerances.  A cross-check
-that still disagrees is the report's ``discrepancy``: the numerics failed,
-not a theorem, and callers count it apart from a violation by consistent
-counts (CLI exit 1, not 3; the campaign's ``numerical`` rows).  The
-recheck is the second pass of one loop; :func:`report_to_json` alone
-writes the ``oqs/1`` record.
+One pass: one summary, one classification, one nullspace cross-check and
+one bound check, every default tolerance in units of the subject's scale
+(:func:`spectra.scale`).  The clustered multiplicity is cross-checked
+against the nullspace dimension; a mismatch is the report's
+``discrepancy``: the numerics failed, not a theorem, and callers count it
+apart from a violation by consistent counts (CLI exit 1, not 3; the
+campaign's ``numerical`` rows).  :func:`report_to_json` alone writes the
+``oqs/1`` record, whose ``rechecked`` field is always false.
 """
 
 from __future__ import annotations
@@ -33,35 +33,26 @@ class AnalysisReport:
     commutant_dim: int | None
     bound_report: BoundReport
     timings: dict
-    discrepancy: str | None = None  # cross-check mismatch, if any survived
-    rechecked: bool = False
+    discrepancy: str | None = None  # cross-check mismatch, if any
 
     @property
     def bounds_satisfied(self) -> bool:
         return self.bound_report.all_satisfied and self.discrepancy is None
 
 
-def analyze(subject,
-            cluster_tol: float | None = None,
-            peripheral_tol: float = spectra.DEFAULT_PERIPHERAL_TOL,
-            markovian: bool = False,
-            with_commutant: bool = True) -> AnalysisReport:
-    """Analyze a channel or a generator: one summary and one classification
-    at the given tolerances, a second of each only when the re-analysis
-    protocol runs.  ``markovian`` adds the Markovian-only CKKS-derived
-    channel bound."""
+def analyze(subject, cluster_tol: float | None = None, peripheral_tol: float | None = None,
+            markovian: bool = False, with_commutant: bool = True) -> AnalysisReport:
+    """Analyze a channel or a generator in one pass; a tolerance left None is
+    the default.  ``markovian`` adds the Markovian-only CKKS-derived channel bound."""
     timings: dict = {}
     t0 = time.perf_counter()
-    tols = (cluster_tol, peripheral_tol)
-    for rechecked in (False, True):
-        summary = spectra.summarize(subject, *tols)
-        classification = bounds.classify(subject, summary)
-        fixed_dim, discrepancy = _nullspace_dim(subject, summary)
-        report = bounds.check_bounds(summary, classification, markovian)
-        if discrepancy is None and report.all_satisfied:
-            break
-        # Re-analysis protocol: 10x tighter tolerances before recording.
-        tols = (summary.cluster_tol / 10.0, summary.peripheral_tol / 10.0)
+    summary = spectra.summarize(subject, cluster_tol, peripheral_tol)
+    classification = bounds.classify(subject, summary)
+    try:  # Null(M - I) or Null(L), cross-checked against the clustered multiplicity
+        fixed_dim, discrepancy = asymptotics.fixed_space(subject, summary=summary).dimension, None
+    except asymptotics.ConsistencyError as exc:
+        fixed_dim, discrepancy = -1, str(exc)
+    report = bounds.check_bounds(summary, classification, markovian)
     timings["spectra"] = time.perf_counter() - t0
 
     t1 = time.perf_counter()
@@ -78,26 +69,9 @@ def analyze(subject,
         commutant_dim = _commutant_dim(subject)
         timings["commutant"] = time.perf_counter() - t2
 
-    return AnalysisReport(
-        classification=classification,
-        summary=summary,
-        fixed_dim=fixed_dim,
-        attractor_dim=attractor_dim,
-        commutant_dim=commutant_dim,
-        bound_report=report,
-        timings=timings,
-        discrepancy=discrepancy,
-        rechecked=rechecked,
-    )
-
-
-def _nullspace_dim(subject, summary) -> tuple[int, str | None]:
-    """Dimension of Null(M - I) or Null(L); mismatch message if it disagrees
-    with the clustered multiplicity."""
-    try:
-        return asymptotics.fixed_space(subject, summary=summary).dimension, None
-    except asymptotics.ConsistencyError as exc:
-        return -1, str(exc)
+    return AnalysisReport(classification=classification, summary=summary, fixed_dim=fixed_dim,
+                          attractor_dim=attractor_dim, commutant_dim=commutant_dim,
+                          bound_report=report, timings=timings, discrepancy=discrepancy)
 
 
 def _commutant_dim(subject) -> int:
@@ -133,7 +107,7 @@ def report_to_json(report: AnalysisReport) -> dict:
         "bounds": {**subject, "checks": [dict(vars(c)) for c in b.checks],  # fields in order
                    "gap": b.gap, "forbidden": b.forbidden, "ckks": ckks},
         "tolerances": tolerances, "timings": report.timings,
-        "discrepancy": report.discrepancy, "rechecked": report.rechecked,
+        "discrepancy": report.discrepancy, "rechecked": False,
     }
 
 

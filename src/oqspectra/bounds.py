@@ -92,14 +92,14 @@ def classify(subject, summary: SpectralSummary | None = None) -> str:
     """
     kind, m = subject.kind, subject.superop
     trivial, all_peripheral, other = kind.classes
-    diff = m - kind.anchor * np.eye(m.shape[0])
+    if summary is None:
+        summary = spectra.summarize(subject)
+    diff = (m - kind.anchor * np.eye(m.shape[0])) / summary.scale  # exact: a power of two
     # The largest |Re| or |Im| bounds ||diff|| from below, and the norm cannot
     # overflow once that is within trivial_tol.
     if (np.abs(diff.view(np.float64)).max() <= kind.trivial_tol
             and float(np.linalg.norm(diff)) <= kind.trivial_tol):
         return trivial
-    if summary is None:
-        summary = spectra.summarize(subject)
     return all_peripheral if summary.lP_or_mP == summary.dim ** 2 else other
 
 
@@ -169,7 +169,7 @@ def _ckks_generator(summary: SpectralSummary) -> CkksMargins:
     nonzero = np.arange(summary.values.size) != summary.anchor_index
     lhs = summary.rates[nonzero]
     rhs = _running_sum(summary.multiplicities[nonzero] * lhs) / summary.dim
-    return _margins(summary.values[nonzero], lhs, np.full(lhs.size, rhs), max(1.0, rhs))
+    return _margins(summary.values[nonzero], lhs, np.full(lhs.size, rhs), max(summary.scale, rhs))
 
 
 def _ckks_channel(summary: SpectralSummary) -> CkksMargins:

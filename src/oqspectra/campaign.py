@@ -192,7 +192,7 @@ def rows_to_csv(rows: list[CampaignRow]) -> str:
         writer.writerow([
             row.source, row.dim, row.index, row.seed, rep.summary.kind.name,
             rep.classification, rep.summary.l0_or_m0, rep.summary.lP_or_mP,
-            steady, periph, ckks_min, ckks_ok, 0,  # rejects: no draw is redrawn
-            int(rep.rechecked), int(row.violation), row.note,
+            steady, periph, ckks_min, ckks_ok, 0, 0,  # rejects, rechecked: one draw, one pass
+            int(row.violation), row.note,
         ])
     return buf.getvalue()

@@ -36,8 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="full pipeline on a JSON subject file")
     p_analyze.add_argument("path", help="a channel, or a generator if it has a hamiltonian")
     p_analyze.add_argument("--tol-cluster", type=float, default=None)
-    p_analyze.add_argument("--tol-peripheral", type=float,
-                           default=spectra.DEFAULT_PERIPHERAL_TOL)
+    p_analyze.add_argument("--tol-peripheral", type=float, default=None)
     p_analyze.add_argument("--markovian", action="store_true",
                            help="apply the Markovian-only CKKS-derived channel bound")
     fmt = p_analyze.add_mutually_exclusive_group()

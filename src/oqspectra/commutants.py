@@ -35,6 +35,7 @@ def commutant(ops, tol: float = 0.0) -> SubspaceBasis:
     d = mats[0].shape[0]
     if any(a.shape[0] != d for a in mats):
         raise ValueError("operators must share one dimension")
+    mats = _normalized(np.stack(mats))
     stacked = np.vstack([linalg.commutation_superop(a) for a in mats])
     scale = max(float(np.linalg.norm(a)) for a in mats)
     ns = linalg.nullspace(stacked, tol=tol, scale=scale)
@@ -61,11 +62,7 @@ def commutant_dimension(ops) -> int:
     a = np.ascontiguousarray(ops, dtype=np.complex128)
     if a.ndim != 3 or a.shape[0] == 0 or a.shape[1] != a.shape[2]:
         raise ValueError("expected a nonempty set of square operators of one dimension")
-    # One exact power of two brings the largest entry into [0.5, 1): the Gram
-    # products neither underflow nor overflow, and where they did neither
-    # every quantity scales exactly (2.0 ** -e overflows for a subnormal max).
-    parts = a.view(np.float64)
-    a = np.ldexp(parts, -np.frexp(np.abs(parts).max())[1]).view(np.complex128)
+    a = _normalized(a)
     n_ops, d, n = a.shape[0], a.shape[1], a.shape[1] ** 2
     rows = a.reshape(n_ops * d, d)  # A_k stacked vertically: P = rows^dag rows
     cols = a.transpose(1, 0, 2).reshape(d, n_ops * d)  # side by side: Q = cols cols^dag
@@ -91,6 +88,13 @@ def commutant_dimension(ops) -> int:
     if certified:
         return k
     return commutant(list(a)).dimension
+
+
+def _normalized(a: np.ndarray) -> np.ndarray:
+    """``a`` times the exact power of two that brings its largest entry into [0.5, 1):
+    no product underflows or overflows (2.0 ** -e would, for a subnormal max)."""
+    parts = a.view(np.float64)
+    return np.ldexp(parts, -np.frexp(np.abs(parts).max())[1]).view(np.complex128)
 
 
 @functools.cache

@@ -95,8 +95,7 @@ def exponentiate(gen: GklsGenerator, t: float = 1.0) -> QuantumChannel:
     """
     if t < 0:
         raise ValueError("semigroup parameter t must be nonnegative")
-    import scipy.linalg  # here only: the command line never exponentiates
-    m = scipy.linalg.expm(t * gen.superop)
+    m = linalg.scipy_linalg("exponentiate").expm(t * gen.superop)  # no command exponentiates
     return superop.from_superop(
         m, tp_tol=EXP_VALIDATION_TOL, cp_tol=EXP_VALIDATION_TOL
     )

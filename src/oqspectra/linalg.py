@@ -138,11 +138,20 @@ def _checked(routine: str, *out):
     return out[:-1]
 
 
+def scipy_linalg(user: str):
+    """``scipy.linalg`` for ``user``: only a test extra, not a runtime dependency."""
+    try:
+        import scipy.linalg
+    except ImportError as exc:
+        raise ImportError(f"{user} needs scipy, which oqspectra does not install") from exc
+    return scipy.linalg
+
+
 @functools.cache
 def _scipy_lapack():
     """scipy's ``dgeev`` and its cached workspace query, for a numpy without the OpenBLAS."""
-    import scipy.linalg
-    routine, query = scipy.linalg.get_lapack_funcs(("geev", "geev_lwork"), dtype=np.float64)
+    routine, query = scipy_linalg("a numpy without its bundled OpenBLAS").get_lapack_funcs(
+        ("geev", "geev_lwork"), dtype=np.float64)
     return routine, functools.cache(lambda n: int(_checked("query", *query(n))[0]))
 
 

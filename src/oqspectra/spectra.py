@@ -3,14 +3,17 @@
 Distinct eigenvalues are recovered from the raw d^2 eigenvalue list by
 single-linkage clustering (chaining within ``cluster_tol``), which keeps
 numerically smeared multiple eigenvalues together at the cost of possibly
-merging adversarially close distinct ones.  Tolerances are caller
-overridable, validated here and embedded in every summary.
+merging adversarially close distinct ones.  Tolerances are validated here
+and embedded in every summary.  A caller's are in input units; the defaults
+are ``DEFAULT_TOL`` in units of one per-subject :func:`scale` s (clustering
+``DEFAULT_TOL * max(s, spectral radius)``, peripheral ``DEFAULT_TOL * s``),
+so a generator L and cL (c > 0) get the same counts.
 
 Channels and generators differ only in their :class:`Kind`: for a channel,
 peripheral means |mu| >= 1 - peripheral_tol and l0 is the multiplicity of
 the cluster containing 1; for a generator, peripheral means
 |Re(lambda)| <= peripheral_tol and m0 is the multiplicity of the cluster
-containing 0.
+containing 0.  The cluster at the anchor is always peripheral.
 """
 
 from __future__ import annotations
@@ -20,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_PERIPHERAL_TOL = 1e-7
-DEFAULT_CLUSTER_REL_TOL = 1e-7
+DEFAULT_TOL = 1e-8  # every default tolerance, in units of the subject's scale
 
 
 @dataclass(frozen=True)
@@ -36,9 +38,8 @@ class Kind:
     anchor: float  # the eigenvalue of the steady states: 1 or 0
     counts: tuple[str, str]  # names of the steady and peripheral counts
     classes: tuple[str, str, str]  # the trivial map, all peripheral, the rest
-    trivial_tol: float  # ||M - anchor I|| at most this: the trivial map
+    trivial_tol: float  # ||M - anchor I|| at most this times the scale: the trivial map
     space: str  # fixed-space | kernel
-    peripheral_tol_max: float  # peripheral_tol must lie in [0, this)
 
     def peripheral(self, c: np.ndarray, tol: float) -> np.ndarray:
         """Mask of |c| >= 1 - tol for a channel, |Re c| <= tol for a generator
@@ -48,15 +49,25 @@ class Kind:
 
 CHANNEL = Kind(name="channel", anchor=1.0, counts=("l0", "lP"),
                classes=("trivial", "unitary", "non-unitary"), trivial_tol=1e-8,
-               space="fixed-space", peripheral_tol_max=1.0)
+               space="fixed-space")
 GENERATOR = Kind(name="generator", anchor=0.0, counts=("m0", "mP"),
                  classes=("zero", "hamiltonian", "non-hamiltonian"), trivial_tol=1e-12,
-                 space="kernel", peripheral_tol_max=math.inf)
+                 space="kernel")
 
 
-def default_cluster_tol(spectral_radius: float) -> float:
-    # Well above eig backward error at d <= 12, far below constructed gaps.
-    return DEFAULT_CLUSTER_REL_TOL * max(1.0, spectral_radius)
+def scale(subject) -> float:
+    """The unit of the default tolerances: 1 for a channel, whose anchor fixes it;
+    for a generator the 4^k nearest ||H||_F + ||A||_F^2 (A the noise stack), or 1 if
+    both vanish.  (4^j H, 2^j A_k) moves k by j; L of H = cI, pure rounding, stays noise."""
+    if subject.kind == CHANNEL:
+        return 1.0
+    h, a = subject.hamiltonian, subject.noise_ops
+    # One exact 4^-j brings every |entry| of H and of A^2 to at most 1: no overflow.
+    j = max(-(-math.frexp(np.abs(h).max())[1] // 2), math.frexp(np.abs(a).max(initial=0.0))[1])
+    f = math.ldexp(1.0, -j)  # finite: H != 0 makes j >= -537, H = 0 makes j >= 0
+    h, a = h * f * f, a * f
+    n = math.sqrt(np.vdot(h, h).real) + np.vdot(a, a).real
+    return math.ldexp(1.0, 2 * (j + round(math.log(n, 4)))) if n else 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,6 +92,7 @@ class SpectralSummary:
     cluster_tol: float
     peripheral_tol: float
     anchor_index: int  # the cluster nearest the anchor; not serialized
+    scale: float  # the unit of the default tolerances (:func:`scale`); not serialized
 
     @property
     def rates(self) -> np.ndarray:
@@ -133,20 +145,22 @@ def cluster(values, cluster_tol: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def summarize(subject, cluster_tol: float | None = None,
-              peripheral_tol: float = DEFAULT_PERIPHERAL_TOL) -> SpectralSummary:
+              peripheral_tol: float | None = None) -> SpectralSummary:
     """Spectral summary of a channel's or generator's cached eigenvalues:
-    distinct ones, l0/m0, lP/mP and, for a generator, the rates."""
-    return _summarize(subject.kind, subject.dim, subject.spectrum.values,
+    distinct ones, l0/m0, lP/mP and, for a generator, the rates.  A
+    tolerance left None is the default in units of :func:`scale`."""
+    return _summarize(subject.kind, subject.dim, subject.spectrum.values, scale(subject),
                       cluster_tol, peripheral_tol)
 
 
-def _summarize(kind: Kind, dim: int, eigenvalues: np.ndarray,
-               cluster_tol: float | None, peripheral_tol: float) -> SpectralSummary:
-    if not 0.0 <= peripheral_tol < kind.peripheral_tol_max:
+def _summarize(kind: Kind, dim: int, eigenvalues: np.ndarray, scale: float,
+               cluster_tol: float | None, peripheral_tol: float | None) -> SpectralSummary:
+    peripheral_tol = DEFAULT_TOL * scale if peripheral_tol is None else peripheral_tol
+    if not 0.0 <= peripheral_tol < scale:
         raise ValueError(f"{kind.name} peripheral_tol must lie in "
-                         f"[0, {kind.peripheral_tol_max:g}), got {peripheral_tol!r}")
+                         f"[0, {scale:g}), got {peripheral_tol!r}")
     radius = float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 0.0
-    ctol = cluster_tol if cluster_tol is not None else default_cluster_tol(radius)
+    ctol = cluster_tol if cluster_tol is not None else DEFAULT_TOL * max(scale, radius)
     centers, mults = cluster(eigenvalues, ctol)
 
     anchor = kind.anchor
@@ -160,10 +174,11 @@ def _summarize(kind: Kind, dim: int, eigenvalues: np.ndarray,
         )
 
     peripheral = kind.peripheral(centers, peripheral_tol)
+    peripheral[anchor_idx] = True  # the fixed space or kernel, whatever the tolerance
     lp = int(mults[peripheral].sum())
     return SpectralSummary(kind=kind, dim=dim, values=centers, multiplicities=mults,
                            peripheral=peripheral, l0_or_m0=int(mults[anchor_idx]), lP_or_mP=lp,
                            bulk_multiplicity=dim * dim - lp,
                            cluster_tol=ctol, peripheral_tol=peripheral_tol,
-                           anchor_index=anchor_idx)
+                           anchor_index=anchor_idx, scale=scale)
 

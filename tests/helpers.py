@@ -312,6 +312,10 @@ def plant_jordan(profile, rng, cond_max=1e3):
 # separated; it refuses rather than guessing.
 
 SEPARATION_FACTOR = 100.0  # required cluster separation, in units of cluster_tol
+# Default clustering, relative to max(1, radius): a planted 2 x 2 Jordan block
+# smears its eigenvalue by about sqrt(eps) times its conditioning, more than
+# spectra.DEFAULT_TOL, which only semisimple peripheral eigenvalues meet.
+WEYR_CLUSTER_TOL = 1e-7
 DEFAULT_RANK_TOL = 1e-10
 RANK_GAP_FACTOR = 10.0  # singular values must drop by this across the rank cut
 
@@ -354,7 +358,7 @@ def weyr_profile(a, cluster_tol: float | None = None) -> JordanProfile:
     d = m.shape[0]
     w = scipy.linalg.eigvals(m)
     radius = float(np.max(np.abs(w))) if d else 0.0
-    ctol = cluster_tol if cluster_tol is not None else spectra.default_cluster_tol(radius)
+    ctol = cluster_tol if cluster_tol is not None else WEYR_CLUSTER_TOL * max(1.0, radius)
     centers, mults = spectra.cluster(w, ctol)
     diff = centers[:, None] - centers[None, :]
     gaps = np.hypot(diff.real, diff.imag)
@@ -638,12 +642,14 @@ def reference_projector(m, center, tol=1e-8):
 def reference_scalar_summary(kind, centers, mults, peripheral_tol):
     """The per-cluster summary in scalar form, one Python object per
     cluster: (value, multiplicity, peripheral, rate) with Python's abs and
-    rate max(0.0, -Re) (None for a channel); the anchor index; and lP."""
-    tol, items = peripheral_tol, []
-    for c, m in zip(centers.tolist(), mults.tolist()):
+    rate max(0.0, -Re) (None for a channel), the anchor always peripheral;
+    the anchor index; and lP."""
+    tol, items, values = peripheral_tol, [], centers.tolist()
+    anchor = min(range(len(values)), key=lambda k: abs(values[k] - kind.anchor))
+    for k, (c, m) in enumerate(zip(values, mults.tolist())):
         peripheral = abs(c) >= 1.0 - tol if kind.anchor else abs(c.real) <= tol
-        items.append((c, m, peripheral, max(0.0, -c.real) if not kind.anchor else None))
-    anchor = min(range(len(items)), key=lambda k: abs(items[k][0] - kind.anchor))
+        items.append((c, m, peripheral or k == anchor,
+                      max(0.0, -c.real) if not kind.anchor else None))
     return items, anchor, sum(m for _, m, p, _ in items if p)
 
 

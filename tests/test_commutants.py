@@ -56,6 +56,12 @@ class TestBruteForce:
                 v = (x @ y).flatten(order="F")
                 assert np.linalg.norm(proj @ v - v) <= 1e-8 * max(1, np.linalg.norm(v))
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e155, 1e200])
+    def test_count_invariant_under_scale(self, scale):
+        # the cut is anchored at the operators' Frobenius norms, which
+        # overflow from about 1e155 unless the set is scaled first
+        assert commutant([np.diag([0.0, scale])]).dimension == 2
+
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             commutant([])

@@ -3,13 +3,14 @@ import random
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
 from helpers import dephasing_generator, identity_channel
 from oqspectra import analysis, bounds, spectra
 from oqspectra.constructions import (
+    draw,
     generic_gkls,
     phase_damping_channel,
     saturating_hamiltonian_generator,
@@ -143,7 +144,7 @@ def eigenvalue_lists(draw):
 
 class TestArraysMatchScalarReference:
     @given(eigenvalue_lists(), st.sampled_from([None, 1e-7, 0.3]),
-           st.sampled_from([0.0, 1e-7, 0.5]))
+           st.sampled_from([None, 0.0, 1e-7, 0.5]))
     # sums whose pairwise order (np.sum) rounds differently from the running one
     @example((spectra.GENERATOR, 3, [0.0, -1.3, -0.84, -0.48, -0.66, -0.09, -0.23, -1.02,
                                      -0.99]), None, 1e-7)
@@ -151,9 +152,10 @@ class TestArraysMatchScalarReference:
              None, 1e-7)
     def test_summary_and_ckks_bit_for_bit(self, drawn, cluster_tol, peripheral_tol):
         kind, d, values = drawn
-        s = spectra._summarize(kind, d, np.array(values), cluster_tol, peripheral_tol)
+        s = spectra._summarize(kind, d, np.array(values), 1.0, cluster_tol, peripheral_tol)
         centers, mults = spectra.cluster(values, s.cluster_tol)
-        items, anchor, lp = helpers.reference_scalar_summary(kind, centers, mults, peripheral_tol)
+        items, anchor, lp = helpers.reference_scalar_summary(kind, centers, mults,
+                                                             s.peripheral_tol)
         helpers.assert_bits_equal(s.values, np.array([c for c, _, _, _ in items]))
         assert s.multiplicities.tolist() == [m for _, m, _, _ in items]
         assert s.peripheral.tolist() == [p for _, _, p, _ in items]
@@ -218,7 +220,7 @@ class TestCachedSpectrum:
         for name, subject in helpers.oracle_subjects(d):
             cached = spectra.summarize(subject)
             fresh = spectra._summarize(subject.kind, d, scipy.linalg.eigvals(subject.superop),
-                                       None, spectra.DEFAULT_PERIPHERAL_TOL)
+                                       spectra.scale(subject), None, None)
             assert (cached.l0_or_m0, cached.lP_or_mP) == (fresh.l0_or_m0, fresh.lP_or_mP), name
             assert bounds.classify(subject) == bounds.classify(subject, summary=fresh), name
 
@@ -255,6 +257,57 @@ class TestGeneratorSummary:
             sg = spectra.summarize(gen)
             sc = spectra.summarize(exponentiate(gen, 1.0))
             assert sc.lP_or_mP == sg.lP_or_mP
+
+
+GKLS_ENSEMBLES = ("gkls-generic", "gkls-unital", "gkls-hamiltonian")
+# A short, seeded profile: every run draws the same subjects.
+SHORT_SEEDED = settings(max_examples=30, derandomize=True)
+
+
+def integer_results(rep):
+    """Everything of a report that must not move when the subject is rescaled."""
+    s = rep.summary
+    return (rep.classification, s.l0_or_m0, s.lP_or_mP, s.multiplicities.tolist(),
+            s.peripheral.tolist(), rep.fixed_dim, rep.attractor_dim, rep.commutant_dim,
+            rep.discrepancy, rep.bounds_satisfied)
+
+
+class TestScale:
+    """Tolerances in units of spectra.scale: L and cL get the same counts."""
+
+    def test_scale_is_a_power_of_four_of_the_inputs(self):
+        gen = build_generator(np.diag([0.0, 3.0]), [np.diag([0.0, 1.0])])  # 3 + 1 = 4^1
+        assert spectra.scale(gen) == 4.0
+        assert spectra.scale(build_generator(np.zeros((2, 2)))) == 1.0
+        assert spectra.scale(phase_damping_channel(2)) == 1.0
+        # entries that overflow a plain Frobenius norm
+        assert spectra.scale(build_generator(np.diag([0.0, 4.0 ** 300]))) == 4.0 ** 300
+
+    @SHORT_SEEDED
+    @given(st.sampled_from(GKLS_ENSEMBLES), st.integers(2, 5), st.integers(0, 2 ** 16),
+           st.integers(-40, 40))
+    def test_power_of_four_rescale(self, ensemble, d, seed, j):
+        # (4^j H, 2^j A_k) moves the scale by exactly 4^j, and its superoperator
+        # is exactly 4^j L; dgeev may still round the last bits differently
+        g = draw(ensemble, d, np.random.default_rng(seed))
+        base = build_generator(g.hamiltonian, g.noise_ops)
+        scaled = build_generator(4.0 ** j * g.hamiltonian, 2.0 ** j * g.noise_ops)
+        assert spectra.scale(scaled) == 4.0 ** j * spectra.scale(base)
+        want, got = analysis.analyze(base), analysis.analyze(scaled)
+        assert integer_results(got) == integer_results(want)
+        radius = np.abs(want.summary.values).max()
+        np.testing.assert_allclose(got.summary.values / 4.0 ** j, want.summary.values,
+                                   rtol=0, atol=1e-12 * radius)
+
+    @SHORT_SEEDED
+    @given(st.sampled_from(GKLS_ENSEMBLES), st.integers(2, 5), st.integers(0, 2 ** 16),
+           st.floats(1e-8, 1e8))
+    def test_integers_invariant_under_any_rescale(self, ensemble, d, seed, c):
+        g = draw(ensemble, d, np.random.default_rng(seed))
+        base = build_generator(g.hamiltonian, g.noise_ops)
+        scaled = build_generator(c * g.hamiltonian, np.sqrt(c) * g.noise_ops)
+        assert integer_results(analysis.analyze(scaled)) == \
+            integer_results(analysis.analyze(base))
 
 
 class TestJson:
