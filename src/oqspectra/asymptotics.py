@@ -3,14 +3,15 @@ maximal steady state.
 
 :func:`fixed_space` (for a generator its kernel) and :func:`attractor`
 count dimensions in the real coordinates of the subject's
-:class:`linalg.Spectrum`, sharing one SVD at the anchor of its kind (1 for
-channels, 0 for generators); bases in matrix coordinates are built on
-first read.  Every nullspace cut reads ``DEFAULT_NULL_TOL``.
+:class:`linalg.Spectrum` from singular values alone (one SVD at the anchor
+of its kind, 1 for channels and 0 for generators, shared by both); the
+attractor's columns are the cached eigenvectors.  Bases in matrix
+coordinates are built on first read.  Every nullspace cut reads
+``DEFAULT_NULL_TOL``.
 
 Spectral projections (onto the fixed space or the attractor) read the same
 cached ``Spectrum``: the real right columns V the attractor uses, and their
-left counterparts W (left eigenvectors of simple eigenvalues, the left
-singular vectors of the same SVD for multiple ones), give
+left counterparts W, the cached left eigenvectors, give
 P' = V (W^T V)^{-1} W^T in the coordinates of R', exact up to eig accuracy
 for semisimple eigenvalues (all peripheral eigenvalues of valid channels
 and generators are semisimple).  The one steady state guaranteed is the one
@@ -74,8 +75,7 @@ def fixed_space(subject, summary: spectra.SpectralSummary | None = None) -> Subs
     if summary is None:
         summary = spectra.summarize(subject)
     spectrum, tol = subject.spectrum, DEFAULT_NULL_TOL
-    # A multiple anchor cluster's vectors go into the attractor.
-    dim, *_ = spectrum.null_space(kind.anchor, tol, vectors=summary.l0_or_m0 > 1)
+    dim, _ = spectrum.null_space(kind.anchor, tol)
     if dim != summary.l0_or_m0:
         raise ConsistencyError(
             f"{kind.space} dimension {dim} != clustered multiplicity "
@@ -88,20 +88,21 @@ def fixed_space(subject, summary: spectra.SpectralSummary | None = None) -> Subs
 def attractor(subject, summary: spectra.SpectralSummary | None = None) -> SubspaceBasis:
     """The span of all peripheral eigenvectors, which are semisimple.
 
-    A simple peripheral eigenvalue takes its eigenvectors from the cached
-    decomposition, and their left/right overlap must exceed
-    ``DEFAULT_NULL_TOL``.  A multiple one takes Null(R' - mu I), at the
-    anchor the cross-check's SVD, of dimension equal to the multiplicity
-    (R' is real: a cluster below the axis is checked as its conjugate).
-    The rank of all these columns (singular values above
-    ``ATTRACTOR_RANK_TOL`` times the largest) must equal lP/mP.  Any failure
-    raises ConsistencyError.  A given ``summary`` must be this subject's own.
+    Every peripheral eigenvalue gives its eigenvectors from the cached
+    decomposition.  A simple one needs a left/right overlap above
+    ``DEFAULT_NULL_TOL``, a multiple one Null(R' - mu I) of dimension its
+    multiplicity by singular values alone (R' is real: a cluster below the
+    axis is checked as its conjugate).  The rank of all these columns
+    (singular values above ``ATTRACTOR_RANK_TOL`` times the largest) must be
+    lP/mP, unless the anchor cluster alone, just certified, is peripheral.
+    Any failure raises ConsistencyError.  A given ``summary`` must be this
+    subject's own.
     """
     if summary is None:
         summary = spectra.summarize(subject)
     spectrum = subject.spectrum
-    stack, _, orthonormal = _peripheral_columns(spectrum, summary)
-    rank = stack.shape[1] if orthonormal else linalg.numerical_rank(
+    stack, _ = _peripheral_columns(spectrum, summary)
+    rank = stack.shape[1] if np.count_nonzero(summary.peripheral) == 1 else linalg.numerical_rank(
         np.linalg.svd(stack, compute_uv=False), stack.shape, ATTRACTOR_RANK_TOL)
     if rank != summary.lP_or_mP or rank != stack.shape[1]:
         raise ConsistencyError(
@@ -113,62 +114,58 @@ def attractor(subject, summary: spectra.SpectralSummary | None = None) -> Subspa
 
 
 def _peripheral_columns(spectrum: linalg.Spectrum, summary: spectra.SpectralSummary,
-                        anchor_only: bool = False):
+                        anchor_only: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Real columns spanning the right eigenvectors of the peripheral
     eigenvalues (with ``anchor_only``, of the anchor cluster) in the
-    coordinates of R', real columns spanning their left eigenvectors, and
-    whether the right columns are orthonormal by construction.  Left/right
-    eigenvectors of R' are ``vl sqrt_h`` and ``vr / sqrt_h``: their overlap is
-    the one of M's.  A complex v gives sqrt 2 Re v, sqrt 2 Im v: [v, conj v]
-    times a unitary, so the stack keeps the singular values."""
+    coordinates of R', and real columns spanning their left eigenvectors,
+    read from the cached decomposition after the semisimplicity checks of
+    :func:`attractor`.  Left/right eigenvectors of R' are ``vl sqrt_h`` and
+    ``vr / sqrt_h``: their overlap is the one of M's.  A complex v gives
+    sqrt 2 Re v, sqrt 2 Im v: [v, conj v] times a unitary, so the right
+    columns, of unit v, keep the singular values of the complex stack."""
     tol, anchor, sqrt_h = DEFAULT_NULL_TOL, summary.kind.anchor, spectrum.sqrt_h[:, None]
     values, mults = summary.values, summary.multiplicities
     selected = summary.peripheral
     if anchor_only:
         selected = np.arange(values.size) == summary.anchor_index
-    rights, lefts = [], []
-    # A multiple eigenvalue takes one SVD; below the axis it is a conjugate.
+    # A multiple eigenvalue takes one values-only SVD; below the axis it is a conjugate.
     for k in np.flatnonzero(selected & (mults > 1)).tolist():
         mu = complex(values[k])
         real = 2 * abs(mu.imag) <= summary.cluster_tol  # within cluster_tol of its conjugate
         if not real and mu.imag < 0:
             continue
-        center = anchor if k == summary.anchor_index else (mu.real if real else mu)
-        dim, right, left = spectrum.null_space(center, tol, vectors=True)
+        dim, _ = spectrum.null_space(
+            anchor if k == summary.anchor_index else (mu.real if real else mu), tol)
         if dim != mults[k]:
             raise ConsistencyError(
                 f"peripheral eigenvalue {mu:.6g}: geometric multiplicity "
                 f"{dim} != algebraic {mults[k]}"
             )
-        for cols, x in ((rights, right), (lefts, left)):
-            cols.append(x.real if real else np.sqrt(2) * np.hstack((x.real, x.imag)))
-    # A singleton is its eigenvalue bit for bit; dgeev keeps v = a + ib above
-    # the axis in columns k and k + 1, and a conjugate below has its overlap.
-    mu = values[selected & (mults == 1) & (values.imag >= 0)]
-    if mu.size:
-        k = (spectrum.values[:, None] == mu).argmax(axis=0)  # the first match of each
-        a, c = spectrum.vr[:, k] / sqrt_h, spectrum.vl[:, k] * sqrt_h
-        rr, ll, lr, im = (a * a).sum(0), (c * c).sum(0), (c * a).sum(0), 0.0
-        pair = mu.imag > 0
-        if pair.any():  # u^H v = (c.a + d.b) + i(c.b - d.a) for u = c + id; b = d = 0 if real
-            j = k + pair
-            b, d = spectrum.vr[:, j] * (pair / sqrt_h), spectrum.vl[:, j] * (pair * sqrt_h)
-            rr, ll, lr = rr + (b * b).sum(0), ll + (d * d).sum(0), lr + (d * b).sum(0)
-            im = (c * b - d * a).sum(0)
-        norm = np.sqrt(rr)
-        overlap = np.hypot(lr, im) / (norm * np.sqrt(ll))
-        bad = np.flatnonzero(overlap <= tol)
-        if bad.size:
-            raise ConsistencyError(
-                f"peripheral eigenvalue {mu[bad[0]]:.6g}: left/right eigenvector "
-                f"overlap {overlap[bad[0]]:.3e} <= {tol:.1e}, not semisimple"
-            )
-        scale = (1 + (np.sqrt(2) - 1) * pair) / norm  # sqrt 2 / |v| above the axis
-        rights += [a * scale, b[:, pair] * scale[pair]] if pair.any() else [a * scale]
-        lefts += [c, d[:, pair]] if pair.any() else [c]
-    v, w = (x[0] if len(x) == 1 else np.hstack(x) for x in (rights, lefts))
-    # One eigenspace from an SVD, or one unit vector, is orthonormal.
-    return v, w, len(rights) == 1 and (not mu.size or v.shape[1] == 1)
+    # Every member on or above the axis: dgeev keeps v = a + ib above the axis
+    # in columns k and k + 1, and a conjugate below has its vectors.
+    k = np.flatnonzero(selected[summary.members] & (spectrum.values.imag >= 0))
+    mu = spectrum.values[k]
+    a, c = spectrum.vr[:, k] / sqrt_h, spectrum.vl[:, k] * sqrt_h
+    rr, ll, lr, im = (a * a).sum(0), (c * c).sum(0), (c * a).sum(0), 0.0
+    pair = mu.imag > 0
+    if pair.any():  # u^H v = (c.a + d.b) + i(c.b - d.a) for u = c + id; b = d = 0 if real
+        j = k + pair
+        b, d = spectrum.vr[:, j] * (pair / sqrt_h), spectrum.vl[:, j] * (pair * sqrt_h)
+        rr, ll, lr = rr + (b * b).sum(0), ll + (d * d).sum(0), lr + (d * b).sum(0)
+        im = (c * b - d * a).sum(0)
+    norm = np.sqrt(rr)
+    overlap = np.hypot(lr, im) / (norm * np.sqrt(ll))
+    # A multiple eigenvalue's vectors are any basis of its eigenspace: no overlap to check.
+    bad = np.flatnonzero((overlap <= tol) & (mults[summary.members[k]] == 1))
+    if bad.size:
+        raise ConsistencyError(
+            f"peripheral eigenvalue {mu[bad[0]]:.6g}: left/right eigenvector "
+            f"overlap {overlap[bad[0]]:.3e} <= {tol:.1e}, not semisimple"
+        )
+    scale = (1 + (np.sqrt(2) - 1) * pair) / norm  # sqrt 2 / |v| above the axis
+    if not pair.any():
+        return a * scale, c
+    return np.hstack((a * scale, b[:, pair] * scale[pair])), np.hstack((c, d[:, pair]))
 
 
 def _projection(subject, summary: spectra.SpectralSummary, anchor_only: bool) -> np.ndarray:
@@ -178,7 +175,7 @@ def _projection(subject, summary: spectra.SpectralSummary, anchor_only: bool) ->
     as U P' U^dag = (U V) (W^T V)^{-1} (U W)^dag.  Raises on
     biorthogonalization breakdown (near-defective eigenvalues)."""
     spectrum = subject.spectrum
-    v, w, _ = _peripheral_columns(spectrum, summary, anchor_only)
+    v, w = _peripheral_columns(spectrum, summary, anchor_only)
     overlap = w.T @ v
     cond = np.linalg.cond(overlap)
     if not np.isfinite(cond) or cond > 1e12:

@@ -247,24 +247,20 @@ class Spectrum:
         return (hermitian_basis(math.isqrt(self.values.size))[0] * self.sqrt_h) @ cols
 
     def null_space(self, center: complex, tol: float,
-                   vectors: bool) -> tuple[int, np.ndarray | None, np.ndarray | None]:
+                   vectors: bool = False) -> tuple[int, np.ndarray | None]:
         """Dimension of Null(R' - center I), by :func:`numerical_rank` at
-        ``tol``, and with ``vectors`` orthonormal bases, in the coordinates
-        of R', of the right and the left eigenvectors at ``center``: the
-        trailing right and left singular vectors of one SVD.  One SVD per
-        center, kept for later calls."""
-        n = self.values.size
-        s, u, vh = self._svds.get(center, (None, None, None))
-        if s is None or (vectors and vh is None):
+        ``tol`` of one values-only SVD per center, kept for later calls, and
+        with ``vectors`` an orthonormal basis of it in the coordinates of R':
+        the trailing right singular vectors of an SVD with vectors, which only
+        a read of a ``.basis`` asks for."""
+        n, s = self.values.size, self._svds.get(center)
+        if s is None or vectors:
             shifted = self.real.astype(np.result_type(self.real, center))  # a copy
             shifted.flat[::n + 1] -= center
-            factors = np.linalg.svd(shifted, compute_uv=vectors)
-            u, s, vh = factors if vectors else (None, factors, None)
-            self._svds[center] = (s, u, vh)
-        rank = numerical_rank(s, (n, n), tol)
-        if not vectors:
-            return n - rank, None, None
-        return n - rank, vh[rank:].conj().T, u[:, rank:]
+        if s is None:
+            s = self._svds[center] = np.linalg.svd(shifted, compute_uv=False)
+        dim = n - numerical_rank(s, (n, n), tol)
+        return dim, np.linalg.svd(shifted)[2][n - dim:].conj().T if vectors else None
 
 
 def eig(a) -> Spectrum:

@@ -93,6 +93,7 @@ class SpectralSummary:
     peripheral_tol: float
     anchor_index: int  # the cluster nearest the anchor; not serialized
     scale: float  # the unit of the default tolerances (:func:`scale`); not serialized
+    members: np.ndarray  # the cluster of each eigenvalue, in their order; not serialized
 
     @property
     def rates(self) -> np.ndarray:
@@ -110,18 +111,23 @@ def cluster(values, cluster_tol: float) -> tuple[np.ndarray, np.ndarray]:
     the mean of its cluster, sorted by descending |center| then by phase
     angle; the result is invariant under permutations of the input.
     """
+    return _cluster(values, cluster_tol)[:2]
+
+
+def _cluster(values, cluster_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`cluster` and the index of each value's cluster, in input order."""
     if not 0.0 < cluster_tol < math.inf:
         raise ValueError(f"cluster_tol must be finite and positive, got {cluster_tol!r}")
     vs = np.asarray(values, dtype=np.complex128).ravel()
-    n = vs.size
-    if n == 0:
-        return vs, np.zeros(0, dtype=np.int64)
+    n, members = vs.size, np.empty(vs.size, dtype=np.intp)
     # Sorting first makes the arithmetic permutation-invariant.
-    vs = vs[np.lexsort((vs.imag, vs.real))]
+    perm = np.lexsort((vs.imag, vs.real))
+    vs = vs[perm]
     close = np.abs(vs[:, None] - vs[None, :]) <= cluster_tol
-    if np.count_nonzero(close) == n:  # nothing chains: the general path's bits
+    if np.count_nonzero(close) == n:  # nothing chains (or nothing): the general path's bits
         order = np.lexsort((np.angle(vs), -np.hypot(vs.real, vs.imag)))
-        return vs[order], np.ones(n, dtype=np.intp)
+        members[perm[order]] = np.arange(n)
+        return vs[order], np.ones(n, dtype=np.intp), members
     # Label propagation with pointer jumping: labels only decrease, and the
     # fixed point gives each value the smallest index it chains to.
     labels = np.arange(n)
@@ -137,11 +143,12 @@ def cluster(values, cluster_tol: float) -> tuple[np.ndarray, np.ndarray]:
     offsets = np.bincount(labels, diff.real, n) + 1j * np.bincount(labels, diff.imag, n)
     roots = np.flatnonzero(counts)
     mults = counts[roots]
-    # A singleton's center is its value bit for bit (attractor matches by ==).
+    # A singleton's center is its value bit for bit.
     centers = np.where(mults == 1, vs[roots], vs[roots] + offsets[roots] / mults)
     # np.hypot rounds |c| as Python's abs does; np.abs may differ by an ulp.
     order = np.lexsort((np.angle(centers), -np.hypot(centers.real, centers.imag)))
-    return centers[order], mults[order]
+    members[perm] = np.argsort(order)[np.searchsorted(roots, labels)]  # labels are roots
+    return centers[order], mults[order], members
 
 
 def summarize(subject, cluster_tol: float | None = None,
@@ -161,7 +168,7 @@ def _summarize(kind: Kind, dim: int, eigenvalues: np.ndarray, scale: float,
                          f"[0, {scale:g}), got {peripheral_tol!r}")
     radius = float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 0.0
     ctol = cluster_tol if cluster_tol is not None else DEFAULT_TOL * max(scale, radius)
-    centers, mults = cluster(eigenvalues, ctol)
+    centers, mults, members = _cluster(eigenvalues, ctol)
 
     anchor = kind.anchor
     dist = np.hypot(centers.real - anchor, centers.imag)
@@ -180,5 +187,5 @@ def _summarize(kind: Kind, dim: int, eigenvalues: np.ndarray, scale: float,
                            peripheral=peripheral, l0_or_m0=int(mults[anchor_idx]), lP_or_mP=lp,
                            bulk_multiplicity=dim * dim - lp,
                            cluster_tol=ctol, peripheral_tol=peripheral_tol,
-                           anchor_index=anchor_idx, scale=scale)
+                           anchor_index=anchor_idx, scale=scale, members=members)
 

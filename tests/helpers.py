@@ -33,11 +33,16 @@ def count_decompositions(monkeypatch):
     """Spy on every dense eig and SVD entry point of the package: the real
     LAPACK kernel ``linalg.real_eig`` (``dgeev``) and ``np.linalg.svd``,
     through which every SVD runs.  Returns the call counter by entry-point
-    name and the ``(name, input dtype)`` pairs in call order."""
+    name, where ``svd_vectors`` counts the SVDs that compute singular
+    vectors (``compute_uv``, numpy's default), and the ``(name, input
+    dtype)`` pairs in call order."""
     calls, dtypes = collections.Counter(), []
     for module, name in ((linalg, "real_eig"), (np.linalg, "svd")):
         def spy(a, *args, _original=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
+            # np.linalg.svd(a, full_matrices=True, compute_uv=True, hermitian=False)
+            if _name == "svd" and kwargs.get("compute_uv", args[1] if len(args) > 1 else True):
+                calls["svd_vectors"] += 1
             dtypes.append((_name, np.asarray(a).dtype))
             return _original(a, *args, **kwargs)
 
@@ -518,33 +523,26 @@ def real_eigenvectors(spectrum):
     return vl / np.linalg.norm(vl, axis=0), vr / np.linalg.norm(vr, axis=0)
 
 
-def reference_peripheral_columns(spectrum, summary):
-    """The attractor's real right and left columns through complex
-    eigenvectors: each singleton's pair unpacked to v, conj v, a real v
-    giving Re v and one above the axis sqrt 2 Re v, sqrt 2 Im v (right ones
-    normalized first), after each multiple cluster's SVD eigenspace."""
-    sqrt_h = spectrum.sqrt_h[:, None]
-    values, mults, tol = summary.values, summary.multiplicities, asymptotics.DEFAULT_NULL_TOL
-    real = 2 * np.abs(values.imag) <= summary.cluster_tol
-    blocks = []
-    for k in np.flatnonzero(summary.peripheral & (mults > 1) & (real | (values.imag > 0))):
-        mu = complex(values[k])
-        center = summary.kind.anchor if k == summary.anchor_index else (
-            mu.real if real[k] else mu)
-        dim, right, left = spectrum.null_space(center, tol, vectors=True)
-        assert dim == mults[k]
-        blocks.append((right, left, real[k]))
-    single = summary.peripheral & (mults == 1)
-    mu, real = values[single], real[single]
-    if mu.size:
-        vl, vr = unpack_eigenvectors(spectrum.values, spectrum.vl, spectrum.vr)
-        k = [int(np.flatnonzero(spectrum.values == x)[0]) for x in mu]
-        right, left = vr[:, k] / sqrt_h, vl[:, k] * sqrt_h
-        right /= np.linalg.norm(right, axis=0)
-        blocks += [(right[:, real], left[:, real], True),
-                   (right[:, ~real & (mu.imag > 0)], left[:, ~real & (mu.imag > 0)], False)]
-    return tuple(np.hstack([b[s].real if b[2] else np.sqrt(2) * np.hstack((b[s].real, b[s].imag))
-                            for b in blocks]) for s in (0, 1))
+def peripheral_eigenvectors(spectrum, summary):
+    """The eigenvalues and unit right eigenvectors of R' of every member of
+    a peripheral cluster, conjugates included, unpacked from the cached
+    decomposition: the complex stack the attractor's real columns stand for."""
+    members = summary.peripheral[summary.members]
+    return spectrum.values[members], real_eigenvectors(spectrum)[1][:, members]
+
+
+def as_eigenvectors(spectrum, summary, cols):
+    """Real columns laid out as the attractor's, as complex columns and their
+    eigenvalues.  The layout: one column per member of a peripheral cluster
+    on or above the real axis, in the order of the decomposition (``Re v``,
+    or ``sqrt 2 Re v`` above the axis), then ``sqrt 2 Im v`` of each one
+    above the axis; so the complex column of a pair is ``sqrt 2 v``."""
+    w = spectrum.values[summary.peripheral[summary.members] & (spectrum.values.imag >= 0)]
+    pair = w.imag > 0
+    assert cols.shape[1] == w.size + np.count_nonzero(pair)
+    z = cols[:, :w.size].astype(np.complex128)
+    z[:, pair] += 1j * cols[:, w.size:]
+    return w, z
 
 
 def cesaro_projection(channel, n=2048):

@@ -1,10 +1,21 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 import helpers
 from helpers import dephasing_generator, identity_channel, is_faithful
-from oqspectra import analysis, asymptotics, bounds, commutants, linalg, spectra, superop
+from oqspectra import (
+    analysis,
+    asymptotics,
+    bounds,
+    commutants,
+    constructions,
+    linalg,
+    spectra,
+    superop,
+)
 from oqspectra.asymptotics import (
     attractor,
     faithful_reduce,
@@ -196,6 +207,23 @@ class TestAttractor:
         with pytest.raises(asymptotics.ConsistencyError, match=r"0\.540302\+0\.841471j.*overlap"):
             attractor(fake)
 
+    def test_defective_non_anchor_peripheral_reported(self):
+        # A forged map with a semisimple double anchor 1 and a Jordan block
+        # at the peripheral eigenvalue -1: the values-only nullity check of
+        # the cluster at -1, away from the anchor, must report the deficit
+        r = np.diag([1.0, 1.0, -1.0, -1.0])
+        r[2, 3] = 1.0
+        fake = helpers.forged_channel(r)  # r in Hermitian coordinates
+        summary = spectra.summarize(fake)
+        assert summary.multiplicities[summary.peripheral].tolist() == [2, 2]
+        assert fixed_space(fake, summary=summary).dimension == 2
+        pattern = r"peripheral eigenvalue -1.*geometric multiplicity 1 != algebraic 2"
+        with pytest.raises(asymptotics.ConsistencyError, match=pattern):
+            attractor(fake, summary=summary)
+        with pytest.raises(asymptotics.ConsistencyError, match=pattern):
+            peripheral_projection(fake)
+        assert re.search(pattern, analysis.analyze(fake).discrepancy)
+
     @pytest.mark.parametrize("dependent", ["singleton-copy", "parallel-pair"])
     def test_dependent_column_fails_certificate(self, monkeypatch, rng, dependent):
         # The oscillating-coherence channel: the eigenspace of 1 and the
@@ -206,8 +234,8 @@ class TestAttractor:
         gen = build_generator(np.diag([0.0, 1.0, 2.0]), dephasing_generator(3).noise_ops)
         ch = exponentiate(gen, 1.0)
         summary = spectra.summarize(ch)
-        stack, _, orthonormal = asymptotics._peripheral_columns(ch.spectrum, summary)
-        assert stack.shape == (9, 5) and not orthonormal
+        stack, _ = asymptotics._peripheral_columns(ch.spectrum, summary)
+        assert stack.shape == (9, 5)
         x = rng.standard_normal((9, 1))
         extra = stack[:, -1:] if dependent == "singleton-copy" else np.hstack((x, 2 * x))
         forged = np.hstack((stack, extra))
@@ -218,29 +246,47 @@ class TestAttractor:
 
         assert rank(stack) == 5
         assert rank(forged) == forged.shape[1] - 1
-        # the real stack has the singular values of the complex one, the
-        # eigenspace of 1 and both eigenvectors of the pair e^{+-i} of M
-        w, _, vr = helpers.reference_eig(ch.superop)
-        pair = np.flatnonzero(np.abs(np.abs(w.imag) - np.sin(1.0)) < 1e-9)
-        complex_stack = np.hstack((helpers.reference_nullspace(ch.superop, 1.0), vr[:, pair]))
+        # the real stack has the singular values of the complex stack of unit
+        # eigenvectors: the three of 1 and both of the pair e^{+-i}
+        w, complex_stack = helpers.peripheral_eigenvectors(ch.spectrum, summary)
+        assert np.abs(np.abs(w) - 1).max() <= 1e-12 and complex_stack.shape == (9, 5)
         assert np.allclose(scipy.linalg.svdvals(stack), scipy.linalg.svdvals(complex_stack),
                            rtol=0, atol=1e-12)
-        monkeypatch.setattr(asymptotics, "_peripheral_columns",
-                            lambda *args: (forged, None, False))
+        monkeypatch.setattr(asymptotics, "_peripheral_columns", lambda *args: (forged, None))
         with pytest.raises(asymptotics.ConsistencyError, match="attractor dimension"):
             attractor(ch, summary=summary)
 
-    @pytest.mark.parametrize("make, width, orthonormal", [
+    @pytest.mark.parametrize("make, width, anchor_alone", [
         (lambda rng: phase_damping_channel(3), 5, True),  # the eigenspace of 1 alone
-        (lambda rng: stinespring_channel(3, rng), 1, True),  # one unit vector
+        (lambda rng: stinespring_channel(3, rng), 1, True),  # the simple eigenvalue 1 alone
         (lambda rng: unitary_channel(helpers.haar(3, rng)), 9, False),
     ])
-    def test_stack_orthonormal_by_construction(self, rng, make, width, orthonormal):
+    def test_stack_orthonormal_by_construction(self, monkeypatch, rng, make, width,
+                                               anchor_alone):
+        # The stack holds eigenvectors of R' from the cached decomposition.
+        # Its rank takes one values-only SVD, except when the anchor cluster
+        # alone is peripheral: the attractor is then the fixed space, whose
+        # dimension the cross-check certified.  The basis built on a read is
+        # orthonormal by construction and spans the reference attractor.
         ch = make(rng)
-        stack, _, flag = asymptotics._peripheral_columns(ch.spectrum, spectra.summarize(ch))
-        assert stack.shape == (9, width) and flag == orthonormal
-        if orthonormal:
-            assert np.linalg.norm(stack.T @ stack - np.eye(width)) <= 1e-12
+        summary = spectra.summarize(ch)
+        fixed = fixed_space(ch, summary=summary)
+        stack, _ = asymptotics._peripheral_columns(ch.spectrum, summary)
+        assert stack.shape == (9, width)
+        r = ch.spectrum.real
+        w, z = helpers.as_eigenvectors(ch.spectrum, summary, stack)
+        residual = np.linalg.norm(r @ z - z * w, axis=0) / np.linalg.norm(z, axis=0)
+        assert residual.max() <= 1e-12 * np.linalg.norm(r, 2)
+        calls, _ = helpers.count_decompositions(monkeypatch)
+        att = attractor(ch, summary=summary)
+        assert att.dimension == width
+        assert calls["svd"] == (0 if anchor_alone else 1) and calls["svd_vectors"] == 0
+        basis, ref = att.basis, helpers.reference_attractor(ch.superop, summary)
+        assert np.linalg.norm(helpers.dag(basis) @ basis - np.eye(width)) <= 1e-12
+        assert np.linalg.norm(basis @ helpers.dag(basis) - ref @ helpers.dag(ref)) <= 1e-9
+        if anchor_alone:
+            assert np.linalg.norm(basis @ helpers.dag(basis)
+                                  - fixed.basis @ helpers.dag(fixed.basis)) <= 1e-9
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_matches_per_cluster_svd_reference(self, d):
@@ -254,25 +300,49 @@ class TestAttractor:
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_stack_matches_complex_reference(self, d):
-        # the right columns read from the packed real eigenvectors are the
-        # ones the complex split built, up to rounding, in the same order:
-        # same width, same rank decision and the same span; the left ones,
-        # which only the projections read, span the same space
+        # Every right column is (the real or imaginary part of) an eigenvector
+        # of R', and every left column likewise of R'^T; the real stack has
+        # the singular values of the complex stack of all peripheral unit
+        # eigenvectors, hence their rank; and the columns of each multiple
+        # cluster span its eigenspace, with its conjugate's off the real axis,
+        # as complex SVD nullspaces of M find it
         def rank(cols):
             return linalg.numerical_rank(scipy.linalg.svdvals(cols), cols.shape,
                                          asymptotics.ATTRACTOR_RANK_TOL)
 
         names, off_axis = set(), 0
         for name, subject in helpers.oracle_subjects(d, seeds=2):
-            summary = spectra.summarize(subject)
-            stack, left, _ = asymptotics._peripheral_columns(subject.spectrum, summary)
-            ref, ref_left = helpers.reference_peripheral_columns(subject.spectrum, summary)
-            assert stack.shape == ref.shape and left.shape == ref_left.shape, name
-            assert np.abs(stack - ref).max() <= 1e-13, name
-            assert rank(stack) == rank(ref) == summary.lP_or_mP, name
-            assert scipy.linalg.subspace_angles(stack, ref).max() <= 1e-9, name
-            assert scipy.linalg.subspace_angles(left, ref_left).max() <= 1e-9, name
+            spectrum, summary = subject.spectrum, spectra.summarize(subject)
+            r, n = spectrum.real, d * d
+            stack, left = asymptotics._peripheral_columns(spectrum, summary)
+            assert stack.shape == left.shape == (n, summary.lP_or_mP), name
+            w, z = helpers.as_eigenvectors(spectrum, summary, stack)
+            _, u = helpers.as_eigenvectors(spectrum, summary, left)
+            bound = 1e-12 * np.linalg.norm(r, 2)
+            assert (np.linalg.norm(r @ z - z * w, axis=0)
+                    <= bound * np.linalg.norm(z, axis=0)).all(), name
+            assert (np.linalg.norm(r.T @ u.conj() - u.conj() * w, axis=0)
+                    <= bound * np.linalg.norm(u, axis=0)).all(), name
+            _, complex_stack = helpers.peripheral_eigenvectors(spectrum, summary)
+            assert np.abs(scipy.linalg.svdvals(stack)
+                          - scipy.linalg.svdvals(complex_stack)).max() <= 1e-12, name
+            assert rank(stack) == rank(complex_stack) == summary.lP_or_mP, name
+            keep = summary.peripheral[summary.members] & (spectrum.values.imag >= 0)
+            pair, cluster_of = w.imag > 0, summary.members[keep]
             multiple = summary.peripheral & (summary.multiplicities > 1)
+            for k in np.flatnonzero(multiple & (summary.values.imag >= 0)):
+                mu, in_k = complex(summary.values[k]), cluster_of == k
+                real = 2 * abs(mu.imag) <= summary.cluster_tol
+                if k == summary.anchor_index:
+                    mu = subject.kind.anchor
+                centers = [mu.real] if real else [mu, mu.conjugate()]
+                cols = spectrum.to_matrix(np.hstack((z[:, in_k], z[:, in_k & pair].conj())))
+                ref = np.hstack([helpers.reference_nullspace(subject.superop, c)
+                                 for c in centers])
+                got = scipy.linalg.orth(cols)
+                assert got.shape == ref.shape, name
+                gap = np.linalg.norm(got @ helpers.dag(got) - ref @ helpers.dag(ref))
+                assert gap <= 1e-10, f"{name}: cluster {mu:.6g} off by {gap:.3e}"
             off_axis += int((multiple & (2 * np.abs(summary.values.imag)
                                          > summary.cluster_tol)).any())
             if (summary.peripheral & ~multiple & (summary.values.imag > 0)).any():
@@ -316,6 +386,37 @@ class TestComplexReference:
             assert np.linalg.norm(r @ vr - vr * w, axis=0).max() <= bound, name
             assert np.linalg.norm(helpers.dag(vl) @ r - w[:, None] * helpers.dag(vl),
                                   axis=1).max() <= bound, name
+
+
+class TestValuesOnly:
+    """``analyze`` decomposes each subject once and asks no SVD for vectors;
+    a basis is built only when read."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_analyze_computes_no_singular_vectors(self, monkeypatch, d):
+        calls, _ = helpers.count_decompositions(monkeypatch)
+        if d <= 4:
+            subjects = helpers.oracle_subjects(d)
+        else:  # one draw of each ensemble
+            subjects = [(name, constructions.draw(name, d, np.random.default_rng(d)))
+                        for name in constructions.ENSEMBLES]
+        reports = [analysis.analyze(s, with_commutant=False) for _, s in subjects]
+        assert calls["real_eig"] == len(subjects)
+        assert calls["svd_vectors"] == 0 and calls["svd"] > 0
+        monkeypatch.undo()
+        for (name, subject), report in zip(subjects, reports):
+            summary, m = report.summary, subject.superop
+            assert report.discrepancy is None, name
+            cases = ((fixed_space(subject, summary=summary),
+                      helpers.reference_nullspace(m, subject.kind.anchor)),
+                     (attractor(subject, summary=summary),
+                      helpers.reference_attractor(m, summary)))
+            for space, ref in cases:
+                basis, k = space.basis, space.dimension
+                assert basis.shape == ref.shape == (d * d, k), name
+                assert np.linalg.norm(helpers.dag(basis) @ basis - np.eye(k)) <= 1e-12, name
+                gap = np.linalg.norm(basis @ helpers.dag(basis) - ref @ helpers.dag(ref))
+                assert gap <= 1e-9, f"{name}: projectors differ by {gap:.3e}"
 
 
 class TestProjections:
@@ -415,9 +516,10 @@ class TestProjections:
         lambda rng: generic_gkls(4, rng),
     ])
     def test_read_cached_spectrum(self, monkeypatch, rng, make):
-        # With the spectrum cached, no eig and no complex SVD: simple
-        # eigenvalues read the cached eigenvectors, real clusters take a real
-        # SVD (a cluster off the real axis would take a complex one)
+        # With the spectrum cached, no eig and no complex SVD: every column
+        # is a cached eigenvector, and a real multiple cluster's nullity takes
+        # a real values-only SVD (a cluster off the real axis would take a
+        # complex one, values-only too)
         subject = make(rng)
         subject.spectrum
         calls, dtypes = helpers.count_decompositions(monkeypatch)

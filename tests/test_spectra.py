@@ -109,6 +109,28 @@ class TestCluster:
         if all(m == 1 for _, m in got):  # nothing chains: the reference's order exactly
             assert got == ref
 
+    @given(st.lists(st.tuples(st.complex_numbers(max_magnitude=2, allow_nan=False,
+                                                 allow_infinity=False),
+                              st.integers(min_value=1, max_value=6)),
+                    min_size=1, max_size=10),
+           st.sampled_from([1e-7, 1e-2, 0.5]),
+           st.randoms())
+    def test_members_index_their_clusters(self, planted, tol, pyrandom):
+        # each value's index names its cluster: values within tol share one,
+        # and each cluster's members are as many as its multiplicity, with its
+        # center as their mean
+        values = [c + 0.45 * tol * np.exp(2j * np.pi * pyrandom.random())
+                  for c, count in planted for _ in range(count)]
+        pyrandom.shuffle(values)
+        centers, mults, members = spectra._cluster(values, tol)
+        assert members.shape == (len(values),)
+        v = np.array(values)
+        close = np.abs(v[:, None] - v[None, :]) <= tol
+        assert (members[:, None] == members[None, :])[close].all()
+        assert np.bincount(members, minlength=centers.size).tolist() == mults.tolist()
+        for k, center in enumerate(centers):
+            assert abs(v[members == k].mean() - center) <= 1e-14 * max(1.0, abs(center))
+
     def test_shuffled_long_chain_is_one_cluster(self, rng):
         # neighbours 0.9 tol apart, ends 9.9 tol apart: one propagation
         # round only links neighbours, so the chain needs several
