@@ -8,6 +8,10 @@ against the nullspace dimension; a mismatch is the report's
 apart from a violation by consistent counts (CLI exit 1, not 3; the
 campaign's ``numerical`` rows).  :func:`report_to_json` alone writes the
 ``oqs/1`` record, whose ``rechecked`` field is always false.
+
+:func:`stages`, the one pipeline, yields after each stage; :func:`run_phases`
+runs a chunk of them phase by phase, and a subject whose stage raises one of
+``ERRORS`` skips its later stages alone.  :func:`analyze` runs a chunk of one.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .bounds import BoundReport
 from .spectra import SpectralSummary
 
 SCHEMA = "oqs/1"
+ERRORS = (ValueError, np.linalg.LinAlgError, asymptotics.ConsistencyError)
 
 
 @dataclass(frozen=True)
@@ -44,34 +49,74 @@ def analyze(subject, cluster_tol: float | None = None, peripheral_tol: float | N
             markovian: bool = False, with_commutant: bool = True) -> AnalysisReport:
     """Analyze a channel or a generator in one pass; a tolerance left None is
     the default.  ``markovian`` adds the Markovian-only CKKS-derived channel bound."""
+    pipeline = stages(subject, cluster_tol, peripheral_tol, markovian, with_commutant)
+    while True:
+        try:
+            next(pipeline)
+        except StopIteration as stop:
+            return stop.value
+
+
+def stages(subject, cluster_tol: float | None = None, peripheral_tol: float | None = None,
+           markovian: bool = False, with_commutant: bool = True):
+    """:func:`analyze` as a generator that yields after each stage: the
+    decomposition, summary, classification, fixed-space cross-check, bound
+    check, attractor and, if asked, commutant.  Returns the report."""
     timings: dict = {}
-    t0 = time.perf_counter()
-    summary = spectra.summarize(subject, cluster_tol, peripheral_tol)
-    classification = bounds.classify(subject, summary)
-    try:  # Null(M - I) or Null(L), cross-checked against the clustered multiplicity
-        fixed_dim, discrepancy = asymptotics.fixed_space(subject, summary=summary).dimension, None
-    except asymptotics.ConsistencyError as exc:
-        fixed_dim, discrepancy = -1, str(exc)
-    report = bounds.check_bounds(summary, classification, markovian)
-    timings["spectra"] = time.perf_counter() - t0
 
-    t1 = time.perf_counter()
-    try:
-        attractor_dim = asymptotics.attractor(subject, summary=summary).dimension
-    except asymptotics.ConsistencyError as exc:
-        attractor_dim = -1
-        discrepancy = discrepancy or str(exc)
-    timings["asymptotics"] = time.perf_counter() - t1
+    def timed(key, stage, *args):
+        t = time.perf_counter()
+        value = stage(*args)
+        timings[key] = timings.get(key, 0.0) + time.perf_counter() - t
+        yield
+        return value
 
+    yield from timed("spectra", getattr, subject, "spectrum")  # the one eigendecomposition
+    summary = yield from timed("spectra", spectra.summarize, subject, cluster_tol, peripheral_tol)
+    classification = yield from timed("spectra", bounds.classify, subject, summary)
+    # Null(M - I) or Null(L), cross-checked against the clustered multiplicity
+    fixed_dim, discrepancy = yield from timed("spectra", _certified, asymptotics.fixed_space,
+                                              subject, summary)
+    report = yield from timed("spectra", bounds.check_bounds, summary, classification, markovian)
+    attractor_dim, failure = yield from timed("asymptotics", _certified, asymptotics.attractor,
+                                              subject, summary)
     commutant_dim = None
     if with_commutant:
-        t2 = time.perf_counter()
-        commutant_dim = _commutant_dim(subject)
-        timings["commutant"] = time.perf_counter() - t2
-
+        commutant_dim = yield from timed("commutant", _commutant_dim, subject)
     return AnalysisReport(classification=classification, summary=summary, fixed_dim=fixed_dim,
                           attractor_dim=attractor_dim, commutant_dim=commutant_dim,
-                          bound_report=report, timings=timings, discrepancy=discrepancy)
+                          bound_report=report, timings=timings,
+                          discrepancy=discrepancy or failure)
+
+
+def _certified(stage, subject, summary) -> tuple[int, str | None]:
+    """The dimension ``stage`` certifies, or -1 and its ConsistencyError's message."""
+    try:
+        return stage(subject, summary).dimension, None
+    except asymptotics.ConsistencyError as exc:
+        return -1, str(exc)
+
+
+def run_phases(pipelines) -> list:
+    """Run generators such as :func:`stages` phase by phase: every one takes
+    its step up to its next ``yield``, in order, before any takes the next.
+    Returns each one's return value, or the ``ERRORS`` exception that ended
+    it and no other; any other exception propagates."""
+    pipelines = list(pipelines)
+    outcomes, live = [None] * len(pipelines), range(len(pipelines))
+    while live:
+        going = []
+        for i in live:
+            try:
+                next(pipelines[i])
+            except StopIteration as stop:
+                outcomes[i] = stop.value
+            except ERRORS as exc:
+                outcomes[i] = exc
+            else:
+                going.append(i)
+        live = going
+    return outcomes
 
 
 def _commutant_dim(subject) -> int:

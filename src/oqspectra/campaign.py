@@ -3,15 +3,18 @@
 One CSV row per analyzed subject.  Identical seeds give byte-identical CSV
 files: every subject draws from its own ``default_rng((seed, source,
 dim-block, index, 0))`` stream and floats are written with a fixed
-12-significant-digit format.  A sampled subject is drawn once and analyzed
+12-significant-digit format.  Each (source, d) cell runs in task order as
+chunks of at most :func:`chunk_size` subjects, phase by phase: every draw,
+then each stage of ``analysis.stages`` (the decomposition first) over the
+whole chunk, then the rows.  A sampled subject is drawn once and analyzed
 once, and each ensemble's advertised classes make the campaign an oracle: a
 draw classified outside them is an oracle mismatch row with its full report.
 A report with a cross-check ``discrepancy`` is a ``numerical`` row, counted
 as an oracle mismatch: only consistent counts make a bound violation.
-A subject whose draw or analysis raises (``ValueError``, ``LinAlgError``,
-``ConsistencyError``) becomes a row with an empty report and
-``note=error:<type>``, counted as an oracle mismatch; it never aborts the
-campaign.
+A subject whose draw or stage raises (``ValueError``, ``LinAlgError``,
+``ConsistencyError``) skips its later phases and becomes a row with an empty
+report and ``note=error:<type>``, counted as an oracle mismatch; no other
+subject is affected.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis, asymptotics, constructions
+from . import analysis, constructions
 from .constructions import ENSEMBLES
 
 CONSTRUCTORS = "constructors"
@@ -89,8 +92,24 @@ class CampaignResult:
     ckks_unital_failures: int
 
 
+# Most subjects a chunk holds at dimension d: whole cells at --per-dim 100 for
+# d <= 4 and at --per-dim 10 for d <= 8, and 8 from d = 10.  A full chunk holds
+# (tracemalloc, over the chunks of one) 6.0-7.3 MB at d = 3, 3.8-4.9 MB at d = 4,
+# 2.5-3.5 MB at d = 8 and 5.9-8.1 MB at d = 12.  A subject holds about 5 KB at
+# d = 2, where 4096 would hold 20 MB: the cap keeps every chunk under 9 MB.
+def chunk_size(d: int) -> int:
+    return min(1024, max(8, 65536 // d**4))
+
+
 def run_campaign(config: CampaignConfig) -> CampaignResult:
-    rows = [_run_task(t) for t in _subject_tasks(config)]
+    rows = []
+    for chunk in _chunks(config):
+        for task, outcome in zip(chunk, analysis.run_phases(map(_phases, chunk))):
+            report, failure, note = outcome if not isinstance(outcome, Exception) else (
+                None, "oracle", f"error:{type(outcome).__name__}")
+            rows.append(CampaignRow(source=task.source, dim=task.dim, index=task.index,
+                                    seed="-".join(map(str, task.seed_key or ())),
+                                    report=report, failure=failure, note=note))
     counts = Counter(row.failure for row in rows)
     return CampaignResult(rows=rows, structural_violations=counts["structural"],
                           oracle_mismatches=counts["oracle"] + counts["numerical"],
@@ -106,68 +125,53 @@ class _Task:
     env_dim: int | None
 
 
-def _subject_tasks(config: CampaignConfig):
+def _chunks(config: CampaignConfig):
+    """Each (source, d) cell's tasks, in task order, in chunks of ``chunk_size(d)``."""
     for source in config.sources:
         for dim_i, d in enumerate(config.dims):
             count = len(constructions.SATURATING) if source == CONSTRUCTORS else config.per_dim
-            for index in range(count):
-                key = None
-                if source != CONSTRUCTORS:
-                    key = (config.seed, ALL_SOURCES.index(source), dim_i, index)
-                yield _Task(source=source, dim=d, index=index,
-                            seed_key=key, env_dim=config.env_dim)
+            tasks = [_Task(source=source, dim=d, index=index, env_dim=config.env_dim,
+                           seed_key=None if source == CONSTRUCTORS
+                           else (config.seed, ALL_SOURCES.index(source), dim_i, index))
+                     for index in range(count)]
+            for start in range(0, count, chunk_size(d)):
+                yield tasks[start:start + chunk_size(d)]
 
 
-def _run_task(task: _Task) -> CampaignRow:
-    try:
-        if task.source == CONSTRUCTORS:
-            return _run_constructor(task)
-        return _run_sampled(task)
-    except (ValueError, np.linalg.LinAlgError, asymptotics.ConsistencyError) as exc:
-        seed = "" if task.seed_key is None else "-".join(map(str, task.seed_key))
-        return CampaignRow(source=task.source, dim=task.dim, index=task.index, seed=seed,
-                           report=None, failure="oracle", note=f"error:{type(exc).__name__}")
-
-
-def _run_constructor(task: _Task) -> CampaignRow:
-    d = task.dim
-    name = list(constructions.SATURATING)[task.index]
-    subject, expected = constructions.saturating(name, d)
-    report = analysis.analyze(subject, markovian=name == "phase-damping",
-                              with_commutant=False)
-    observed = (report.summary.l0_or_m0, report.summary.lP_or_mP)
-    failure, note = "", f"constructor:{name}"
-    if observed != expected:
-        failure = "oracle"
-        note = f"oracle mismatch {name}: counts {observed} != advertised {expected}"
-    elif report.discrepancy is not None:
-        failure, note = "numerical", f"constructor:{name} {report.discrepancy}"
-    elif not report.bounds_satisfied:
-        failure, note = "structural", f"constructor:{name} bound check failed"
-    return CampaignRow(source=task.source, dim=d, index=task.index, seed="",
-                       report=report, failure=failure, note=note)
-
-
-def _run_sampled(task: _Task) -> CampaignRow:
-    """One draw, one analysis.  An unadvertised class outranks a
+def _phases(task: _Task):
+    """One subject's phases: its draw, ``analysis.stages``, then its report,
+    failure and note.  A sampled subject's unadvertised class outranks a
     discrepancy, then a CKKS failure, then a bound violation."""
-    ensemble = ENSEMBLES[task.source]
-    rng = np.random.default_rng(task.seed_key + (0,))
-    subject = constructions.draw(task.source, task.dim, rng, task.env_dim)
-    report = analysis.analyze(subject, with_commutant=False)
+    name = None
+    if task.source == CONSTRUCTORS:
+        name = list(constructions.SATURATING)[task.index]
+        subject, expected = constructions.saturating(name, task.dim)
+    else:
+        rng = np.random.default_rng(task.seed_key + (0,))
+        subject = constructions.draw(task.source, task.dim, rng, task.env_dim)
+    yield
+    report = yield from analysis.stages(subject, markovian=name == "phase-damping",
+                                        with_commutant=False)
     failure = note = ""
-    if report.classification not in ensemble.advertised:
+    if name is not None:
+        observed, note = (report.summary.l0_or_m0, report.summary.lP_or_mP), f"constructor:{name}"
+        if observed != expected:
+            failure = "oracle"
+            note = f"oracle mismatch {name}: counts {observed} != advertised {expected}"
+        elif report.discrepancy is not None:
+            failure, note = "numerical", f"{note} {report.discrepancy}"
+        elif not report.bounds_satisfied:
+            failure, note = "structural", f"{note} bound check failed"
+    elif report.classification not in ENSEMBLES[task.source].advertised:
         failure = "oracle"
         note = f"oracle: {report.classification} not advertised by {task.source}"
     elif report.discrepancy is not None:
         failure, note = "numerical", report.discrepancy
-    elif ensemble.ckks_proved and not report.bound_report.ckks.satisfied.all():
+    elif ENSEMBLES[task.source].ckks_proved and not report.bound_report.ckks.satisfied.all():
         failure, note = "ckks", "ckks violated on unital sample"
     elif not report.bounds_satisfied:
         failure, note = "structural", "bound violation"
-    return CampaignRow(source=task.source, dim=task.dim, index=task.index,
-                       seed="-".join(map(str, task.seed_key)), report=report,
-                       failure=failure, note=note)
+    return report, failure, note
 
 
 def rows_to_csv(rows: list[CampaignRow]) -> str:

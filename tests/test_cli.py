@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -733,6 +734,72 @@ class TestCampaignWork:
         assert "oracle mismatches:     2" in capsys.readouterr().err
 
 
+class TestCampaignPhases:
+    """A campaign runs each (source, d) cell as chunks, phase by phase."""
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_csv_does_not_depend_on_the_chunks(self, monkeypatch, seed):
+        configs = [campaign.CampaignConfig(dims=(2, 3, 4), per_dim=20, seed=seed),
+                   campaign.CampaignConfig(dims=(6,), per_dim=10, seed=seed)]
+        default = [campaign.rows_to_csv(campaign.run_campaign(c).rows) for c in configs]
+        for size in (1, 7):  # single subjects, and uneven cuts
+            monkeypatch.setattr(campaign, "chunk_size", lambda d, size=size: size)
+            assert [campaign.rows_to_csv(campaign.run_campaign(c).rows)
+                    for c in configs] == default, size
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_analyze_is_the_chunk_of_one(self, d):
+        def reports(outcomes):
+            return [{k: v for k, v in analysis.report_to_json(r).items() if k != "timings"}
+                    for r in outcomes]
+
+        alone = reports(analysis.analyze(s) for _, s in helpers.oracle_subjects(d))
+        chunk = analysis.run_phases(analysis.stages(s) for _, s in helpers.oracle_subjects(d))
+        assert reports(chunk) == alone
+
+    def test_memory_bounded_by_the_chunk(self):
+        # A cell of 32 subjects at d = 10 runs as chunks of 8: its tracemalloc
+        # peak exceeds that of 8 subjects by the rows kept, under two
+        # subjects' decompositions, never by the 24 more subjects of a whole cell
+        def peak(per_dim):
+            config = campaign.CampaignConfig(dims=(10,), per_dim=per_dim, seed=2,
+                                             sources=("haar-unitary",))
+            tracemalloc.start()
+            try:
+                campaign.run_campaign(config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # per-d caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            subject = constructions.draw("haar-unitary", 10, np.random.default_rng(2))
+            subject.spectrum
+            one = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert campaign.chunk_size(10) == 8
+        assert one > 100_000
+        assert peak(32) - peak(8) < 2 * one
+
+    def test_each_phase_runs_over_the_chunk_before_the_next(self, monkeypatch):
+        # one cell of 5 gkls-generic subjects is one chunk: every draw comes
+        # before every summary, and every summary before every attractor
+        events = []
+        for module, name in ((constructions, "draw"), (spectra, "summarize"),
+                             (asymptotics, "attractor")):
+            def spy(*args, _original=getattr(module, name), _name=name, **kwargs):
+                events.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+        config = campaign.CampaignConfig(dims=(3,), per_dim=5, sources=("gkls-generic",))
+        assert len(campaign.run_campaign(config).rows) == 5
+        assert events == ["draw"] * 5 + ["summarize"] * 5 + ["attractor"] * 5
+
+
 class TestParserReuse:
     """``main`` builds its parser once; each call still parses on its own."""
 
@@ -837,35 +904,84 @@ for call in (lambda: gkls.exponentiate(constructions.saturating_dissipative_gene
 
 
 class TestCampaignErrors:
-    """A subject whose analysis raises is one error row, never an abort."""
+    """A subject whose draw, decomposition or analysis stage raises is one
+    error row, never an abort, whichever phase and place in its chunk."""
 
     CONFIG = campaign.CampaignConfig(dims=(2, 3), per_dim=2, seed=3,
                                      sources=("constructors", "gkls-generic", "haar-unitary"))
+    ARGV = ["--dims", "2,3", "--per-dim", "2", "--seed", "3",
+            "--ensembles", "constructors,gkls-generic,haar-unitary"]
+    # Every phase after the draw, by the function that runs it.  Each is
+    # called once per subject, in task order: the gkls draws decompose
+    # when they normalize, and every other subject in its own phase.
+    PHASES = ((linalg, "_dgeev"), (spectra, "summarize"), (bounds, "classify"),
+              (asymptotics, "fixed_space"), (bounds, "check_bounds"),
+              (asymptotics, "attractor"))
+
+    def verify_with_failure(self, monkeypatch, tmp_path, capsys, argv, phase, call, error):
+        """Exit code, CSV lines and stderr counters of ``verify argv`` where
+        the call-th call of ``phase`` (a module and a name) raises ``error``."""
+        with monkeypatch.context() as patch:
+            if phase is not None:
+                module, name = phase
+                original, count = getattr(module, name), [0]
+
+                def failing(*args, **kwargs):
+                    count[0] += 1
+                    if count[0] == call:
+                        raise error("planted failure")
+                    return original(*args, **kwargs)
+
+                patch.setattr(module, name, failing)
+            out = tmp_path / "c.csv"
+            code = main(["verify", *argv, "--out", str(out)])
+        return code, out.read_text().splitlines(), capsys.readouterr().err
+
+    def assert_one_error_row(self, monkeypatch, tmp_path, capsys, argv, victim, phases, error):
+        """Each phase's failure at the victim row changes that CSV line alone,
+        to an error row (a discrepancy row where the fixed-space or attractor
+        stage raises ConsistencyError), counted as one oracle mismatch: exit 1."""
+        _, clean, _ = self.verify_with_failure(monkeypatch, tmp_path, capsys, argv,
+                                               None, 0, error)
+        for phase, call in phases:
+            code, lines, err = self.verify_with_failure(monkeypatch, tmp_path, capsys, argv,
+                                                        phase, call, error)
+            fields = clean[victim + 1].split(",")
+            if error is asymptotics.ConsistencyError and phase[1] in ("fixed_space",
+                                                                      "attractor"):
+                # a constructor's note is its name, a clean sampled row's empty
+                note = " ".join(filter(None, (fields[-1], "planted failure")))
+                want = ",".join(fields[:-2] + ["1", note])
+            else:
+                want = ",".join(fields[:4] + [""] * 8 + ["0", "", "1", f"error:{error.__name__}"])
+            assert len(lines) == len(clean), phase
+            assert [k for k, (a, b) in enumerate(zip(lines, clean)) if a != b] == [victim + 1]
+            assert lines[victim + 1] == want, phase
+            assert code == 1, phase
+            assert f"subjects analyzed:     {len(clean) - 1}" in err
+            assert "structural violations: 0" in err and "ckks unital failures:  0" in err
+            assert "oracle mismatches:     1" in err
 
     @pytest.mark.parametrize("error", [ValueError, np.linalg.LinAlgError,
                                        asymptotics.ConsistencyError])
     @pytest.mark.parametrize("victim", [1, 9])  # a constructor, a sampled subject
-    def test_error_row_leaves_other_rows_unchanged(self, monkeypatch, error, victim):
-        clean = campaign.rows_to_csv(campaign.run_campaign(self.CONFIG).rows).splitlines()
-        analyze = analysis.analyze
-        count = [0]
+    def test_error_row_leaves_other_rows_unchanged(self, monkeypatch, tmp_path, capsys, error,
+                                                   victim):
+        # rows 0-7 are the constructors, 8-11 gkls-generic and 12-15 haar-unitary
+        draw = (constructions, "saturating") if victim < 8 else (constructions, "draw")
+        phases = [(draw, victim % 8 + 1)] + [(phase, victim + 1) for phase in self.PHASES]
+        self.assert_one_error_row(monkeypatch, tmp_path, capsys, self.ARGV, victim, phases,
+                                  error)
 
-        def failing(*args, **kwargs):
-            count[0] += 1
-            if count[0] == victim + 1:
-                raise error("planted failure")
-            return analyze(*args, **kwargs)
-
-        monkeypatch.setattr(analysis, "analyze", failing)
-        result = campaign.run_campaign(self.CONFIG)
-        lines = campaign.rows_to_csv(result.rows).splitlines()
-        assert len(lines) == len(clean)
-        bad = result.rows[victim]
-        assert bad.report is None and bad.violation
-        assert bad.note == f"error:{error.__name__}"
-        assert [k for k, (a, b) in enumerate(zip(lines, clean)) if a != b] == [victim + 1]
-        assert result.oracle_mismatches == 1
-        assert result.structural_violations == 0 and result.ckks_unital_failures == 0
+    @pytest.mark.parametrize("victim", [0, 1, 2])  # first, middle and last of one chunk
+    @pytest.mark.parametrize("error", [ValueError, np.linalg.LinAlgError,
+                                       asymptotics.ConsistencyError])
+    def test_error_row_anywhere_in_a_chunk(self, monkeypatch, tmp_path, capsys, error, victim):
+        argv = ["--dims", "3", "--per-dim", "3", "--seed", "5", "--ensembles", "haar-unitary"]
+        assert campaign.chunk_size(3) >= 3
+        phases = [((constructions, "draw"), victim + 1)]
+        phases += [(phase, victim + 1) for phase in self.PHASES]
+        self.assert_one_error_row(monkeypatch, tmp_path, capsys, argv, victim, phases, error)
 
     def test_unconverged_lapack_is_one_error_row(self, monkeypatch):
         # LAPACK info > 0 in one subject's eig: that row reads
@@ -910,7 +1026,7 @@ class TestCampaignErrors:
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("planted failure")
 
-        monkeypatch.setattr(analysis, "analyze", failing)
+        monkeypatch.setattr(spectra, "summarize", failing)
         out = tmp_path / "c.csv"
         assert main(["verify", "--dims", "2", "--per-dim", "1", "--ensembles",
                      "gkls-generic", "--out", str(out)]) == 1
