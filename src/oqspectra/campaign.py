@@ -6,15 +6,16 @@ dim-block, index, 0))`` stream and floats are written with a fixed
 12-significant-digit format.  Each (source, d) cell runs in task order as
 chunks of at most :func:`chunk_size` subjects, phase by phase: every draw,
 then each stage of ``analysis.stages`` (the decomposition first) over the
-whole chunk, then the rows.  A sampled subject is drawn once and analyzed
-once, and each ensemble's advertised classes make the campaign an oracle: a
-draw classified outside them is an oracle mismatch row with its full report.
-A report with a cross-check ``discrepancy`` is a ``numerical`` row, counted
-as an oracle mismatch: only consistent counts make a bound violation.
-A subject whose draw or stage raises (``ValueError``, ``LinAlgError``,
-``ConsistencyError``) skips its later phases and becomes a row with an empty
-report and ``note=error:<type>``, counted as an oracle mismatch; no other
-subject is affected.
+whole chunk, then the rows.  A row is its CSV record: no report outlives
+its chunk.  A sampled subject is drawn once and analyzed once, and each
+ensemble's advertised classes make the campaign an oracle: a draw classified
+outside them is an oracle mismatch row.  A report with a cross-check
+``discrepancy`` is a ``numerical`` row, counted as an oracle mismatch: only
+consistent counts make a bound violation.  A subject whose draw or stage
+raises (``ValueError``, ``LinAlgError``, ``ConsistencyError``) skips its
+later phases and becomes a row with empty columns and
+``note=error:<type>``, counted as an oracle mismatch; no other subject is
+affected.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ CSV_COLUMNS = (
     "ckks_min_margin", "ckks_satisfied", "rejects", "rechecked",
     "violation", "note",
 )
+# The columns kind ... rechecked of a subject that has no report
+ERROR_FIELDS = ("",) * 8 + (0, "")
 
 
 @dataclass(frozen=True)
@@ -75,9 +78,9 @@ class CampaignRow:
     dim: int
     index: int
     seed: str
-    report: analysis.AnalysisReport
     failure: str  # "", "structural", "oracle", "numerical" or "ckks"
     note: str
+    fields: tuple = ERROR_FIELDS  # the CSV columns kind ... rechecked
 
     @property
     def violation(self) -> bool:
@@ -105,11 +108,10 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     rows = []
     for chunk in _chunks(config):
         for task, outcome in zip(chunk, analysis.run_phases(map(_phases, chunk))):
-            report, failure, note = outcome if not isinstance(outcome, Exception) else (
-                None, "oracle", f"error:{type(outcome).__name__}")
-            rows.append(CampaignRow(source=task.source, dim=task.dim, index=task.index,
-                                    seed="-".join(map(str, task.seed_key or ())),
-                                    report=report, failure=failure, note=note))
+            if isinstance(outcome, Exception):
+                outcome = ("oracle", f"error:{type(outcome).__name__}")
+            rows.append(CampaignRow(task.source, task.dim, task.index,
+                                    "-".join(map(str, task.seed_key or ())), *outcome))
     counts = Counter(row.failure for row in rows)
     return CampaignResult(rows=rows, structural_violations=counts["structural"],
                           oracle_mismatches=counts["oracle"] + counts["numerical"],
@@ -126,21 +128,23 @@ class _Task:
 
 
 def _chunks(config: CampaignConfig):
-    """Each (source, d) cell's tasks, in task order, in chunks of ``chunk_size(d)``."""
+    """Each (source, d) cell's tasks, in task order, in chunks of ``chunk_size(d)``,
+    each chunk built when it is reached."""
     for source in config.sources:
         for dim_i, d in enumerate(config.dims):
             count = len(constructions.SATURATING) if source == CONSTRUCTORS else config.per_dim
-            tasks = [_Task(source=source, dim=d, index=index, env_dim=config.env_dim,
-                           seed_key=None if source == CONSTRUCTORS
-                           else (config.seed, ALL_SOURCES.index(source), dim_i, index))
-                     for index in range(count)]
-            for start in range(0, count, chunk_size(d)):
-                yield tasks[start:start + chunk_size(d)]
+            size = chunk_size(d)
+            for start in range(0, count, size):
+                yield [_Task(source=source, dim=d, index=index, env_dim=config.env_dim,
+                             seed_key=None if source == CONSTRUCTORS
+                             else (config.seed, ALL_SOURCES.index(source), dim_i, index))
+                       for index in range(start, min(count, start + size))]
 
 
 def _phases(task: _Task):
-    """One subject's phases: its draw, ``analysis.stages``, then its report,
-    failure and note.  A sampled subject's unadvertised class outranks a
+    """One subject's phases: its draw, ``analysis.stages``, then its row's
+    failure, note and CSV columns kind ... rechecked, read from the report
+    before it is dropped.  A sampled subject's unadvertised class outranks a
     discrepancy, then a CKKS failure, then a bound violation."""
     name = None
     if task.source == CONSTRUCTORS:
@@ -171,32 +175,21 @@ def _phases(task: _Task):
         failure, note = "ckks", "ckks violated on unital sample"
     elif not report.bounds_satisfied:
         failure, note = "structural", "bound violation"
-    return report, failure, note
+    checks, ckks = report.bound_report.checks, report.bound_report.ckks
+    steady = next((c.margin for c in checks if c.name.startswith(("l0", "m0"))), "")
+    periph = next((c.margin for c in checks if c.name.startswith(("lP", "mP"))), "")
+    ckks_min = ckks_ok = ""
+    if ckks.margin.size:
+        ckks_min, ckks_ok = f"{ckks.margin.min():.12g}", int(ckks.satisfied.all())
+    return failure, note, (report.summary.kind.name, report.classification,
+                           report.summary.l0_or_m0, report.summary.lP_or_mP, steady, periph,
+                           ckks_min, ckks_ok, 0, 0)  # rejects, rechecked: one draw, one pass
 
 
 def rows_to_csv(rows: list[CampaignRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        rep = row.report
-        if rep is None:
-            writer.writerow([row.source, row.dim, row.index, row.seed,
-                             "", "", "", "", "", "", "", "", 0,
-                             "", int(row.violation), row.note])
-            continue
-        steady = next((c.margin for c in rep.bound_report.checks
-                       if c.name.startswith(("l0", "m0"))), "")
-        periph = next((c.margin for c in rep.bound_report.checks
-                       if c.name.startswith(("lP", "mP"))), "")
-        ckks = rep.bound_report.ckks
-        ckks_min = ckks_ok = ""
-        if ckks.margin.size:
-            ckks_min, ckks_ok = f"{ckks.margin.min():.12g}", int(ckks.satisfied.all())
-        writer.writerow([
-            row.source, row.dim, row.index, row.seed, rep.summary.kind.name,
-            rep.classification, rep.summary.l0_or_m0, rep.summary.lP_or_mP,
-            steady, periph, ckks_min, ckks_ok, 0, 0,  # rejects, rechecked: one draw, one pass
-            int(row.violation), row.note,
-        ])
+    writer.writerows((row.source, row.dim, row.index, row.seed, *row.fields,
+                      int(row.violation), row.note) for row in rows)
     return buf.getvalue()

@@ -2,6 +2,7 @@ import csv
 import ctypes
 import dataclasses
 import functools
+import gc
 import inspect
 import json
 import os
@@ -662,14 +663,22 @@ class TestCampaignWork:
         # multiple peripheral clusters where they occur); an SVD is complex
         # only for a multiple cluster above the real axis
         calls, dtypes = helpers.count_decompositions(monkeypatch)
+        summaries, summarize = [], spectra.summarize
+
+        def spy(*args, **kwargs):
+            summaries.append(summarize(*args, **kwargs))
+            return summaries[-1]
+
+        monkeypatch.setattr(spectra, "summarize", spy)
         cfg = campaign.CampaignConfig(dims=(6,), per_dim=2, sources=campaign.ALL_SOURCES)
         result = campaign.run_campaign(cfg)
         draws = len(result.rows)
-        assert calls["real_eig"] == draws and calls["eig"] == calls["eigvals"] == 0
+        assert calls["real_eig"] == draws == len(summaries)
+        assert calls["eig"] == calls["eigvals"] == 0
         assert calls["svd"] + calls["svdvals"] <= 1.6 * len(result.rows)
         off_axis = sum(int(np.sum(s.peripheral & (s.multiplicities > 1)
                                   & (2 * s.values.imag > s.cluster_tol)))
-                       for s in (row.report.summary for row in result.rows))
+                       for s in summaries)
         svds = [dtype for name, dtype in dtypes if name in ("svd", "svdvals")]
         assert off_axis > 0
         assert [dtype for dtype in svds if dtype != np.float64] == [np.complex128] * off_axis
@@ -711,8 +720,8 @@ class TestCampaignWork:
 
     def test_unadvertised_draw_is_one_oracle_mismatch_row(self, monkeypatch, tmp_path, capsys):
         # every gkls-generic draw is non-hamiltonian: with only "hamiltonian"
-        # advertised, each one is an oracle mismatch row with its full
-        # report, from one draw and one summary, never a redraw
+        # advertised, each one is an oracle mismatch row with its full CSV
+        # record, from one draw and one summary, never a redraw
         ensemble = campaign.ENSEMBLES["gkls-generic"]
         monkeypatch.setitem(campaign.ENSEMBLES, "gkls-generic",
                             dataclasses.replace(ensemble, advertised=("hamiltonian",)))
@@ -723,9 +732,9 @@ class TestCampaignWork:
         assert result.structural_violations == result.ckks_unital_failures == 0
         for row in result.rows:
             assert row.failure == "oracle" and row.violation
-            assert row.report is not None and row.report.classification == "non-hamiltonian"
             assert row.note == "oracle: non-hamiltonian not advertised by gkls-generic"
         rows = list(csv.DictReader(campaign.rows_to_csv(result.rows).splitlines()))
+        assert [row["classification"] for row in rows] == ["non-hamiltonian"] * 5
         assert [(row["rejects"], row["rechecked"]) for row in rows] == [("0", "0")] * 5
         assert all(row["l0_or_m0"] == "1" and row["violation"] == "1" for row in rows)
         out = tmp_path / "c.csv"
@@ -783,6 +792,45 @@ class TestCampaignPhases:
         assert campaign.chunk_size(10) == 8
         assert one > 100_000
         assert peak(32) - peak(8) < 2 * one
+
+    @pytest.mark.parametrize("source", ["haar-unitary", "gkls-generic"])
+    def test_row_keeps_its_csv_record_alone(self, source):
+        # A row keeps about 0.4 KB whatever d is, and no array: the memory the
+        # rows free, once the per-d caches are filled, grows by at most a
+        # quarter from d = 2 to d = 10 (rows holding their reports free
+        # 2.5 -> 7.5 KB for haar-unitary).  Measured as what dropping the
+        # result frees, so caches a run fills in passing do not count
+        def kept_per_row(d):
+            config = campaign.CampaignConfig(dims=(d,), per_dim=16, seed=3, sources=(source,))
+            campaign.run_campaign(config)  # per-d caches
+            tracemalloc.start()
+            try:
+                result = campaign.run_campaign(config)
+                gc.collect()
+                held, rows = tracemalloc.get_traced_memory()[0], len(result.rows)
+                assert not any(isinstance(v, np.ndarray) for row in result.rows
+                               for v in (*vars(row).values(), *row.fields))
+                del result
+                gc.collect()
+                return (held - tracemalloc.get_traced_memory()[0]) / rows
+            finally:
+                tracemalloc.stop()
+
+        small, large = kept_per_row(2), kept_per_row(10)
+        assert 0 < large <= 1.25 * small, (small, large)
+
+    def test_chunk_is_built_when_reached(self):
+        # 100000 d = 2 tasks take about 22 MB as one list; the first chunk
+        # holds chunk_size(2) = 1024 of them
+        config = campaign.CampaignConfig(dims=(2,), per_dim=100_000, sources=("haar-unitary",))
+        tracemalloc.start()
+        try:
+            first = next(campaign._chunks(config))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [task.index for task in first] == list(range(campaign.chunk_size(2)))
+        assert peak < 1_000_000, peak
 
     def test_each_phase_runs_over_the_chunk_before_the_next(self, monkeypatch):
         # one cell of 5 gkls-generic subjects is one chunk: every draw comes
@@ -1000,7 +1048,8 @@ class TestCampaignErrors:
         changed = [k for k, (a, b) in enumerate(zip(lines, clean)) if a != b]
         assert len(lines) == len(clean) and len(changed) == 1
         bad = result.rows[changed[0] - 1]
-        assert bad.report is None and bad.note == "error:LinAlgError"
+        assert bad.fields == campaign.ERROR_FIELDS == ("",) * 8 + (0, "")
+        assert bad.note == "error:LinAlgError"
         assert result.oracle_mismatches == 1 and result.structural_violations == 0
 
     def test_discrepancy_is_a_numerical_row(self, monkeypatch, tmp_path, capsys):
@@ -1012,8 +1061,9 @@ class TestCampaignErrors:
                             lambda *args: unitary_channel(adversarial))
         config = campaign.CampaignConfig(dims=(2,), per_dim=2, sources=("haar-unitary",))
         result = campaign.run_campaign(config)
+        discrepancy = analysis.analyze(unitary_channel(adversarial)).discrepancy
         assert [row.failure for row in result.rows] == ["numerical"] * 2
-        assert all(row.violation and row.note == row.report.discrepancy
+        assert all(row.violation and row.note == discrepancy
                    and row.note.startswith("fixed-space dimension 2") for row in result.rows)
         assert result.oracle_mismatches == 2
         assert result.structural_violations == result.ckks_unital_failures == 0
