@@ -23,10 +23,10 @@ import numpy as np
 
 from . import asymptotics, bounds, commutants, spectra
 from .bounds import BoundReport
+from .linalg import ERRORS
 from .spectra import SpectralSummary
 
 SCHEMA = "oqs/1"
-ERRORS = (ValueError, np.linalg.LinAlgError, asymptotics.ConsistencyError)
 
 
 @dataclass(frozen=True)

@@ -28,17 +28,13 @@ from typing import Callable
 import numpy as np
 
 from . import linalg, spectra, superop
-from .linalg import dagger, unvec, vec
+from .linalg import ConsistencyError, dagger, unvec, vec
 from .superop import QuantumChannel
 
 DEFAULT_NULL_TOL = 1e-8  # nullspace cut and left/right overlap floor of every eigenspace
 SUPPORT_REL_TOL = 1e-9  # eigenvalues of rho0 below this times the largest are noise
 SUPPORT_LEAK_TOL = 1e-8  # largest norm of the off-support block (I - V V^dag) B V
 ATTRACTOR_RANK_TOL = 1e-10  # independent columns: singular values above this times the largest
-
-
-class ConsistencyError(RuntimeError):
-    """Cross-module disagreement (clustering vs nullspace dimensions)."""
 
 
 @dataclass(frozen=True, eq=False)

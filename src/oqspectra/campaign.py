@@ -4,18 +4,18 @@ One CSV row per analyzed subject.  Identical seeds give byte-identical CSV
 files: every subject draws from its own ``default_rng((seed, source,
 dim-block, index, 0))`` stream and floats are written with a fixed
 12-significant-digit format.  Each (source, d) cell runs in task order as
-chunks of at most :func:`chunk_size` subjects, phase by phase: every draw,
-then each stage of ``analysis.stages`` (the decomposition first) over the
-whole chunk, then the rows.  A row is its CSV record: no report outlives
-its chunk.  A sampled subject is drawn once and analyzed once, and each
-ensemble's advertised classes make the campaign an oracle: a draw classified
-outside them is an oracle mismatch row.  A report with a cross-check
-``discrepancy`` is a ``numerical`` row, counted as an oracle mismatch: only
-consistent counts make a bound violation.  A subject whose draw or stage
-raises (``ValueError``, ``LinAlgError``, ``ConsistencyError``) skips its
-later phases and becomes a row with empty columns and
-``note=error:<type>``, counted as an oracle mismatch; no other subject is
-affected.
+chunks of at most :func:`chunk_size` subjects, phase by phase: the raw
+draws one subject at a time, a stacked build, a stacked decomposition
+(``dgeev`` once per matrix), each later stage of ``analysis.stages``, then
+the rows.  A row is its CSV record: no report outlives its chunk.  A sampled
+subject is drawn once and analyzed once, and each ensemble's advertised
+classes make the campaign an oracle: a draw classified outside them is an
+oracle mismatch row.  A report with a cross-check ``discrepancy`` is a
+``numerical`` row, counted as an oracle mismatch: only consistent counts
+make a bound violation.  A subject whose draw, build or stage raises
+(``ValueError``, ``LinAlgError``, ``ConsistencyError``) skips its later
+phases and becomes a row with empty columns and ``note=error:<type>``,
+counted as an oracle mismatch; no other subject is affected.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis, constructions
+from . import analysis, constructions, linalg
 from .constructions import ENSEMBLES
 
 CONSTRUCTORS = "constructors"
@@ -107,7 +107,8 @@ def chunk_size(d: int) -> int:
 def run_campaign(config: CampaignConfig) -> CampaignResult:
     rows = []
     for chunk in _chunks(config):
-        for task, outcome in zip(chunk, analysis.run_phases(map(_phases, chunk))):
+        for task, outcome in zip(chunk, analysis.run_phases(map(_phases, chunk,
+                                                                _subjects(chunk)))):
             if isinstance(outcome, Exception):
                 outcome = ("oracle", f"error:{type(outcome).__name__}")
             rows.append(CampaignRow(task.source, task.dim, task.index,
@@ -141,23 +142,33 @@ def _chunks(config: CampaignConfig):
                        for index in range(start, min(count, start + size))]
 
 
-def _phases(task: _Task):
-    """One subject's phases: its draw, ``analysis.stages``, then its row's
-    failure, note and CSV columns kind ... rechecked, read from the report
-    before it is dropped.  A sampled subject's unadvertised class outranks a
-    discrepancy, then a CKKS failure, then a bound violation."""
-    name = None
-    if task.source == CONSTRUCTORS:
-        name = list(constructions.SATURATING)[task.index]
-        subject, expected = constructions.saturating(name, task.dim)
+def _subjects(chunk: list[_Task]) -> list:
+    """Each task's subject, decomposed, or the exception that it raised."""
+    source, d = chunk[0].source, chunk[0].dim
+    if source == CONSTRUCTORS:
+        names = list(constructions.SATURATING)
+        subjects = linalg.each(lambda task: constructions.saturating(names[task.index], d)[0],
+                               chunk)
     else:
-        rng = np.random.default_rng(task.seed_key + (0,))
-        subject = constructions.draw(task.source, task.dim, rng, task.env_dim)
-    yield
+        draws = linalg.each(lambda task: constructions.normals(
+            source, d, np.random.default_rng(task.seed_key + (0,)), task.env_dim), chunk)
+        subjects = linalg.over_stack(lambda raw: ENSEMBLES[source].build(np.stack(raw)), draws)
+    return linalg.decompose(subjects)
+
+
+def _phases(task: _Task, subject):
+    """One subject's ``analysis.stages`` (or its draw's exception), then its
+    row's failure, note and CSV columns kind ... rechecked, read from the
+    report before it is dropped.  A sampled subject's unadvertised class
+    outranks a discrepancy, then a CKKS failure, then a bound violation."""
+    if isinstance(subject, Exception):
+        raise subject
+    name = list(constructions.SATURATING)[task.index] if task.source == CONSTRUCTORS else None
     report = yield from analysis.stages(subject, markovian=name == "phase-damping",
                                         with_commutant=False)
     failure = note = ""
     if name is not None:
+        expected = constructions.advertised(name, task.dim)
         observed, note = (report.summary.l0_or_m0, report.summary.lP_or_mP), f"constructor:{name}"
         if observed != expected:
             failure = "oracle"

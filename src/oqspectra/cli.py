@@ -186,9 +186,9 @@ def _cmd_sample(args) -> int:
     config = constructions.SamplerConfig(
         seed=args.seed, dim=args.dim, ensemble=args.ensemble,
         count=args.count, env_dim=args.env_dim)
-    text = "".join(_to_json(subject) + "\n" for subject in constructions.sample(config))
-    with _emit(args.out) as fh:
-        fh.write(text)
+    with _emit(args.out) as fh:  # an unwritable --out fails before the first draw
+        for subject in constructions.sample(config):
+            fh.write(_to_json(subject) + "\n")
     return 0
 
 

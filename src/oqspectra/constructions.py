@@ -15,21 +15,23 @@ examples that make every structural bound tight:
 
 Sampling uses numpy's PCG64 streams: every subject draws from its own
 ``default_rng(seed)``, so campaigns are reproducible across platforms and
-trivially parallelizable.
+trivially parallelizable.  A draw takes its raw draw from that stream
+(:func:`normals`), then builds a stack of one: a campaign stacks a chunk.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Union
 
 import numpy as np
 
-from . import gkls
+from . import gkls, linalg
 from .bounds import structural_ceiling
 from .gkls import GklsGenerator, build_generator
-from .superop import QuantumChannel, from_kraus, from_superop
+from .superop import QuantumChannel, from_kraus, from_superop, kraus_channels
 
 Subject = Union[QuantumChannel, GklsGenerator]
 
@@ -141,108 +143,107 @@ SATURATING = {
 
 def saturating(name: str, d: int, h: tuple[float, float] = (0.0, 1.0),
                eigenpairs=((1.0, 0.0),)) -> tuple[Subject, tuple[int, int]]:
-    """The saturating example ``name`` at dimension d and the (l0, lP) it
-    advertises; l0 is always the ceiling d^2 - 2d + 2."""
-    build, all_peripheral = SATURATING[name]
+    """The saturating example ``name`` at dimension d and its :func:`advertised` counts."""
+    return SATURATING[name][0](d, h, eigenpairs), advertised(name, d)
+
+
+def advertised(name: str, d: int) -> tuple[int, int]:
+    """The (l0, lP) of the saturating example ``name``; l0 is the ceiling d^2 - 2d + 2."""
     ceiling = structural_ceiling(d)
-    return build(d, h, eigenpairs), (ceiling, d * d if all_peripheral else ceiling)
+    return ceiling, d * d if SATURATING[name][1] else ceiling
 
 
 # ---------------------------------------------------------------------------
 # random ensembles
 # ---------------------------------------------------------------------------
 
-def ginibre(rows: int, cols: int, rng: np.random.Generator, count: int = 0) -> np.ndarray:
-    """A Ginibre matrix or, with ``count``, the stack of ``count`` of them
-    from one draw: the same PCG64 stream as ``count`` single draws."""
-    g = rng.standard_normal((max(count, 1), 2, rows, cols))
-    g = (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
-    return g if count else g[0]
+def _gaussian(normals: np.ndarray) -> np.ndarray:
+    return (normals[..., 0, :, :] + 1j * normals[..., 1, :, :]) / np.sqrt(2.0)
+
+
+def _hermitian(g: np.ndarray) -> np.ndarray:
+    return (g + g.swapaxes(-1, -2).conj()) / 2.0
+
+
+def ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    return _gaussian(rng.standard_normal((2, rows, cols)))
+
+
+def random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:
+    return _hermitian(ginibre(d, d, rng))
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via phase-fixed QR of a Ginibre matrix."""
-    q, r = np.linalg.qr(ginibre(d, d, rng))
-    phases = np.diagonal(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
+    return _haar(normals("haar-unitary", d, rng))[0]
 
 
-def random_hermitian(d: int, rng: np.random.Generator, count: int = 0) -> np.ndarray:
-    """A GUE matrix or, with ``count``, the stack of ``count`` of them, as :func:`ginibre`."""
-    g = ginibre(d, d, rng, count)
-    return (g + np.swapaxes(g, -1, -2).conj()) / 2.0
+def _haar(normals: np.ndarray) -> np.ndarray:
+    q, r = np.linalg.qr(_gaussian(normals))
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (phases / np.abs(phases))[..., None, :]
 
 
 def unitary_channel(u: np.ndarray) -> QuantumChannel:
     return from_kraus([u])
 
 
-def stinespring_channel(d: int, rng: np.random.Generator,
-                        env_dim: int | None = None) -> QuantumChannel:
-    """Generic CPTP map: Haar isometry into system x environment, traced out.
-
-    The Kraus operators are the environment slices of a QR-orthonormalized
-    Ginibre matrix of shape (d * env_dim, d).
-    """
-    env = env_dim if env_dim is not None else d * d
-    q, _ = np.linalg.qr(ginibre(d * env, d, rng))
-    return from_kraus(q.reshape(d, env, d).transpose(1, 0, 2))
+def _stinespring(normals: np.ndarray) -> list:
+    """Generic CPTP maps: Kraus operators the environment slices of Haar
+    isometries (QR of Ginibre matrices of shape (d * env_dim, d))."""
+    k, _, _, rows, d = normals.shape
+    q, _ = np.linalg.qr(_gaussian(normals))
+    return kraus_channels(q.reshape(k, d, rows // d, d).transpose(0, 2, 1, 3))
 
 
-def _normalized_generator(h: np.ndarray, ops: np.ndarray | tuple) -> GklsGenerator:
-    # Rescale so the superoperator has spectral radius ~1, keeping tolerances
-    # scale-appropriate; H scales linearly, noise operators by sqrt, so L and
-    # its eigenvalues scale by 1 / r and the eigenvectors stay.
-    gen = build_generator(h, ops)
-    spectrum = gen.spectrum
-    radius = float(np.max(np.abs(spectrum.values)))
-    if radius < 1e-12:
-        return gen
-    scaled = GklsGenerator(dim=gen.dim, hamiltonian=gen.hamiltonian / radius,
-                           noise_ops=gen.noise_ops / np.sqrt(radius),
-                           _superop=gen.superop / radius)
-    scaled.spectrum = replace(spectrum, values=spectrum.values / radius,
-                              real=spectrum.real / radius)
-    return scaled
+def _gkls(normals: np.ndarray, unital: bool) -> list:
+    """The generators of (k, 1 + K, 2, d, d) normals: GUE H and K Ginibre (GUE
+    if ``unital``) A_k each, as H / r and A_k / sqrt r, so that L / r has
+    spectral radius 1 (unless r < 1e-12) for scale-appropriate tolerances."""
+    g = _gaussian(normals)
+    h = _hermitian(g if unital else g[:, :1])
 
+    def rescaled(gens):
+        values = np.stack([gen.spectrum.values for gen in gens])
+        radius = np.abs(values).max(axis=1)
+        r = np.where(radius < 1e-12, 1.0, radius)[:, None, None]  # x / 1 is x, bit for bit
+        h, values = np.stack([gen.hamiltonian for gen in gens]) / r, values / r[:, 0]
+        ops = np.stack([gen.noise_ops for gen in gens]) / np.sqrt(r)[..., None]
+        superops = np.stack([gen.superop for gen in gens]) / r
+        real = np.stack([gen.spectrum.real for gen in gens]) / r
+        scaled = [GklsGenerator(dim=gen.dim, hamiltonian=hk, noise_ops=a, _superop=m)
+                  for gen, hk, a, m in zip(gens, h, ops, superops)]
+        for new, gen, w, x in zip(scaled, gens, values, real):
+            new.spectrum = replace(gen.spectrum, values=w, real=x)
+        return scaled
 
-def generic_gkls(d: int, rng: np.random.Generator) -> GklsGenerator:
-    """GUE Hamiltonian plus d Ginibre noise operators, spectral radius ~1."""
-    h = random_hermitian(d, rng)
-    return _normalized_generator(h, ginibre(d, d, rng, count=d))
-
-
-def unital_gkls(d: int, rng: np.random.Generator) -> GklsGenerator:
-    """Unital ensemble: d Hermitian noise operators make the dissipator
-    annihilate the identity, the regime where the CKKS bound is proved."""
-    h = random_hermitian(d, rng)
-    return _normalized_generator(h, random_hermitian(d, rng, count=d))
-
-
-def hamiltonian_gkls(d: int, rng: np.random.Generator) -> GklsGenerator:
-    return _normalized_generator(random_hermitian(d, rng), ())
+    gens = gkls.generators(h[:, 0], (h if unital else g)[:, 1:])
+    return linalg.over_stack(rescaled, linalg.decompose(gens))
 
 
 @dataclass(frozen=True)
 class Ensemble:
     """What a random ensemble draws and promises."""
 
-    draw: Callable[[int, np.random.Generator, int | None], Subject]  # (d, rng, env_dim)
+    shape: Callable[[int, int | None], tuple]  # (d, env_dim) -> (rows, cols, *counts)
+    build: Callable[[np.ndarray], list]  # the subjects of a stack of normals, or errors
     advertised: tuple[str, ...]  # the classes a draw must land in
     ckks_proved: bool  # CKKS is a theorem here, so a violation is a failure
 
 
 # The ensembles in campaign order: seed keys hold each one's position.
+# Hermitian noise operators make the dissipator unital: CKKS is proved there.
 ENSEMBLES = {
-    "haar-unitary": Ensemble(lambda d, rng, env: unitary_channel(haar_unitary(d, rng)),
+    "haar-unitary": Ensemble(lambda d, env: (d, d, 1),
+                             lambda normals: kraus_channels(_haar(normals)),
                              ("unitary", "non-unitary"), False),
-    "cptp-stinespring": Ensemble(stinespring_channel, ("non-unitary",), False),
-    "gkls-generic": Ensemble(lambda d, rng, env: generic_gkls(d, rng),
+    "cptp-stinespring": Ensemble(lambda d, env: (d * (d * d if env is None else env), d, 1),
+                                 _stinespring, ("non-unitary",), False),
+    "gkls-generic": Ensemble(lambda d, env: (d, d, 1, d), lambda normals: _gkls(normals, False),
                              ("non-hamiltonian",), False),
-    "gkls-unital": Ensemble(lambda d, rng, env: unital_gkls(d, rng),
+    "gkls-unital": Ensemble(lambda d, env: (d, d, 1, d), lambda normals: _gkls(normals, True),
                             ("non-hamiltonian",), True),
-    "gkls-hamiltonian": Ensemble(lambda d, rng, env: hamiltonian_gkls(d, rng),
+    "gkls-hamiltonian": Ensemble(lambda d, env: (d, d, 1), lambda normals: _gkls(normals, False),
                                  ("hamiltonian",), False),
 }
 
@@ -259,9 +260,23 @@ def sample(config: SamplerConfig) -> Iterator[Subject]:
                    config.env_dim)
 
 
+def normals(ensemble: str, d: int, rng: np.random.Generator,
+            env_dim: int | None = None) -> np.ndarray:
+    """One subject's raw draw: one standard_normal call per stack of Ginibre
+    matrices that ``ensemble`` takes from ``rng``, (re, im) on axis -3."""
+    if ensemble not in ENSEMBLES:
+        raise ValueError(f"unknown ensemble {ensemble!r}")
+    rows, cols, *counts = ENSEMBLES[ensemble].shape(d, env_dim)
+    return np.concatenate([rng.standard_normal((count, 2, rows, cols)) for count in counts])
+
+
 def draw(ensemble: str, d: int, rng: np.random.Generator,
          env_dim: int | None = None) -> Subject:
     """One subject of ``ensemble`` at dimension d, drawn from ``rng``."""
-    if ensemble not in ENSEMBLES:
-        raise ValueError(f"unknown ensemble {ensemble!r}")
-    return ENSEMBLES[ensemble].draw(d, rng, env_dim)
+    return linalg.one(ENSEMBLES[ensemble].build(normals(ensemble, d, rng, env_dim)[None]))
+
+
+stinespring_channel = functools.partial(draw, "cptp-stinespring")
+generic_gkls = functools.partial(draw, "gkls-generic")
+unital_gkls = functools.partial(draw, "gkls-unital")
+hamiltonian_gkls = functools.partial(draw, "gkls-hamiltonian")

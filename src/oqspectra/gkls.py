@@ -49,7 +49,7 @@ class GklsGenerator(linalg.Decomposed):
 
 
 def build_generator(hamiltonian, noise_ops=()) -> GklsGenerator:
-    """Validate, symmetrize and assemble a GKLS generator.
+    """Validate, symmetrize and assemble a GKLS generator (:func:`generators`).
 
     The Hamiltonian must be Hermitian within ``HERMITIAN_FAIL_TOL``;
     residuals in (``HERMITIAN_WARN_TOL``, ``HERMITIAN_FAIL_TOL``] are
@@ -60,30 +60,37 @@ def build_generator(hamiltonian, noise_ops=()) -> GklsGenerator:
     """
     h = require_square(hamiltonian)
     d = h.shape[0]
-    residual = float(np.linalg.norm(h - dagger(h)))
-    if residual > HERMITIAN_FAIL_TOL:
-        raise ValueError(f"Hamiltonian is not Hermitian (residual {residual:.3e})")
-    if residual > HERMITIAN_WARN_TOL:
-        warnings.warn(
-            f"symmetrizing Hamiltonian with Hermiticity residual {residual:.3e}",
-            stacklevel=2,
-        )
-    h = (h + dagger(h)) / 2
     ops = np.asarray(noise_ops, dtype=np.complex128)  # ValueError on ragged nesting
     if ops.size and ops.shape[1:] != (d, d) or not np.isfinite(ops).all():
         raise ValueError(f"noise operators must be finite and match the Hamiltonian "
                          f"dimension {d}, got shape {ops.shape}")
-    return GklsGenerator(dim=d, hamiltonian=h, noise_ops=ops.reshape(-1, d, d))
+    return linalg.one(generators(h[None], ops.reshape(1, -1, d, d)))
+
+
+def generators(hamiltonians: np.ndarray, noise_ops: np.ndarray) -> list:
+    """:func:`build_generator` of each (H, A) of finite complex (k, d, d) and
+    (k, K, d, d) stacks, in order, with its superoperator, or its ValueError."""
+    residuals = np.linalg.norm(hamiltonians - dagger(hamiltonians), axis=(1, 2)).tolist()
+    for residual in residuals:
+        if HERMITIAN_WARN_TOL < residual <= HERMITIAN_FAIL_TOL:
+            warnings.warn(f"symmetrizing Hamiltonian with Hermiticity residual {residual:.3e}",
+                          stacklevel=3)
+    h = (hamiltonians + dagger(hamiltonians)) / 2
+    return [ValueError(f"Hamiltonian is not Hermitian (residual {residual:.3e})")
+            if residual > HERMITIAN_FAIL_TOL else
+            GklsGenerator(dim=h.shape[-1], hamiltonian=hk, noise_ops=ak, _superop=m)
+            for hk, ak, m, residual in zip(h, noise_ops, gkls_superop(h, noise_ops), residuals)]
 
 
 def gkls_superop(hamiltonian, noise_ops) -> np.ndarray:
     """L = I (x) (-iH - G/2) + (iH^T - G^T/2) (x) I + sum_k conj(A_k) (x) A_k
-    with G = sum_k A_k^dag A_k; :func:`build_generator` validates the inputs."""
+    with G = sum_k A_k^dag A_k (of each, for stacks); :func:`build_generator`
+    validates the inputs."""
     h = np.asarray(hamiltonian, dtype=np.complex128)
-    d = h.shape[0]
-    a = np.asarray(noise_ops, dtype=np.complex128).reshape(-1, d, d)
-    g = np.einsum("kji,kjl->il", a.conj(), a)
-    m = linalg.kronecker_sum(-1j * h - 0.5 * g, 1j * h.T - 0.5 * g.T)
+    d, lead = h.shape[-1], h.shape[:-2]
+    a = np.asarray(noise_ops, dtype=np.complex128).reshape(*lead, -1, d, d)
+    g = np.einsum("...kji,...kjl->...il", a.conj(), a)
+    m = linalg.kronecker_sum(-1j * h - 0.5 * g, 1j * h.swapaxes(-1, -2) - 0.5 * g.swapaxes(-1, -2))
     m += superop.kraus_to_superop(a)
     return m
 

@@ -18,7 +18,8 @@ Every SVD and symmetric eigensolve is ``numpy.linalg``'s.  Only
 :func:`real_eig` calls LAPACK itself: numpy has no eig with left
 eigenvectors, so ``dgeev`` is bound through ``ctypes`` (scipy's wrapper
 where numpy's wheel bundles no OpenBLAS).  :func:`one_blas_thread` limits
-the OpenBLAS of both to one thread.
+the OpenBLAS of both to one thread.  :func:`eig_stack` takes a stack at
+once but calls ``dgeev`` once per matrix: each gets its batch of one's bits.
 """
 
 from __future__ import annotations
@@ -39,6 +40,41 @@ EPS = float(np.finfo(np.float64).eps)
 HERMITICITY_CUT = 16.0
 
 
+class ConsistencyError(RuntimeError):
+    """Cross-module disagreement (clustering vs nullspace dimensions)."""
+
+
+# What a step over a stack records against the one item that raised it
+ERRORS = (ValueError, np.linalg.LinAlgError, ConsistencyError)
+
+
+def each(call, items) -> list:
+    """``call(item)`` for each item, in order, or the ``ERRORS`` exception it raised."""
+    outcomes = []
+    for item in items:
+        try:
+            outcomes.append(call(item))
+        except ERRORS as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def over_stack(step, items: list) -> list:
+    """``items`` with each one that is not an exception replaced, in order, by
+    its outcome of a single ``step`` call on all of them."""
+    live = [item for item in items if not isinstance(item, Exception)]
+    done = iter(step(live) if live else ())
+    return [item if isinstance(item, Exception) else next(done) for item in items]
+
+
+def one(outcomes: list):
+    """The outcome of a batch of one, raised if it is an exception."""
+    (outcome,) = outcomes
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 def as_complex_matrix(a) -> np.ndarray:
     """Coerce to a 2-d complex128 array and reject non-finite entries."""
     m = np.asarray(a, dtype=np.complex128)
@@ -57,7 +93,7 @@ def require_square(a: np.ndarray) -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return np.conj(np.asarray(a).T)
+    return np.asarray(a).swapaxes(-1, -2).conj()
 
 
 @functools.cache
@@ -264,7 +300,8 @@ class Spectrum:
 
 
 def eig(a) -> Spectrum:
-    """The :class:`Spectrum` of a Hermiticity-preserving d^2 x d^2 matrix.
+    """The :class:`Spectrum` of a Hermiticity-preserving d^2 x d^2 matrix,
+    the batch of one of :func:`eig_stack`.
 
     Exactly ``n`` eigenvalues are returned (with repetition), and non-real
     ones come in exactly conjugate pairs.  Raises ``ValueError`` if ``a`` is
@@ -273,23 +310,34 @@ def eig(a) -> Spectrum:
     if the QR iteration fails to converge; a failure is never silently
     truncated.
     """
-    m = require_square(a)
-    n = m.shape[0]
+    return one(eig_stack(require_square(a)[None]))
+
+
+def eig_stack(stack) -> list:
+    """:func:`eig` of each matrix of a (k, n, n) stack, or the ``ERRORS``
+    exception it raised: :func:`real_eig` per matrix, the rest per stack."""
+    m = np.asarray(stack, dtype=np.complex128)
+    n = m.shape[-1]
     d = math.isqrt(n)
     if d * d != n:
         raise ValueError(f"superoperator side {n} is not a perfect square")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix contains NaN or Inf entries")
     b, b_inv, h = hermitian_basis(d)
     r = b_inv @ m @ b
-    im_max = np.abs(r.imag).max()
-    if im_max > HERMITICITY_CUT * n * EPS * np.abs(r.real).max():
-        raise ValueError(
-            f"matrix is not Hermiticity preserving: imaginary part {im_max:.3e} "
-            f"in its Hermitian coordinates"
-        )
-    r = r.real
-    w, vl, vr = real_eig(r)
+    im_max = np.abs(r.imag).max(axis=(1, 2))
+    cuts = HERMITICITY_CUT * n * EPS * np.abs(r.real).max(axis=(1, 2))
     sqrt_h = np.sqrt(h)
-    return Spectrum(w, r * (sqrt_h.T / sqrt_h), vl, vr, sqrt_h[:, 0])
+    real = r.real * (sqrt_h.T / sqrt_h)
+
+    def spectrum(k: int) -> Spectrum:
+        if im_max[k] > cuts[k]:
+            raise ValueError(f"matrix is not Hermiticity preserving: imaginary part "
+                             f"{im_max[k]:.3e} in its Hermitian coordinates")
+        w, vl, vr = real_eig(r[k].real)
+        return Spectrum(w, real[k], vl, vr, sqrt_h[:, 0])
+
+    return each(spectrum, range(len(m)))
 
 
 class Decomposed:
@@ -299,6 +347,19 @@ class Decomposed:
     @functools.cached_property
     def spectrum(self) -> Spectrum:
         return eig(self.superop)
+
+
+def decompose(subjects: list) -> list:
+    """``subjects``, each :class:`Decomposed` one without a spectrum decomposed
+    by one :func:`eig_stack`, or replaced by the exception it raised there."""
+    pending = [s for s in subjects if isinstance(s, Decomposed) and "spectrum" not in vars(s)]
+    failed = {}
+    for s, spectrum in zip(pending, eig_stack([s.superop for s in pending]) if pending else ()):
+        if isinstance(spectrum, Exception):
+            failed[id(s)] = spectrum
+        else:
+            s.spectrum = spectrum
+    return [failed.get(id(s), s) for s in subjects]
 
 
 def numerical_rank(s: np.ndarray, shape: tuple[int, ...], tol: float = 0.0,
@@ -345,19 +406,19 @@ def unvec(v, rows: int | None = None) -> np.ndarray:
 
 
 def kronecker_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """I (x) x + y (x) I for square d x d ``x`` and ``y``: the matrix of
-    X -> x X + X y^T under column-stacking vectorization.
+    """I (x) x + y (x) I for square d x d ``x`` and ``y`` (or stacks): the
+    matrix of X -> x X + X y^T under column-stacking vectorization.
 
     Equal to the two-``np.kron`` sum entry by entry, written into the
     (d, d, d, d) view directly; at d <= 4 each ``np.kron`` call costs more
     than the whole sum.
     """
-    d = x.shape[0]
-    out = np.zeros((d, d, d, d), dtype=np.result_type(x, y))
+    d, lead = x.shape[-1], x.shape[:-2]
+    out = np.zeros((*lead, d, d, d, d), dtype=np.result_type(x, y))
     idx = np.arange(d)
-    out[idx, :, idx, :] = x  # block (p, p) of I (x) x
-    out[:, idx, :, idx] += y  # entry (i, i) of block (p, q) of y (x) I
-    return out.reshape(d * d, d * d)
+    out[..., idx, :, idx, :] = x  # block (p, p) of I (x) x
+    out[..., :, idx, :, idx] += y  # entry (i, i) of block (p, q) of y (x) I
+    return out.reshape(*lead, d * d, d * d)
 
 
 def commutation_superop(a) -> np.ndarray:

@@ -71,7 +71,7 @@ class QuantumChannel(linalg.Decomposed):
 
 def from_kraus(kraus) -> QuantumChannel:
     """Build a channel from Kraus operators, a sequence of d x d matrices or
-    their (K, d, d) stack, checking trace preservation.
+    their (K, d, d) stack, checking trace preservation (:func:`kraus_channels`).
 
     Raises :class:`ValidationError` with the residual norm if
     sum_k B_k^dag B_k = F^dag F, F the (K d) x d stack, deviates from the
@@ -83,12 +83,18 @@ def from_kraus(kraus) -> QuantumChannel:
         raise ValueError(f"Kraus operators must be numbers of one dimension: {exc}") from exc
     if ops.ndim != 3 or ops.shape[1] != ops.shape[2] or not ops.size or not np.isfinite(ops).all():
         raise ValueError(f"expected finite square Kraus operators, got shape {ops.shape}")
-    d = ops.shape[1]
-    f = ops.reshape(-1, d)
-    residual = float(np.linalg.norm(f.conj().T @ f - np.eye(d)))
-    if residual > DEFAULT_TP_TOL:
-        raise ValidationError("Kraus list is not trace preserving", residual)
-    return QuantumChannel(dim=d, kraus=ops)
+    return linalg.one(kraus_channels(ops[None]))
+
+
+def kraus_channels(stacks: np.ndarray) -> list:
+    """:func:`from_kraus` of each Kraus stack of a finite complex (k, K, d, d)
+    array, in order, with its superoperator, or its :class:`ValidationError`."""
+    k, _, d, _ = stacks.shape
+    f = stacks.reshape(k, -1, d)
+    residuals = np.linalg.norm(f.conj().swapaxes(1, 2) @ f - np.eye(d), axis=(1, 2))
+    return [ValidationError("Kraus list is not trace preserving", residual)
+            if residual > DEFAULT_TP_TOL else QuantumChannel(dim=d, kraus=ops, _superop=m)
+            for ops, m, residual in zip(stacks, kraus_to_superop(stacks), residuals.tolist())]
 
 
 def from_superop(m, tp_tol: float = DEFAULT_TP_TOL,
@@ -120,11 +126,13 @@ def from_superop(m, tp_tol: float = DEFAULT_TP_TOL,
 
 def kraus_to_superop(kraus) -> np.ndarray:
     """M[i*d+a, j*d+b] = sum_k conj(B_k[i, j]) B_k[a, b]: F^dag F for the rows
-    F_k = flattened B_k, middle indices swapped.  Inputs validated upstream."""
+    F_k = flattened B_k, middle indices swapped (of each, for stacks).
+    Inputs validated upstream."""
     b = np.asarray(kraus, dtype=np.complex128)
-    d = b.shape[-1]
-    f = b.reshape(-1, d * d)
-    return (f.conj().T @ f).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    d, lead = b.shape[-1], b.shape[:-3]
+    f = b.reshape(*lead, -1, d * d)
+    m = f.conj().swapaxes(-1, -2) @ f
+    return m.reshape(*lead, d, d, d, d).swapaxes(-3, -2).reshape(*lead, d * d, d * d)
 
 
 def superop_to_choi(m) -> np.ndarray:

@@ -596,6 +596,31 @@ class TestCliConstructAndSample:
         assert captured.err == f"error: {option}: {item!r} is not a pair a,b of {numbers} numbers\n"
         assert captured.out == ""
 
+    def test_sample_streams_its_subjects(self, tmp_path):
+        # each subject's line is written as it is drawn: the peak of 64
+        # cptp-stinespring subjects at d = 6 is that of 4, not 16 times it
+        def peak(count):
+            argv = ["sample", "--ensemble", "cptp-stinespring", "--dim", "6", "--count",
+                    str(count), "--seed", "2", "--out", str(tmp_path / f"s{count}.jsonl")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # per-d caches
+        small, large = peak(4), peak(64)
+        assert len((tmp_path / "s64.jsonl").read_text().splitlines()) == 64
+        assert large <= 1.5 * small, (small, large)
+
+    def test_sample_unwritable_out_draws_nothing(self, tmp_path, capsys, monkeypatch):
+        calls = helpers.count_calls(monkeypatch, constructions, ("normals",))
+        assert main(["sample", "--ensemble", "haar-unitary", "--dim", "3", "--count", "50",
+                     "--out", str(tmp_path / "missing" / "s.jsonl")]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write")
+        assert calls["normals"] == 0
+
     def test_sample_single_json(self, tmp_path):
         path = tmp_path / "s.json"
         assert main(["sample", "--ensemble", "cptp-stinespring", "--dim", "2",
@@ -670,10 +695,17 @@ class TestCampaignWork:
             return summaries[-1]
 
         monkeypatch.setattr(spectra, "summarize", spy)
+        dgeevs, dgeev = [], linalg._dgeev
+
+        def spy(a):
+            dgeevs.append(np.array(a))
+            return dgeev(a)
+
+        monkeypatch.setattr(linalg, "_dgeev", spy)
         cfg = campaign.CampaignConfig(dims=(6,), per_dim=2, sources=campaign.ALL_SOURCES)
         result = campaign.run_campaign(cfg)
         draws = len(result.rows)
-        assert calls["real_eig"] == draws == len(summaries)
+        assert calls["real_eig"] == draws == len(summaries) == len(dgeevs)
         assert calls["eig"] == calls["eigvals"] == 0
         assert calls["svd"] + calls["svdvals"] <= 1.6 * len(result.rows)
         off_axis = sum(int(np.sum(s.peripheral & (s.multiplicities > 1)
@@ -682,6 +714,33 @@ class TestCampaignWork:
         svds = [dtype for name, dtype in dtypes if name in ("svd", "svdvals")]
         assert off_axis > 0
         assert [dtype for dtype in svds if dtype != np.float64] == [np.complex128] * off_axis
+        # one dgeev per subject, in task order: the matrix that each subject
+        # hands dgeev when it is drawn and decomposed alone, and no other
+        for row, matrix in zip(result.rows, list(dgeevs), strict=True):
+            before = len(dgeevs)
+            if row.source == campaign.CONSTRUCTORS:
+                subject = constructions.saturating(list(constructions.SATURATING)[row.index],
+                                                   row.dim)[0]
+            else:
+                rng = np.random.default_rng(tuple(map(int, row.seed.split("-"))) + (0,))
+                subject = constructions.draw(row.source, row.dim, rng)
+            subject.spectrum
+            assert len(dgeevs) == before + 1, row
+            assert dgeevs.pop().tobytes() == matrix.tobytes(), row
+
+    @pytest.mark.parametrize("dims, per_dim, svds", [((2, 3, 4), 100, 2122),
+                                                     ((6, 7, 8), 10, 234)],
+                             ids=["verify-small", "verify-large"])
+    def test_svds_per_subject(self, monkeypatch, dims, per_dim, svds):
+        # the benchmark's verify workloads at seed 101, one campaign per source
+        # and d: 1.403 and 1.444 SVDs per subject, one eig each
+        calls, _ = helpers.count_decompositions(monkeypatch)
+        rows = sum(len(campaign.run_campaign(campaign.CampaignConfig(
+            dims=(d,), per_dim=per_dim, sources=(source,), seed=101)).rows)
+            for source in campaign.ALL_SOURCES for d in dims)
+        assert calls["real_eig"] == rows
+        assert calls["svd"] == svds
+        assert round(svds / rows, 3) == {1512: 1.403, 162: 1.444}[rows]
 
     def test_no_python_loop_over_clusters_or_kraus_operators(self):
         # a loop over the clusters (d^2 - d + 1 for a unitary), the d^2 Kraus
@@ -833,10 +892,13 @@ class TestCampaignPhases:
         assert peak < 1_000_000, peak
 
     def test_each_phase_runs_over_the_chunk_before_the_next(self, monkeypatch):
-        # one cell of 5 gkls-generic subjects is one chunk: every draw comes
-        # before every summary, and every summary before every attractor
+        # one cell of 5 gkls-generic subjects is one chunk: every raw draw
+        # comes before the stacked build, whose superoperators are one stack,
+        # decomposed once as it normalizes and never again; then every
+        # summary comes before every attractor
         events = []
-        for module, name in ((constructions, "draw"), (spectra, "summarize"),
+        for module, name in ((constructions, "normals"), (superop, "kraus_to_superop"),
+                             (linalg, "eig_stack"), (spectra, "summarize"),
                              (asymptotics, "attractor")):
             def spy(*args, _original=getattr(module, name), _name=name, **kwargs):
                 events.append(_name)
@@ -845,7 +907,9 @@ class TestCampaignPhases:
             monkeypatch.setattr(module, name, spy)
         config = campaign.CampaignConfig(dims=(3,), per_dim=5, sources=("gkls-generic",))
         assert len(campaign.run_campaign(config).rows) == 5
-        assert events == ["draw"] * 5 + ["summarize"] * 5 + ["attractor"] * 5
+        assert events == (["normals"] * 5 + ["kraus_to_superop", "eig_stack"]
+                          + ["summarize"] * 5
+                          + ["attractor"] * 5)
 
 
 class TestParserReuse:
@@ -959,9 +1023,10 @@ class TestCampaignErrors:
                                      sources=("constructors", "gkls-generic", "haar-unitary"))
     ARGV = ["--dims", "2,3", "--per-dim", "2", "--seed", "3",
             "--ensembles", "constructors,gkls-generic,haar-unitary"]
-    # Every phase after the draw, by the function that runs it.  Each is
-    # called once per subject, in task order: the gkls draws decompose
-    # when they normalize, and every other subject in its own phase.
+    # Every phase after the raw draw, by the function that runs it.  Each is
+    # called once per subject, in task order: the gkls builds decompose
+    # their stacks when they normalize, and the chunk's stacked
+    # decomposition every other subject.
     PHASES = ((linalg, "_dgeev"), (spectra, "summarize"), (bounds, "classify"),
               (asymptotics, "fixed_space"), (bounds, "check_bounds"),
               (asymptotics, "attractor"))
@@ -1016,7 +1081,7 @@ class TestCampaignErrors:
     def test_error_row_leaves_other_rows_unchanged(self, monkeypatch, tmp_path, capsys, error,
                                                    victim):
         # rows 0-7 are the constructors, 8-11 gkls-generic and 12-15 haar-unitary
-        draw = (constructions, "saturating") if victim < 8 else (constructions, "draw")
+        draw = (constructions, "saturating") if victim < 8 else (constructions, "normals")
         phases = [(draw, victim % 8 + 1)] + [(phase, victim + 1) for phase in self.PHASES]
         self.assert_one_error_row(monkeypatch, tmp_path, capsys, self.ARGV, victim, phases,
                                   error)
@@ -1027,9 +1092,36 @@ class TestCampaignErrors:
     def test_error_row_anywhere_in_a_chunk(self, monkeypatch, tmp_path, capsys, error, victim):
         argv = ["--dims", "3", "--per-dim", "3", "--seed", "5", "--ensembles", "haar-unitary"]
         assert campaign.chunk_size(3) >= 3
-        phases = [((constructions, "draw"), victim + 1)]
+        phases = [((constructions, "normals"), victim + 1)]
         phases += [(phase, victim + 1) for phase in self.PHASES]
         self.assert_one_error_row(monkeypatch, tmp_path, capsys, argv, victim, phases, error)
+
+    def test_non_hermiticity_preserving_middle_matrix_is_one_error_row(self, monkeypatch,
+                                                                        tmp_path, capsys):
+        # the Hermiticity test of the chunk's stacked eig fails for its middle
+        # matrix alone: that row reads error:ValueError, every other row keeps
+        # its bytes, and the campaign counts one oracle mismatch (exit 1)
+        argv = ["--dims", "3", "--per-dim", "3", "--seed", "5", "--ensembles", "haar-unitary"]
+        _, clean, _ = self.verify_with_failure(monkeypatch, tmp_path, capsys, argv, None, 0,
+                                               ValueError)
+        eig_stack, stacks = linalg.eig_stack, []
+
+        def planted(stack):
+            stack = np.array(stack)
+            stacks.append(len(stack))
+            stack[1, 0, 1] += 1.0  # E_10 -> E_00 without E_01 -> E_00
+            return eig_stack(stack)
+
+        monkeypatch.setattr(linalg, "eig_stack", planted)
+        code, lines, err = self.verify_with_failure(monkeypatch, tmp_path, capsys, argv, None,
+                                                    0, ValueError)
+        assert stacks == [3]
+        assert len(lines) == len(clean) == 4
+        assert [k for k, (a, b) in enumerate(zip(lines, clean)) if a != b] == [2]
+        fields = clean[2].split(",")
+        assert lines[2] == ",".join(fields[:4] + [""] * 8 + ["0", "", "1", "error:ValueError"])
+        assert code == 1
+        assert "oracle mismatches:     1" in err and "structural violations: 0" in err
 
     def test_unconverged_lapack_is_one_error_row(self, monkeypatch):
         # LAPACK info > 0 in one subject's eig: that row reads
@@ -1057,8 +1149,9 @@ class TestCampaignErrors:
         # count l0 = 4 disagrees with its fixed space: a numerical row with
         # the discrepancy as its note, counted as an oracle mismatch (exit 1)
         adversarial = np.diag([1.0, np.exp(9.9e-9j)])
-        monkeypatch.setattr(constructions, "draw",
-                            lambda *args: unitary_channel(adversarial))
+        ensemble = campaign.ENSEMBLES["haar-unitary"]
+        monkeypatch.setitem(campaign.ENSEMBLES, "haar-unitary", dataclasses.replace(
+            ensemble, build=lambda stack: [unitary_channel(adversarial) for _ in stack]))
         config = campaign.CampaignConfig(dims=(2,), per_dim=2, sources=("haar-unitary",))
         result = campaign.run_campaign(config)
         discrepancy = analysis.analyze(unitary_channel(adversarial)).discrepancy

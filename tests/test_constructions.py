@@ -4,7 +4,7 @@ import scipy.linalg
 
 import helpers
 from helpers import dephasing_generator
-from oqspectra import bounds, spectra
+from oqspectra import bounds, constructions, linalg, spectra
 from oqspectra.constructions import (
     SamplerConfig,
     generic_gkls,
@@ -20,7 +20,7 @@ from oqspectra.constructions import (
     unital_gkls,
     unitary_channel,
 )
-from oqspectra.gkls import GklsGenerator, exponentiate, gkls_superop
+from oqspectra.gkls import GklsGenerator, build_generator, exponentiate, gkls_superop
 from oqspectra.superop import QuantumChannel
 
 
@@ -214,3 +214,60 @@ class TestSampleStream:
 
     def test_ginibre_shape(self, rng):
         assert ginibre(3, 5, rng).shape == (3, 5)
+
+
+def same_bits(got, want):
+    """Equal dtype, shape and bytes, signed zeros included."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def assert_same_subject(got, want):
+    """Operators, superoperator and spectrum of two subjects, bit for bit."""
+    parts = ("kraus",) if isinstance(want, QuantumChannel) else ("hamiltonian", "noise_ops")
+    for name in parts + ("superop",):
+        assert same_bits(getattr(got, name), getattr(want, name)), name
+    for name in ("values", "vl", "vr", "real", "sqrt_h"):
+        assert same_bits(getattr(got.spectrum, name), getattr(want.spectrum, name)), name
+
+
+class TestStackedBuild:
+    """A chunk's stacked build gives each subject the bits of its batch of one."""
+
+    K = 7
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    @pytest.mark.parametrize("ensemble", list(constructions.ENSEMBLES))
+    def test_stack_of_k_is_k_batches_of_one(self, ensemble, d):
+        self.check(ensemble, d, None)
+
+    def test_stinespring_small_environment(self):
+        self.check("cptp-stinespring", 9, 3)
+
+    def check(self, ensemble, d, env_dim):
+        def rng(k):
+            return np.random.default_rng((11, d, k))
+
+        normals = [constructions.normals(ensemble, d, rng(k), env_dim) for k in range(self.K)]
+        build = constructions.ENSEMBLES[ensemble].build
+        stacked = linalg.decompose(build(np.stack(normals)))
+        for k, got in enumerate(stacked):
+            want = constructions.draw(ensemble, d, rng(k), env_dim)
+            assert type(got) is type(want)
+            assert_same_subject(got, want)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_zero_radius_generator_stays_unnormalized(self, d):
+        # H = 0 and no noise operator: L = 0 has no radius to rescale by, and
+        # the random generators on either side of it keep their own bits
+        rngs = [np.random.default_rng((5, k)) for k in range(3)]
+        normals = [constructions.normals("gkls-hamiltonian", d, rng) for rng in rngs]
+        normals[1] = np.zeros_like(normals[1])
+        stack = constructions.ENSEMBLES["gkls-hamiltonian"].build(np.stack(normals))
+        zero = build_generator(np.zeros((d, d)), ())
+        assert not stack[1].superop.any() and not stack[1].hamiltonian.any()
+        assert_same_subject(stack[1], zero)
+        for k in (0, 2):
+            want = constructions.draw("gkls-hamiltonian", d, np.random.default_rng((5, k)))
+            assert_same_subject(stack[k], want)
+            assert np.max(np.abs(stack[k].spectrum.values)) == pytest.approx(1.0, abs=1e-12)
