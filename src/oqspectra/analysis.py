@@ -9,21 +9,21 @@ apart from a violation by consistent counts (CLI exit 1, not 3; the
 campaign's ``numerical`` rows).  :func:`report_to_json` alone writes the
 ``oqs/1`` record, whose ``rechecked`` field is always false.
 
-:func:`stages`, the one pipeline, yields after each stage; :func:`run_phases`
-runs a chunk of them phase by phase, and a subject whose stage raises one of
-``ERRORS`` skips its later stages alone.  :func:`analyze` runs a chunk of one.
+:func:`stages`, the one pipeline, yields after each stage.  :func:`analyze` runs
+one; :func:`run_phases` runs a chunk phase by phase through :func:`linalg.each`,
+so a subject whose stage raises one of ``ERRORS`` skips its later stages alone.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from types import GeneratorType
 
 import numpy as np
 
-from . import asymptotics, bounds, commutants, spectra
+from . import asymptotics, bounds, commutants, linalg, spectra
 from .bounds import BoundReport
-from .linalg import ERRORS
 from .spectra import SpectralSummary
 
 SCHEMA = "oqs/1"
@@ -100,23 +100,22 @@ def _certified(stage, subject, summary) -> tuple[int, str | None]:
 def run_phases(pipelines) -> list:
     """Run generators such as :func:`stages` phase by phase: every one takes
     its step up to its next ``yield``, in order, before any takes the next.
-    Returns each one's return value, or the ``ERRORS`` exception that ended
-    it and no other; any other exception propagates."""
-    pipelines = list(pipelines)
-    outcomes, live = [None] * len(pipelines), range(len(pipelines))
-    while live:
-        going = []
-        for i in live:
-            try:
-                next(pipelines[i])
-            except StopIteration as stop:
-                outcomes[i] = stop.value
-            except ERRORS as exc:
-                outcomes[i] = exc
-            else:
-                going.append(i)
-        live = going
+    Returns each one's return value, or the exception that ended it
+    (:func:`linalg.each`) or was given in its place."""
+    outcomes = list(pipelines)
+    while any(isinstance(outcome, GeneratorType) for outcome in outcomes):
+        outcomes = linalg.each(_step, outcomes)
     return outcomes
+
+
+def _step(pipeline):
+    """A generator after its next step, or its return value once it ends; else as it is."""
+    if isinstance(pipeline, GeneratorType):
+        try:
+            next(pipeline)
+        except StopIteration as stop:
+            return stop.value
+    return pipeline
 
 
 def _commutant_dim(subject) -> int:

@@ -13,9 +13,10 @@ classes make the campaign an oracle: a draw classified outside them is an
 oracle mismatch row.  A report with a cross-check ``discrepancy`` is a
 ``numerical`` row, counted as an oracle mismatch: only consistent counts
 make a bound violation.  A subject whose draw, build or stage raises
-(``ValueError``, ``LinAlgError``, ``ConsistencyError``) skips its later
-phases and becomes a row with empty columns and ``note=error:<type>``,
-counted as an oracle mismatch; no other subject is affected.
+(``ValueError``, ``LinAlgError``, ``ConsistencyError``) goes on as that
+exception (``linalg.each``) to :func:`run_campaign`, which alone makes it a
+row with empty columns and ``note=error:<type>``, counted as an oracle
+mismatch; no other subject is affected.
 """
 
 from __future__ import annotations
@@ -107,8 +108,7 @@ def chunk_size(d: int) -> int:
 def run_campaign(config: CampaignConfig) -> CampaignResult:
     rows = []
     for chunk in _chunks(config):
-        for task, outcome in zip(chunk, analysis.run_phases(map(_phases, chunk,
-                                                                _subjects(chunk)))):
+        for task, outcome in zip(chunk, analysis.run_phases(_pipelines(chunk))):
             if isinstance(outcome, Exception):
                 outcome = ("oracle", f"error:{type(outcome).__name__}")
             rows.append(CampaignRow(task.source, task.dim, task.index,
@@ -142,8 +142,8 @@ def _chunks(config: CampaignConfig):
                        for index in range(start, min(count, start + size))]
 
 
-def _subjects(chunk: list[_Task]) -> list:
-    """Each task's subject, decomposed, or the exception that it raised."""
+def _pipelines(chunk: list[_Task]) -> list:
+    """Each task's :func:`_phases` on its decomposed subject, or the exception it raised."""
     source, d = chunk[0].source, chunk[0].dim
     if source == CONSTRUCTORS:
         names = list(constructions.SATURATING)
@@ -153,16 +153,15 @@ def _subjects(chunk: list[_Task]) -> list:
         draws = linalg.each(lambda task: constructions.normals(
             source, d, np.random.default_rng(task.seed_key + (0,)), task.env_dim), chunk)
         subjects = linalg.over_stack(lambda raw: ENSEMBLES[source].build(np.stack(raw)), draws)
-    return linalg.decompose(subjects)
+    return [subject if isinstance(subject, Exception) else _phases(task, subject)
+            for task, subject in zip(chunk, linalg.decompose(subjects))]
 
 
 def _phases(task: _Task, subject):
-    """One subject's ``analysis.stages`` (or its draw's exception), then its
-    row's failure, note and CSV columns kind ... rechecked, read from the
-    report before it is dropped.  A sampled subject's unadvertised class
-    outranks a discrepancy, then a CKKS failure, then a bound violation."""
-    if isinstance(subject, Exception):
-        raise subject
+    """One subject's ``analysis.stages``, then its row's failure, note and CSV
+    columns kind ... rechecked, read from the report before it is dropped.  A
+    sampled subject's unadvertised class outranks a discrepancy, then a CKKS
+    failure, then a bound violation."""
     name = list(constructions.SATURATING)[task.index] if task.source == CONSTRUCTORS else None
     report = yield from analysis.stages(subject, markovian=name == "phase-damping",
                                         with_commutant=False)

@@ -15,13 +15,13 @@ examples that make every structural bound tight:
 
 Sampling uses numpy's PCG64 streams: every subject draws from its own
 ``default_rng(seed)``, so campaigns are reproducible across platforms and
-trivially parallelizable.  A draw takes its raw draw from that stream
-(:func:`normals`), then builds a stack of one: a campaign stacks a chunk.
+trivially parallelizable.  :func:`draw`, the one sampler of a single subject,
+takes its raw draw from that stream (:func:`normals`), then builds a stack of
+one: a campaign stacks a chunk.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Union
@@ -31,7 +31,7 @@ import numpy as np
 from . import gkls, linalg
 from .bounds import structural_ceiling
 from .gkls import GklsGenerator, build_generator
-from .superop import QuantumChannel, from_kraus, from_superop, kraus_channels
+from .superop import QuantumChannel, from_superop, kraus_channels
 
 Subject = Union[QuantumChannel, GklsGenerator]
 
@@ -161,31 +161,11 @@ def _gaussian(normals: np.ndarray) -> np.ndarray:
     return (normals[..., 0, :, :] + 1j * normals[..., 1, :, :]) / np.sqrt(2.0)
 
 
-def _hermitian(g: np.ndarray) -> np.ndarray:
-    return (g + g.swapaxes(-1, -2).conj()) / 2.0
-
-
-def ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    return _gaussian(rng.standard_normal((2, rows, cols)))
-
-
-def random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:
-    return _hermitian(ginibre(d, d, rng))
-
-
-def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via phase-fixed QR of a Ginibre matrix."""
-    return _haar(normals("haar-unitary", d, rng))[0]
-
-
 def _haar(normals: np.ndarray) -> np.ndarray:
+    """Haar-distributed unitaries via phase-fixed QR of Ginibre matrices."""
     q, r = np.linalg.qr(_gaussian(normals))
     phases = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (phases / np.abs(phases))[..., None, :]
-
-
-def unitary_channel(u: np.ndarray) -> QuantumChannel:
-    return from_kraus([u])
 
 
 def _stinespring(normals: np.ndarray) -> list:
@@ -201,7 +181,8 @@ def _gkls(normals: np.ndarray, unital: bool) -> list:
     if ``unital``) A_k each, as H / r and A_k / sqrt r, so that L / r has
     spectral radius 1 (unless r < 1e-12) for scale-appropriate tolerances."""
     g = _gaussian(normals)
-    h = _hermitian(g if unital else g[:, :1])
+    x = g if unital else g[:, :1]
+    h = (x + linalg.dagger(x)) / 2.0
 
     def rescaled(gens):
         values = np.stack([gen.spectrum.values for gen in gens])
@@ -274,9 +255,3 @@ def draw(ensemble: str, d: int, rng: np.random.Generator,
          env_dim: int | None = None) -> Subject:
     """One subject of ``ensemble`` at dimension d, drawn from ``rng``."""
     return linalg.one(ENSEMBLES[ensemble].build(normals(ensemble, d, rng, env_dim)[None]))
-
-
-stinespring_channel = functools.partial(draw, "cptp-stinespring")
-generic_gkls = functools.partial(draw, "gkls-generic")
-unital_gkls = functools.partial(draw, "gkls-unital")
-hamiltonian_gkls = functools.partial(draw, "gkls-hamiltonian")

@@ -49,11 +49,12 @@ ERRORS = (ValueError, np.linalg.LinAlgError, ConsistencyError)
 
 
 def each(call, items) -> list:
-    """``call(item)`` for each item, in order, or the ``ERRORS`` exception it raised."""
+    """``call(item)`` for each item, in order, or the ``ERRORS`` exception it raised;
+    an item that is an exception already stays as it is.  The one per-subject error path."""
     outcomes = []
     for item in items:
         try:
-            outcomes.append(call(item))
+            outcomes.append(item if isinstance(item, Exception) else call(item))
         except ERRORS as exc:
             outcomes.append(exc)
     return outcomes
@@ -310,17 +311,18 @@ def eig(a) -> Spectrum:
     if the QR iteration fails to converge; a failure is never silently
     truncated.
     """
-    return one(eig_stack(require_square(a)[None]))
+    return one(eig_stack(np.asarray(a)[None]))
 
 
 def eig_stack(stack) -> list:
     """:func:`eig` of each matrix of a (k, n, n) stack, or the ``ERRORS``
-    exception it raised: :func:`real_eig` per matrix, the rest per stack."""
+    exception it raised: :func:`real_eig` per matrix, the rest per stack, and
+    the ValueError of a bad shape (n not a square) or a non-finite entry too."""
     m = np.asarray(stack, dtype=np.complex128)
-    n = m.shape[-1]
+    if m.ndim != 3 or m.shape[1] != m.shape[2] or math.isqrt(m.shape[2]) ** 2 != m.shape[2]:
+        raise ValueError(f"expected a (k, n, n) stack with n a perfect square, got shape {m.shape}")
+    n = m.shape[2]
     d = math.isqrt(n)
-    if d * d != n:
-        raise ValueError(f"superoperator side {n} is not a perfect square")
     if not np.isfinite(m).all():
         raise ValueError("matrix contains NaN or Inf entries")
     b, b_inv, h = hermitian_basis(d)

@@ -19,6 +19,7 @@ containing 0.  The cluster at the anchor is always peripheral.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,16 +59,20 @@ GENERATOR = Kind(name="generator", anchor=0.0, counts=("m0", "mP"),
 def scale(subject) -> float:
     """The unit of the default tolerances: 1 for a channel, whose anchor fixes it;
     for a generator the 4^k nearest ||H||_F + ||A||_F^2 (A the noise stack), or 1 if
-    both vanish.  (4^j H, 2^j A_k) moves k by j; L of H = cI, pure rounding, stays noise."""
+    that is not a normal float (both vanish, say), whose reciprocal would overflow.
+    (4^j H, 2^j A_k) moves k by j; L of H = cI, pure rounding, stays noise."""
     if subject.kind == CHANNEL:
         return 1.0
     h, a = subject.hamiltonian, subject.noise_ops
-    # One exact 4^-j brings every |entry| of H and of A^2 to at most 1: no overflow.
-    j = max(-(-math.frexp(np.abs(h).max())[1] // 2), math.frexp(np.abs(a).max(initial=0.0))[1])
-    f = math.ldexp(1.0, -j)  # finite: H != 0 makes j >= -537, H = 0 makes j >= 0
+    # One exact 4^-j brings every |entry| of H and of A^2 to at most 1: no overflow.  Only
+    # a nonzero part picks j (frexp(0.0) has exponent 0); j >= -1022 keeps 2^-j finite.
+    tops = ((np.abs(h).max(), 2), (np.abs(a).max(initial=0.0), 1))
+    j = max([-(-math.frexp(top)[1] // p) for top, p in tops if top] + [-1022])
+    f = math.ldexp(1.0, -j)
     h, a = h * f * f, a * f
     n = math.sqrt(np.vdot(h, h).real) + np.vdot(a, a).real
-    return math.ldexp(1.0, 2 * (j + round(math.log(n, 4)))) if n else 1.0
+    s = math.ldexp(1.0, 2 * (j + round(math.log(n, 4)))) if n else 0.0
+    return s if s >= sys.float_info.min else 1.0
 
 
 @dataclass(frozen=True, eq=False)

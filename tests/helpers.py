@@ -6,6 +6,7 @@ never assert the implementation against itself.
 """
 
 import collections
+import functools
 import json
 from dataclasses import dataclass
 
@@ -75,7 +76,7 @@ def subspace_supported_channel(d, support_dim, rng):
     if not 1 <= support_dim < d:
         raise ValueError("support_dim must satisfy 1 <= support_dim < d")
     env = d * support_dim
-    q, _ = np.linalg.qr(constructions.ginibre(support_dim * env, d, rng))
+    q, _ = np.linalg.qr(ginibre(support_dim * env, d, rng))
     kraus = np.zeros((env, d, d), dtype=np.complex128)
     kraus[:, :support_dim, :] = q.reshape(support_dim, env, d).transpose(1, 0, 2)
     return superop.from_kraus(kraus)
@@ -218,6 +219,24 @@ def choi_from_action(action, d):
         for j in range(d):
             c += np.kron(action(matrix_unit(d, i, j)), matrix_unit(d, i, j))
     return c
+
+
+def ginibre(rows, cols, rng):
+    """A complex Ginibre matrix: entries (x + iy) / sqrt 2, x and y standard normal."""
+    re, im = rng.standard_normal((2, rows, cols))
+    return (re + 1j * im) / np.sqrt(2.0)
+
+
+def random_hermitian(d, rng):
+    g = ginibre(d, d, rng)
+    return (g + dag(g)) / 2.0
+
+
+# One draw of each sampled ensemble: the subject of ``draw(ensemble, d, rng)``
+stinespring_channel = functools.partial(constructions.draw, "cptp-stinespring")
+generic_gkls = functools.partial(constructions.draw, "gkls-generic")
+unital_gkls = functools.partial(constructions.draw, "gkls-unital")
+hamiltonian_gkls = functools.partial(constructions.draw, "gkls-hamiltonian")
 
 
 def random_density(d, rng):
@@ -463,8 +482,8 @@ def block_algebra_ops(a, b, c, rng, count=2):
     ops = []
     for _ in range(count):
         m = np.zeros((n + c, n + c), dtype=complex)
-        m[:n, :n] = np.kron(constructions.ginibre(a, a, rng), np.eye(b))
-        m[n:, n:] = constructions.ginibre(c, c, rng)
+        m[:n, :n] = np.kron(ginibre(a, a, rng), np.eye(b))
+        m[n:, n:] = ginibre(c, c, rng)
         e = u @ m @ dag(u)
         ops += [e, dag(e)]
     return ops

@@ -11,21 +11,26 @@ import numpy as np
 import pytest
 
 import helpers
-from helpers import commutant_dim_from_jordan, dual, is_faithful, weyr_profile
+from helpers import (
+    commutant_dim_from_jordan,
+    dual,
+    generic_gkls,
+    is_faithful,
+    stinespring_channel,
+    unital_gkls,
+    weyr_profile,
+)
 from oqspectra import analysis, asymptotics, campaign, commutants, linalg, spectra
 from oqspectra.asymptotics import faithful_reduce, fixed_space
 from oqspectra.commutants import commutant
 from oqspectra.constructions import (
-    generic_gkls,
     phase_damping_channel,
     saturating_dissipative_generator,
     saturating_hamiltonian_generator,
     saturating_unitary_channel,
-    stinespring_channel,
-    unital_gkls,
-    unitary_channel,
 )
 from oqspectra.gkls import exponentiate
+from oqspectra.superop import from_kraus
 
 ACCEPTANCE_SEED = 20240817
 CEILING = {d: d * d - 2 * d + 2 for d in range(2, 9)}
@@ -148,7 +153,7 @@ def test_criterion_08_spectral_property_suite(ensembles):
     rng = np.random.default_rng(ACCEPTANCE_SEED + 8)
     for d in (2, 3, 4):
         channels = ensembles["channel"][d] + [
-            unitary_channel(helpers.haar(d, rng)) for _ in range(50)]
+            from_kraus([helpers.haar(d, rng)]) for _ in range(50)]
         for ch in channels:
             w = np.linalg.eigvals(ch.superop)
             assert np.max(np.abs(w)) <= 1 + 1e-8

@@ -5,7 +5,15 @@ import pytest
 import scipy.linalg
 
 import helpers
-from helpers import dephasing_generator, identity_channel, is_faithful
+from helpers import (
+    dephasing_generator,
+    generic_gkls,
+    hamiltonian_gkls,
+    identity_channel,
+    is_faithful,
+    stinespring_channel,
+    unital_gkls,
+)
 from oqspectra import (
     analysis,
     asymptotics,
@@ -25,14 +33,9 @@ from oqspectra.asymptotics import (
     peripheral_projection,
 )
 from oqspectra.constructions import (
-    generic_gkls,
-    hamiltonian_gkls,
     phase_damping_channel,
     saturating_dissipative_generator,
     saturating_hamiltonian_generator,
-    stinespring_channel,
-    unital_gkls,
-    unitary_channel,
 )
 from oqspectra.gkls import build_generator, exponentiate
 from oqspectra.superop import from_kraus, from_superop
@@ -86,7 +89,6 @@ class TestFixedSpace:
     def test_generator_commutant_inside_dual_kernel(self, rng):
         # {H, A_k, A_k^dag}' sits inside Ker(L*); equality when an
         # invertible kernel state exists (unital ensemble: I/d works)
-        from oqspectra.constructions import generic_gkls, unital_gkls
         for maker, expect_equality in ((unital_gkls, True), (generic_gkls, False)):
             gen = maker(3, rng)
             ops = [gen.hamiltonian]
@@ -104,7 +106,7 @@ class TestFixedSpace:
     def test_dimension_mismatch_flags_clustering_failure(self):
         # near-degenerate unitary whose clustered l0 = 4 cannot be matched
         # by the true 2-dimensional fixed space
-        ch = unitary_channel(np.diag([1.0, np.exp(9.9e-9j)]))
+        ch = from_kraus([np.diag([1.0, np.exp(9.9e-9j)])])
         summary = spectra.summarize(ch)
         assert summary.l0_or_m0 == 4
         with pytest.raises(asymptotics.ConsistencyError, match="tighten"):
@@ -113,7 +115,7 @@ class TestFixedSpace:
 
 class TestAttractor:
     def test_unitary_full_space(self, rng):
-        ch = unitary_channel(helpers.haar(3, rng))
+        ch = from_kraus([helpers.haar(3, rng)])
         assert attractor(ch).dimension == 9
 
     def test_phase_damping_equals_fixed_space(self):
@@ -259,7 +261,7 @@ class TestAttractor:
     @pytest.mark.parametrize("make, width, anchor_alone", [
         (lambda rng: phase_damping_channel(3), 5, True),  # the eigenspace of 1 alone
         (lambda rng: stinespring_channel(3, rng), 1, True),  # the simple eigenvalue 1 alone
-        (lambda rng: unitary_channel(helpers.haar(3, rng)), 9, False),
+        (lambda rng: from_kraus([helpers.haar(3, rng)]), 9, False),
     ])
     def test_stack_orthonormal_by_construction(self, monkeypatch, rng, make, width,
                                                anchor_alone):
@@ -460,7 +462,7 @@ class TestProjections:
 
     def test_cesaro_on_unitary(self):
         u = np.diag([1.0, np.exp(1j)])
-        ch = unitary_channel(u)
+        ch = from_kraus([u])
         p = fixed_projection(ch)
         c = helpers.cesaro_projection(ch, n=4096)
         assert np.linalg.norm(p - c) <= 1e-2
@@ -509,7 +511,7 @@ class TestProjections:
         assert np.trace(pp) == pytest.approx(summary.lP_or_mP, abs=1e-9)
 
     @pytest.mark.parametrize("make", [
-        lambda rng: unitary_channel(helpers.haar(4, rng)),  # 12 singletons, 1 cluster
+        lambda rng: from_kraus([helpers.haar(4, rng)]),  # 12 singletons, 1 cluster
         lambda rng: stinespring_channel(3, rng),
         lambda rng: phase_damping_channel(3),
         lambda rng: dephasing_generator(3),
@@ -578,7 +580,7 @@ def _conjugated_superop(ch, iso):
 
 class TestSteadyStates:
     def test_unitary_returns_maximally_mixed(self, rng):
-        rho = maximal_steady_state(unitary_channel(helpers.haar(3, rng)))
+        rho = maximal_steady_state(from_kraus([helpers.haar(3, rng)]))
         assert np.linalg.norm(rho - np.eye(3) / 3) <= 1e-9
 
     def test_amplitude_damping_unique_state(self):

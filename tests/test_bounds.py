@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 
-from helpers import dephasing_generator, identity_channel
+from helpers import (
+    dephasing_generator,
+    generic_gkls,
+    identity_channel,
+    stinespring_channel,
+    unital_gkls,
+)
 from oqspectra import analysis, spectra
 from oqspectra.bounds import check_bounds, ckks, classify, structural_ceiling
 from oqspectra.constructions import (
-    generic_gkls,
     phase_damping_channel,
     saturating_hamiltonian_generator,
     saturating_unitary_channel,
-    stinespring_channel,
-    unital_gkls,
-    unitary_channel,
 )
 from oqspectra.gkls import build_generator, exponentiate
 from oqspectra.superop import from_kraus
@@ -33,7 +35,7 @@ class TestClassification:
         assert classify(identity_channel(3)) == "trivial"
 
     def test_unitary(self):
-        assert classify(unitary_channel(np.diag([1.0, np.exp(1j)]))) == "unitary"
+        assert classify(from_kraus([np.diag([1.0, np.exp(1j)])])) == "unitary"
 
     def test_amplitude_damping_non_unitary(self):
         ch = amplitude_damping(0.5)

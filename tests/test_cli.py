@@ -22,8 +22,8 @@ from oqspectra.constructions import (
     phase_damping_channel,
     saturating_dissipative_generator,
     saturating_hamiltonian_generator,
-    unitary_channel,
 )
+from oqspectra.superop import from_kraus
 
 # verify --dims 2,3,4,6 --per-dim 3 --seed 1, as the code wrote it when
 # channels and generators still had twin summarize/classify/analyze paths
@@ -116,7 +116,7 @@ class TestAnalysisPipeline:
         # eigenvalues 2e-8 apart stay apart at the default tolerance, with
         # no second pass at tighter ones
         u = np.diag([1.0, np.exp(2e-8j)])
-        rep = analysis.analyze(unitary_channel(u))
+        rep = analysis.analyze(from_kraus([u]))
         assert rep.bounds_satisfied
         assert rep.summary.l0_or_m0 == 2
 
@@ -126,7 +126,7 @@ class TestAnalysisPipeline:
         # cross-check, which also gives the multiple cluster at 1, and the
         # attractor's rank certificate.  Every decomposition runs in real
         # Hermitian coordinates.
-        ch = unitary_channel(helpers.haar(4, rng))
+        ch = from_kraus([helpers.haar(4, rng)])
         calls, dtypes = helpers.count_decompositions(monkeypatch)
         rep = analysis.analyze(ch, with_commutant=False)
         assert rep.attractor_dim == 16 and rep.fixed_dim == 4
@@ -283,7 +283,7 @@ class TestCliAnalyze:
 
     @pytest.mark.parametrize("make, counts", [
         # the chain 1 ~ e^{i delta} at the default tolerance
-        (lambda: unitary_channel(np.diag([1.0, np.exp(9.9e-9j)])), None),
+        (lambda: from_kraus([np.diag([1.0, np.exp(9.9e-9j)])]), None),
         # the default tolerances scale with the rates: the right counts, exit 0
         (lambda: gkls.build_generator(np.zeros((3, 3)), np.sqrt(1e-8) * np.asarray(
             saturating_dissipative_generator(3).noise_ops)), (5, 5)),
@@ -825,6 +825,20 @@ class TestCampaignPhases:
         chunk = analysis.run_phases(analysis.stages(s) for _, s in helpers.oracle_subjects(d))
         assert reports(chunk) == alone
 
+    def test_exception_in_place_of_a_generator_passes_through(self):
+        # run_phases returns an exception given in place of a generator as it
+        # is, and the generators around it run on to their reports
+        def reports(outcomes):
+            return [{k: v for k, v in analysis.report_to_json(r).items() if k != "timings"}
+                    for r in outcomes]
+
+        planted = ValueError("planted")
+        subjects = [s for _, s in helpers.oracle_subjects(2, seeds=1)][:2]
+        outcomes = analysis.run_phases([analysis.stages(subjects[0]), planted,
+                                        analysis.stages(subjects[1])])
+        assert outcomes[1] is planted
+        assert reports(outcomes[::2]) == reports(map(analysis.analyze, subjects))
+
     def test_memory_bounded_by_the_chunk(self):
         # A cell of 32 subjects at d = 10 runs as chunks of 8: its tracemalloc
         # peak exceeds that of 8 subjects by the rows kept, under two
@@ -1151,10 +1165,10 @@ class TestCampaignErrors:
         adversarial = np.diag([1.0, np.exp(9.9e-9j)])
         ensemble = campaign.ENSEMBLES["haar-unitary"]
         monkeypatch.setitem(campaign.ENSEMBLES, "haar-unitary", dataclasses.replace(
-            ensemble, build=lambda stack: [unitary_channel(adversarial) for _ in stack]))
+            ensemble, build=lambda stack: [from_kraus([adversarial]) for _ in stack]))
         config = campaign.CampaignConfig(dims=(2,), per_dim=2, sources=("haar-unitary",))
         result = campaign.run_campaign(config)
-        discrepancy = analysis.analyze(unitary_channel(adversarial)).discrepancy
+        discrepancy = analysis.analyze(from_kraus([adversarial])).discrepancy
         assert [row.failure for row in result.rows] == ["numerical"] * 2
         assert all(row.violation and row.note == discrepancy
                    and row.note.startswith("fixed-space dimension 2") for row in result.rows)

@@ -7,9 +7,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import helpers
-from helpers import JordanProfile, commutant_dim_from_jordan, weyr_profile
+from helpers import (
+    JordanProfile,
+    commutant_dim_from_jordan,
+    ginibre,
+    random_hermitian,
+    stinespring_channel,
+    weyr_profile,
+)
 from oqspectra import analysis, commutants, constructions, linalg
-from oqspectra.constructions import stinespring_channel
 from oqspectra.gkls import build_generator
 from oqspectra.commutants import commutant, commutant_dimension
 
@@ -121,8 +127,8 @@ class TestGramRoute:
         # {H, eps A, eps A^dag}: the small commutators straddle the cut, so
         # whichever branch answers must agree with the stack SVD
         for d in (3, 5, 8):
-            h = constructions.random_hermitian(d, rng)
-            a = eps * constructions.ginibre(d, d, rng)
+            h = random_hermitian(d, rng)
+            a = eps * ginibre(d, d, rng)
             ops = [h, a, helpers.dag(a)]
             assert commutant_dimension(ops) == brute_force_dim(ops)
 
@@ -191,7 +197,7 @@ class TestGramRoute:
     def test_set_not_star_closed_falls_back(self, monkeypatch, rng, d):
         # {A} for a Ginibre A: P != Q, so G' has an imaginary part far above
         # rounding, which the route must not drop
-        a = constructions.ginibre(d, d, rng)
+        a = ginibre(d, d, rng)
         brute = helpers.count_calls(monkeypatch, commutants, ("commutant",))
         gram = helpers.count_calls(monkeypatch, np.linalg, ("eigvalsh", "eigh"))
         assert commutant_dimension([a]) == brute_force_dim([a]) == d
@@ -199,7 +205,7 @@ class TestGramRoute:
 
     def test_normal_operator_stays_real(self, monkeypatch, rng):
         # {U} for a Haar unitary is not *-closed, but P = Q = I: G' is real
-        u = constructions.haar_unitary(4, rng)
+        u = constructions.draw("haar-unitary", 4, rng).kraus[0]
         brute = helpers.count_calls(monkeypatch, commutants, ("commutant",))
         assert commutant_dimension([u]) == brute_force_dim([u]) == 4
         assert brute["commutant"] == 0

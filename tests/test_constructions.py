@@ -3,22 +3,23 @@ import pytest
 import scipy.linalg
 
 import helpers
-from helpers import dephasing_generator
+from helpers import (
+    dephasing_generator,
+    generic_gkls,
+    ginibre,
+    hamiltonian_gkls,
+    stinespring_channel,
+    unital_gkls,
+)
 from oqspectra import bounds, constructions, linalg, spectra
 from oqspectra.constructions import (
     SamplerConfig,
-    generic_gkls,
-    ginibre,
-    haar_unitary,
-    hamiltonian_gkls,
+    draw,
     phase_damping_channel,
     sample,
     saturating_dissipative_generator,
     saturating_hamiltonian_generator,
     saturating_unitary_channel,
-    stinespring_channel,
-    unital_gkls,
-    unitary_channel,
 )
 from oqspectra.gkls import GklsGenerator, build_generator, exponentiate, gkls_superop
 from oqspectra.superop import QuantumChannel
@@ -112,7 +113,8 @@ class TestSaturators:
 
 class TestSamplers:
     def test_haar_unitary_is_unitary(self, rng):
-        u = haar_unitary(4, rng)
+        # the haar-unitary ensemble draws one Kraus operator, a unitary
+        (u,) = draw("haar-unitary", 4, rng).kraus
         assert np.linalg.norm(helpers.dag(u) @ u - np.eye(4)) <= 1e-12
 
     def test_stinespring_validates(self, rng):
@@ -153,7 +155,7 @@ class TestSamplers:
 
     def test_haar_samples_classify_unitary(self, rng):
         for _ in range(10):
-            ch = unitary_channel(haar_unitary(3, rng))
+            ch = draw("haar-unitary", 3, rng)
             assert bounds.classify(ch) == "unitary"
 
     def test_generic_samples_classify_non_unitary(self, rng):

@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 
 import helpers
-from helpers import dephasing_generator
+from helpers import dephasing_generator, generic_gkls, unital_gkls
 from oqspectra import bounds, gkls, linalg, spectra
 from oqspectra.constructions import (
     SamplerConfig,
-    generic_gkls,
     phase_damping_channel,
     sample,
     saturating_hamiltonian_generator,
-    unital_gkls,
 )
 from oqspectra.gkls import build_generator, exponentiate
 from oqspectra.superop import ValidationError

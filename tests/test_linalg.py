@@ -1,3 +1,7 @@
+import ast
+import pathlib
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -79,6 +83,13 @@ class TestEig:
         with pytest.raises(ValueError, match="NaN"):
             linalg.eig(a)
 
+    @pytest.mark.parametrize("shape", [(4, 4), (1, 4, 9), (1, 3, 3), (2, 1, 4, 4)])
+    def test_stack_shape_rejected(self, shape):
+        # a 2-d array, a non-square stack, a side that is not a perfect square
+        # and a 4-d array: eig_stack's own ValueError names the shape
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            linalg.eig_stack(np.zeros(shape))
+
     def test_not_hermiticity_preserving_rejected(self, rng):
         # E_10 -> E_00 without E_01 -> E_00: X^dag is not mapped to Phi(X)^dag
         a = np.eye(4, dtype=complex)
@@ -87,6 +98,51 @@ class TestEig:
             linalg.eig(a)
         with pytest.raises(ValueError, match="Hermiticity"):
             linalg.eig(1j * random_hermiticity_preserving(rng, 3))
+
+
+class TestEach:
+    """linalg.each is the package's one per-subject error path."""
+
+    def test_exception_entry_passes_through(self):
+        planted, seen = ValueError("planted"), []
+
+        def call(item):
+            seen.append(item)
+            if item == 2:
+                raise np.linalg.LinAlgError("two")
+            return 10 * item
+
+        outcomes = linalg.each(call, [1, planted, 2, 3])
+        assert seen == [1, 2, 3]
+        assert outcomes[1] is planted and isinstance(outcomes[2], np.linalg.LinAlgError)
+        assert [outcomes[0], outcomes[3]] == [10, 30]
+
+    def test_other_exceptions_propagate(self):
+        def call(item):
+            raise RuntimeError("not a subject's failure")
+
+        with pytest.raises(RuntimeError):
+            linalg.each(call, [1])
+
+    def test_no_other_handler_of_errors(self):
+        # an AST scan of the package: only linalg.each catches ERRORS (by name
+        # or as linalg.ERRORS, alone or in a tuple), so no second per-subject
+        # error path grows back
+        found = []
+        for path in sorted(pathlib.Path(linalg.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            parents = {child: node for node in ast.walk(tree)
+                       for child in ast.iter_child_nodes(node)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ExceptHandler) and node.type is not None and any(
+                        getattr(n, "id", getattr(n, "attr", None)) == "ERRORS"
+                        for n in ast.walk(node.type)):
+                    scope = parents[node]
+                    while not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                                 ast.Module)):
+                        scope = parents[scope]
+                    found.append((path.stem, getattr(scope, "name", None)))
+        assert found == [("linalg", "each")]
 
 
 def same_bits(got, want):

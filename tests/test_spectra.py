@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -7,17 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from helpers import dephasing_generator, identity_channel
+from helpers import dephasing_generator, generic_gkls, identity_channel
 from oqspectra import analysis, bounds, spectra
 from oqspectra.constructions import (
     draw,
-    generic_gkls,
     phase_damping_channel,
     saturating_hamiltonian_generator,
-    unitary_channel,
 )
 from oqspectra.gkls import build_generator, exponentiate
-from oqspectra.superop import QuantumChannel
+from oqspectra.superop import QuantumChannel, from_kraus
 
 
 def cluster_pairs(values, tol):
@@ -206,7 +205,7 @@ class TestChannelSummary:
     def test_nontrivial_unitary(self):
         # U = diag(e^{i theta}, 1, 1): l0 = (d-1)^2 + 1 = 5, lP = d^2 = 9
         u = np.diag([np.exp(1j), 1.0, 1.0])
-        s = spectra.summarize(unitary_channel(u))
+        s = spectra.summarize(from_kraus([u]))
         assert s.l0_or_m0 == 5 and s.lP_or_mP == 9
 
     def test_phase_damping_d3(self):
@@ -226,9 +225,8 @@ class TestChannelSummary:
             spectra.summarize(fake)
 
     def test_multiplicities_always_sum(self, rng):
-        from oqspectra.constructions import stinespring_channel
         for d in (2, 3, 4):
-            s = spectra.summarize(stinespring_channel(d, rng))
+            s = spectra.summarize(helpers.stinespring_channel(d, rng))
             assert s.multiplicities.sum() == d * d
             assert s.l0_or_m0 <= s.lP_or_mP <= d * d
             assert s.bulk_multiplicity + s.lP_or_mP == d * d
@@ -269,7 +267,7 @@ class TestGeneratorSummary:
     def test_unitary_channels_have_full_peripheral_spectrum(self, rng):
         for _ in range(5):
             u = helpers.haar(3, rng)
-            s = spectra.summarize(unitary_channel(u))
+            s = spectra.summarize(from_kraus([u]))
             assert s.lP_or_mP == 9
 
     def test_exponential_peripheral_match(self, rng):
@@ -304,6 +302,16 @@ class TestScale:
         assert spectra.scale(phase_damping_channel(2)) == 1.0
         # entries that overflow a plain Frobenius norm
         assert spectra.scale(build_generator(np.diag([0.0, 4.0 ** 300]))) == 4.0 ** 300
+        # an empty noise stack does not pick the exponent: a Hamiltonian whose
+        # squares underflow keeps its own scale, and the counts of H unscaled
+        unscaled = integer_results(analysis.analyze(build_generator(np.diag([1.0, -1.0]))))
+        for k, x in ((332, 1e-200), (498, 1e-300)):
+            assert spectra.scale(build_generator(np.diag([0.0, 4.0 ** -k]))) == 4.0 ** -k
+            tiny = build_generator(np.diag([x, -x]))
+            assert spectra.scale(tiny) == 4.0 ** round(math.log(math.sqrt(2.0) * x, 4))
+            assert integer_results(analysis.analyze(tiny)) == unscaled
+        # ||A||^2 = 1e-400 is no float, nor is L: the unit falls back to 1
+        assert spectra.scale(build_generator(np.zeros((2, 2)), [np.diag([0.0, 1e-200])])) == 1.0
 
     @SHORT_SEEDED
     @given(st.sampled_from(GKLS_ENSEMBLES), st.integers(2, 5), st.integers(0, 2 ** 16),

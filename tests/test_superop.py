@@ -2,13 +2,9 @@ import numpy as np
 import pytest
 
 import helpers
-from helpers import choi_is_cp, compose, dual, identity_channel, power
+from helpers import choi_is_cp, compose, dual, identity_channel, power, stinespring_channel
 from oqspectra import bounds, linalg, superop
-from oqspectra.constructions import (
-    phase_damping_channel,
-    stinespring_channel,
-    unitary_channel,
-)
+from oqspectra.constructions import phase_damping_channel
 from oqspectra.superop import (
     ValidationError,
     choi_to_kraus,
@@ -152,8 +148,8 @@ class TestConversions:
 class TestDualComposePower:
     def test_dual_of_unitary(self):
         u = np.diag([1.0, 1j])
-        d = dual(unitary_channel(u))
-        expected = unitary_channel(helpers.dag(u))
+        d = dual(from_kraus([u]))
+        expected = from_kraus([helpers.dag(u)])
         assert np.allclose(d.superop, expected.superop)
 
     def test_pinching_self_dual(self):
@@ -182,7 +178,7 @@ class TestDualComposePower:
         # M^n by repeated complex squaring drifts off Hermiticity preservation
         # in proportion to n; the power must still decompose with the
         # spectrum mu^n
-        ch = unitary_channel(helpers.haar(d, rng))
+        ch = from_kraus([helpers.haar(d, rng)])
         n = 10 ** 6
         chn = power(ch, n)
         expected = ch.spectrum.values ** n
@@ -219,7 +215,7 @@ class TestDualComposePower:
 
 class TestUnitarity:
     def test_unitary_channel_detected(self):
-        assert bounds.classify(unitary_channel(np.diag([1.0, 1j]))) == "unitary"
+        assert bounds.classify(from_kraus([np.diag([1.0, 1j])])) == "unitary"
 
     def test_phase_damping_not_unitary(self):
         assert bounds.classify(phase_damping_channel(3)) == "non-unitary"
@@ -253,7 +249,7 @@ class TestSpectralProperties:
         w, v = np.linalg.eig(u)
         u = v @ np.diag([w[0], w[0], w[2]]) @ np.linalg.inv(v)
         u, _ = np.linalg.qr(u)  # re-unitarize
-        ch = unitary_channel(u)
+        ch = from_kraus([u])
         m = ch.superop
         for mu in np.linalg.eigvals(m):
             alg = np.sum(np.abs(np.linalg.eigvals(m) - mu) <= 1e-7)
