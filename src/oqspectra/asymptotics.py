@@ -5,9 +5,10 @@ maximal steady state.
 count dimensions in the real coordinates of the subject's
 :class:`linalg.Spectrum` from singular values alone (one SVD at the anchor
 of its kind, 1 for channels and 0 for generators, shared by both); the
-attractor's columns are the cached eigenvectors.  Bases in matrix
-coordinates are built on first read.  Every nullspace cut reads
-``DEFAULT_NULL_TOL``.
+attractor reads its overlaps and column scales from the cached decomposition
+(``Spectrum.overlap``, ``Spectrum.unit``) and indexes its columns there.
+Bases in matrix coordinates are built on first read.  Every nullspace cut
+reads ``DEFAULT_NULL_TOL``.
 
 Spectral projections (onto the fixed space or the attractor) read the same
 cached ``Spectrum``: the real right columns V the attractor uses, and their
@@ -85,47 +86,45 @@ def attractor(subject, summary: spectra.SpectralSummary | None = None) -> Subspa
     """The span of all peripheral eigenvectors, which are semisimple.
 
     Every peripheral eigenvalue gives its eigenvectors from the cached
-    decomposition.  A simple one needs a left/right overlap above
-    ``DEFAULT_NULL_TOL``, a multiple one Null(R' - mu I) of dimension its
-    multiplicity by singular values alone (R' is real: a cluster below the
-    axis is checked as its conjugate).  The rank of all these columns
-    (singular values above ``ATTRACTOR_RANK_TOL`` times the largest) must be
-    lP/mP, unless the anchor cluster alone, just certified, is peripheral.
+    decomposition.  A simple one needs a left/right overlap
+    (``Spectrum.overlap``) above ``DEFAULT_NULL_TOL``, a multiple one
+    Null(R' - mu I) of dimension its multiplicity by singular values alone
+    (R' is real: a cluster below the axis is checked as its conjugate).  The
+    rank of all these columns (singular values above ``ATTRACTOR_RANK_TOL``
+    times the largest) must be lP/mP, unless the anchor cluster alone, just
+    certified, is peripheral: its columns then wait for a read of the basis.
     Any failure raises ConsistencyError.  A given ``summary`` must be this
     subject's own.
     """
     if summary is None:
         summary = spectra.summarize(subject)
     spectrum = subject.spectrum
-    stack, _ = _peripheral_columns(spectrum, summary)
-    rank = stack.shape[1] if np.count_nonzero(summary.peripheral) == 1 else linalg.numerical_rank(
-        np.linalg.svd(stack, compute_uv=False), stack.shape, ATTRACTOR_RANK_TOL)
-    if rank != summary.lP_or_mP or rank != stack.shape[1]:
+    if np.count_nonzero(summary.peripheral) == 1:
+        k, stack = _semisimple(spectrum, summary, summary.peripheral), None
+        rank = width = k.size + int(np.count_nonzero(spectrum.values.imag[k] > 0))
+    else:
+        stack, _ = _peripheral_columns(spectrum, summary)
+        width = stack.shape[1]
+        rank = linalg.numerical_rank(np.linalg.svd(stack, compute_uv=False), stack.shape,
+                                     ATTRACTOR_RANK_TOL)
+    if rank != summary.lP_or_mP or rank != width:
         raise ConsistencyError(
             f"attractor dimension {rank} != peripheral multiplicity "
             f"{summary.lP_or_mP}"
         )
-    return SubspaceBasis(rank, lambda: spectrum.to_matrix(
-        np.linalg.svd(stack, full_matrices=False)[0][:, :rank]))
+    return SubspaceBasis(rank, lambda: spectrum.to_matrix(np.linalg.svd(
+        _peripheral_columns(spectrum, summary)[0] if stack is None else stack,
+        full_matrices=False)[0][:, :rank]))
 
 
-def _peripheral_columns(spectrum: linalg.Spectrum, summary: spectra.SpectralSummary,
-                        anchor_only: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Real columns spanning the right eigenvectors of the peripheral
-    eigenvalues (with ``anchor_only``, of the anchor cluster) in the
-    coordinates of R', and real columns spanning their left eigenvectors,
-    read from the cached decomposition after the semisimplicity checks of
-    :func:`attractor`.  Left/right eigenvectors of R' are ``vl sqrt_h`` and
-    ``vr / sqrt_h``: their overlap is the one of M's.  A complex v gives
-    sqrt 2 Re v, sqrt 2 Im v: [v, conj v] times a unitary, so the right
-    columns, of unit v, keep the singular values of the complex stack."""
-    tol, anchor, sqrt_h = DEFAULT_NULL_TOL, summary.kind.anchor, spectrum.sqrt_h[:, None]
-    values, mults = summary.values, summary.multiplicities
-    selected = summary.peripheral
-    if anchor_only:
-        selected = np.arange(values.size) == summary.anchor_index
+def _semisimple(spectrum: linalg.Spectrum, summary: spectra.SpectralSummary,
+                selected: np.ndarray) -> np.ndarray:
+    """The members of the ``selected`` clusters on or above the real axis, by
+    index, after the semisimplicity checks of :func:`attractor`."""
+    tol, anchor, values = DEFAULT_NULL_TOL, summary.kind.anchor, summary.values
+    mults, members = summary.multiplicities, summary.members
     # A multiple eigenvalue takes one values-only SVD; below the axis it is a conjugate.
-    for k in np.flatnonzero(selected & (mults > 1)).tolist():
+    for k in (selected & (mults > 1)).nonzero()[0].tolist():
         mu = complex(values[k])
         real = 2 * abs(mu.imag) <= summary.cluster_tol  # within cluster_tol of its conjugate
         if not real and mu.imag < 0:
@@ -139,29 +138,34 @@ def _peripheral_columns(spectrum: linalg.Spectrum, summary: spectra.SpectralSumm
             )
     # Every member on or above the axis: dgeev keeps v = a + ib above the axis
     # in columns k and k + 1, and a conjugate below has its vectors.
-    k = np.flatnonzero(selected[summary.members] & (spectrum.values.imag >= 0))
-    mu = spectrum.values[k]
-    a, c = spectrum.vr[:, k] / sqrt_h, spectrum.vl[:, k] * sqrt_h
-    rr, ll, lr, im = (a * a).sum(0), (c * c).sum(0), (c * a).sum(0), 0.0
-    pair = mu.imag > 0
-    if pair.any():  # u^H v = (c.a + d.b) + i(c.b - d.a) for u = c + id; b = d = 0 if real
-        j = k + pair
-        b, d = spectrum.vr[:, j] * (pair / sqrt_h), spectrum.vl[:, j] * (pair * sqrt_h)
-        rr, ll, lr = rr + (b * b).sum(0), ll + (d * d).sum(0), lr + (d * b).sum(0)
-        im = (c * b - d * a).sum(0)
-    norm = np.sqrt(rr)
-    overlap = np.hypot(lr, im) / (norm * np.sqrt(ll))
+    keep = selected[members] & (spectrum.values.imag >= 0)
     # A multiple eigenvalue's vectors are any basis of its eigenspace: no overlap to check.
-    bad = np.flatnonzero((overlap <= tol) & (mults[summary.members[k]] == 1))
-    if bad.size:
+    bad = keep & (spectrum.overlap <= tol) & (mults[members] == 1)
+    if bad.any():
+        k = bad.argmax()
         raise ConsistencyError(
-            f"peripheral eigenvalue {mu[bad[0]]:.6g}: left/right eigenvector "
-            f"overlap {overlap[bad[0]]:.3e} <= {tol:.1e}, not semisimple"
+            f"peripheral eigenvalue {spectrum.values[k]:.6g}: left/right eigenvector "
+            f"overlap {spectrum.overlap[k]:.3e} <= {tol:.1e}, not semisimple"
         )
-    scale = (1 + (np.sqrt(2) - 1) * pair) / norm  # sqrt 2 / |v| above the axis
-    if not pair.any():
-        return a * scale, c
-    return np.hstack((a * scale, b[:, pair] * scale[pair])), np.hstack((c, d[:, pair]))
+    return keep.nonzero()[0]
+
+
+def _peripheral_columns(spectrum: linalg.Spectrum, summary: spectra.SpectralSummary,
+                        anchor_only: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Real columns spanning the right eigenvectors of the peripheral
+    eigenvalues (with ``anchor_only``, of the anchor cluster) in the
+    coordinates of R', and real columns spanning their left eigenvectors,
+    after :func:`_semisimple`: ``vr / sqrt_h`` times ``Spectrum.unit`` and
+    ``vl sqrt_h``, each pair's Im v after every Re v, so that the right columns
+    keep the singular values of the complex stack of unit eigenvectors."""
+    selected = summary.peripheral
+    if anchor_only:
+        selected = np.arange(selected.size) == summary.anchor_index
+    k = _semisimple(spectrum, summary, selected)
+    sqrt_h, j = spectrum.sqrt_h[:, None], k[spectrum.values.imag[k] > 0] + 1
+    return (np.hstack((spectrum.vr[:, k] / sqrt_h * spectrum.unit[k],
+                       spectrum.vr[:, j] * (1 / sqrt_h) * spectrum.unit[j])),
+            np.hstack((spectrum.vl[:, k] * sqrt_h, spectrum.vl[:, j] * sqrt_h)))
 
 
 def _projection(subject, summary: spectra.SpectralSummary, anchor_only: bool) -> np.ndarray:

@@ -19,7 +19,9 @@ Every SVD and symmetric eigensolve is ``numpy.linalg``'s.  Only
 eigenvectors, so ``dgeev`` is bound through ``ctypes`` (scipy's wrapper
 where numpy's wheel bundles no OpenBLAS).  :func:`one_blas_thread` limits
 the OpenBLAS of both to one thread.  :func:`eig_stack` takes a stack at
-once but calls ``dgeev`` once per matrix: each gets its batch of one's bits.
+once but calls ``dgeev`` once per matrix, into one stacked array that a
+single pass turns into every eigenvalue's overlap: each matrix gets its
+batch of one's bits.
 """
 
 from __future__ import annotations
@@ -35,9 +37,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 EPS = float(np.finfo(np.float64).eps)
-# eig() rejects a matrix whose Hermitian coordinates have an imaginary part
-# above HERMITICITY_CUT * n * eps * (largest real part): rounding only.
+# eig() rejects a matrix whose Hermitian coordinates have an imaginary part above
+# HERMITICITY_CUT * n * eps * max(largest real part, TINY): rounding only, which below
+# the smallest normal number TINY is absolute, in units of eps * TINY = 2^-1074.
 HERMITICITY_CUT = 16.0
+TINY = float(np.finfo(np.float64).tiny)
 
 
 class ConsistencyError(RuntimeError):
@@ -51,12 +55,12 @@ ERRORS = (ValueError, np.linalg.LinAlgError, ConsistencyError)
 def each(call, items) -> list:
     """``call(item)`` for each item, in order, or the ``ERRORS`` exception it raised;
     an item that is an exception already stays as it is.  The one per-subject error path."""
-    outcomes = []
-    for item in items:
+    outcomes = list(items)
+    for k, item in enumerate(outcomes):
         try:
-            outcomes.append(item if isinstance(item, Exception) else call(item))
+            outcomes[k] = item if isinstance(item, Exception) else call(item)
         except ERRORS as exc:
-            outcomes.append(exc)
+            outcomes[k] = exc
     return outcomes
 
 
@@ -210,18 +214,21 @@ def _geev_call(n: int) -> tuple:
     return args(_buffer((size,))[1], _int(size)), a, out, info
 
 
-def _dgeev(a: np.ndarray) -> tuple:
-    """``(wr, wi, vl, vr, info)`` of ``dgeev``, fresh as scipy's ``flapack.dgeev`` returns them."""
+def _dgeev(a: np.ndarray, out: np.ndarray) -> tuple:
+    """``(wr, wi, vl, vr, info)`` of ``dgeev`` as scipy's ``flapack.dgeev`` returns them, in
+    the rows of the (2n + 2, n) ``out``: wr, wi, the columns of vl, then those of vr."""
+    n = a.shape[0]
     if _LAPACK is None:
         geev, lwork = _scipy_lapack()
-        return geev(a, lwork=lwork(a.shape[0]))
-    n = a.shape[0]
-    args, buf, out, info = _geev_call(n)
-    with _LOCK:  # the buffers are shared, and threads may switch between these lines
-        buf[...] = a
-        _LAPACK(*args)
-        out = out.copy(order="F")
-        return out[:, 0], out[:, 1], out[:, 2:n + 2], out[:, n + 2:], info.value
+        *values, vl, vr, info = geev(a, lwork=lwork(n))
+        out[:2], out[2:n + 2], out[n + 2:] = values, vl.T, vr.T
+    else:
+        args, buf, kept, code = _geev_call(n)
+        with _LOCK:  # the buffers are shared, and threads may switch between these lines
+            buf[...] = a
+            _LAPACK(*args)
+            out[...], info = kept.T, code.value
+    return out[0], out[1], out[2:n + 2].T, out[n + 2:].T, info
 
 
 @functools.cache
@@ -253,11 +260,14 @@ def one_blas_thread():
             set_(count)
 
 
-def real_eig(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def real_eig(r: np.ndarray, out: np.ndarray | None = None) -> tuple:
     """``(wr + 1j wi, vl, vr)`` of a finite real square matrix, bit for bit
     ``scipy.linalg.lapack.dgeev``: float64 vl and vr, where a conjugate pair
-    at k, k + 1 (wi[k] > 0) holds Re v in column k and Im v in column k + 1."""
-    wr, wi, vl, vr = _checked("dgeev", *_dgeev(r))
+    at k, k + 1 (wi[k] > 0) holds Re v in column k and Im v in column k + 1;
+    views of ``out`` (:func:`_dgeev`), or of a fresh array."""
+    n = r.shape[0]
+    out = np.empty((2 * n + 2, n)) if out is None else out
+    wr, wi, vl, vr = _checked("dgeev", *_dgeev(r, out))
     return wr + 1j * wi, vl, vr
 
 
@@ -269,7 +279,10 @@ class Spectrum:
     R = B^-1 M B (:func:`hermitian_basis`), pairs packed (Re v, Im v).  ``real`` is
     the real R' = U^dag M U in the orthonormal basis U = B diag(sqrt_h), ``sqrt_h`` =
     sqrt h, so R' - cI has the singular values of M - cI and eigenvectors
-    vr / sqrt_h, vl sqrt_h.
+    v = vr / sqrt_h, w = vl sqrt_h.  ``overlap`` is |w^H v| / (|w| |v|) of each
+    eigenvalue, M's own and 1/kappa of Bauer-Fike (a pair's at both its columns),
+    and ``unit`` each column's scale, 1 / |v| or at a pair sqrt 2 / |v|: sqrt 2
+    (Re v, Im v) of a unit v are [v, conj v] times a unitary.
     """
 
     values: np.ndarray
@@ -277,6 +290,8 @@ class Spectrum:
     vl: np.ndarray
     vr: np.ndarray
     sqrt_h: np.ndarray
+    overlap: np.ndarray
+    unit: np.ndarray
     _svds: dict = field(default_factory=dict, init=False, repr=False)
 
     def to_matrix(self, cols: np.ndarray) -> np.ndarray:
@@ -328,18 +343,52 @@ def eig_stack(stack) -> list:
     b, b_inv, h = hermitian_basis(d)
     r = b_inv @ m @ b
     im_max = np.abs(r.imag).max(axis=(1, 2))
-    cuts = HERMITICITY_CUT * n * EPS * np.abs(r.real).max(axis=(1, 2))
+    cuts = HERMITICITY_CUT * n * EPS * np.maximum(np.abs(r.real).max(axis=(1, 2)), TINY)
     sqrt_h = np.sqrt(h)
     real = r.real * (sqrt_h.T / sqrt_h)
+    out = np.zeros((len(m), 2 * n + 2, n))  # each matrix's dgeev, written in place
 
-    def spectrum(k: int) -> Spectrum:
+    def decomposed(k: int) -> tuple:
         if im_max[k] > cuts[k]:
             raise ValueError(f"matrix is not Hermiticity preserving: imaginary part "
                              f"{im_max[k]:.3e} in its Hermitian coordinates")
-        w, vl, vr = real_eig(r[k].real)
-        return Spectrum(w, real[k], vl, vr, sqrt_h[:, 0])
+        return real_eig(r[k].real, out[k])
 
-    return each(spectrum, range(len(m)))
+    outcomes = each(decomposed, range(len(m)))
+    for k in [k for k, outcome in enumerate(outcomes) if isinstance(outcome, Exception)]:
+        out[k, 2:n + 2] = out[k, n + 2:] = np.eye(n)  # unit vectors keep the pass finite
+    overlap, unit = _overlaps(out, sqrt_h[:, 0])
+    return [outcome if isinstance(outcome, Exception) else
+            Spectrum(outcome[0], real[k], *outcome[1:], sqrt_h[:, 0], overlap[k], unit[k])
+            for k, outcome in enumerate(outcomes)]
+
+
+def _overlaps(out: np.ndarray, sqrt_h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``overlap`` and ``unit`` of each column of each :func:`_dgeev` block of ``out``, by
+    slices on the pair layout.  |v|^2 adds as one matrix's column sums do, for ``unit``'s
+    bits: pairwise over Re v (in Fortran order), and row by row over a pair's Im v."""
+    k, _, n = out.shape
+    wi, vl, vr = out[:, 1], out[:, 2:n + 2], out[:, n + 2:]  # row j: column j of vl, vr
+    # A pair at j, j + 1 has v = a + ib, w = c + id: a, c in column j, b, d in j + 1
+    a, c = vr / sqrt_h, vl * sqrt_h
+    b = np.multiply(vr[:, 1:].swapaxes(1, 2), 1 / sqrt_h[:, None], order="C")  # summed row by row
+    sums = np.zeros((4, k, n))  # |v|^2, |w|^2, Re and Im w^H v = (c.a + d.b) + i(c.b - d.a)
+    np.add.reduce(a * a, 2, out=sums[0])
+    sums[1], sums[2] = _dots(c, c), _dots(vl, vr)  # sqrt_h cancels in w^H v
+    pair = wi[:, :-1] > 0
+    sums[0, :, :-1] += np.add.reduce(b * b, 1) * pair
+    sums[1:3, :, :-1] += sums[1:3, :, 1:] * pair
+    sums[3, :, :-1] = (_dots(vl[:, :-1], vr[:, 1:]) - _dots(vl[:, 1:], vr[:, :-1])) * pair
+    sums[:, :, 1:] = np.where(pair, sums[:, :, :-1], sums[:, :, 1:])  # the conjugate's too
+    rr, ll, lr, im = sums
+    norm = np.sqrt(rr)
+    return np.hypot(lr, im) / (norm * np.sqrt(ll)), np.where(wi != 0, math.sqrt(2), 1.0) / norm
+
+
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x_j . y_j for each row j of each matrix of two stacks: numpy's matmul of
+    1 x n by n x 1, a BLAS dot each."""
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
 
 
 class Decomposed:

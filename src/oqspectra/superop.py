@@ -91,7 +91,8 @@ def kraus_channels(stacks: np.ndarray) -> list:
     array, in order, with its superoperator, or its :class:`ValidationError`."""
     k, _, d, _ = stacks.shape
     f = stacks.reshape(k, -1, d)
-    residuals = np.linalg.norm(f.conj().swapaxes(1, 2) @ f - np.eye(d), axis=(1, 2))
+    tp = f.conj().swapaxes(1, 2) @ f - np.eye(d)
+    residuals = np.sqrt(np.add.reduce((tp.conj() * tp).real, axis=(1, 2)))  # Frobenius norms
     return [ValidationError("Kraus list is not trace preserving", residual)
             if residual > DEFAULT_TP_TOL else QuantumChannel(dim=d, kraus=ops, _superop=m)
             for ops, m, residual in zip(stacks, kraus_to_superop(stacks), residuals.tolist())]

@@ -550,6 +550,52 @@ def peripheral_eigenvectors(spectrum, summary):
     return spectrum.values[members], real_eigenvectors(spectrum)[1][:, members]
 
 
+def reference_peripheral_columns(spectrum, summary, anchor_only=False):
+    """The attractor's real right and left columns as a per-subject
+    computation gives them: the semisimplicity checks, then each selected
+    column's overlap and scale from the packed ``vl``, ``vr`` of that subject
+    alone, column sums in numpy's order for its Fortran-order ``vr[:, k]``
+    (pairwise) and its C-order Im v factors (row by row)."""
+    tol, anchor = asymptotics.DEFAULT_NULL_TOL, summary.kind.anchor
+    sqrt_h = spectrum.sqrt_h[:, None]
+    values, mults = summary.values, summary.multiplicities
+    selected = summary.peripheral
+    if anchor_only:
+        selected = np.arange(values.size) == summary.anchor_index
+    for k in np.flatnonzero(selected & (mults > 1)).tolist():
+        mu = complex(values[k])
+        real = 2 * abs(mu.imag) <= summary.cluster_tol
+        if not real and mu.imag < 0:
+            continue
+        dim, _ = spectrum.null_space(
+            anchor if k == summary.anchor_index else (mu.real if real else mu), tol)
+        if dim != mults[k]:
+            raise asymptotics.ConsistencyError(
+                f"peripheral eigenvalue {mu:.6g}: geometric multiplicity "
+                f"{dim} != algebraic {mults[k]}")
+    k = np.flatnonzero(selected[summary.members] & (spectrum.values.imag >= 0))
+    mu = spectrum.values[k]
+    a, c = spectrum.vr[:, k] / sqrt_h, spectrum.vl[:, k] * sqrt_h
+    rr, ll, lr, im = (a * a).sum(0), (c * c).sum(0), (c * a).sum(0), 0.0
+    pair = mu.imag > 0
+    if pair.any():  # u^H v = (c.a + d.b) + i(c.b - d.a) for u = c + id; b = d = 0 if real
+        j = k + pair
+        b, d = spectrum.vr[:, j] * (pair / sqrt_h), spectrum.vl[:, j] * (pair * sqrt_h)
+        rr, ll, lr = rr + (b * b).sum(0), ll + (d * d).sum(0), lr + (d * b).sum(0)
+        im = (c * b - d * a).sum(0)
+    norm = np.sqrt(rr)
+    overlap = np.hypot(lr, im) / (norm * np.sqrt(ll))
+    bad = np.flatnonzero((overlap <= tol) & (mults[summary.members[k]] == 1))
+    if bad.size:
+        raise asymptotics.ConsistencyError(
+            f"peripheral eigenvalue {mu[bad[0]]:.6g}: left/right eigenvector "
+            f"overlap {overlap[bad[0]]:.3e} <= {tol:.1e}, not semisimple")
+    scale = (1 + (np.sqrt(2) - 1) * pair) / norm  # sqrt 2 / |v| above the axis
+    if not pair.any():
+        return a * scale, c
+    return np.hstack((a * scale, b[:, pair] * scale[pair])), np.hstack((c, d[:, pair]))
+
+
 def as_eigenvectors(spectrum, summary, cols):
     """Real columns laid out as the attractor's, as complex columns and their
     eigenvalues.  The layout: one column per member of a peripheral cluster

@@ -18,6 +18,7 @@ from oqspectra import (
     analysis,
     asymptotics,
     bounds,
+    campaign,
     commutants,
     constructions,
     linalg,
@@ -351,6 +352,40 @@ class TestAttractor:
                 names.add(name.split("-s")[0])  # a singleton pair
         assert {"haar-unitary", "gkls-hamiltonian"} <= names
         assert off_axis >= (2 if d >= 3 else 0)  # the unitary and Hamiltonian constructors
+
+    def test_columns_are_the_per_subject_ones(self, monkeypatch):
+        # verify-small's 1512 subjects (the benchmark's campaigns at seed 101,
+        # one per source and d): the columns that index vr and vl by the
+        # stacked overlap and unit are those of the per-subject arithmetic,
+        # bit for bit, for the attractor and for the anchor cluster alone;
+        # a subject that fails a check fails it with the same message
+        seen, original = [], asymptotics.attractor
+
+        def spy(subject, summary=None):
+            seen.append((subject.spectrum, summary))
+            return original(subject, summary)
+
+        monkeypatch.setattr(asymptotics, "attractor", spy)
+        for source in campaign.ALL_SOURCES:
+            for d in (2, 3, 4):
+                campaign.run_campaign(campaign.CampaignConfig(
+                    dims=(d,), per_dim=100, sources=(source,), seed=101))
+        assert len(seen) == 1512
+
+        def columns(build, *args):
+            try:
+                return [x.tobytes() for x in build(*args)]
+            except asymptotics.ConsistencyError as exc:
+                return str(exc)
+
+        pairs = 0
+        for spectrum, summary in seen:
+            pairs += bool((summary.peripheral[summary.members] & (spectrum.values.imag > 0)).any())
+            for anchor_only in (False, True):
+                args = (spectrum, summary, anchor_only)
+                assert (columns(asymptotics._peripheral_columns, *args)
+                        == columns(helpers.reference_peripheral_columns, *args))
+        assert pairs == 606  # with a peripheral pair: Im v columns, summed row by row
 
 
 class TestComplexReference:

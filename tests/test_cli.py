@@ -697,9 +697,9 @@ class TestCampaignWork:
         monkeypatch.setattr(spectra, "summarize", spy)
         dgeevs, dgeev = [], linalg._dgeev
 
-        def spy(a):
+        def spy(a, out):
             dgeevs.append(np.array(a))
-            return dgeev(a)
+            return dgeev(a, out)
 
         monkeypatch.setattr(linalg, "_dgeev", spy)
         cfg = campaign.CampaignConfig(dims=(6,), per_dim=2, sources=campaign.ALL_SOURCES)
@@ -733,14 +733,34 @@ class TestCampaignWork:
                              ids=["verify-small", "verify-large"])
     def test_svds_per_subject(self, monkeypatch, dims, per_dim, svds):
         # the benchmark's verify workloads at seed 101, one campaign per source
-        # and d: 1.403 and 1.444 SVDs per subject, one eig each
+        # and d: 1.403 and 1.444 SVDs per subject, one eig each, and one
+        # overlap pass per campaign, each one chunk
         calls, _ = helpers.count_decompositions(monkeypatch)
+        passes = helpers.count_calls(monkeypatch, linalg, ("_overlaps",))
         rows = sum(len(campaign.run_campaign(campaign.CampaignConfig(
             dims=(d,), per_dim=per_dim, sources=(source,), seed=101)).rows)
             for source in campaign.ALL_SOURCES for d in dims)
         assert calls["real_eig"] == rows
+        assert passes["_overlaps"] == len(campaign.ALL_SOURCES) * len(dims)
         assert calls["svd"] == svds
         assert round(svds / rows, 3) == {1512: 1.403, 162: 1.444}[rows]
+
+    def test_columns_only_for_several_peripheral_clusters(self, monkeypatch):
+        # every source at d = 2, 3: the attractor of a subject whose anchor
+        # cluster alone is peripheral reads its overlaps and builds no columns
+        summaries, summarize = [], spectra.summarize
+
+        def spy(*args, **kwargs):
+            summaries.append(summarize(*args, **kwargs))
+            return summaries[-1]
+
+        monkeypatch.setattr(spectra, "summarize", spy)
+        calls = helpers.count_calls(monkeypatch, asymptotics, ("_peripheral_columns",))
+        cfg = campaign.CampaignConfig(dims=(2, 3), per_dim=5, sources=campaign.ALL_SOURCES)
+        assert len(campaign.run_campaign(cfg).rows) == len(summaries)
+        several = sum(np.count_nonzero(s.peripheral) > 1 for s in summaries)
+        assert 0 < several < len(summaries)
+        assert calls["_peripheral_columns"] == several
 
     def test_no_python_loop_over_clusters_or_kraus_operators(self):
         # a loop over the clusters (d^2 - d + 1 for a unitary), the d^2 Kraus
@@ -908,12 +928,12 @@ class TestCampaignPhases:
     def test_each_phase_runs_over_the_chunk_before_the_next(self, monkeypatch):
         # one cell of 5 gkls-generic subjects is one chunk: every raw draw
         # comes before the stacked build, whose superoperators are one stack,
-        # decomposed once as it normalizes and never again; then every
-        # summary comes before every attractor
+        # decomposed once as it normalizes and never again, with one pass for
+        # every overlap; then every summary comes before every attractor
         events = []
         for module, name in ((constructions, "normals"), (superop, "kraus_to_superop"),
-                             (linalg, "eig_stack"), (spectra, "summarize"),
-                             (asymptotics, "attractor")):
+                             (linalg, "eig_stack"), (linalg, "_overlaps"),
+                             (spectra, "summarize"), (asymptotics, "attractor")):
             def spy(*args, _original=getattr(module, name), _name=name, **kwargs):
                 events.append(_name)
                 return _original(*args, **kwargs)
@@ -921,7 +941,7 @@ class TestCampaignPhases:
             monkeypatch.setattr(module, name, spy)
         config = campaign.CampaignConfig(dims=(3,), per_dim=5, sources=("gkls-generic",))
         assert len(campaign.run_campaign(config).rows) == 5
-        assert events == (["normals"] * 5 + ["kraus_to_superop", "eig_stack"]
+        assert events == (["normals"] * 5 + ["kraus_to_superop", "eig_stack", "_overlaps"]
                           + ["summarize"] * 5
                           + ["attractor"] * 5)
 

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import identity_channel
-from oqspectra import asymptotics, linalg, spectra
+from oqspectra import analysis, asymptotics, constructions, linalg, spectra
 from oqspectra.constructions import phase_damping_channel
+from oqspectra.gkls import build_generator
 
 
 def random_complex(rng, rows, cols):
@@ -98,6 +99,75 @@ class TestEig:
             linalg.eig(a)
         with pytest.raises(ValueError, match="Hermiticity"):
             linalg.eig(1j * random_hermiticity_preserving(rng, 3))
+
+
+    def test_subnormal_generators_are_decomposed(self):
+        # noise-only generators whose superoperator entries are subnormal:
+        # B^-1 M B rounds them in units of the smallest subnormal, which a cut
+        # relative to the largest real part alone underflowed below (22 of
+        # these 36 raised "not Hermiticity preserving"); none raises now, and
+        # none reports a bound broken by consistent counts (CLI exit 3)
+        for seed in range(4):
+            for d in (2, 3, 4):
+                noise = constructions.draw("gkls-generic", d,
+                                           np.random.default_rng((seed, d))).noise_ops
+                for scale in (1e-155, 1e-158, 1e-161):
+                    report = analysis.analyze(build_generator(np.zeros((d, d)), scale * noise))
+                    assert report.discrepancy is not None or report.bounds_satisfied
+
+
+class TestOverlaps:
+    """``Spectrum.overlap`` and ``unit``, from one pass over each stack."""
+
+    @staticmethod
+    def summary(subject, spectrum):
+        return spectra._summarize(subject.kind, subject.dim, spectrum.values,
+                                  spectra.scale(subject), None, None)
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_overlap_is_the_reference_one(self, d):
+        # |w^H v| of M's unit eigenvectors (scipy's eig of R, mapped back) at
+        # every simple eigenvalue, a pair's conjugate included; and unit
+        # scales the packed columns to unit eigenvectors: |v| = 1 at a real
+        # eigenvalue, and |Re v|^2 + |Im v|^2 = 2 at a pair, as sqrt 2 v
+        for name, subject in helpers.oracle_subjects(d, seeds=1):
+            spectrum = linalg.eig(subject.superop)
+            w, vl, vr = helpers.reference_eig(subject.superop)
+            assert np.array_equal(spectrum.values, w), name
+            summary = self.summary(subject, spectrum)
+            simple = summary.multiplicities[summary.members] == 1
+            want = np.abs(np.sum(vl.conj() * vr, axis=0))
+            np.testing.assert_allclose(spectrum.overlap[simple], want[simple],
+                                       rtol=1e-10, atol=1e-14, err_msg=name)
+            norms = np.sum((spectrum.vr / spectrum.sqrt_h[:, None] * spectrum.unit) ** 2, 0)
+            first = np.flatnonzero(w.imag > 0)
+            norms[first] += norms[first + 1]
+            norms[first + 1] = norms[first]
+            np.testing.assert_allclose(norms, np.where(w.imag != 0, 2.0, 1.0), rtol=1e-13,
+                                       err_msg=name)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_stack_is_its_batches_of_one(self, d):
+        # 7 subjects, one of them not Hermiticity preserving, as one stack and
+        # one at a time: the same overlap, unit and attractor columns, bit for
+        # bit, whatever a matrix's place in the stack; the bad one raises alone
+        subjects = [s for _, s in helpers.oracle_subjects(d)][::2][:6]
+        stack = np.array([s.superop for s in subjects])
+        bad = stack[0].copy()
+        bad[0, 1] += 1.0  # E_10 -> E_00 without E_01 -> E_00
+        stack = np.insert(stack, 3, bad, axis=0)
+        stacked = linalg.eig_stack(stack)
+        assert isinstance(stacked.pop(3), ValueError)
+        for subject, spectrum in zip(subjects, stacked, strict=True):
+            alone = linalg.eig(subject.superop)
+            for name in ("values", "vl", "vr", "overlap", "unit"):
+                assert same_bits(getattr(spectrum, name), getattr(alone, name)), name
+            summary = self.summary(subject, spectrum)
+            for anchor_only in (False, True):
+                for got, want in zip(
+                        asymptotics._peripheral_columns(spectrum, summary, anchor_only),
+                        asymptotics._peripheral_columns(alone, summary, anchor_only)):
+                    assert same_bits(got, want)
 
 
 class TestEach:
