@@ -100,7 +100,6 @@ class TestEig:
         with pytest.raises(ValueError, match="Hermiticity"):
             linalg.eig(1j * random_hermiticity_preserving(rng, 3))
 
-
     def test_subnormal_generators_are_decomposed(self):
         # noise-only generators whose superoperator entries are subnormal:
         # B^-1 M B rounds them in units of the smallest subnormal, which a cut
