@@ -1,14 +1,13 @@
 """Fixed-point spaces, attractor subspaces, spectral projections and the
 maximal steady state.
 
-:func:`fixed_space` (for a generator its kernel) and :func:`attractor`
-count dimensions in the real coordinates of the subject's
-:class:`linalg.Spectrum` from singular values alone (one SVD at the anchor
-of its kind, 1 for channels and 0 for generators, shared by both); the
-attractor reads its overlaps and column scales from the cached decomposition
-(``Spectrum.overlap``, ``Spectrum.unit``) and indexes its columns there.
-Bases in matrix coordinates are built on first read.  Every nullspace cut
-reads ``DEFAULT_NULL_TOL``.
+:func:`fixed_space` (for a generator its kernel) counts in the real
+coordinates of the subject's :class:`linalg.Spectrum` from one values-only
+SVD at the anchor of its kind, 1 or 0 (a campaign's come from one SVD per
+chunk, ``linalg.anchored_svds``).  :func:`attractor` certifies its rank from
+the overlaps of the cached decomposition (``Spectrum.overlap``), and only
+where that fails from an SVD of its columns.  Bases in matrix coordinates are
+built on first read.  Every nullspace cut reads ``DEFAULT_NULL_TOL``.
 
 Spectral projections (onto the fixed space or the attractor) read the same
 cached ``Spectrum``: the real right columns V the attractor uses, and their
@@ -23,6 +22,7 @@ onto that support.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -92,19 +92,18 @@ def attractor(subject, summary: spectra.SpectralSummary | None = None) -> Subspa
     (R' is real: a cluster below the axis is checked as its conjugate).  The
     rank of all these columns (singular values above ``ATTRACTOR_RANK_TOL``
     times the largest) must be lP/mP, unless the anchor cluster alone, just
-    certified, is peripheral: its columns then wait for a read of the basis.
-    Any failure raises ConsistencyError.  A given ``summary`` must be this
-    subject's own.
+    certified, is peripheral: :func:`_rank_bound` certifies it, or else their
+    SVD counts it.  Any failure raises ConsistencyError.  A given ``summary``
+    must be this subject's own.
     """
     if summary is None:
         summary = spectra.summarize(subject)
     spectrum = subject.spectrum
-    if np.count_nonzero(summary.peripheral) == 1:
-        k, stack = _semisimple(spectrum, summary, summary.peripheral), None
-        rank = width = k.size + int(np.count_nonzero(spectrum.values.imag[k] > 0))
-    else:
+    k = _semisimple(spectrum, summary, summary.peripheral)
+    rank = width = k.size + int(np.count_nonzero(spectrum.values.imag[k] > 0))
+    if (np.count_nonzero(summary.peripheral) > 1
+            and _rank_bound(spectrum, summary, k) <= ATTRACTOR_RANK_TOL * math.sqrt(width)):
         stack, _ = _peripheral_columns(spectrum, summary)
-        width = stack.shape[1]
         rank = linalg.numerical_rank(np.linalg.svd(stack, compute_uv=False), stack.shape,
                                      ATTRACTOR_RANK_TOL)
     if rank != summary.lP_or_mP or rank != width:
@@ -113,8 +112,23 @@ def attractor(subject, summary: spectra.SpectralSummary | None = None) -> Subspa
             f"{summary.lP_or_mP}"
         )
     return SubspaceBasis(rank, lambda: spectrum.to_matrix(np.linalg.svd(
-        _peripheral_columns(spectrum, summary)[0] if stack is None else stack,
-        full_matrices=False)[0][:, :rank]))
+        _peripheral_columns(spectrum, summary)[0], full_matrices=False)[0][:, :rank]))
+
+
+def _rank_bound(spectrum: linalg.Spectrum, summary: spectra.SpectralSummary,
+                k: np.ndarray) -> float:
+    """sigma_min(W^T V) / sqrt |P| <= sigma_min(V) for the attractor's |P| unit columns V
+    (of the members ``k``, so sigma_max(V) <= sqrt |P|) and unit left columns W.  W^T V is
+    block diagonal by cluster: a simple eigenvalue's block is its overlap (twice at a pair),
+    a multiple cluster's takes a values-only SVD, on the columns of _peripheral_columns."""
+    cluster, up, sqrt_h = summary.members[k], spectrum.values.imag[k] > 0, spectrum.sqrt_h[:, None]
+    least = spectrum.overlap[k[summary.multiplicities[cluster] == 1]].min(initial=math.inf)
+    for c in set(cluster[summary.multiplicities[cluster] > 1].tolist()):
+        j = np.concatenate((k[cluster == c], k[(cluster == c) & up] + 1))  # Re v, then Im v
+        w, v = spectrum.vl[:, j] * sqrt_h, spectrum.vr[:, j] / sqrt_h * spectrum.unit[j]
+        least = min(least, np.linalg.svd((w / np.linalg.norm(w, axis=0)).T @ v,
+                                         compute_uv=False)[-1])
+    return least / math.sqrt(k.size + np.count_nonzero(up))
 
 
 def _semisimple(spectrum: linalg.Spectrum, summary: spectra.SpectralSummary,

@@ -153,8 +153,9 @@ def _pipelines(chunk: list[_Task]) -> list:
         draws = linalg.each(lambda task: constructions.normals(
             source, d, np.random.default_rng(task.seed_key + (0,)), task.env_dim), chunk)
         subjects = linalg.over_stack(lambda raw: ENSEMBLES[source].build(np.stack(raw)), draws)
+    subjects = linalg.over_stack(linalg.anchored_svds, linalg.decompose(subjects))
     return [subject if isinstance(subject, Exception) else _phases(task, subject)
-            for task, subject in zip(chunk, linalg.decompose(subjects))]
+            for task, subject in zip(chunk, subjects)]
 
 
 def _phases(task: _Task, subject):

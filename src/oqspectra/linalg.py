@@ -20,8 +20,8 @@ eigenvectors, so ``dgeev`` is bound through ``ctypes`` (scipy's wrapper
 where numpy's wheel bundles no OpenBLAS).  :func:`one_blas_thread` limits
 the OpenBLAS of both to one thread.  :func:`eig_stack` takes a stack at
 once but calls ``dgeev`` once per matrix, into one stacked array that a
-single pass turns into every eigenvalue's overlap: each matrix gets its
-batch of one's bits.
+single pass turns into every eigenvalue's overlap, and :func:`anchored_svds`
+one SVD call per stack: each matrix gets its batch of one's bits.
 """
 
 from __future__ import annotations
@@ -411,6 +411,18 @@ def decompose(subjects: list) -> list:
         else:
             s.spectrum = spectrum
     return [failed.get(id(s), s) for s in subjects]
+
+
+def anchored_svds(subjects: list) -> list:
+    """``subjects``, decomposed, each keeping for :meth:`Spectrum.null_space` the values-only
+    SVD of R' minus its anchor, all from one SVD of their stack (or none if it fails)."""
+    stack = np.stack([s.spectrum.real for s in subjects])
+    i = np.arange(stack.shape[1])
+    stack[:, i, i] -= [[s.kind.anchor] for s in subjects]  # as null_space shifts one
+    with contextlib.suppress(np.linalg.LinAlgError):
+        for s, values in zip(subjects, np.linalg.svd(stack, compute_uv=False)):
+            s.spectrum._svds[s.kind.anchor] = values
+    return subjects
 
 
 def numerical_rank(s: np.ndarray, shape: tuple[int, ...], tol: float = 0.0,

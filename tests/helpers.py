@@ -34,16 +34,21 @@ def count_decompositions(monkeypatch):
     """Spy on every dense eig and SVD entry point of the package: the real
     LAPACK kernel ``linalg.real_eig`` (``dgeev``) and ``np.linalg.svd``,
     through which every SVD runs.  Returns the call counter by entry-point
-    name, where ``svd_vectors`` counts the SVDs that compute singular
-    vectors (``compute_uv``, numpy's default), and the ``(name, input
-    dtype)`` pairs in call order."""
+    name, counting the matrices of a stacked call, where ``svd_vectors``
+    counts the SVDs that compute singular vectors (``compute_uv``, numpy's
+    default) and ``("svd", rows)`` the SVDs of matrices with that many rows,
+    and the ``(name, input dtype)`` pairs in call order."""
     calls, dtypes = collections.Counter(), []
     for module, name in ((linalg, "real_eig"), (np.linalg, "svd")):
         def spy(a, *args, _original=getattr(module, name), _name=name, **kwargs):
-            calls[_name] += 1
+            shape = np.shape(a)
+            matrices = shape[0] if len(shape) == 3 else 1
+            calls[_name] += matrices
             # np.linalg.svd(a, full_matrices=True, compute_uv=True, hermitian=False)
-            if _name == "svd" and kwargs.get("compute_uv", args[1] if len(args) > 1 else True):
-                calls["svd_vectors"] += 1
+            if _name == "svd":
+                calls["svd", shape[-2]] += matrices
+                if kwargs.get("compute_uv", args[1] if len(args) > 1 else True):
+                    calls["svd_vectors"] += matrices
             dtypes.append((_name, np.asarray(a).dtype))
             return _original(a, *args, **kwargs)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -230,34 +231,49 @@ class TestAttractor:
     @pytest.mark.parametrize("dependent", ["singleton-copy", "parallel-pair"])
     def test_dependent_column_fails_certificate(self, monkeypatch, rng, dependent):
         # The oscillating-coherence channel: the eigenspace of 1 and the
-        # singletons e^{+-i}, 5 certified real columns in 9 dimensions.  One
-        # more column that depends on them (a copy of a singleton's column,
-        # or a pair whose real and imaginary parts are parallel) leaves the
-        # rank one below the width, and the certificate refuses it.
+        # singletons e^{+-i}, 5 certified real columns in 9 dimensions.  A
+        # forged decomposition in which one column depends on the others (a
+        # member of the eigenspace of 1 copied from a singleton's column, or a
+        # pair whose real and imaginary parts are parallel, with the overlap
+        # that says so) leaves the rank one below the width: the overlap
+        # certificate cannot vouch for it, and the fallback's SVD refuses it.
         gen = build_generator(np.diag([0.0, 1.0, 2.0]), dephasing_generator(3).noise_ops)
         ch = exponentiate(gen, 1.0)
         summary = spectra.summarize(ch)
-        stack, _ = asymptotics._peripheral_columns(ch.spectrum, summary)
+        spectrum = ch.spectrum
+        stack, _ = asymptotics._peripheral_columns(spectrum, summary)
         assert stack.shape == (9, 5)
-        x = rng.standard_normal((9, 1))
-        extra = stack[:, -1:] if dependent == "singleton-copy" else np.hstack((x, 2 * x))
-        forged = np.hstack((stack, extra))
 
         def rank(cols):
             return linalg.numerical_rank(scipy.linalg.svdvals(cols), cols.shape,
                                          asymptotics.ATTRACTOR_RANK_TOL)
 
         assert rank(stack) == 5
-        assert rank(forged) == forged.shape[1] - 1
         # the real stack has the singular values of the complex stack of unit
         # eigenvectors: the three of 1 and both of the pair e^{+-i}
-        w, complex_stack = helpers.peripheral_eigenvectors(ch.spectrum, summary)
+        w, complex_stack = helpers.peripheral_eigenvectors(spectrum, summary)
         assert np.abs(np.abs(w) - 1).max() <= 1e-12 and complex_stack.shape == (9, 5)
         assert np.allclose(scipy.linalg.svdvals(stack), scipy.linalg.svdvals(complex_stack),
                            rtol=0, atol=1e-12)
-        monkeypatch.setattr(asymptotics, "_peripheral_columns", lambda *args: (forged, None))
-        with pytest.raises(asymptotics.ConsistencyError, match="attractor dimension"):
+        one, pair = np.flatnonzero(np.abs(spectrum.values - 1) < 1e-9), np.flatnonzero(
+            np.abs(spectrum.values - np.exp(1j)) < 1e-9)
+        assert one.size == 3 and pair.size == 1
+        vr, overlap = spectrum.vr.copy(), spectrum.overlap.copy()
+        if dependent == "singleton-copy":
+            vr[:, one[-1]] = vr[:, pair[0]]
+        else:
+            vr[:, pair[0] + 1] = 2 * vr[:, pair[0]]
+            overlap[pair[0]:pair[0] + 2] = 1e-12  # v and its conjugate are parallel
+            monkeypatch.setattr(asymptotics, "DEFAULT_NULL_TOL", 1e-13)  # no floor before it
+        ch.spectrum = forged = dataclasses.replace(spectrum, vr=vr, overlap=overlap)
+        k = asymptotics._semisimple(forged, summary, summary.peripheral)
+        assert asymptotics._rank_bound(forged, summary, k) <= 1e-12
+        assert rank(asymptotics._peripheral_columns(forged, summary)[0]) == 4
+        calls = helpers.count_calls(monkeypatch, asymptotics, ("_peripheral_columns",))
+        with pytest.raises(asymptotics.ConsistencyError,
+                           match="attractor dimension 4 != peripheral multiplicity 5"):
             attractor(ch, summary=summary)
+        assert calls["_peripheral_columns"] == 1
 
     @pytest.mark.parametrize("make, width, anchor_alone", [
         (lambda rng: phase_damping_channel(3), 5, True),  # the eigenspace of 1 alone
@@ -267,10 +283,12 @@ class TestAttractor:
     def test_stack_orthonormal_by_construction(self, monkeypatch, rng, make, width,
                                                anchor_alone):
         # The stack holds eigenvectors of R' from the cached decomposition.
-        # Its rank takes one values-only SVD, except when the anchor cluster
-        # alone is peripheral: the attractor is then the fixed space, whose
-        # dimension the cross-check certified.  The basis built on a read is
-        # orthonormal by construction and spans the reference attractor.
+        # Counting its rank takes no SVD of n rows: the anchor cluster alone is
+        # the fixed space, whose dimension the cross-check certified, and
+        # several clusters are certified from the overlaps, with one small
+        # block SVD for the multiple cluster at 1 of the unitary.  The basis
+        # built on a read takes one SVD with vectors, is orthonormal by
+        # construction and spans the reference attractor.
         ch = make(rng)
         summary = spectra.summarize(ch)
         fixed = fixed_space(ch, summary=summary)
@@ -283,8 +301,11 @@ class TestAttractor:
         calls, _ = helpers.count_decompositions(monkeypatch)
         att = attractor(ch, summary=summary)
         assert att.dimension == width
-        assert calls["svd"] == (0 if anchor_alone else 1) and calls["svd_vectors"] == 0
-        basis, ref = att.basis, helpers.reference_attractor(ch.superop, summary)
+        assert calls["svd", 9] == 0 and calls["svd_vectors"] == 0
+        assert calls["svd"] == (0 if anchor_alone else 1)  # the 3 x 3 block of 1
+        basis = att.basis
+        assert calls["svd", 9] == calls["svd_vectors"] == 1
+        ref = helpers.reference_attractor(ch.superop, summary)
         assert np.linalg.norm(helpers.dag(basis) @ basis - np.eye(width)) <= 1e-12
         assert np.linalg.norm(basis @ helpers.dag(basis) - ref @ helpers.dag(ref)) <= 1e-9
         if anchor_alone:
@@ -386,6 +407,91 @@ class TestAttractor:
                 assert (columns(asymptotics._peripheral_columns, *args)
                         == columns(helpers.reference_peripheral_columns, *args))
         assert pairs == 606  # with a peripheral pair: Im v columns, summed row by row
+
+
+def certificate(subject, summary):
+    """The overlap certificate's bound on the smallest singular value of a
+    subject's attractor columns, its threshold, and scipy's smallest
+    singular value of those columns; None with one peripheral cluster."""
+    if np.count_nonzero(summary.peripheral) == 1:
+        return None
+    spectrum = subject.spectrum
+    k = asymptotics._semisimple(spectrum, summary, summary.peripheral)
+    stack, _ = asymptotics._peripheral_columns(spectrum, summary)
+    return (asymptotics._rank_bound(spectrum, summary, k),
+            asymptotics.ATTRACTOR_RANK_TOL * np.sqrt(stack.shape[1]),
+            scipy.linalg.svdvals(stack).min())
+
+
+class TestRankCertificate:
+    """The attractor's rank from the overlaps: sigma_min(V) >= sigma_min(W^T V) / ||W||_2."""
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_bound_is_sound_on_oracle_subjects(self, d):
+        # every subject with several peripheral clusters: the bound never
+        # exceeds scipy's smallest singular value, and it certifies the rank
+        several = 0
+        for name, subject in helpers.oracle_subjects(d, seeds=2):
+            checked = certificate(subject, spectra.summarize(subject))
+            if checked is not None:
+                bound, threshold, least = checked
+                assert threshold < bound <= least, name
+                several += 1
+        assert several == 6  # the unitary and Hamiltonian constructors, 2 draws of each
+
+    def test_bound_is_sound_on_verify_small(self, monkeypatch):
+        # the 1512 subjects of the benchmark's verify-small campaigns at seed
+        # 101: 606 have several peripheral clusters, and the bound certifies
+        # each of them below scipy's smallest singular value
+        seen, original = [], asymptotics.attractor
+
+        def spy(subject, summary=None):
+            seen.append((subject, summary))
+            return original(subject, summary)
+
+        monkeypatch.setattr(asymptotics, "attractor", spy)
+        for source in campaign.ALL_SOURCES:
+            for d in (2, 3, 4):
+                campaign.run_campaign(campaign.CampaignConfig(
+                    dims=(d,), per_dim=100, sources=(source,), seed=101))
+        assert len(seen) == 1512
+        checked = [c for c in (certificate(*pair) for pair in seen) if c is not None]
+        assert len(checked) == 606
+        assert all(threshold < bound <= least for bound, threshold, least in checked)
+
+    @pytest.mark.parametrize("coupling", [3.5e5, 1e6])
+    def test_near_dependent_pair_falls_back(self, monkeypatch, coupling):
+        # A forged map with the simple peripheral pairs e^{+-i} and
+        # e^{+-i(1 + 1e-4)} coupled by a large block: their eigenvectors are
+        # nearly parallel, with overlaps 1.4e-4 / coupling.  With the overlap
+        # floor out of the way the bound cannot certify the rank, and the
+        # fallback's SVD decides as the stack's singular values do: full rank
+        # at one coupling, two columns short at the other, with its message.
+        def rot(t):
+            return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+        r = np.diag([1.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.5, 0.5, 0.5])
+        r[1:3, 1:3], r[3:5, 3:5], r[1:3, 3:5] = rot(1.0), rot(1.0 + 1e-4), coupling * np.eye(2)
+        fake = helpers.forged_channel(r)
+        summary = spectra.summarize(fake)
+        assert summary.multiplicities[summary.peripheral].tolist() == [1] * 5
+        with pytest.raises(asymptotics.ConsistencyError, match="overlap"):
+            attractor(fake, summary=summary)  # the floor comes first by default
+        monkeypatch.setattr(asymptotics, "DEFAULT_NULL_TOL", 1e-12)
+        bound, threshold, least = certificate(fake, summary)
+        assert bound <= threshold and bound <= least
+        stack, _ = asymptotics._peripheral_columns(fake.spectrum, summary)
+        rank = linalg.numerical_rank(scipy.linalg.svdvals(stack), stack.shape,
+                                     asymptotics.ATTRACTOR_RANK_TOL)
+        assert rank == (5 if coupling < 5e5 else 3)
+        calls = helpers.count_calls(monkeypatch, asymptotics, ("_peripheral_columns",))
+        if rank == 5:
+            assert attractor(fake, summary=summary).dimension == 5
+        else:
+            with pytest.raises(asymptotics.ConsistencyError,
+                               match=f"^attractor dimension {rank} != peripheral multiplicity 5$"):
+                attractor(fake, summary=summary)
+        assert calls["_peripheral_columns"] == 1
 
 
 class TestComplexReference:

@@ -1,3 +1,4 @@
+import collections
 import csv
 import ctypes
 import dataclasses
@@ -683,10 +684,11 @@ class TestCampaignWork:
         assert calls["summarize"] == draws
 
     def test_decompositions_per_subject(self, monkeypatch):
-        # Every source at d = 6: one eig per drawn subject, and on average
-        # at most 1.6 SVDs (the cross-check, plus the rank certificate and
-        # multiple peripheral clusters where they occur); an SVD is complex
-        # only for a multiple cluster above the real axis
+        # Every source at d = 6: one eig per drawn subject, one SVD of n rows
+        # for each (the cross-check) and one for each multiple peripheral
+        # cluster above the real axis, the one complex kind; the rank
+        # certificate takes one block SVD per multiple peripheral cluster of a
+        # subject with several peripheral clusters
         calls, dtypes = helpers.count_decompositions(monkeypatch)
         summaries, summarize = [], spectra.summarize
 
@@ -707,10 +709,14 @@ class TestCampaignWork:
         draws = len(result.rows)
         assert calls["real_eig"] == draws == len(summaries) == len(dgeevs)
         assert calls["eig"] == calls["eigvals"] == 0
-        assert calls["svd"] + calls["svdvals"] <= 1.6 * len(result.rows)
         off_axis = sum(int(np.sum(s.peripheral & (s.multiplicities > 1)
                                   & (2 * s.values.imag > s.cluster_tol)))
                        for s in summaries)
+        blocks = sum(int(np.sum(s.peripheral & (s.multiplicities > 1)
+                                & (2 * s.values.imag >= -s.cluster_tol)))
+                     for s in summaries if np.count_nonzero(s.peripheral) > 1)
+        assert calls["svd", 36] == draws + off_axis
+        assert calls["svd"] == calls["svd", 36] + blocks and calls["svdvals"] == 0
         svds = [dtype for name, dtype in dtypes if name in ("svd", "svdvals")]
         assert off_axis > 0
         assert [dtype for dtype in svds if dtype != np.float64] == [np.complex128] * off_axis
@@ -728,26 +734,41 @@ class TestCampaignWork:
             assert len(dgeevs) == before + 1, row
             assert dgeevs.pop().tobytes() == matrix.tobytes(), row
 
-    @pytest.mark.parametrize("dims, per_dim, svds", [((2, 3, 4), 100, 2122),
-                                                     ((6, 7, 8), 10, 234)],
+    @pytest.mark.parametrize("dims, per_dim, n_rows, blocks", [((2, 3, 4), 100, 1516, 610),
+                                                               ((6, 7, 8), 10, 168, 72)],
                              ids=["verify-small", "verify-large"])
-    def test_svds_per_subject(self, monkeypatch, dims, per_dim, svds):
+    def test_svds_per_subject(self, monkeypatch, dims, per_dim, n_rows, blocks):
         # the benchmark's verify workloads at seed 101, one campaign per source
-        # and d: 1.403 and 1.444 SVDs per subject, one eig each, and one
-        # overlap pass per campaign, each one chunk
+        # and d, each one chunk: one eig per subject, one overlap pass and one
+        # stacked cross-check SVD per campaign, and an SVD of n = d^2 rows per
+        # subject (stacked ones counted by matrix), plus one for each of the 4
+        # and 6 multiple peripheral clusters away from the anchor (constructors):
+        # 1.003 and 1.037 per subject, where the rank SVD made 1.403 and 1.444.
+        # The rank certificate adds one block SVD, of at most d^2 - 2d + 2 rows,
+        # per multiple peripheral cluster of a subject with several peripheral
+        # clusters (610 and 72), and never falls back to the columns
         calls, _ = helpers.count_decompositions(monkeypatch)
-        passes = helpers.count_calls(monkeypatch, linalg, ("_overlaps",))
-        rows = sum(len(campaign.run_campaign(campaign.CampaignConfig(
-            dims=(d,), per_dim=per_dim, sources=(source,), seed=101)).rows)
-            for source in campaign.ALL_SOURCES for d in dims)
+        passes = helpers.count_calls(monkeypatch, linalg, ("_overlaps", "anchored_svds"))
+        columns = helpers.count_calls(monkeypatch, asymptotics, ("_peripheral_columns",))
+        rows, by_source = 0, collections.Counter()
+        for source in campaign.ALL_SOURCES:
+            for d in dims:
+                before = calls["svd", d * d]
+                rows += len(campaign.run_campaign(campaign.CampaignConfig(
+                    dims=(d,), per_dim=per_dim, sources=(source,), seed=101)).rows)
+                by_source[source] += calls["svd", d * d] - before
         assert calls["real_eig"] == rows
-        assert passes["_overlaps"] == len(campaign.ALL_SOURCES) * len(dims)
-        assert calls["svd"] == svds
-        assert round(svds / rows, 3) == {1512: 1.403, 162: 1.444}[rows]
+        assert passes["_overlaps"] == passes["anchored_svds"] == len(campaign.ALL_SOURCES) * len(dims)
+        assert sum(by_source.values()) == n_rows and calls["svd"] == n_rows + blocks
+        assert round(n_rows / rows, 3) == {1512: 1.003, 162: 1.037}[rows]
+        for source in ("haar-unitary", "gkls-hamiltonian"):
+            assert by_source[source] == per_dim * len(dims)
+        assert columns["_peripheral_columns"] == 0
 
-    def test_columns_only_for_several_peripheral_clusters(self, monkeypatch):
-        # every source at d = 2, 3: the attractor of a subject whose anchor
-        # cluster alone is peripheral reads its overlaps and builds no columns
+    def test_columns_only_when_a_basis_is_read(self, monkeypatch):
+        # every source at d = 2, 3: the campaign builds no attractor columns,
+        # whether the anchor cluster alone is peripheral or the overlaps
+        # certify several clusters' rank
         summaries, summarize = [], spectra.summarize
 
         def spy(*args, **kwargs):
@@ -760,7 +781,7 @@ class TestCampaignWork:
         assert len(campaign.run_campaign(cfg).rows) == len(summaries)
         several = sum(np.count_nonzero(s.peripheral) > 1 for s in summaries)
         assert 0 < several < len(summaries)
-        assert calls["_peripheral_columns"] == several
+        assert calls["_peripheral_columns"] == 0
 
     def test_no_python_loop_over_clusters_or_kraus_operators(self):
         # a loop over the clusters (d^2 - d + 1 for a unitary), the d^2 Kraus
@@ -929,10 +950,12 @@ class TestCampaignPhases:
         # one cell of 5 gkls-generic subjects is one chunk: every raw draw
         # comes before the stacked build, whose superoperators are one stack,
         # decomposed once as it normalizes and never again, with one pass for
-        # every overlap; then every summary comes before every attractor
+        # every overlap and then one SVD for every cross-check, of the
+        # rescaled matrices; then every summary comes before every attractor,
+        # and no stage takes another SVD
         events = []
         for module, name in ((constructions, "normals"), (superop, "kraus_to_superop"),
-                             (linalg, "eig_stack"), (linalg, "_overlaps"),
+                             (linalg, "eig_stack"), (linalg, "_overlaps"), (np.linalg, "svd"),
                              (spectra, "summarize"), (asymptotics, "attractor")):
             def spy(*args, _original=getattr(module, name), _name=name, **kwargs):
                 events.append(_name)
@@ -941,7 +964,7 @@ class TestCampaignPhases:
             monkeypatch.setattr(module, name, spy)
         config = campaign.CampaignConfig(dims=(3,), per_dim=5, sources=("gkls-generic",))
         assert len(campaign.run_campaign(config).rows) == 5
-        assert events == (["normals"] * 5 + ["kraus_to_superop", "eig_stack", "_overlaps"]
+        assert events == (["normals"] * 5 + ["kraus_to_superop", "eig_stack", "_overlaps", "svd"]
                           + ["summarize"] * 5
                           + ["attractor"] * 5)
 

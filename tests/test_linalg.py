@@ -214,6 +214,64 @@ class TestEach:
         assert found == [("linalg", "each")]
 
 
+class TestAnchoredSvds:
+    """One values-only SVD per chunk for every cross-check of the chunk."""
+
+    @staticmethod
+    def chunks(d):
+        """Each ensemble's chunk of 3 draws at d as a campaign builds it, and
+        the constructors' chunk at d, channels and generators mixed, each with
+        the same subjects made one at a time."""
+        for source in constructions.ENSEMBLES:
+            keys = [(5, d, index, 0) for index in range(3)]
+            normals = [constructions.normals(source, d, np.random.default_rng(key))
+                       for key in keys]
+            yield (constructions.ENSEMBLES[source].build(np.stack(normals)),
+                   [constructions.draw(source, d, np.random.default_rng(key)) for key in keys])
+        names = list(constructions.SATURATING)
+        yield ([constructions.saturating(name, d)[0] for name in names],
+               [constructions.saturating(name, d)[0] for name in names])
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_stacked_values_are_each_subjects_own(self, monkeypatch, d):
+        # every ensemble's chunk and the constructors' (anchors 1 and 0 in one
+        # stack): the singular values that one stacked SVD keeps for each
+        # subject are those of its own null_space at its anchor, bit for bit;
+        # a planted exception entry passes through untouched
+        planted = ValueError("planted")
+        for chunk, alone in self.chunks(d):
+            kinds = {subject.kind.name for subject in chunk}
+            calls, _ = helpers.count_decompositions(monkeypatch)
+            outcomes = linalg.over_stack(linalg.anchored_svds,
+                                         [planted, *linalg.decompose(chunk)])
+            assert calls["svd"] == calls["svd", d * d] == len(chunk)
+            assert outcomes[0] is planted and outcomes[1:] == chunk
+            monkeypatch.undo()
+            for subject, single in zip(chunk, alone, strict=True):
+                anchor = subject.kind.anchor
+                assert single.spectrum.null_space(anchor, 1e-8)[0] >= 1
+                assert same_bits(subject.spectrum._svds[anchor], single.spectrum._svds[anchor])
+        assert kinds == {"channel", "generator"}  # the constructors' chunk
+
+    def test_failed_stack_leaves_each_its_own(self, monkeypatch):
+        # a stacked SVD that fails keeps nothing: each subject then takes its
+        # own values-only SVD, and the counts are unchanged
+        chunk = [constructions.saturating(name, 3)[0] for name in constructions.SATURATING]
+        want = [s.spectrum.null_space(s.kind.anchor, 1e-8)[0] for s in chunk]
+        fresh = [constructions.saturating(name, 3)[0] for name in constructions.SATURATING]
+        svd = np.linalg.svd
+
+        def failing(a, *args, **kwargs):
+            if np.ndim(a) == 3:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        assert linalg.over_stack(linalg.anchored_svds, linalg.decompose(fresh)) == fresh
+        assert all(not s.spectrum._svds for s in fresh)
+        assert [s.spectrum.null_space(s.kind.anchor, 1e-8)[0] for s in fresh] == want
+
+
 def same_bits(got, want):
     """Equal dtype, shape and bytes, signed zeros included."""
     return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()

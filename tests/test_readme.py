@@ -2,6 +2,7 @@
 ``oqspectra`` command line of its ```sh blocks parses, so the quickstart
 names only API and options that exist."""
 
+import importlib
 import pathlib
 import re
 import shlex
@@ -30,3 +31,14 @@ def test_command_lines_parse():
         args = cli.build_parser().parse_args(argv)
         if args.command == "verify":
             assert cli._parse_dims(args.dims), argv
+
+
+def test_named_constants_hold_their_values():
+    # every "`module.NAME` (`value`)" pair of README names a constant of
+    # that module with that value, so a changed tolerance cannot leave the
+    # README behind
+    pairs = re.findall(r"`(\w+)\.([A-Z][A-Z0-9_]*)` \(`([^`]+)`\)", README.read_text())
+    assert len(pairs) >= 4
+    for module, name, value in pairs:
+        constant = getattr(importlib.import_module(f"oqspectra.{module}"), name)
+        assert constant == float(value), (module, name, value)
