@@ -6,17 +6,17 @@ coordinates of the subject's :class:`linalg.Spectrum` from one values-only
 SVD at the anchor of its kind, 1 or 0 (a campaign's come from one SVD per
 chunk, ``linalg.anchored_svds``).  :func:`attractor` certifies its rank from
 the overlaps of the cached decomposition (``Spectrum.overlap``), and only
-where that fails from an SVD of its columns.  Bases in matrix coordinates are
-built on first read.  Every nullspace cut reads ``DEFAULT_NULL_TOL``.
+where that fails from an SVD of its unit eigenvectors
+(``Spectrum.eigenvectors``).  Bases in matrix coordinates are built on first
+read.  Every nullspace cut reads ``DEFAULT_NULL_TOL``.
 
 Spectral projections (onto the fixed space or the attractor) read the same
-cached ``Spectrum``: the real right columns V the attractor uses, and their
-left counterparts W, the cached left eigenvectors, give
-P' = V (W^T V)^{-1} W^T in the coordinates of R', exact up to eig accuracy
-for semisimple eigenvalues (all peripheral eigenvalues of valid channels
-and generators are semisimple).  The one steady state guaranteed is the one
-of maximal support, P(I)/d; :func:`faithful_reduce` compresses a channel
-onto that support.
+cached ``Spectrum``: the unit right eigenvectors V the attractor uses and
+their left counterparts W give P' = V (W^H V)^{-1} W^H in the coordinates of
+R', exact up to eig accuracy for semisimple eigenvalues (all peripheral
+eigenvalues of valid channels and generators are semisimple).  The one
+steady state guaranteed is the one of maximal support, P(I)/d;
+:func:`faithful_reduce` compresses a channel onto that support.
 """
 
 from __future__ import annotations
@@ -85,26 +85,27 @@ def fixed_space(subject, summary: spectra.SpectralSummary | None = None) -> Subs
 def attractor(subject, summary: spectra.SpectralSummary | None = None) -> SubspaceBasis:
     """The span of all peripheral eigenvectors, which are semisimple.
 
-    Every peripheral eigenvalue gives its eigenvectors from the cached
+    Every peripheral eigenvalue gives its eigenvector from the cached
     decomposition.  A simple one needs a left/right overlap
     (``Spectrum.overlap``) above ``DEFAULT_NULL_TOL``, a multiple one
     Null(R' - mu I) of dimension its multiplicity by singular values alone
     (R' is real: a cluster below the axis is checked as its conjugate).  The
-    rank of all these columns (singular values above ``ATTRACTOR_RANK_TOL``
-    times the largest) must be lP/mP, unless the anchor cluster alone, just
-    certified, is peripheral: :func:`_rank_bound` certifies it, or else their
-    SVD counts it.  Any failure raises ConsistencyError.  A given ``summary``
-    must be this subject's own.
+    rank of these eigenvectors, closed under conjugation (singular values above
+    ``ATTRACTOR_RANK_TOL`` times the largest), must be lP/mP, unless the anchor
+    cluster alone, just certified, is peripheral: :func:`_rank_bound` certifies
+    it, or else their SVD counts it.  Any failure raises ConsistencyError.  A
+    given ``summary`` must be this subject's own.
     """
     if summary is None:
         summary = spectra.summarize(subject)
     spectrum = subject.spectrum
-    k = _semisimple(spectrum, summary, summary.peripheral)
-    rank = width = k.size + int(np.count_nonzero(spectrum.values.imag[k] > 0))
+    k = _semisimple(spectrum, summary)
+    # 2 columns per member above the real axis, 0 below: k.size if closed under conjugation
+    rank = width = k.size + int(np.sign(spectrum.values.imag[k]).sum())
     if (np.count_nonzero(summary.peripheral) > 1
             and _rank_bound(spectrum, summary, k) <= ATTRACTOR_RANK_TOL * math.sqrt(width)):
-        stack, _ = _peripheral_columns(spectrum, summary)
-        rank = linalg.numerical_rank(np.linalg.svd(stack, compute_uv=False), stack.shape,
+        v, _ = spectrum.eigenvectors(k)
+        rank = linalg.numerical_rank(np.linalg.svd(v, compute_uv=False), v.shape,
                                      ATTRACTOR_RANK_TOL)
     if rank != summary.lP_or_mP or rank != width:
         raise ConsistencyError(
@@ -112,31 +113,31 @@ def attractor(subject, summary: spectra.SpectralSummary | None = None) -> Subspa
             f"{summary.lP_or_mP}"
         )
     return SubspaceBasis(rank, lambda: spectrum.to_matrix(np.linalg.svd(
-        _peripheral_columns(spectrum, summary)[0], full_matrices=False)[0][:, :rank]))
+        spectrum.eigenvectors(k)[0], full_matrices=False)[0][:, :rank]))
 
 
 def _rank_bound(spectrum: linalg.Spectrum, summary: spectra.SpectralSummary,
                 k: np.ndarray) -> float:
-    """sigma_min(W^T V) / sqrt |P| <= sigma_min(V) for the attractor's |P| unit columns V
-    (of the members ``k``, so sigma_max(V) <= sqrt |P|) and unit left columns W.  W^T V is
-    block diagonal by cluster: a simple eigenvalue's block is its overlap (twice at a pair),
-    a multiple cluster's takes a values-only SVD, on the columns of _peripheral_columns."""
-    cluster, up, sqrt_h = summary.members[k], spectrum.values.imag[k] > 0, spectrum.sqrt_h[:, None]
-    least = spectrum.overlap[k[summary.multiplicities[cluster] == 1]].min(initial=math.inf)
-    for c in set(cluster[summary.multiplicities[cluster] > 1].tolist()):
-        j = np.concatenate((k[cluster == c], k[(cluster == c) & up] + 1))  # Re v, then Im v
-        w, v = spectrum.vl[:, j] * sqrt_h, spectrum.vr[:, j] / sqrt_h * spectrum.unit[j]
-        least = min(least, np.linalg.svd((w / np.linalg.norm(w, axis=0)).T @ v,
-                                         compute_uv=False)[-1])
-    return least / math.sqrt(k.size + np.count_nonzero(up))
+    """sigma_min(W^H V) / sqrt |P| <= sigma_min(V) for the unit right and left eigenvectors
+    V, W of the attractor's |P| members ``k`` (sigma_max(V), ||W||_2 <= sqrt |P|).  W^H V is
+    block diagonal by cluster: a simple eigenvalue's block is its overlap, a multiple
+    cluster's takes a values-only SVD, and one below the axis is one above's conjugate."""
+    cluster, mults = summary.members[k], summary.multiplicities
+    least = spectrum.overlap[k[mults[cluster] == 1]].min(initial=math.inf)
+    for c in set(cluster[mults[cluster] > 1].tolist()):
+        if 2 * summary.values[c].imag >= -summary.cluster_tol:  # not a conjugate's
+            v, w = spectrum.eigenvectors(k[cluster == c])
+            least = min(least, np.linalg.svd(dagger(w) @ v, compute_uv=False)[-1])
+    return least / math.sqrt(k.size)
 
 
 def _semisimple(spectrum: linalg.Spectrum, summary: spectra.SpectralSummary,
-                selected: np.ndarray) -> np.ndarray:
-    """The members of the ``selected`` clusters on or above the real axis, by
-    index, after the semisimplicity checks of :func:`attractor`."""
+                anchor_only: bool = False) -> np.ndarray:
+    """The members of the peripheral clusters (with ``anchor_only``, of the
+    anchor cluster), by index, after the semisimplicity checks of :func:`attractor`."""
     tol, anchor, values = DEFAULT_NULL_TOL, summary.kind.anchor, summary.values
     mults, members = summary.multiplicities, summary.members
+    selected = np.arange(values.size) == summary.anchor_index if anchor_only else summary.peripheral
     # A multiple eigenvalue takes one values-only SVD; below the axis it is a conjugate.
     for k in (selected & (mults > 1)).nonzero()[0].tolist():
         mu = complex(values[k])
@@ -150,10 +151,8 @@ def _semisimple(spectrum: linalg.Spectrum, summary: spectra.SpectralSummary,
                 f"peripheral eigenvalue {mu:.6g}: geometric multiplicity "
                 f"{dim} != algebraic {mults[k]}"
             )
-    # Every member on or above the axis: dgeev keeps v = a + ib above the axis
-    # in columns k and k + 1, and a conjugate below has its vectors.
-    keep = selected[members] & (spectrum.values.imag >= 0)
     # A multiple eigenvalue's vectors are any basis of its eigenspace: no overlap to check.
+    keep = selected[members]
     bad = keep & (spectrum.overlap <= tol) & (mults[members] == 1)
     if bad.any():
         k = bad.argmax()
@@ -164,33 +163,15 @@ def _semisimple(spectrum: linalg.Spectrum, summary: spectra.SpectralSummary,
     return keep.nonzero()[0]
 
 
-def _peripheral_columns(spectrum: linalg.Spectrum, summary: spectra.SpectralSummary,
-                        anchor_only: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Real columns spanning the right eigenvectors of the peripheral
-    eigenvalues (with ``anchor_only``, of the anchor cluster) in the
-    coordinates of R', and real columns spanning their left eigenvectors,
-    after :func:`_semisimple`: ``vr / sqrt_h`` times ``Spectrum.unit`` and
-    ``vl sqrt_h``, each pair's Im v after every Re v, so that the right columns
-    keep the singular values of the complex stack of unit eigenvectors."""
-    selected = summary.peripheral
-    if anchor_only:
-        selected = np.arange(selected.size) == summary.anchor_index
-    k = _semisimple(spectrum, summary, selected)
-    sqrt_h, j = spectrum.sqrt_h[:, None], k[spectrum.values.imag[k] > 0] + 1
-    return (np.hstack((spectrum.vr[:, k] / sqrt_h * spectrum.unit[k],
-                       spectrum.vr[:, j] * (1 / sqrt_h) * spectrum.unit[j])),
-            np.hstack((spectrum.vl[:, k] * sqrt_h, spectrum.vl[:, j] * sqrt_h)))
-
-
 def _projection(subject, summary: spectra.SpectralSummary, anchor_only: bool) -> np.ndarray:
     """Spectral projection onto the attractor (or with ``anchor_only`` onto
-    the fixed space), as a superoperator: P' = V (W^T V)^{-1} W^T with the
-    real right and left columns V, W in the coordinates of R', mapped back
-    as U P' U^dag = (U V) (W^T V)^{-1} (U W)^dag.  Raises on
+    the fixed space), as a superoperator: P' = V (W^H V)^{-1} W^H with the
+    right and left eigenvectors V, W in the coordinates of R', mapped back
+    as U P' U^dag = (U V) (W^H V)^{-1} (U W)^dag.  Raises on
     biorthogonalization breakdown (near-defective eigenvalues)."""
     spectrum = subject.spectrum
-    v, w = _peripheral_columns(spectrum, summary, anchor_only)
-    overlap = w.T @ v
+    v, w = spectrum.eigenvectors(_semisimple(spectrum, summary, anchor_only))
+    overlap = dagger(w) @ v
     cond = np.linalg.cond(overlap)
     if not np.isfinite(cond) or cond > 1e12:
         raise ConsistencyError(f"biorthogonalization breakdown (cond {cond:.3e})")

@@ -276,13 +276,12 @@ class Spectrum:
     """:func:`eig` of a d^2 x d^2 matrix M; read, never modify.
 
     ``values``, ``vl`` and ``vr`` are :func:`real_eig` of the real
-    R = B^-1 M B (:func:`hermitian_basis`), pairs packed (Re v, Im v).  ``real`` is
-    the real R' = U^dag M U in the orthonormal basis U = B diag(sqrt_h), ``sqrt_h`` =
-    sqrt h, so R' - cI has the singular values of M - cI and eigenvectors
-    v = vr / sqrt_h, w = vl sqrt_h.  ``overlap`` is |w^H v| / (|w| |v|) of each
-    eigenvalue, M's own and 1/kappa of Bauer-Fike (a pair's at both its columns),
-    and ``unit`` each column's scale, 1 / |v| or at a pair sqrt 2 / |v|: sqrt 2
-    (Re v, Im v) of a unit v are [v, conj v] times a unitary.
+    R = B^-1 M B (:func:`hermitian_basis`), pairs packed (Re v, Im v): only this
+    module reads that layout.  ``real`` is the real R' = U^dag M U in the orthonormal
+    basis U = B diag(sqrt_h), ``sqrt_h`` = sqrt h, so R' - cI has the singular values
+    of M - cI and eigenvectors v = vr / sqrt_h, w = vl sqrt_h (:meth:`eigenvectors`).
+    ``overlap`` is |w^H v| / (|w| |v|) of each eigenvalue, M's own and 1/kappa of
+    Bauer-Fike (a pair's at both its columns).
     """
 
     values: np.ndarray
@@ -291,8 +290,19 @@ class Spectrum:
     vr: np.ndarray
     sqrt_h: np.ndarray
     overlap: np.ndarray
-    unit: np.ndarray
     _svds: dict = field(default_factory=dict, init=False, repr=False)
+
+    def eigenvectors(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Unit right and left eigenvectors v, w of R' at the eigenvalue indices ``k``, a
+        pair's conjugate included, complex if one is off the axis: a pair at j, j + 1 packs
+        Re v in column j and Im v in j + 1.  Only the selected columns are unpacked."""
+        sign, s = np.sign(self.values.imag[k]), self.sqrt_h[:, None]  # 1 above the axis
+        j, i = k - (sign < 0), k + (sign > 0)  # the columns of Re v and Im v
+        vw = np.array((self.vr[:, j] / s, self.vl[:, j] * s))
+        if sign.any():
+            vw = vw + 1j * sign * np.array((self.vr[:, i] / s, self.vl[:, i] * s))
+        vw /= np.sqrt(np.add.reduce((vw.conj() * vw).real, 1, keepdims=True))
+        return vw[0], vw[1]
 
     def to_matrix(self, cols: np.ndarray) -> np.ndarray:
         """U cols: columns in the coordinates of R' as vectorized operators."""
@@ -357,32 +367,26 @@ def eig_stack(stack) -> list:
     outcomes = each(decomposed, range(len(m)))
     for k in [k for k, outcome in enumerate(outcomes) if isinstance(outcome, Exception)]:
         out[k, 2:n + 2] = out[k, n + 2:] = np.eye(n)  # unit vectors keep the pass finite
-    overlap, unit = _overlaps(out, sqrt_h[:, 0])
+    overlap = _overlaps(out, h[:, 0])
     return [outcome if isinstance(outcome, Exception) else
-            Spectrum(outcome[0], real[k], *outcome[1:], sqrt_h[:, 0], overlap[k], unit[k])
+            Spectrum(outcome[0], real[k], *outcome[1:], sqrt_h[:, 0], overlap[k])
             for k, outcome in enumerate(outcomes)]
 
 
-def _overlaps(out: np.ndarray, sqrt_h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``overlap`` and ``unit`` of each column of each :func:`_dgeev` block of ``out``, by
-    slices on the pair layout.  |v|^2 adds as one matrix's column sums do, for ``unit``'s
-    bits: pairwise over Re v (in Fortran order), and row by row over a pair's Im v."""
+def _overlaps(out: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """``overlap`` of each column of each :func:`_dgeev` block of ``out``, every term a
+    BLAS dot: |v|^2 = (vr / h).vr and |w|^2 = (vl h).vl for v = vr / sqrt h, w = vl sqrt h,
+    and w.v = vl.vr, summed over a pair's columns, with the pair's cross terms."""
     k, _, n = out.shape
     wi, vl, vr = out[:, 1], out[:, 2:n + 2], out[:, n + 2:]  # row j: column j of vl, vr
-    # A pair at j, j + 1 has v = a + ib, w = c + id: a, c in column j, b, d in j + 1
-    a, c = vr / sqrt_h, vl * sqrt_h
-    b = np.multiply(vr[:, 1:].swapaxes(1, 2), 1 / sqrt_h[:, None], order="C")  # summed row by row
-    sums = np.zeros((4, k, n))  # |v|^2, |w|^2, Re and Im w^H v = (c.a + d.b) + i(c.b - d.a)
-    np.add.reduce(a * a, 2, out=sums[0])
-    sums[1], sums[2] = _dots(c, c), _dots(vl, vr)  # sqrt_h cancels in w^H v
+    sums = np.zeros((4, k, n))  # |v|^2, |w|^2, Re and Im w^H v
+    sums[0], sums[1], sums[2] = _dots(vr / h, vr), _dots(vl * h, vl), _dots(vl, vr)
+    # A pair at rows j, j + 1 has v = a + ib, w = c + id, w^H v = (c.a + d.b) + i(c.b - d.a)
     pair = wi[:, :-1] > 0
-    sums[0, :, :-1] += np.add.reduce(b * b, 1) * pair
-    sums[1:3, :, :-1] += sums[1:3, :, 1:] * pair
+    sums[:3, :, :-1] += sums[:3, :, 1:] * pair
     sums[3, :, :-1] = (_dots(vl[:, :-1], vr[:, 1:]) - _dots(vl[:, 1:], vr[:, :-1])) * pair
     sums[:, :, 1:] = np.where(pair, sums[:, :, :-1], sums[:, :, 1:])  # the conjugate's too
-    rr, ll, lr, im = sums
-    norm = np.sqrt(rr)
-    return np.hypot(lr, im) / (norm * np.sqrt(ll)), np.where(wi != 0, math.sqrt(2), 1.0) / norm
+    return np.hypot(sums[2], sums[3]) / np.sqrt(sums[0] * sums[1])
 
 
 def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:

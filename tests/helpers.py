@@ -550,19 +550,17 @@ def real_eigenvectors(spectrum):
 def peripheral_eigenvectors(spectrum, summary):
     """The eigenvalues and unit right eigenvectors of R' of every member of
     a peripheral cluster, conjugates included, unpacked from the cached
-    decomposition: the complex stack the attractor's real columns stand for."""
+    decomposition independently of ``Spectrum.eigenvectors``."""
     members = summary.peripheral[summary.members]
     return spectrum.values[members], real_eigenvectors(spectrum)[1][:, members]
 
 
-def reference_peripheral_columns(spectrum, summary, anchor_only=False):
-    """The attractor's real right and left columns as a per-subject
-    computation gives them: the semisimplicity checks, then each selected
-    column's overlap and scale from the packed ``vl``, ``vr`` of that subject
-    alone, column sums in numpy's order for its Fortran-order ``vr[:, k]``
-    (pairwise) and its C-order Im v factors (row by row)."""
+def reference_attractor_eigenvectors(spectrum, summary, anchor_only=False):
+    """The attractor's members (with ``anchor_only``, the anchor cluster's) and
+    their unit right and left eigenvectors, as a per-subject computation gives
+    them: the semisimplicity checks, each overlap from that subject's own
+    unpacked unit eigenvectors (``real_eigenvectors``), then those columns."""
     tol, anchor = asymptotics.DEFAULT_NULL_TOL, summary.kind.anchor
-    sqrt_h = spectrum.sqrt_h[:, None]
     values, mults = summary.values, summary.multiplicities
     selected = summary.peripheral
     if anchor_only:
@@ -578,41 +576,29 @@ def reference_peripheral_columns(spectrum, summary, anchor_only=False):
             raise asymptotics.ConsistencyError(
                 f"peripheral eigenvalue {mu:.6g}: geometric multiplicity "
                 f"{dim} != algebraic {mults[k]}")
-    k = np.flatnonzero(selected[summary.members] & (spectrum.values.imag >= 0))
-    mu = spectrum.values[k]
-    a, c = spectrum.vr[:, k] / sqrt_h, spectrum.vl[:, k] * sqrt_h
-    rr, ll, lr, im = (a * a).sum(0), (c * c).sum(0), (c * a).sum(0), 0.0
-    pair = mu.imag > 0
-    if pair.any():  # u^H v = (c.a + d.b) + i(c.b - d.a) for u = c + id; b = d = 0 if real
-        j = k + pair
-        b, d = spectrum.vr[:, j] * (pair / sqrt_h), spectrum.vl[:, j] * (pair * sqrt_h)
-        rr, ll, lr = rr + (b * b).sum(0), ll + (d * d).sum(0), lr + (d * b).sum(0)
-        im = (c * b - d * a).sum(0)
-    norm = np.sqrt(rr)
-    overlap = np.hypot(lr, im) / (norm * np.sqrt(ll))
+    k = np.flatnonzero(selected[summary.members])
+    vl, vr = real_eigenvectors(spectrum)
+    vl, vr = vl[:, k], vr[:, k]
+    overlap = np.abs(np.sum(vl.conj() * vr, axis=0))
     bad = np.flatnonzero((overlap <= tol) & (mults[summary.members[k]] == 1))
     if bad.size:
         raise asymptotics.ConsistencyError(
-            f"peripheral eigenvalue {mu[bad[0]]:.6g}: left/right eigenvector "
+            f"peripheral eigenvalue {spectrum.values[k[bad[0]]]:.6g}: left/right eigenvector "
             f"overlap {overlap[bad[0]]:.3e} <= {tol:.1e}, not semisimple")
-    scale = (1 + (np.sqrt(2) - 1) * pair) / norm  # sqrt 2 / |v| above the axis
-    if not pair.any():
-        return a * scale, c
-    return np.hstack((a * scale, b[:, pair] * scale[pair])), np.hstack((c, d[:, pair]))
+    return k, vr, vl
 
 
-def as_eigenvectors(spectrum, summary, cols):
-    """Real columns laid out as the attractor's, as complex columns and their
-    eigenvalues.  The layout: one column per member of a peripheral cluster
-    on or above the real axis, in the order of the decomposition (``Re v``,
-    or ``sqrt 2 Re v`` above the axis), then ``sqrt 2 Im v`` of each one
-    above the axis; so the complex column of a pair is ``sqrt 2 v``."""
-    w = spectrum.values[summary.peripheral[summary.members] & (spectrum.values.imag >= 0)]
-    pair = w.imag > 0
-    assert cols.shape[1] == w.size + np.count_nonzero(pair)
-    z = cols[:, :w.size].astype(np.complex128)
-    z[:, pair] += 1j * cols[:, w.size:]
-    return w, z
+def count_eigenvector_reads(monkeypatch):
+    """Spy on ``Spectrum.eigenvectors``: the list of the eigenvalues of the
+    indices it is called with, in call order."""
+    reads, original = [], linalg.Spectrum.eigenvectors
+
+    def spy(self, k):
+        reads.append(self.values[k])
+        return original(self, k)
+
+    monkeypatch.setattr(linalg.Spectrum, "eigenvectors", spy)
+    return reads
 
 
 def cesaro_projection(channel, n=2048):

@@ -231,17 +231,19 @@ class TestAttractor:
     @pytest.mark.parametrize("dependent", ["singleton-copy", "parallel-pair"])
     def test_dependent_column_fails_certificate(self, monkeypatch, rng, dependent):
         # The oscillating-coherence channel: the eigenspace of 1 and the
-        # singletons e^{+-i}, 5 certified real columns in 9 dimensions.  A
-        # forged decomposition in which one column depends on the others (a
-        # member of the eigenspace of 1 copied from a singleton's column, or a
-        # pair whose real and imaginary parts are parallel, with the overlap
-        # that says so) leaves the rank one below the width: the overlap
-        # certificate cannot vouch for it, and the fallback's SVD refuses it.
+        # singletons e^{+-i}, 5 certified unit eigenvectors in 9 dimensions.
+        # A forged decomposition in which one column depends on the others (a
+        # member of the eigenspace of 1 copied from the real part of a
+        # singleton's, or a pair whose real and imaginary parts are parallel,
+        # with the overlap that says so) leaves the rank one below the width:
+        # the overlap certificate cannot vouch for it, and the fallback's SVD
+        # refuses it.
         gen = build_generator(np.diag([0.0, 1.0, 2.0]), dephasing_generator(3).noise_ops)
         ch = exponentiate(gen, 1.0)
         summary = spectra.summarize(ch)
         spectrum = ch.spectrum
-        stack, _ = asymptotics._peripheral_columns(spectrum, summary)
+        k = asymptotics._semisimple(spectrum, summary)
+        stack, _ = spectrum.eigenvectors(k)
         assert stack.shape == (9, 5)
 
         def rank(cols):
@@ -249,12 +251,11 @@ class TestAttractor:
                                          asymptotics.ATTRACTOR_RANK_TOL)
 
         assert rank(stack) == 5
-        # the real stack has the singular values of the complex stack of unit
-        # eigenvectors: the three of 1 and both of the pair e^{+-i}
+        # the stack is the complex stack of unit eigenvectors: the three of 1
+        # and both of the pair e^{+-i}
         w, complex_stack = helpers.peripheral_eigenvectors(spectrum, summary)
         assert np.abs(np.abs(w) - 1).max() <= 1e-12 and complex_stack.shape == (9, 5)
-        assert np.allclose(scipy.linalg.svdvals(stack), scipy.linalg.svdvals(complex_stack),
-                           rtol=0, atol=1e-12)
+        assert np.allclose(stack, complex_stack, rtol=0, atol=1e-12)
         one, pair = np.flatnonzero(np.abs(spectrum.values - 1) < 1e-9), np.flatnonzero(
             np.abs(spectrum.values - np.exp(1j)) < 1e-9)
         assert one.size == 3 and pair.size == 1
@@ -266,14 +267,15 @@ class TestAttractor:
             overlap[pair[0]:pair[0] + 2] = 1e-12  # v and its conjugate are parallel
             monkeypatch.setattr(asymptotics, "DEFAULT_NULL_TOL", 1e-13)  # no floor before it
         ch.spectrum = forged = dataclasses.replace(spectrum, vr=vr, overlap=overlap)
-        k = asymptotics._semisimple(forged, summary, summary.peripheral)
+        k = asymptotics._semisimple(forged, summary)
         assert asymptotics._rank_bound(forged, summary, k) <= 1e-12
-        assert rank(asymptotics._peripheral_columns(forged, summary)[0]) == 4
-        calls = helpers.count_calls(monkeypatch, asymptotics, ("_peripheral_columns",))
+        assert rank(forged.eigenvectors(k)[0]) == 4
+        reads = helpers.count_eigenvector_reads(monkeypatch)
         with pytest.raises(asymptotics.ConsistencyError,
                            match="attractor dimension 4 != peripheral multiplicity 5"):
             attractor(ch, summary=summary)
-        assert calls["_peripheral_columns"] == 1
+        # the certificate's block of the cluster at 1, then the fallback's whole set
+        assert [read.size for read in reads] == [3, 5]
 
     @pytest.mark.parametrize("make, width, anchor_alone", [
         (lambda rng: phase_damping_channel(3), 5, True),  # the eigenspace of 1 alone
@@ -292,10 +294,10 @@ class TestAttractor:
         ch = make(rng)
         summary = spectra.summarize(ch)
         fixed = fixed_space(ch, summary=summary)
-        stack, _ = asymptotics._peripheral_columns(ch.spectrum, summary)
-        assert stack.shape == (9, width)
-        r = ch.spectrum.real
-        w, z = helpers.as_eigenvectors(ch.spectrum, summary, stack)
+        k = asymptotics._semisimple(ch.spectrum, summary)
+        z, _ = ch.spectrum.eigenvectors(k)
+        assert z.shape == (9, width)
+        r, w = ch.spectrum.real, ch.spectrum.values[k]
         residual = np.linalg.norm(r @ z - z * w, axis=0) / np.linalg.norm(z, axis=0)
         assert residual.max() <= 1e-12 * np.linalg.norm(r, 2)
         calls, _ = helpers.count_decompositions(monkeypatch)
@@ -324,12 +326,11 @@ class TestAttractor:
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_stack_matches_complex_reference(self, d):
-        # Every right column is (the real or imaginary part of) an eigenvector
-        # of R', and every left column likewise of R'^T; the real stack has
-        # the singular values of the complex stack of all peripheral unit
-        # eigenvectors, hence their rank; and the columns of each multiple
-        # cluster span its eigenspace, with its conjugate's off the real axis,
-        # as complex SVD nullspaces of M find it
+        # Every right column is an eigenvector of R', and every left column
+        # one of R'^H; the stack is the complex stack of all peripheral unit
+        # eigenvectors unpacked from the decomposition, with its rank; and the
+        # columns of each multiple cluster span its eigenspace, with its
+        # conjugate's off the real axis, as complex SVD nullspaces of M find it
         def rank(cols):
             return linalg.numerical_rank(scipy.linalg.svdvals(cols), cols.shape,
                                          asymptotics.ATTRACTOR_RANK_TOL)
@@ -338,21 +339,19 @@ class TestAttractor:
         for name, subject in helpers.oracle_subjects(d, seeds=2):
             spectrum, summary = subject.spectrum, spectra.summarize(subject)
             r, n = spectrum.real, d * d
-            stack, left = asymptotics._peripheral_columns(spectrum, summary)
-            assert stack.shape == left.shape == (n, summary.lP_or_mP), name
-            w, z = helpers.as_eigenvectors(spectrum, summary, stack)
-            _, u = helpers.as_eigenvectors(spectrum, summary, left)
+            members = asymptotics._semisimple(spectrum, summary)
+            z, u = spectrum.eigenvectors(members)
+            assert z.shape == u.shape == (n, summary.lP_or_mP), name
+            w = spectrum.values[members]
             bound = 1e-12 * np.linalg.norm(r, 2)
             assert (np.linalg.norm(r @ z - z * w, axis=0)
                     <= bound * np.linalg.norm(z, axis=0)).all(), name
             assert (np.linalg.norm(r.T @ u.conj() - u.conj() * w, axis=0)
                     <= bound * np.linalg.norm(u, axis=0)).all(), name
             _, complex_stack = helpers.peripheral_eigenvectors(spectrum, summary)
-            assert np.abs(scipy.linalg.svdvals(stack)
-                          - scipy.linalg.svdvals(complex_stack)).max() <= 1e-12, name
-            assert rank(stack) == rank(complex_stack) == summary.lP_or_mP, name
-            keep = summary.peripheral[summary.members] & (spectrum.values.imag >= 0)
-            pair, cluster_of = w.imag > 0, summary.members[keep]
+            assert np.abs(z - complex_stack).max() <= 1e-12, name
+            assert rank(z) == rank(complex_stack) == summary.lP_or_mP, name
+            cluster_of = summary.members[members]
             multiple = summary.peripheral & (summary.multiplicities > 1)
             for k in np.flatnonzero(multiple & (summary.values.imag >= 0)):
                 mu, in_k = complex(summary.values[k]), cluster_of == k
@@ -360,7 +359,8 @@ class TestAttractor:
                 if k == summary.anchor_index:
                     mu = subject.kind.anchor
                 centers = [mu.real] if real else [mu, mu.conjugate()]
-                cols = spectrum.to_matrix(np.hstack((z[:, in_k], z[:, in_k & pair].conj())))
+                cols = spectrum.to_matrix(z[:, in_k] if real else
+                                          np.hstack((z[:, in_k], z[:, in_k].conj())))
                 ref = np.hstack([helpers.reference_nullspace(subject.superop, c)
                                  for c in centers])
                 got = scipy.linalg.orth(cols)
@@ -376,10 +376,11 @@ class TestAttractor:
 
     def test_columns_are_the_per_subject_ones(self, monkeypatch):
         # verify-small's 1512 subjects (the benchmark's campaigns at seed 101,
-        # one per source and d): the columns that index vr and vl by the
-        # stacked overlap and unit are those of the per-subject arithmetic,
-        # bit for bit, for the attractor and for the anchor cluster alone;
-        # a subject that fails a check fails it with the same message
+        # one per source and d): the members that pass the checks on the
+        # stacked overlaps are those of the per-subject arithmetic, and their
+        # eigenvectors those unpacked from that subject alone, for the
+        # attractor and for the anchor cluster alone; a subject that fails a
+        # check fails it with the same message
         seen, original = [], asymptotics.attractor
 
         def spy(subject, summary=None):
@@ -393,9 +394,13 @@ class TestAttractor:
                     dims=(d,), per_dim=100, sources=(source,), seed=101))
         assert len(seen) == 1512
 
-        def columns(build, *args):
+        def columns(spectrum, summary, anchor_only):
+            k = asymptotics._semisimple(spectrum, summary, anchor_only)
+            return (k, *spectrum.eigenvectors(k))
+
+        def outcome(build, *args):
             try:
-                return [x.tobytes() for x in build(*args)]
+                return build(*args)
             except asymptotics.ConsistencyError as exc:
                 return str(exc)
 
@@ -404,9 +409,15 @@ class TestAttractor:
             pairs += bool((summary.peripheral[summary.members] & (spectrum.values.imag > 0)).any())
             for anchor_only in (False, True):
                 args = (spectrum, summary, anchor_only)
-                assert (columns(asymptotics._peripheral_columns, *args)
-                        == columns(helpers.reference_peripheral_columns, *args))
-        assert pairs == 606  # with a peripheral pair: Im v columns, summed row by row
+                got, want = outcome(columns, *args), outcome(
+                    helpers.reference_attractor_eigenvectors, *args)
+                if isinstance(want, str):
+                    assert got == want
+                    continue
+                assert np.array_equal(got[0], want[0])
+                for g, w in zip(got[1:], want[1:]):
+                    np.testing.assert_allclose(g, w, rtol=0, atol=1e-15)
+        assert pairs == 606  # with a peripheral pair: a conjugate's column unpacked too
 
 
 def certificate(subject, summary):
@@ -416,15 +427,15 @@ def certificate(subject, summary):
     if np.count_nonzero(summary.peripheral) == 1:
         return None
     spectrum = subject.spectrum
-    k = asymptotics._semisimple(spectrum, summary, summary.peripheral)
-    stack, _ = asymptotics._peripheral_columns(spectrum, summary)
+    k = asymptotics._semisimple(spectrum, summary)
+    stack, _ = spectrum.eigenvectors(k)
     return (asymptotics._rank_bound(spectrum, summary, k),
             asymptotics.ATTRACTOR_RANK_TOL * np.sqrt(stack.shape[1]),
             scipy.linalg.svdvals(stack).min())
 
 
 class TestRankCertificate:
-    """The attractor's rank from the overlaps: sigma_min(V) >= sigma_min(W^T V) / ||W||_2."""
+    """The attractor's rank from the overlaps: sigma_min(V) >= sigma_min(W^H V) / ||W||_2."""
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_bound_is_sound_on_oracle_subjects(self, d):
@@ -480,18 +491,19 @@ class TestRankCertificate:
         monkeypatch.setattr(asymptotics, "DEFAULT_NULL_TOL", 1e-12)
         bound, threshold, least = certificate(fake, summary)
         assert bound <= threshold and bound <= least
-        stack, _ = asymptotics._peripheral_columns(fake.spectrum, summary)
+        k = asymptotics._semisimple(fake.spectrum, summary)
+        stack, _ = fake.spectrum.eigenvectors(k)
         rank = linalg.numerical_rank(scipy.linalg.svdvals(stack), stack.shape,
                                      asymptotics.ATTRACTOR_RANK_TOL)
         assert rank == (5 if coupling < 5e5 else 3)
-        calls = helpers.count_calls(monkeypatch, asymptotics, ("_peripheral_columns",))
+        reads = helpers.count_eigenvector_reads(monkeypatch)
         if rank == 5:
             assert attractor(fake, summary=summary).dimension == 5
         else:
             with pytest.raises(asymptotics.ConsistencyError,
                                match=f"^attractor dimension {rank} != peripheral multiplicity 5$"):
                 attractor(fake, summary=summary)
-        assert calls["_peripheral_columns"] == 1
+        assert [read.size for read in reads] == [5]  # the fallback's, of the whole set
 
 
 class TestComplexReference:

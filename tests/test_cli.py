@@ -686,10 +686,12 @@ class TestCampaignWork:
     def test_decompositions_per_subject(self, monkeypatch):
         # Every source at d = 6: one eig per drawn subject, one SVD of n rows
         # for each (the cross-check) and one for each multiple peripheral
-        # cluster above the real axis, the one complex kind; the rank
-        # certificate takes one block SVD per multiple peripheral cluster of a
-        # subject with several peripheral clusters
+        # cluster above the real axis, the one complex kind of n rows; the
+        # rank certificate takes one block SVD per multiple peripheral cluster
+        # of a subject with several peripheral clusters, complex where a
+        # member is off the real axis
         calls, dtypes = helpers.count_decompositions(monkeypatch)
+        reads = helpers.count_eigenvector_reads(monkeypatch)
         summaries, summarize = [], spectra.summarize
 
         def spy(*args, **kwargs):
@@ -718,8 +720,10 @@ class TestCampaignWork:
         assert calls["svd", 36] == draws + off_axis
         assert calls["svd"] == calls["svd", 36] + blocks and calls["svdvals"] == 0
         svds = [dtype for name, dtype in dtypes if name in ("svd", "svdvals")]
-        assert off_axis > 0
-        assert [dtype for dtype in svds if dtype != np.float64] == [np.complex128] * off_axis
+        complex_blocks = sum(bool(read.imag.any()) for read in reads)
+        assert off_axis > 0 and len(reads) == blocks and complex_blocks >= off_axis
+        assert ([dtype for dtype in svds if dtype != np.float64]
+                == [np.complex128] * (off_axis + complex_blocks))
         # one dgeev per subject, in task order: the matrix that each subject
         # hands dgeev when it is drawn and decomposed alone, and no other
         for row, matrix in zip(result.rows, list(dgeevs), strict=True):
@@ -746,10 +750,11 @@ class TestCampaignWork:
         # 1.003 and 1.037 per subject, where the rank SVD made 1.403 and 1.444.
         # The rank certificate adds one block SVD, of at most d^2 - 2d + 2 rows,
         # per multiple peripheral cluster of a subject with several peripheral
-        # clusters (610 and 72), and never falls back to the columns
+        # clusters (610 and 72), each the one read of that cluster's
+        # eigenvectors, and never falls back to the whole peripheral set's
         calls, _ = helpers.count_decompositions(monkeypatch)
         passes = helpers.count_calls(monkeypatch, linalg, ("_overlaps", "anchored_svds"))
-        columns = helpers.count_calls(monkeypatch, asymptotics, ("_peripheral_columns",))
+        reads = helpers.count_eigenvector_reads(monkeypatch)
         rows, by_source = 0, collections.Counter()
         for source in campaign.ALL_SOURCES:
             for d in dims:
@@ -763,12 +768,13 @@ class TestCampaignWork:
         assert round(n_rows / rows, 3) == {1512: 1.003, 162: 1.037}[rows]
         for source in ("haar-unitary", "gkls-hamiltonian"):
             assert by_source[source] == per_dim * len(dims)
-        assert columns["_peripheral_columns"] == 0
+        assert len(reads) == blocks
 
     def test_columns_only_when_a_basis_is_read(self, monkeypatch):
-        # every source at d = 2, 3: the campaign builds no attractor columns,
-        # whether the anchor cluster alone is peripheral or the overlaps
-        # certify several clusters' rank
+        # every source at d = 2, 3: the campaign reads no eigenvectors of the
+        # whole peripheral set, whether the anchor cluster alone is peripheral
+        # or the overlaps certify several clusters' rank; only the certificate
+        # reads each multiple cluster's block
         summaries, summarize = [], spectra.summarize
 
         def spy(*args, **kwargs):
@@ -776,12 +782,14 @@ class TestCampaignWork:
             return summaries[-1]
 
         monkeypatch.setattr(spectra, "summarize", spy)
-        calls = helpers.count_calls(monkeypatch, asymptotics, ("_peripheral_columns",))
+        reads = helpers.count_eigenvector_reads(monkeypatch)
         cfg = campaign.CampaignConfig(dims=(2, 3), per_dim=5, sources=campaign.ALL_SOURCES)
         assert len(campaign.run_campaign(cfg).rows) == len(summaries)
-        several = sum(np.count_nonzero(s.peripheral) > 1 for s in summaries)
-        assert 0 < several < len(summaries)
-        assert calls["_peripheral_columns"] == 0
+        several = [s for s in summaries if np.count_nonzero(s.peripheral) > 1]
+        assert 0 < len(several) < len(summaries)
+        blocks = sum(int(np.sum(s.peripheral & (s.multiplicities > 1)
+                                & (2 * s.values.imag >= -s.cluster_tol))) for s in several)
+        assert 0 < len(reads) == blocks
 
     def test_no_python_loop_over_clusters_or_kraus_operators(self):
         # a loop over the clusters (d^2 - d + 1 for a unitary), the d^2 Kraus

@@ -116,7 +116,7 @@ class TestEig:
 
 
 class TestOverlaps:
-    """``Spectrum.overlap`` and ``unit``, from one pass over each stack."""
+    """``Spectrum.overlap``, from one pass over each stack."""
 
     @staticmethod
     def summary(subject, spectrum):
@@ -126,9 +126,9 @@ class TestOverlaps:
     @pytest.mark.parametrize("d", range(2, 9))
     def test_overlap_is_the_reference_one(self, d):
         # |w^H v| of M's unit eigenvectors (scipy's eig of R, mapped back) at
-        # every simple eigenvalue, a pair's conjugate included; and unit
-        # scales the packed columns to unit eigenvectors: |v| = 1 at a real
-        # eigenvalue, and |Re v|^2 + |Im v|^2 = 2 at a pair, as sqrt 2 v
+        # every simple eigenvalue, a pair's conjugate included; and at every
+        # eigenvalue |w^H v| of the unit eigenvectors that Spectrum.eigenvectors
+        # unpacks, which U maps to M's
         for name, subject in helpers.oracle_subjects(d, seeds=1):
             spectrum = linalg.eig(subject.superop)
             w, vl, vr = helpers.reference_eig(subject.superop)
@@ -138,17 +138,17 @@ class TestOverlaps:
             want = np.abs(np.sum(vl.conj() * vr, axis=0))
             np.testing.assert_allclose(spectrum.overlap[simple], want[simple],
                                        rtol=1e-10, atol=1e-14, err_msg=name)
-            norms = np.sum((spectrum.vr / spectrum.sqrt_h[:, None] * spectrum.unit) ** 2, 0)
-            first = np.flatnonzero(w.imag > 0)
-            norms[first] += norms[first + 1]
-            norms[first + 1] = norms[first]
-            np.testing.assert_allclose(norms, np.where(w.imag != 0, 2.0, 1.0), rtol=1e-13,
-                                       err_msg=name)
+            v, u = spectrum.eigenvectors(np.arange(w.size))
+            np.testing.assert_allclose(spectrum.overlap, np.abs(np.sum(u.conj() * v, axis=0)),
+                                       rtol=1e-13, err_msg=name)
+            for x, ref in ((v, vr), (u, vl)):
+                np.testing.assert_allclose(spectrum.to_matrix(x), ref, rtol=0, atol=1e-12,
+                                           err_msg=name)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_stack_is_its_batches_of_one(self, d):
         # 7 subjects, one of them not Hermiticity preserving, as one stack and
-        # one at a time: the same overlap, unit and attractor columns, bit for
+        # one at a time: the same overlap and attractor eigenvectors, bit for
         # bit, whatever a matrix's place in the stack; the bad one raises alone
         subjects = [s for _, s in helpers.oracle_subjects(d)][::2][:6]
         stack = np.array([s.superop for s in subjects])
@@ -159,14 +159,60 @@ class TestOverlaps:
         assert isinstance(stacked.pop(3), ValueError)
         for subject, spectrum in zip(subjects, stacked, strict=True):
             alone = linalg.eig(subject.superop)
-            for name in ("values", "vl", "vr", "overlap", "unit"):
+            for name in ("values", "vl", "vr", "overlap"):
                 assert same_bits(getattr(spectrum, name), getattr(alone, name)), name
             summary = self.summary(subject, spectrum)
             for anchor_only in (False, True):
-                for got, want in zip(
-                        asymptotics._peripheral_columns(spectrum, summary, anchor_only),
-                        asymptotics._peripheral_columns(alone, summary, anchor_only)):
+                k = asymptotics._semisimple(spectrum, summary, anchor_only)
+                assert np.array_equal(k, asymptotics._semisimple(alone, summary, anchor_only))
+                for got, want in zip(spectrum.eigenvectors(k), alone.eigenvectors(k),
+                                     strict=True):
                     assert same_bits(got, want)
+
+
+class TestEigenvectors:
+    """``Spectrum.eigenvectors`` against an independent unpacking of dgeev's pairs."""
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_unpacked_unit_eigenvectors(self, d):
+        # the constructors and every ensemble: the unit right and left
+        # eigenvectors of R' at any indices, in any order and a conjugate
+        # before its pair's first column, are helpers.unpack_eigenvectors'
+        # scaled to unit columns, complex where one is off the real axis, and
+        # meet test_residual_contract's bound on R'
+        pairs = 0
+        for name, subject in helpers.oracle_subjects(d, seeds=1):
+            spectrum, n = subject.spectrum, d * d
+            w, r = spectrum.values, spectrum.real
+            vl, vr = helpers.real_eigenvectors(spectrum)
+            k = np.arange(n)[::-1]
+            v, u = spectrum.eigenvectors(k)
+            assert v.dtype == u.dtype == (np.complex128 if w.imag.any() else np.float64), name
+            np.testing.assert_allclose(v, vr[:, k], rtol=0, atol=1e-13, err_msg=name)
+            np.testing.assert_allclose(u, vl[:, k], rtol=0, atol=1e-13, err_msg=name)
+            bound = 16.0 * n * linalg.EPS * np.linalg.norm(r, 2)
+            assert np.linalg.norm(r @ v - v * w[k], axis=0).max() <= bound, name
+            assert np.linalg.norm(helpers.dag(u) @ r - w[k, None] * helpers.dag(u),
+                                  axis=1).max() <= bound, name
+            for got, want in zip(spectrum.eigenvectors(k[::3]), (v[:, ::3], u[:, ::3])):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-15, err_msg=name)
+            pairs += bool((w.imag > 0).any())
+        assert pairs >= 5
+
+    def test_only_linalg_reads_the_packed_layout(self):
+        # an AST scan of the package: no module but linalg reads vl, vr,
+        # sqrt_h or a per-column scale (unit) of a Spectrum, so the pair
+        # layout of dgeev stays behind Spectrum.eigenvectors
+        packed, found = {"vl", "vr", "sqrt_h", "unit"}, []
+        for path in sorted(pathlib.Path(linalg.__file__).parent.glob("*.py")):
+            if path.stem != "linalg":
+                tree = ast.parse(path.read_text())
+                found += [(path.stem, node.attr) for node in ast.walk(tree)
+                          if isinstance(node, ast.Attribute) and node.attr in packed]
+        assert found == []
+        tree = ast.parse(pathlib.Path(asymptotics.__file__).read_text())
+        assert "eigenvectors" in {node.attr for node in ast.walk(tree)
+                                  if isinstance(node, ast.Attribute)}
 
 
 class TestEach:
@@ -338,7 +384,8 @@ class TestLapackKernels:
             assert dim == d * d - rank and same_bits(right, vh[rank:].conj().T), name
             assert same_bits(np.linalg.svd(shifted, compute_uv=False),
                              scipy.linalg.svdvals(shifted)), name
-            stack, _ = asymptotics._peripheral_columns(spectrum, spectra.summarize(subject))
+            summary = spectra.summarize(subject)
+            stack, _ = spectrum.eigenvectors(asymptotics._semisimple(spectrum, summary))
             assert same_bits(np.linalg.svd(stack, compute_uv=False),
                              scipy.linalg.svdvals(stack)), name
 
