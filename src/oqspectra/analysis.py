@@ -9,16 +9,16 @@ apart from a violation by consistent counts (CLI exit 1, not 3; the
 campaign's ``numerical`` rows).  :func:`report_to_json` alone writes the
 ``oqs/1`` record, whose ``rechecked`` field is always false.
 
-:func:`stages`, the one pipeline, yields after each stage.  :func:`analyze` runs
-one; :func:`run_phases` runs a chunk phase by phase through :func:`linalg.each`,
-so a subject whose stage raises one of ``ERRORS`` skips its later stages alone.
+:func:`analyze_stack`, the one pipeline, runs a list of subjects stage by stage:
+one stacked summary (:func:`spectra.summaries`), then one plain pass per later
+stage through :func:`linalg.each`, so a subject whose stage raises one of
+``ERRORS`` skips its later stages alone.  :func:`analyze` is its stack of one.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from types import GeneratorType
 
 import numpy as np
 
@@ -47,75 +47,61 @@ class AnalysisReport:
 
 def analyze(subject, cluster_tol: float | None = None, peripheral_tol: float | None = None,
             markovian: bool = False, with_commutant: bool = True) -> AnalysisReport:
-    """Analyze a channel or a generator in one pass; a tolerance left None is
-    the default.  ``markovian`` adds the Markovian-only CKKS-derived channel bound."""
-    pipeline = stages(subject, cluster_tol, peripheral_tol, markovian, with_commutant)
-    while True:
-        try:
-            next(pipeline)
-        except StopIteration as stop:
-            return stop.value
+    """Analyze a channel or a generator in one pass, the stack of one of
+    :func:`analyze_stack`; a tolerance left None is the default.  ``markovian``
+    adds the Markovian-only CKKS-derived channel bound."""
+    return linalg.one(analyze_stack([subject], cluster_tol, peripheral_tol, [markovian],
+                                    with_commutant))
 
 
-def stages(subject, cluster_tol: float | None = None, peripheral_tol: float | None = None,
-           markovian: bool = False, with_commutant: bool = True):
-    """:func:`analyze` as a generator that yields after each stage: the
-    decomposition, summary, classification, fixed-space cross-check, bound
-    check, attractor and, if asked, commutant.  Returns the report."""
-    timings: dict = {}
-
-    def timed(key, stage, *args):
-        t = time.perf_counter()
-        value = stage(*args)
-        timings[key] = timings.get(key, 0.0) + time.perf_counter() - t
-        yield
-        return value
-
-    yield from timed("spectra", getattr, subject, "spectrum")  # the one eigendecomposition
-    summary = yield from timed("spectra", spectra.summarize, subject, cluster_tol, peripheral_tol)
-    classification = yield from timed("spectra", bounds.classify, subject, summary)
+def analyze_stack(subjects: list, cluster_tol: float | None = None,
+                  peripheral_tol: float | None = None, markovian: list | None = None,
+                  with_commutant: bool = True) -> list:
+    """:func:`analyze` of each subject, all of one dimension (``markovian`` flags each
+    Markovian one), stage by stage: the decomposition, the summary (one stack), the
+    classification, the fixed-space cross-check, the bound check, the attractor and, if
+    asked, the commutant each run over every live subject before the next starts.  Each
+    entry is a report, or the ``ERRORS`` exception that a stage raised for it, or that
+    was given in its place (:func:`linalg.each`).  A report's ``timings`` hold its
+    stages' time over the whole stack."""
+    start = time.perf_counter()
+    subjects = linalg.decompose(subjects)  # the one eigendecomposition
+    summaries = linalg.over_stack(lambda live: spectra.summaries(
+        live, cluster_tol, peripheral_tol), subjects)
+    classes = linalg.each(bounds.classify, subjects, summaries)
     # Null(M - I) or Null(L), cross-checked against the clustered multiplicity
-    fixed_dim, discrepancy = yield from timed("spectra", _certified, asymptotics.fixed_space,
-                                              subject, summary)
-    report = yield from timed("spectra", bounds.check_bounds, summary, classification, markovian)
-    attractor_dim, failure = yield from timed("asymptotics", _certified, asymptotics.attractor,
-                                              subject, summary)
-    commutant_dim = None
+    fixed = linalg.each(_certified(asymptotics.fixed_space), subjects, summaries, classes)
+    checked = linalg.each(lambda summary, classification, markovian, _: bounds.check_bounds(
+        summary, classification, markovian), summaries, classes,
+        markovian or [False] * len(subjects), fixed)
+    split = time.perf_counter()
+    attractors = linalg.each(_certified(asymptotics.attractor), subjects, summaries, checked)
+    end = time.perf_counter()
+    timings, commutants = {"spectra": split - start, "asymptotics": end - split}, []
     if with_commutant:
-        commutant_dim = yield from timed("commutant", _commutant_dim, subject)
-    return AnalysisReport(classification=classification, summary=summary, fixed_dim=fixed_dim,
-                          attractor_dim=attractor_dim, commutant_dim=commutant_dim,
-                          bound_report=report, timings=timings,
-                          discrepancy=discrepancy or failure)
+        commutants = [linalg.each(lambda s, _: _commutant_dim(s), subjects, attractors)]
+        timings["commutant"] = time.perf_counter() - end
+
+    def report(summary, classification, fixed, bound_report, attractor, commutant_dim=None):
+        (fixed_dim, discrepancy), (attractor_dim, failure) = fixed, attractor
+        return AnalysisReport(classification=classification, summary=summary,
+                              fixed_dim=fixed_dim, attractor_dim=attractor_dim,
+                              commutant_dim=commutant_dim, bound_report=bound_report,
+                              timings=dict(timings), discrepancy=discrepancy or failure)
+
+    return linalg.each(report, summaries, classes, fixed, checked, attractors, *commutants)
 
 
-def _certified(stage, subject, summary) -> tuple[int, str | None]:
-    """The dimension ``stage`` certifies, or -1 and its ConsistencyError's message."""
-    try:
-        return stage(subject, summary).dimension, None
-    except asymptotics.ConsistencyError as exc:
-        return -1, str(exc)
-
-
-def run_phases(pipelines) -> list:
-    """Run generators such as :func:`stages` phase by phase: every one takes
-    its step up to its next ``yield``, in order, before any takes the next.
-    Returns each one's return value, or the exception that ended it
-    (:func:`linalg.each`) or was given in its place."""
-    outcomes = list(pipelines)
-    while any(isinstance(outcome, GeneratorType) for outcome in outcomes):
-        outcomes = linalg.each(_step, outcomes)
-    return outcomes
-
-
-def _step(pipeline):
-    """A generator after its next step, or its return value once it ends; else as it is."""
-    if isinstance(pipeline, GeneratorType):
+def _certified(stage):
+    """``stage(subject, summary)``'s certified dimension and None, or -1 and its
+    ConsistencyError's message."""
+    def certified(subject, summary, _):
         try:
-            next(pipeline)
-        except StopIteration as stop:
-            return stop.value
-    return pipeline
+            return stage(subject, summary).dimension, None
+        except asymptotics.ConsistencyError as exc:
+            return -1, str(exc)
+
+    return certified
 
 
 def _commutant_dim(subject) -> int:

@@ -24,6 +24,7 @@ and :func:`ckks` gives the margins alone.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,7 +95,9 @@ def classify(subject, summary: SpectralSummary | None = None) -> str:
     trivial, all_peripheral, other = kind.classes
     if summary is None:
         summary = spectra.summarize(subject)
-    diff = (m - kind.anchor * np.eye(m.shape[0])) / summary.scale  # exact: a power of two
+    diff = m.copy()  # M - anchor I, then over the scale: exact, a power of two
+    diff.flat[::m.shape[0] + 1] -= kind.anchor
+    diff /= summary.scale
     # The largest |Re| or |Im| bounds ||diff|| from below, and the norm cannot
     # overflow once that is within trivial_tol.
     if (np.abs(diff.view(np.float64)).max() <= kind.trivial_tol
@@ -112,12 +115,21 @@ def check_bounds(summary: SpectralSummary, classification: str,
     The trivial map (identity channel, zero generator) is excluded from the
     inequalities (l0 = lP = d^2 there) and gets the comparison row alone.
     """
-    kind = summary.kind
+    d = summary.dim
+    checks = _checks(summary.kind, d, classification, summary.l0_or_m0, summary.lP_or_mP,
+                     markovian)
+    return BoundReport(checks=checks, gap=2 * (d - 1), forbidden=2 * (d - 1) - 1,
+                       ckks=_TABLE[summary.kind][0](summary))
+
+
+@functools.cache
+def _checks(kind: spectra.Kind, d: int, classification: str, l0: int, lp: int,
+            markovian: bool) -> tuple[BoundCheck, ...]:
+    """The rows of :func:`check_bounds`, built once per key and shared: they are frozen."""
     if classification not in kind.classes:
         raise ValueError(f"unknown {kind.name} classification {classification!r}")
-    d = summary.dim
     ceiling, loose = structural_ceiling(d), d * d - d
-    l0, lp = counts = (summary.l0_or_m0, summary.lP_or_mP)
+    counts = (l0, lp)
     name0, name_p = kind.counts  # l0, lP or m0, mP
     trivial, all_peripheral, _ = kind.classes
     checks: tuple[BoundCheck, ...]
@@ -133,14 +145,12 @@ def check_bounds(summary: SpectralSummary, classification: str,
             _le(f"{name0} <= {name_p}", l0, lp),
             _le(f"{name_p} <= d^2-2d+2", lp, ceiling),
         )
-    ckks_margins, derived = _TABLE[kind]
     checks += tuple(_le(f"ckks: {kind.counts[k]} <= d^2-d{suffix}", counts[k], loose)
-                    for k, classes, suffix in derived
+                    for k, classes, suffix in _TABLE[kind][1]
                     if classification in classes and (markovian or not suffix))
     if d >= 2:  # d^2-2d+2 <= d^2-d; at d = 1, left by a faithful reduction, 1 <= 0
         checks += (_le("structural ceiling <= ckks ceiling", ceiling, loose),)
-    return BoundReport(checks=checks, gap=2 * (d - 1), forbidden=2 * (d - 1) - 1,
-                       ckks=ckks_margins(summary))
+    return checks
 
 
 def ckks(summary: SpectralSummary) -> CkksMargins:

@@ -6,8 +6,9 @@ dim-block, index, 0))`` stream and floats are written with a fixed
 12-significant-digit format.  Each (source, d) cell runs in task order as
 chunks of at most :func:`chunk_size` subjects, phase by phase: the raw
 draws one subject at a time, a stacked build, a stacked decomposition
-(``dgeev`` once per matrix), each later stage of ``analysis.stages``, then
-the rows.  A row is its CSV record: no report outlives its chunk.  A sampled
+(``dgeev`` once per matrix), each stage of ``analysis.analyze_stack`` (one
+stacked summary, then one pass per stage), then the rows, a plain function
+of each report.  A row is its CSV record: no report outlives its chunk.  A sampled
 subject is drawn once and analyzed once, and each ensemble's advertised
 classes make the campaign an oracle: a draw classified outside them is an
 oracle mismatch row.  A report with a cross-check ``discrepancy`` is a
@@ -97,10 +98,13 @@ class CampaignResult:
 
 
 # Most subjects a chunk holds at dimension d: whole cells at --per-dim 100 for
-# d <= 4 and at --per-dim 10 for d <= 8, and 8 from d = 10.  A full chunk holds
-# (tracemalloc, over the chunks of one) 6.0-7.3 MB at d = 3, 3.8-4.9 MB at d = 4,
-# 2.5-3.5 MB at d = 8 and 5.9-8.1 MB at d = 12.  A subject holds about 5 KB at
-# d = 2, where 4096 would hold 20 MB: the cap keeps every chunk under 9 MB.
+# d <= 4 and at --per-dim 10 for d <= 8, and 8 from d = 10.  A full chunk of an
+# ensemble peaks (tracemalloc, over a chunk of one, seed 1) at 6.7-8.9 MB at
+# d = 3, 5.8-7.7 MB at d = 4, 4.9-6.7 MB at d = 8 and 10.8-15.2 MB at d = 12,
+# as before the stacked summary, whose (k, n, n) label array (0.5 MB at d = 4,
+# 1.3 MB at d = 12) stays under the stacked decomposition's peak.  A subject
+# holds about 5 KB at d = 2, where 4096 would hold 20 MB: the cap keeps every
+# chunk under 16 MB.
 def chunk_size(d: int) -> int:
     return min(1024, max(8, 65536 // d**4))
 
@@ -108,7 +112,7 @@ def chunk_size(d: int) -> int:
 def run_campaign(config: CampaignConfig) -> CampaignResult:
     rows = []
     for chunk in _chunks(config):
-        for task, outcome in zip(chunk, analysis.run_phases(_pipelines(chunk))):
+        for task, outcome in zip(chunk, linalg.each(_row, chunk, _reports(chunk))):
             if isinstance(outcome, Exception):
                 outcome = ("oracle", f"error:{type(outcome).__name__}")
             rows.append(CampaignRow(task.source, task.dim, task.index,
@@ -142,11 +146,12 @@ def _chunks(config: CampaignConfig):
                        for index in range(start, min(count, start + size))]
 
 
-def _pipelines(chunk: list[_Task]) -> list:
-    """Each task's :func:`_phases` on its decomposed subject, or the exception it raised."""
+def _reports(chunk: list[_Task]) -> list:
+    """Each task's report (``analysis.analyze_stack``) on its decomposed subject, or the
+    exception it raised."""
     source, d = chunk[0].source, chunk[0].dim
+    names = list(constructions.SATURATING)
     if source == CONSTRUCTORS:
-        names = list(constructions.SATURATING)
         subjects = linalg.each(lambda task: constructions.saturating(names[task.index], d)[0],
                                chunk)
     else:
@@ -154,18 +159,16 @@ def _pipelines(chunk: list[_Task]) -> list:
             source, d, np.random.default_rng(task.seed_key + (0,)), task.env_dim), chunk)
         subjects = linalg.over_stack(lambda raw: ENSEMBLES[source].build(np.stack(raw)), draws)
     subjects = linalg.over_stack(linalg.anchored_svds, linalg.decompose(subjects))
-    return [subject if isinstance(subject, Exception) else _phases(task, subject)
-            for task, subject in zip(chunk, subjects)]
+    markovian = [source == CONSTRUCTORS and names[task.index] == "phase-damping"
+                 for task in chunk]
+    return analysis.analyze_stack(subjects, markovian=markovian, with_commutant=False)
 
 
-def _phases(task: _Task, subject):
-    """One subject's ``analysis.stages``, then its row's failure, note and CSV
-    columns kind ... rechecked, read from the report before it is dropped.  A
-    sampled subject's unadvertised class outranks a discrepancy, then a CKKS
-    failure, then a bound violation."""
+def _row(task: _Task, report) -> tuple:
+    """A row's failure, note and CSV columns kind ... rechecked, read from its report
+    before it is dropped.  A sampled subject's unadvertised class outranks a
+    discrepancy, then a CKKS failure, then a bound violation."""
     name = list(constructions.SATURATING)[task.index] if task.source == CONSTRUCTORS else None
-    report = yield from analysis.stages(subject, markovian=name == "phase-damping",
-                                        with_commutant=False)
     failure = note = ""
     if name is not None:
         expected = constructions.advertised(name, task.dim)

@@ -52,15 +52,17 @@ class ConsistencyError(RuntimeError):
 ERRORS = (ValueError, np.linalg.LinAlgError, ConsistencyError)
 
 
-def each(call, items) -> list:
-    """``call(item)`` for each item, in order, or the ``ERRORS`` exception it raised;
-    an item that is an exception already stays as it is.  The one per-subject error path."""
-    outcomes = list(items)
-    for k, item in enumerate(outcomes):
+def each(call, *columns) -> list:
+    """``call(*row)`` for each row of the columns (an item of each), in order, or the
+    ``ERRORS`` exception it raised; a row whose last item is an exception already gives
+    that exception, so the last column carries every earlier failure.  The one
+    per-subject error path."""
+    outcomes = []
+    for row in zip(*columns):
         try:
-            outcomes[k] = item if isinstance(item, Exception) else call(item)
+            outcomes.append(row[-1] if isinstance(row[-1], Exception) else call(*row))
         except ERRORS as exc:
-            outcomes[k] = exc
+            outcomes.append(exc)
     return outcomes
 
 

@@ -14,25 +14,35 @@ peripheral means |mu| >= 1 - peripheral_tol and l0 is the multiplicity of
 the cluster containing 1; for a generator, peripheral means
 |Re(lambda)| <= peripheral_tol and m0 is the multiplicity of the cluster
 containing 0.  The cluster at the anchor is always peripheral.
+
+Everything runs on stacks: :func:`summaries` clusters the eigenvalues of a
+list of subjects at once (the campaign's chunks, mixed kinds included), each
+subject getting the bits of its stack of one; :func:`summarize`,
+:func:`cluster` and :func:`scale` are stacks of one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
+
 DEFAULT_TOL = 1e-8  # every default tolerance, in units of the subject's scale
+_MAX = np.maximum.reduce
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Kind:
     """Everything that tells a channel from a generator.
 
     Every stage reads the kind of its subject (``subject.kind``) or summary
-    instead of branching on the type.
+    instead of branching on the type.  There are two, :data:`CHANNEL` and
+    :data:`GENERATOR`, compared and hashed by identity.
     """
 
     name: str  # channel | generator
@@ -57,22 +67,37 @@ GENERATOR = Kind(name="generator", anchor=0.0, counts=("m0", "mP"),
 
 
 def scale(subject) -> float:
-    """The unit of the default tolerances: 1 for a channel, whose anchor fixes it;
-    for a generator the 4^k nearest ||H||_F + ||A||_F^2 (A the noise stack), or 1 if
+    """The unit of the default tolerances, the stack of one of :func:`scales`."""
+    return float(scales([subject])[0])
+
+
+def scales(subjects: list) -> np.ndarray:
+    """The unit of each subject's default tolerances: 1 for a channel, whose anchor fixes
+    it; for a generator the 4^k nearest ||H||_F + ||A||_F^2 (A the noise stack), or 1 if
     that is not a normal float (both vanish, say), whose reciprocal would overflow.
-    (4^j H, 2^j A_k) moves k by j; L of H = cI, pure rounding, stays noise."""
-    if subject.kind == CHANNEL:
-        return 1.0
-    h, a = subject.hamiltonian, subject.noise_ops
-    # One exact 4^-j brings every |entry| of H and of A^2 to at most 1: no overflow.  Only
-    # a nonzero part picks j (frexp(0.0) has exponent 0); j >= -1022 keeps 2^-j finite.
-    tops = ((np.abs(h).max(), 2), (np.abs(a).max(initial=0.0), 1))
-    j = max([-(-math.frexp(top)[1] // p) for top, p in tops if top] + [-1022])
-    f = math.ldexp(1.0, -j)
-    h, a = h * f * f, a * f
-    n = math.sqrt(np.vdot(h, h).real) + np.vdot(a, a).real
-    s = math.ldexp(1.0, 2 * (j + round(math.log(n, 4)))) if n else 0.0
-    return s if s >= sys.float_info.min else 1.0
+    (4^j H, 2^j A_k) moves k by j; L of H = cI, pure rounding, stays noise.  One pass per
+    shape of noise stack: each norm is a BLAS dot (np.vecdot: np.vdot's bits) of its own
+    length."""
+    out, by_shape = np.ones(len(subjects)), {}
+    for k, s in enumerate(subjects):
+        if s.kind == GENERATOR:
+            by_shape.setdefault(s.noise_ops.shape, []).append(k)
+    for ks in by_shape.values():
+        h, a = (np.array([getattr(subjects[k], part) for k in ks]).reshape(len(ks), -1)
+                for part in ("hamiltonian", "noise_ops"))
+        # One exact 4^-j brings every |entry| of H and of A^2 to at most 1: no overflow.  Only
+        # a nonzero part picks j (frexp(0.0) has exponent 0); j >= -1022 keeps 2^-j finite.
+        tops = np.array([_MAX(np.abs(h), 1), _MAX(np.abs(a), 1, initial=0.0)])
+        j = [max(-(-e // 2) if t else -1022, e2 if t2 else -1022, -1022)
+             for e, e2, t, t2 in zip(*np.frexp(tops)[1].tolist(), *tops.tolist())]
+        f = np.ldexp(1.0, [-jk for jk in j])[:, None]
+        h, a = h * f * f, a * f
+        n = (np.sqrt(np.vecdot(h, h).real) + np.vecdot(a, a).real).tolist()
+        s = [math.ldexp(1.0, 2 * (jk + round(math.log(nk, 4)))) if nk else 0.0
+             for jk, nk in zip(j, n)]
+        out[ks] = [sk if sk >= sys.float_info.min else 1.0 for sk in s]
+    return out
+
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,81 +141,119 @@ def cluster(values, cluster_tol: float) -> tuple[np.ndarray, np.ndarray]:
     the mean of its cluster, sorted by descending |center| then by phase
     angle; the result is invariant under permutations of the input.
     """
-    return _cluster(values, cluster_tol)[:2]
-
-
-def _cluster(values, cluster_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`cluster` and the index of each value's cluster, in input order."""
     if not 0.0 < cluster_tol < math.inf:
         raise ValueError(f"cluster_tol must be finite and positive, got {cluster_tol!r}")
-    vs = np.asarray(values, dtype=np.complex128).ravel()
-    n, members = vs.size, np.empty(vs.size, dtype=np.intp)
-    # Sorting first makes the arithmetic permutation-invariant.
-    perm = np.lexsort((vs.imag, vs.real))
-    vs = vs[perm]
-    close = np.abs(vs[:, None] - vs[None, :]) <= cluster_tol
-    if np.count_nonzero(close) == n:  # nothing chains (or nothing): the general path's bits
-        order = np.lexsort((np.angle(vs), -np.hypot(vs.real, vs.imag)))
-        members[perm[order]] = np.arange(n)
-        return vs[order], np.ones(n, dtype=np.intp), members
-    # Label propagation with pointer jumping: labels only decrease, and the
-    # fixed point gives each value the smallest index it chains to.
-    labels = np.arange(n)
+    vs = np.asarray(values, dtype=np.complex128).reshape(1, -1)
+    return _clusters(vs, np.array([cluster_tol]))[:2]
+
+
+def _clusters(vs: np.ndarray, tols: np.ndarray) -> tuple[np.ndarray, ...]:
+    """:func:`cluster` of each row of a (k, n) stack at its own tolerance: the centers and
+    multiplicities of every row, row after row, the row of each and the k + 1 offsets of
+    the rows; and the (k, n) index of each value's cluster in its row's order."""
+    k, n = vs.shape
+    rows, within, starts = _layout(k, n)
+    # Sorting each row first makes the arithmetic permutation-invariant.
+    perm = np.lexsort((vs.imag.ravel(), vs.real.ravel(), rows))
+    vs = vs.ravel()[perm]
+    close = np.abs(vs.reshape(k, n, 1) - vs.reshape(k, 1, n)) <= tols[:, None, None]
+    members = np.empty(k * n, dtype=np.intp)
+    if np.count_nonzero(close) == k * n:  # nothing chains (or nothing): the general path's bits
+        order = np.lexsort((np.arctan2(vs.imag, vs.real), -np.hypot(vs.real, vs.imag), rows))
+        members[perm[order]] = within
+        return vs[order], np.ones(k * n, dtype=np.intp), rows, starts, members.reshape(k, n)
+    # Label propagation with pointer jumping: labels (indices in the stack) only
+    # decrease, and the fixed point gives each value the smallest index it chains to.
+    labels = np.arange(k * n).reshape(k, n)
     while True:
-        nxt = np.where(close, labels, n).min(axis=1)
-        nxt = nxt[nxt]
-        if np.array_equal(nxt, labels):
+        nxt = np.minimum.reduce(np.where(close, labels[:, None], k * n), 2)
+        nxt = nxt.ravel()[nxt]
+        if not np.count_nonzero(nxt != labels):
             break
         labels = nxt
-    counts = np.bincount(labels, minlength=n)
+    labels = labels.ravel()
     # Mean as first member plus mean offset: about an ulp off, at any size.
-    diff = vs - vs[labels]
-    offsets = np.bincount(labels, diff.real, n) + 1j * np.bincount(labels, diff.imag, n)
-    roots = np.flatnonzero(counts)
+    counts, diff = np.bincount(labels, minlength=k * n), vs - vs[labels]
+    offsets = np.bincount(labels, diff.real, k * n) + 1j * np.bincount(labels, diff.imag, k * n)
+    roots = counts.nonzero()[0]
     mults = counts[roots]
     # A singleton's center is its value bit for bit.
     centers = np.where(mults == 1, vs[roots], vs[roots] + offsets[roots] / mults)
     # np.hypot rounds |c| as Python's abs does; np.abs may differ by an ulp.
-    order = np.lexsort((np.angle(centers), -np.hypot(centers.real, centers.imag)))
-    members[perm] = np.argsort(order)[np.searchsorted(roots, labels)]  # labels are roots
-    return centers[order], mults[order], members
+    order = np.lexsort((np.arctan2(centers.imag, centers.real),
+                        -np.hypot(centers.real, centers.imag), rows[roots]))
+    rows, rank = rows[roots][order], np.empty_like(order)
+    rank[order] = np.arange(order.size) - rows.searchsorted(rows)  # from its row's first
+    members[perm] = rank[roots.searchsorted(labels)]
+    starts = rows.searchsorted(np.arange(k + 1))
+    return centers[order], mults[order], rows, starts, members.reshape(k, n)
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(k: int, n: int) -> tuple[np.ndarray, ...]:
+    """For k rows of n stacked values: the row of each, its index in its row and the
+    k + 1 offsets of the rows, shared by every stack of that size, so read-only."""
+    layout = np.arange(k).repeat(n), np.tile(np.arange(n), k), np.arange(k + 1) * n
+    for part in layout:
+        part.flags.writeable = False
+    return layout
 
 
 def summarize(subject, cluster_tol: float | None = None,
               peripheral_tol: float | None = None) -> SpectralSummary:
     """Spectral summary of a channel's or generator's cached eigenvalues:
     distinct ones, l0/m0, lP/mP and, for a generator, the rates.  A
-    tolerance left None is the default in units of :func:`scale`."""
-    return _summarize(subject.kind, subject.dim, subject.spectrum.values, scale(subject),
-                      cluster_tol, peripheral_tol)
+    tolerance left None is the default in units of :func:`scale`.  The
+    stack of one of :func:`summaries`."""
+    return linalg.one(summaries([subject], cluster_tol, peripheral_tol))
 
 
-def _summarize(kind: Kind, dim: int, eigenvalues: np.ndarray, scale: float,
-               cluster_tol: float | None, peripheral_tol: float | None) -> SpectralSummary:
-    peripheral_tol = DEFAULT_TOL * scale if peripheral_tol is None else peripheral_tol
-    if not 0.0 <= peripheral_tol < scale:
-        raise ValueError(f"{kind.name} peripheral_tol must lie in "
-                         f"[0, {scale:g}), got {peripheral_tol!r}")
-    radius = float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 0.0
-    ctol = cluster_tol if cluster_tol is not None else DEFAULT_TOL * max(scale, radius)
-    centers, mults, members = _cluster(eigenvalues, ctol)
+def summaries(subjects: list, cluster_tol: float | None = None,
+              peripheral_tol: float | None = None) -> list:
+    """:func:`summarize` of each subject, all of one dimension, or the ValueError of its
+    tolerances or of its missing anchor cluster (:func:`linalg.each`): one clustering of
+    the stack of their eigenvalues, then the anchor and peripheral decisions over all its
+    clusters at once."""
+    if not subjects:
+        return []
+    values = np.array([s.spectrum.values for s in subjects], dtype=np.complex128)
+    k, units = len(subjects), scales(subjects)
+    ptols = DEFAULT_TOL * units if peripheral_tol is None else np.full(k, peripheral_tol)
+    ctols = (DEFAULT_TOL * np.maximum(units, _MAX(np.abs(values), 1, initial=0.0))
+             if cluster_tol is None else np.full(k, cluster_tol))
+    valid = cluster_tol is None or 0.0 < cluster_tol < math.inf
+    centers, mults, rows, starts, members = _clusters(values, ctols if valid else np.zeros(k))
+    kind, *others = dict.fromkeys(s.kind for s in subjects)
+    anchors = np.array([s.kind.anchor for s in subjects])[rows] if others else kind.anchor
+    dist = np.hypot(centers.real - anchors, centers.imag)
+    first = np.lexsort((dist, rows))[starts[:-1]]  # nearest its anchor, the first of equals
+    peripheral = kind.peripheral(centers, ptols[rows])
+    for other in others:  # the constructors mix channels and generators
+        peripheral = np.where(anchors == other.anchor, other.peripheral(centers, ptols[rows]),
+                              peripheral)
+    peripheral[first] = True  # the fixed space or kernel, whatever the tolerance
+    lp = np.add.reduceat(peripheral * mults, starts[:-1]).tolist()
+    l0, near, at = mults[first].tolist(), dist[first].tolist(), (first - starts[:-1]).tolist()
+    starts = starts.tolist()
 
-    anchor = kind.anchor
-    dist = np.hypot(centers.real - anchor, centers.imag)
-    anchor_idx = int(np.argmin(dist))  # the first of equally near clusters
-    anchor_dist = float(dist[anchor_idx])
-    if anchor_dist > max(peripheral_tol, 2 * ctol):
-        raise ValueError(
-            f"no eigenvalue cluster within tolerance of {complex(anchor)}: "
-            f"nearest at distance {anchor_dist:.3e}; invalid {kind.name}"
-        )
+    def summary(row, s, scale, ctol, ptol):
+        if not 0.0 <= ptol < scale:
+            raise ValueError(f"{s.kind.name} peripheral_tol must lie in "
+                             f"[0, {scale:g}), got {ptol!r}")
+        if not valid:
+            raise ValueError(f"cluster_tol must be finite and positive, got {ctol!r}")
+        if near[row] > max(ptol, 2 * ctol):
+            raise ValueError(f"no eigenvalue cluster within tolerance of "
+                             f"{complex(s.kind.anchor)}: nearest at distance "
+                             f"{near[row]:.3e}; invalid {s.kind.name}")
+        span = slice(starts[row], starts[row + 1])
+        return SpectralSummary(kind=s.kind, dim=s.dim, values=centers[span],
+                               multiplicities=mults[span], peripheral=peripheral[span],
+                               l0_or_m0=l0[row], lP_or_mP=lp[row],
+                               bulk_multiplicity=s.dim * s.dim - lp[row], cluster_tol=ctol,
+                               peripheral_tol=ptol, anchor_index=at[row], scale=scale,
+                               members=members[row])
 
-    peripheral = kind.peripheral(centers, peripheral_tol)
-    peripheral[anchor_idx] = True  # the fixed space or kernel, whatever the tolerance
-    lp = int(mults[peripheral].sum())
-    return SpectralSummary(kind=kind, dim=dim, values=centers, multiplicities=mults,
-                           peripheral=peripheral, l0_or_m0=int(mults[anchor_idx]), lP_or_mP=lp,
-                           bulk_multiplicity=dim * dim - lp,
-                           cluster_tol=ctol, peripheral_tol=peripheral_tol,
-                           anchor_index=anchor_idx, scale=scale, members=members)
-
+    return linalg.each(summary, range(k), subjects, units.tolist(),
+                       ctols.tolist() if cluster_tol is None else [cluster_tol] * k,
+                       ptols.tolist() if peripheral_tol is None else [peripheral_tol] * k)

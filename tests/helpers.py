@@ -8,6 +8,9 @@ never assert the implementation against itself.
 import collections
 import functools
 import json
+import math
+import sys
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +31,38 @@ def count_calls(monkeypatch, module, names):
 
         monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def spy_summaries(monkeypatch):
+    """Spy on the stacked summary ``spectra.summaries``, which ``summarize`` runs as
+    a stack of one: the list of each call's outcomes, in call order."""
+    calls, original = [], spectra.summaries
+
+    def spy(*args, **kwargs):
+        calls.append(original(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(spectra, "summaries", spy)
+    return calls
+
+
+def with_eigenvalues(subject, values):
+    """What ``spectra.summaries`` reads of ``subject``, with ``values`` for its
+    eigenvalues."""
+    return types.SimpleNamespace(kind=subject.kind, dim=subject.dim,
+                                 hamiltonian=getattr(subject, "hamiltonian", None),
+                                 noise_ops=getattr(subject, "noise_ops", None),
+                                 spectrum=types.SimpleNamespace(values=np.asarray(values)))
+
+
+def unit_scale_subject(kind, d, values):
+    """A subject of ``spectra.scale`` 1 with eigenvalues ``values``: a generator's
+    H is 0 and its one noise operator has a single unit entry (||A||_F^2 = 1)."""
+    noise = np.zeros((1, d, d), dtype=complex)
+    noise[0, 0, 0] = 1.0
+    return with_eigenvalues(types.SimpleNamespace(kind=kind, dim=d, noise_ops=noise,
+                                                  hamiltonian=np.zeros((d, d), dtype=complex)),
+                            values)
 
 
 def count_decompositions(monkeypatch):
@@ -679,6 +714,31 @@ def reference_cluster(values, cluster_tol):
     out = [(complex(np.mean(vs[members])), len(members)) for members in groups.values()]
     out.sort(key=lambda cm: (-abs(cm[0]), np.angle(cm[0])))
     return out
+
+
+def reference_scale(subject):
+    """``spectra.scale`` one subject at a time in Python scalars: 1 for a channel; for
+    a generator H and A prescaled by an exact 4^-j, ||H||_F and ||A||_F^2 as np.vdot,
+    and 4^(j + round(log_4(||H||_F + ||A||_F^2))) if that is a normal float, else 1."""
+    if subject.kind == spectra.CHANNEL:
+        return 1.0
+    h, a = subject.hamiltonian, subject.noise_ops
+    tops = ((np.abs(h).max(), 2), (np.abs(a).max(initial=0.0), 1))
+    j = max([-(-math.frexp(top)[1] // p) for top, p in tops if top] + [-1022])
+    f = math.ldexp(1.0, -j)
+    h, a = h * f * f, a * f
+    n = math.sqrt(np.vdot(h, h).real) + np.vdot(a, a).real
+    s = math.ldexp(1.0, 2 * (j + round(math.log(n, 4)))) if n else 0.0
+    return s if s >= sys.float_info.min else 1.0
+
+
+def assert_same_summary(got, want):
+    """Two summaries equal field by field, their arrays bit for bit."""
+    for name, value in vars(want).items():
+        if isinstance(value, np.ndarray):
+            assert_bits_equal(getattr(got, name), value)
+        else:
+            assert getattr(got, name) == value and type(getattr(got, name)) is type(value), name
 
 
 def reference_projector(m, center, tol=1e-8):

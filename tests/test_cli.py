@@ -676,12 +676,13 @@ class TestCampaignWork:
         assert calls["eig"] == 0
 
     def test_one_summary_per_sampled_subject(self, monkeypatch):
-        calls = helpers.count_calls(monkeypatch, spectra, ("summarize",))
+        # one stacked summary per chunk, holding one summary per subject
+        calls = helpers.spy_summaries(monkeypatch)
         cfg = campaign.CampaignConfig(dims=(2, 3), per_dim=3, seed=4,
                                       sources=campaign.ENSEMBLES)
         result = campaign.run_campaign(cfg)
         draws = len(result.rows)
-        assert calls["summarize"] == draws
+        assert sum(map(len, calls)) == draws and len(calls) == len(campaign.ENSEMBLES) * 2
 
     def test_decompositions_per_subject(self, monkeypatch):
         # Every source at d = 6: one eig per drawn subject, one SVD of n rows
@@ -692,13 +693,7 @@ class TestCampaignWork:
         # member is off the real axis
         calls, dtypes = helpers.count_decompositions(monkeypatch)
         reads = helpers.count_eigenvector_reads(monkeypatch)
-        summaries, summarize = [], spectra.summarize
-
-        def spy(*args, **kwargs):
-            summaries.append(summarize(*args, **kwargs))
-            return summaries[-1]
-
-        monkeypatch.setattr(spectra, "summarize", spy)
+        stacks = helpers.spy_summaries(monkeypatch)
         dgeevs, dgeev = [], linalg._dgeev
 
         def spy(a, out):
@@ -708,7 +703,7 @@ class TestCampaignWork:
         monkeypatch.setattr(linalg, "_dgeev", spy)
         cfg = campaign.CampaignConfig(dims=(6,), per_dim=2, sources=campaign.ALL_SOURCES)
         result = campaign.run_campaign(cfg)
-        draws = len(result.rows)
+        draws, summaries = len(result.rows), [s for stack in stacks for s in stack]
         assert calls["real_eig"] == draws == len(summaries) == len(dgeevs)
         assert calls["eig"] == calls["eigvals"] == 0
         off_axis = sum(int(np.sum(s.peripheral & (s.multiplicities > 1)
@@ -770,21 +765,28 @@ class TestCampaignWork:
             assert by_source[source] == per_dim * len(dims)
         assert len(reads) == blocks
 
+    def test_one_summary_stack_per_chunk(self, monkeypatch):
+        # the benchmark's verify-small workload at seed 101, one campaign per
+        # source and d, each one chunk: the summary stage runs once per chunk,
+        # 18 stacks for 1512 subjects, each decomposed by its own dgeev
+        stacks = helpers.spy_summaries(monkeypatch)
+        dgeevs = helpers.count_calls(monkeypatch, linalg, ("_dgeev",))
+        rows = sum(len(campaign.run_campaign(campaign.CampaignConfig(
+            dims=(d,), per_dim=100, sources=(source,), seed=101)).rows)
+            for source in campaign.ALL_SOURCES for d in (2, 3, 4))
+        assert len(stacks) == 18
+        assert rows == sum(map(len, stacks)) == dgeevs["_dgeev"] == 1512
+
     def test_columns_only_when_a_basis_is_read(self, monkeypatch):
         # every source at d = 2, 3: the campaign reads no eigenvectors of the
         # whole peripheral set, whether the anchor cluster alone is peripheral
         # or the overlaps certify several clusters' rank; only the certificate
         # reads each multiple cluster's block
-        summaries, summarize = [], spectra.summarize
-
-        def spy(*args, **kwargs):
-            summaries.append(summarize(*args, **kwargs))
-            return summaries[-1]
-
-        monkeypatch.setattr(spectra, "summarize", spy)
+        stacks = helpers.spy_summaries(monkeypatch)
         reads = helpers.count_eigenvector_reads(monkeypatch)
         cfg = campaign.CampaignConfig(dims=(2, 3), per_dim=5, sources=campaign.ALL_SOURCES)
-        assert len(campaign.run_campaign(cfg).rows) == len(summaries)
+        rows, summaries = campaign.run_campaign(cfg).rows, [s for stack in stacks for s in stack]
+        assert len(rows) == len(summaries)
         several = [s for s in summaries if np.count_nonzero(s.peripheral) > 1]
         assert 0 < len(several) < len(summaries)
         blocks = sum(int(np.sum(s.peripheral & (s.multiplicities > 1)
@@ -829,13 +831,13 @@ class TestCampaignWork:
     def test_unadvertised_draw_is_one_oracle_mismatch_row(self, monkeypatch, tmp_path, capsys):
         # every gkls-generic draw is non-hamiltonian: with only "hamiltonian"
         # advertised, each one is an oracle mismatch row with its full CSV
-        # record, from one draw and one summary, never a redraw
+        # record, from one draw and one summary (of one stack), never a redraw
         ensemble = campaign.ENSEMBLES["gkls-generic"]
         monkeypatch.setitem(campaign.ENSEMBLES, "gkls-generic",
                             dataclasses.replace(ensemble, advertised=("hamiltonian",)))
-        calls = helpers.count_calls(monkeypatch, spectra, ("summarize",))
+        calls = helpers.spy_summaries(monkeypatch)
         result = campaign.run_campaign(self.CONFIG)
-        assert calls["summarize"] == len(result.rows) == 5
+        assert [len(stack) for stack in calls] == [len(result.rows)] == [5]
         assert result.oracle_mismatches == len(result.rows)
         assert result.structural_violations == result.ckks_unital_failures == 0
         for row in result.rows:
@@ -871,20 +873,19 @@ class TestCampaignPhases:
                     for r in outcomes]
 
         alone = reports(analysis.analyze(s) for _, s in helpers.oracle_subjects(d))
-        chunk = analysis.run_phases(analysis.stages(s) for _, s in helpers.oracle_subjects(d))
+        chunk = analysis.analyze_stack([s for _, s in helpers.oracle_subjects(d)])
         assert reports(chunk) == alone
 
-    def test_exception_in_place_of_a_generator_passes_through(self):
-        # run_phases returns an exception given in place of a generator as it
-        # is, and the generators around it run on to their reports
+    def test_exception_in_place_of_a_subject_passes_through(self):
+        # analyze_stack returns an exception given in place of a subject as it
+        # is, and the subjects around it run on to their reports
         def reports(outcomes):
             return [{k: v for k, v in analysis.report_to_json(r).items() if k != "timings"}
                     for r in outcomes]
 
         planted = ValueError("planted")
         subjects = [s for _, s in helpers.oracle_subjects(2, seeds=1)][:2]
-        outcomes = analysis.run_phases([analysis.stages(subjects[0]), planted,
-                                        analysis.stages(subjects[1])])
+        outcomes = analysis.analyze_stack([subjects[0], planted, subjects[1]])
         assert outcomes[1] is planted
         assert reports(outcomes[::2]) == reports(map(analysis.analyze, subjects))
 
@@ -959,12 +960,12 @@ class TestCampaignPhases:
         # comes before the stacked build, whose superoperators are one stack,
         # decomposed once as it normalizes and never again, with one pass for
         # every overlap and then one SVD for every cross-check, of the
-        # rescaled matrices; then every summary comes before every attractor,
-        # and no stage takes another SVD
+        # rescaled matrices; then the one stacked summary comes before every
+        # attractor, and no stage takes another SVD
         events = []
         for module, name in ((constructions, "normals"), (superop, "kraus_to_superop"),
                              (linalg, "eig_stack"), (linalg, "_overlaps"), (np.linalg, "svd"),
-                             (spectra, "summarize"), (asymptotics, "attractor")):
+                             (spectra, "summaries"), (asymptotics, "attractor")):
             def spy(*args, _original=getattr(module, name), _name=name, **kwargs):
                 events.append(_name)
                 return _original(*args, **kwargs)
@@ -973,7 +974,7 @@ class TestCampaignPhases:
         config = campaign.CampaignConfig(dims=(3,), per_dim=5, sources=("gkls-generic",))
         assert len(campaign.run_campaign(config).rows) == 5
         assert events == (["normals"] * 5 + ["kraus_to_superop", "eig_stack", "_overlaps", "svd"]
-                          + ["summarize"] * 5
+                          + ["summaries"]
                           + ["attractor"] * 5)
 
 
@@ -1088,11 +1089,12 @@ class TestCampaignErrors:
                                      sources=("constructors", "gkls-generic", "haar-unitary"))
     ARGV = ["--dims", "2,3", "--per-dim", "2", "--seed", "3",
             "--ensembles", "constructors,gkls-generic,haar-unitary"]
-    # Every phase after the raw draw, by the function that runs it.  Each is
-    # called once per subject, in task order: the gkls builds decompose
-    # their stacks when they normalize, and the chunk's stacked
-    # decomposition every other subject.
-    PHASES = ((linalg, "_dgeev"), (spectra, "summarize"), (bounds, "classify"),
+    # Every phase after the raw draw, by the function that runs it for one
+    # subject.  Each is called once per subject, in task order: the gkls
+    # builds decompose their stacks when they normalize, and the chunk's
+    # stacked decomposition every other subject; the chunk's stacked summary
+    # builds each subject's SpectralSummary through linalg.each.
+    PHASES = ((linalg, "_dgeev"), (spectra, "SpectralSummary"), (bounds, "classify"),
               (asymptotics, "fixed_space"), (bounds, "check_bounds"),
               (asymptotics, "attractor"))
 
@@ -1234,7 +1236,7 @@ class TestCampaignErrors:
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("planted failure")
 
-        monkeypatch.setattr(spectra, "summarize", failing)
+        monkeypatch.setattr(spectra, "SpectralSummary", failing)
         out = tmp_path / "c.csv"
         assert main(["verify", "--dims", "2", "--per-dim", "1", "--ensembles",
                      "gkls-generic", "--out", str(out)]) == 1

@@ -120,8 +120,7 @@ class TestOverlaps:
 
     @staticmethod
     def summary(subject, spectrum):
-        return spectra._summarize(subject.kind, subject.dim, spectrum.values,
-                                  spectra.scale(subject), None, None)
+        return spectra.summarize(helpers.with_eigenvalues(subject, spectrum.values))
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_overlap_is_the_reference_one(self, d):

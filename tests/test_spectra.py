@@ -121,7 +121,7 @@ class TestCluster:
         values = [c + 0.45 * tol * np.exp(2j * np.pi * pyrandom.random())
                   for c, count in planted for _ in range(count)]
         pyrandom.shuffle(values)
-        centers, mults, members = spectra._cluster(values, tol)
+        centers, mults, _, _, (members,) = spectra._clusters(np.array([values]), np.array([tol]))
         assert members.shape == (len(values),)
         v = np.array(values)
         close = np.abs(v[:, None] - v[None, :]) <= tol
@@ -173,7 +173,9 @@ class TestArraysMatchScalarReference:
              None, 1e-7)
     def test_summary_and_ckks_bit_for_bit(self, drawn, cluster_tol, peripheral_tol):
         kind, d, values = drawn
-        s = spectra._summarize(kind, d, np.array(values), 1.0, cluster_tol, peripheral_tol)
+        s = spectra.summarize(helpers.unit_scale_subject(kind, d, np.array(values)),
+                              cluster_tol, peripheral_tol)
+        assert s.scale == 1.0
         centers, mults = spectra.cluster(values, s.cluster_tol)
         items, anchor, lp = helpers.reference_scalar_summary(kind, centers, mults,
                                                              s.peripheral_tol)
@@ -239,8 +241,9 @@ class TestCachedSpectrum:
         # the same integers and the same classification
         for name, subject in helpers.oracle_subjects(d):
             cached = spectra.summarize(subject)
-            fresh = spectra._summarize(subject.kind, d, scipy.linalg.eigvals(subject.superop),
-                                       spectra.scale(subject), None, None)
+            fresh = spectra.summarize(helpers.with_eigenvalues(
+                subject, scipy.linalg.eigvals(subject.superop)))
+            assert fresh.scale == cached.scale, name
             assert (cached.l0_or_m0, cached.lP_or_mP) == (fresh.l0_or_m0, fresh.lP_or_mP), name
             assert bounds.classify(subject) == bounds.classify(subject, summary=fresh), name
 
@@ -338,6 +341,100 @@ class TestScale:
         scaled = build_generator(c * g.hamiltonian, np.sqrt(c) * g.noise_ops)
         assert integer_results(analysis.analyze(scaled)) == \
             integer_results(analysis.analyze(base))
+
+
+class TestStackedSummaries:
+    """One clustering per stack: ``summaries`` of a list is each subject's stack of one."""
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_stack_is_its_stacks_of_one(self, d):
+        # every ensemble and the constructors, whose chunk mixes channels and
+        # generators: the stack, each ensemble's stack and the constructors'
+        # equal the stacks of one field by field, and the clusters are those
+        # of the union-find reference (a singleton's center bit for bit)
+        named = helpers.oracle_subjects(d, seeds=2)
+        subjects = [s for _, s in named]
+        alone = [spectra.summarize(s) for s in subjects]
+        groups = [subjects, subjects[:4]] + [subjects[k:k + 2] for k in range(4, len(named), 2)]
+        for group in groups:
+            for got, s in zip(spectra.summaries(group), group, strict=True):
+                helpers.assert_same_summary(got, alone[subjects.index(s)])
+        for (name, s), summary in zip(named, alone):
+            ref = helpers.reference_cluster(s.spectrum.values, summary.cluster_tol)
+            assert sorted(summary.multiplicities.tolist()) == sorted(m for _, m in ref), name
+            for c, m in zip(summary.values.tolist(), summary.multiplicities.tolist()):
+                c_ref, m_ref = min(ref, key=lambda cm: abs(c - cm[0]))
+                assert m == m_ref and abs(c - c_ref) <= 1e-15 * max(1.0, abs(c_ref)), name
+                if m == 1:
+                    helpers.assert_bits_equal(np.complex128(c), np.complex128(c_ref))
+
+    def test_scales_are_the_scalar_ones(self, rng):
+        # generators with noise stacks of several shapes, a Hamiltonian alone,
+        # entries that overflow a plain norm or underflow its squares, and
+        # channels, in one stack: the stacked norms are np.vdot's bits
+        d = 3
+        subjects = [draw(ensemble, d, rng) for ensemble in GKLS_ENSEMBLES + ("haar-unitary",)]
+        subjects += [build_generator(np.diag([0.0, 4.0 ** 300, 1.0])),
+                     build_generator(np.zeros((d, d)), [np.diag([0.0, 1e-200, 0.0])]),
+                     build_generator(np.diag([1e-300, -1e-300, 0.0]), [np.eye(d)] * 2),
+                     helpers.dephasing_generator(d), phase_damping_channel(d)]
+        got = spectra.scales(subjects)
+        want = [helpers.reference_scale(s) for s in subjects]
+        helpers.assert_bits_equal(got, np.array(want))
+        assert [spectra.scale(s) for s in subjects] == want
+
+    def test_chained_row_next_to_unchained(self):
+        # a row whose values chain (0 ~ 0.8t ~ 1.6t) beside one whose values
+        # are all apart, and the reverse: each row clusters alone
+        t = 1e-6
+        chained = [1.0, 0.5, 0.5 + 0.8 * t, 0.5 + 1.6 * t]
+        apart = [1.0, 0.5, 0.25, -0.5j]
+        for kind in (spectra.CHANNEL, spectra.GENERATOR):
+            rows = [helpers.unit_scale_subject(kind, 2, np.array(v) - 1 + kind.anchor)
+                    for v in (chained, apart, chained)]
+            stacked = spectra.summaries(rows, cluster_tol=t)
+            for got, row in zip(stacked, rows, strict=True):
+                helpers.assert_same_summary(got, spectra.summarize(row, cluster_tol=t))
+            assert [sorted(s.multiplicities.tolist()) for s in stacked] == [[1, 3], [1] * 4, [1, 3]]
+
+    def test_user_tolerances(self):
+        # tolerances in input units, the same for every subject of the stack;
+        # a peripheral tolerance at or over a subject's scale fails that
+        # subject alone, with the message of its stack of one: at 2, all but
+        # the generator of scale 4
+        subjects = [s for _, s in helpers.oracle_subjects(3, seeds=1)]
+        subjects.insert(3, build_generator(np.diag([0.0, 3.0, 0.0]), [np.diag([0.0, 1.0, 0.0])]))
+        assert spectra.scale(subjects[3]) == 4.0
+        for ctol, ptol in ((1e-6, None), (None, 1e-3), (1e-4, 0.0), (2e-3, 0.5), (None, 2.0)):
+            stacked = spectra.summaries(subjects, ctol, ptol)
+            for got, s in zip(stacked, subjects, strict=True):
+                try:
+                    want = spectra.summarize(s, ctol, ptol)
+                except ValueError as exc:
+                    assert isinstance(got, ValueError) and str(got) == str(exc)
+                else:
+                    helpers.assert_same_summary(got, want)
+        assert any(isinstance(got, ValueError) for got in stacked)
+        assert not all(isinstance(got, ValueError) for got in stacked)
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            stacked = spectra.summaries(subjects, bad)
+            assert all(str(got) == f"cluster_tol must be finite and positive, got {bad!r}"
+                       for got in stacked)
+
+    def test_no_anchor_cluster_in_the_middle(self):
+        # a forged channel without eigenvalue 1 amid valid subjects of both
+        # kinds: its entry is the ValueError of its stack of one, and its
+        # neighbours are unchanged
+        fake = QuantumChannel(dim=2, _superop=0.5 * np.eye(4))
+        with pytest.raises(ValueError) as alone:
+            spectra.summarize(fake)
+        assert str(alone.value) == ("no eigenvalue cluster within tolerance of (1+0j): nearest "
+                                    "at distance 5.000e-01; invalid channel")
+        subjects = [s for _, s in helpers.oracle_subjects(2, seeds=1)]
+        stacked = spectra.summaries(subjects[:5] + [fake] + subjects[5:])
+        assert isinstance(stacked[5], ValueError) and str(stacked[5]) == str(alone.value)
+        for got, s in zip(stacked[:5] + stacked[6:], subjects, strict=True):
+            helpers.assert_same_summary(got, spectra.summarize(s))
 
 
 class TestJson:
