@@ -65,7 +65,7 @@ def analyze_stack(subjects: list, cluster_tol: float | None = None,
     was given in its place (:func:`linalg.each`).  A report's ``timings`` hold its
     stages' time over the whole stack."""
     start = time.perf_counter()
-    subjects = linalg.decompose(subjects)  # the one eigendecomposition
+    subjects = linalg.each(_decomposed, subjects)  # the one eigendecomposition
     summaries = linalg.over_stack(lambda live: spectra.summaries(
         live, cluster_tol, peripheral_tol), subjects)
     classes = linalg.each(bounds.classify, subjects, summaries)
@@ -90,6 +90,12 @@ def analyze_stack(subjects: list, cluster_tol: float | None = None,
                               timings=dict(timings), discrepancy=discrepancy or failure)
 
     return linalg.each(report, summaries, classes, fixed, checked, attractors, *commutants)
+
+
+def _decomposed(subject):
+    """``subject`` after its one eigendecomposition, cached on it."""
+    subject.spectrum
+    return subject
 
 
 def _certified(stage):
