@@ -83,8 +83,8 @@ def scales(subjects: list) -> np.ndarray:
         if s.kind == GENERATOR:
             by_shape.setdefault(s.noise_ops.shape, []).append(k)
     for ks in by_shape.values():
-        h, a = (np.array([getattr(subjects[k], part) for k in ks]).reshape(len(ks), -1)
-                for part in ("hamiltonian", "noise_ops"))
+        h = np.array([subjects[k].hamiltonian for k in ks]).reshape(len(ks), -1)
+        a = np.array([subjects[k].noise_ops for k in ks]).reshape(len(ks), -1)
         # One exact 4^-j brings every |entry| of H and of A^2 to at most 1: no overflow.  Only
         # a nonzero part picks j (frexp(0.0) has exponent 0); j >= -1022 keeps 2^-j finite.
         tops = np.array([_MAX(np.abs(h), 1), _MAX(np.abs(a), 1, initial=0.0)])
